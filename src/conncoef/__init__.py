@@ -4,12 +4,12 @@ with eigenvalue solvers for the ellipsoidal and spheroidal wave equations."""
 from . import ellipsoidal, spheroidal
 from .core import (RationalTail, SeriesState, ShiftedSystem, SpectralFrame,
                    ThetaResult, TwoPointSystem, build_shifted, frobenius_step,
-                   mirrored_shifted, p_vector, series_start, theta_iterate,
-                   weight_vector)
-from .errors import (ConncoefError, DegenerateFrame, FrameMismatch,
-                     InvalidExponent, MatchFailure, NoConvergence,
-                     ParityAmbiguous, QuadratureNotConverged, ScanExhausted,
-                     SingularJacobian, SingularStep)
+                   mirrored_shifted, p_vector, prefix_sums, series_start,
+                   theta_iterate, weight_vector)
+from .errors import (ConncoefError, ConsistencyError, DegenerateFrame,
+                     FrameMismatch, InvalidExponent, MatchFailure,
+                     NoConvergence, ParityAmbiguous, QuadratureNotConverged,
+                     ScanExhausted, SingularJacobian, SingularStep)
 from .rootfind import SolverOptions, bracket_scan, broyden2, secant
 
 __version__ = "0.1.0"
@@ -25,6 +25,7 @@ __all__ = [
     "mirrored_shifted",
     "series_start",
     "frobenius_step",
+    "prefix_sums",
     "p_vector",
     "weight_vector",
     "theta_iterate",
@@ -35,6 +36,7 @@ __all__ = [
     "ellipsoidal",
     "spheroidal",
     "ConncoefError",
+    "ConsistencyError",
     "FrameMismatch",
     "SingularStep",
     "DegenerateFrame",

@@ -421,8 +421,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu-range", nargs=2, type=float, default=None,
                    metavar=("LO", "HI"))
     p.add_argument("--resolution", type=int, default=None)
-    # residuals of steep problems bottom out near |dTheta/dlam| * ulp(lam);
-    # 1e-8 is reachable for all regression cases and still ~1e-12 in (lam, mu)
+    # residuals of steep problems bottom out near |dTheta/dlam| * ulp(lam):
+    # near 1e-2 for the k^2 = 0.9, omega^2 = 25 wave row, where the solver
+    # stops on its step tolerance instead; 1e-8 is ~1e-12 in (lam, mu)
     _add_common(p, tol_default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eigen_ellipsoidal)

@@ -41,18 +41,30 @@ iteration stops on the a posteriori bound
     |Theta - Theta_k| <= (1+eps) * k * |Theta_k - Theta_{k-1}| / (Re(delta)+n+1),
 
 valid for every eps > 0 once k is large enough; see `theta_iterate`.
+
+For rational structure every series runs on one scalar recurrence kernel:
+the entries of A0, A1 + I and C, the poles c_j and the residues R_j are
+unpacked into Python complex scalars once, and a single loop advances u_k,
+d_k and the geometric sums s_k^(j) with no array allocation per step.  The
+Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
+that loop; the mirrored prefix and the eigenfunction coefficient sequences
+(`prefix_sums`) use the same kernel.  The public `frobenius_step`,
+`p_vector` and `weight_vector` stay as validating single-step entry points.
+Generic structure keeps its own O(k) convolution in `frobenius_step`.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrame, FrameMismatch, SingularStep
+from .errors import (ConsistencyError, DegenerateFrame, FrameMismatch,
+                     SingularStep)
 
 __all__ = [
     "RationalTail",
@@ -65,6 +77,7 @@ __all__ = [
     "mirrored_shifted",
     "series_start",
     "frobenius_step",
+    "prefix_sums",
     "p_vector",
     "weight_vector",
     "theta_iterate",
@@ -391,47 +404,131 @@ def frobenius_step(state: SeriesState, shifted: ShiftedSystem) -> SeriesState:
     Implements u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - sum_{l<k} G_{k-1-l} u_l)
     and d_k = d_{k-1} + u_k.  For rational structure the convolution collapses
     to  C u_{k-1} - sum_j (R_j / c_j) s_{k-1}^(j)  with the geometric
-    accumulators updated as s_k = s_{k-1}/c_j + u_k in O(1) per pole; generic
-    structure evaluates the full convolution from the stored history.
+    accumulators updated as s_k = s_{k-1}/c_j + u_k in O(1) per pole; this
+    runs one step of the scalar kernel that `theta_iterate` and `prefix_sums`
+    use.  Generic structure evaluates the full convolution from the stored
+    history.
 
     Raises
     ------
     SingularStep
         If |det(A0 - k*I)| < 1e-30 at the new index k.
+    ValueError
+        If a rational state does not hold one accumulator per pole.
     """
-    k = state.k + 1
-    A1 = shifted.A1
-    rhs = (A1 + np.eye(2)) @ state.d
     if shifted.is_rational:
-        rhs = rhs - shifted.tail_const @ state.u
-        for c, r, s in zip(shifted.tail_poles, shifted.tail_residues,
-                           state.tail_sums):
-            rhs = rhs + (r @ s) / c
-    else:
-        hist = state.history
-        conv = np.zeros(2, dtype=complex)
-        for ell in range(k):
-            conv = conv + shifted._coeff(k - 1 - ell) @ hist[ell]
-        rhs = rhs - conv
+        if state.tail_sums is None or (len(state.tail_sums)
+                                       != len(shifted.tail_poles)):
+            raise ValueError("state needs one tail accumulator per pole")
+        sums = [s.tolist() for s in state.tail_sums]
+        k, u0, u1, d0, d1 = next(_rational_steps(
+            shifted, state.k, state.u.tolist(), state.d.tolist(), sums))
+        return SeriesState(k=k, u=np.array([u0, u1]), d=np.array([d0, d1]),
+                           tail_sums=[np.array(s) for s in sums])
 
+    k = state.k + 1
+    hist = state.history
+    conv = np.zeros(2, dtype=complex)
+    for ell in range(k):
+        conv = conv + shifted._coeff(k - 1 - ell) @ hist[ell]
+    rhs = (shifted.A1 + np.eye(2)) @ state.d - conv
     # closed-form 2x2 solve of (A0 - k I) u = rhs; the determinant doubles
     # as the singular-step guard
-    A0 = shifted.A0
-    m11 = A0[0, 0] - k
-    m22 = A0[1, 1] - k
-    m12 = A0[0, 1]
-    m21 = A0[1, 0]
-    det = m11 * m22 - m12 * m21
+    (a11, a12), (a21, a22) = shifted.A0.tolist()
+    m11, m22 = a11 - k, a22 - k
+    det = m11 * m22 - a12 * a21
     if abs(det) < _SINGULAR_STEP_TOL:
-        raise SingularStep(f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
-    u = np.array([(m22 * rhs[0] - m12 * rhs[1]) / det,
-                  (m11 * rhs[1] - m21 * rhs[0]) / det])
+        raise _singular_step(k, det)
+    u = np.array([(m22 * rhs[0] - a12 * rhs[1]) / det,
+                  (m11 * rhs[1] - a21 * rhs[0]) / det])
+    return SeriesState(k=k, u=u, d=state.d + u, history=hist + [u])
 
+
+def _singular_step(k: int, det: complex) -> SingularStep:
+    return SingularStep(f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
+
+
+def _rational_steps(shifted: ShiftedSystem, k: int, u: list, d: list,
+                    sums: list):
+    """Scalar recurrence kernel for rational structure.
+
+    Starts from u_k = ``u`` and d_k = ``d`` (pairs of complex) and yields
+    ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
+    one [s0, s1] list per pole and is advanced in place.  Raises
+    SingularStep at the first k with |det(A0 - k*I)| < 1e-30.
+    """
+    (a11, a12), (a21, a22) = shifted.A0.tolist()
+    (e11, e12), (e21, e22) = (shifted.A1 + np.eye(2)).tolist()
+    (c11, c12), (c21, c22) = shifted.tail_const.tolist()
+    a12a21 = a12 * a21
+    # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
+    poles = [(*(r / c).ravel().tolist(), 1 / c, s)
+             for c, r, s in zip(shifted.tail_poles, shifted.tail_residues,
+                                sums)]
+    u0, u1 = u
+    d0, d1 = d
+    # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
+    w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
+    w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
+    while True:
+        k += 1
+        r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+        r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+        m11 = a11 - k
+        m22 = a22 - k
+        det = m11 * m22 - a12a21
+        if abs(det) < _SINGULAR_STEP_TOL:
+            raise _singular_step(k, det)
+        u0 = (m22 * r0 - a12 * r1) / det
+        u1 = (m11 * r1 - a21 * r0) / det
+        w0 = w1 = 0
+        for q11, q12, q21, q22, inv_c, s in poles:
+            s0 = s[0] = s[0] * inv_c + u0
+            s1 = s[1] = s[1] * inv_c + u1
+            w0 += q11 * s0 + q12 * s1
+            w1 += q21 * s0 + q22 * s1
+        d0 += u0
+        d1 += u1
+        yield k, u0, u1, d0, d1
+
+
+def _generic_steps(state: SeriesState, shifted: ShiftedSystem):
+    """`frobenius_step` from ``state`` on, yielding like `_rational_steps`."""
+    while True:
+        state = frobenius_step(state, shifted)
+        (u0, u1), (d0, d1) = state.u.tolist(), state.d.tolist()
+        yield state.k, u0, u1, d0, d1
+
+
+def _steps(state: SeriesState, shifted: ShiftedSystem):
+    """Steps k+1, k+2, ... of the series from ``state`` as scalar tuples."""
     if shifted.is_rational:
-        sums = [s / c + u for c, s in zip(shifted.tail_poles, state.tail_sums)]
-        return SeriesState(k=k, u=u, d=state.d + u, tail_sums=sums)
-    hist = state.history + [u]
-    return SeriesState(k=k, u=u, d=state.d + u, history=hist)
+        return _rational_steps(shifted, state.k, state.u.tolist(),
+                               state.d.tolist(),
+                               [s.tolist() for s in state.tail_sums])
+    return _generic_steps(state, shifted)
+
+
+def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
+    """Prefix sums d_0..d_{n_terms-1} of the series started from ``start``.
+
+    Returns a complex array of shape (n_terms, 2).  Rational structure runs
+    the scalar kernel; generic structure steps `frobenius_step`.
+
+    Raises
+    ------
+    SingularStep
+        As `frobenius_step`.
+    """
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    state = series_start(start, shifted)
+    steps = itertools.islice(_steps(state, shifted), n_terms - 1)
+    # streamed into the array: a list of row tuples would hold several
+    # times the result's memory at the peak
+    flat = itertools.chain(state.d.tolist(), itertools.chain.from_iterable(
+        (d0, d1) for _, _, _, d0, d1 in steps))
+    return np.fromiter(flat, dtype=complex, count=2 * n_terms).reshape(-1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +634,11 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
 
     Runs the mirrored recurrence for the first n prefix sums d~_1..d~_n, then
-    advances the main recurrence with `frobenius_step`, forming Theta_k from
-    `p_vector`/`weight_vector` at each step once the frame is nondegenerate.
+    advances the main recurrence, forming p_k, nu_k and Theta_k at each step
+    once the frame is nondegenerate.  For rational structure this is one
+    loop of plain complex arithmetic on the scalar kernel (see the module
+    docstring); p_k and nu_k follow the formulas of `p_vector` and
+    `weight_vector`.
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -563,66 +663,84 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     tilde_prefix : sequence, optional
         Precomputed d~_0..d~_n.  Used by callers that know the mirrored
         coefficients without a second recurrence run (e.g. symmetric
-        systems); default is to run `mirrored_shifted` + `frobenius_step`.
+        systems); default is to run `mirrored_shifted` through `prefix_sums`.
 
     Returns
     -------
     ThetaResult
         With status ``"frame_degenerate"`` (and NaN theta) if no k <= k_max
         admits a valid weight vector.
+
+    Raises
+    ------
+    ValueError
+        If tol < 0, n < 0, tilde_prefix is too short, or b1, b2 or
+        d~_0..d~_n are not finite.
+    SingularStep
+        As `frobenius_step`.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    if n < 0:
+        raise ValueError("acceleration order n must be >= 0")
     delta = frame.delta
     shifted = build_shifted(system, frame)
-
     if tilde_prefix is None:
-        mirrored = mirrored_shifted(system, frame)
-        tstate = series_start(frame.b2, mirrored)
-        tilde_prefix = [tstate.d.copy()]
-        for _ in range(n):
-            tstate = frobenius_step(tstate, mirrored)
-            tilde_prefix.append(tstate.d.copy())
+        tilde_prefix = prefix_sums(mirrored_shifted(system, frame), frame.b2,
+                                   n + 1)
     elif len(tilde_prefix) < n + 1:
         raise ValueError(f"tilde_prefix needs >= {n} entries beyond d~_0")
 
+    # everything the loop reads, unpacked and checked for finiteness once
+    b10, b11 = _c2vector(frame.b1).tolist()
+    b20, b21 = _c2vector(frame.b2).tolist()
+    b1_norm = math.hypot(abs(b10), abs(b11))
+    tilde = [_c2vector(v).tolist() for v in tilde_prefix[:n + 1]]
+    # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l
+    accel = [(m + delta, t0, t1) for m, (t0, t1) in enumerate(tilde[1:])]
+
     denom = delta.real + n + 1
     k_start = max(math.floor(delta.real + n - 1) + 1, 1)
-    state = series_start(frame.a0, shifted)
-    prev_theta = None
-    prev_k = -1
+    steps = itertools.islice(_steps(series_start(frame.a0, shifted), shifted),
+                             k_max)
+    prev_theta = None       # Theta_{k-1}; None after a skipped index
     theta = complex("nan")
-    raw_bound = math.inf
+    raw_bound = math.inf    # latest recorded bound
+    calm = 0                # trailing recorded bounds with no increase
     last_pair = None
-    bounds: list[float] = []
     seen_valid = False
 
-    for k in range(1, k_max + 1):
-        state = frobenius_step(state, shifted)
+    for k, _, _, d0, d1 in steps:
         if k < k_start:
             continue
-        p = p_vector(frame.b2, tilde_prefix, delta, k, n)
-        try:
-            nu = weight_vector(frame.b1, p)
-        except DegenerateFrame:
+        p0, p1 = b20, b21
+        prod = 1.0
+        for m_delta, t0, t1 in accel:
+            prod *= m_delta / (m_delta - k)
+            p0 += prod * t0
+            p1 += prod * t1
+        # nu = J p / <J p, b1>; the weight_vector degeneracy test
+        norm = b10 * p1 - b11 * p0
+        if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(abs(p0),
+                                                               abs(p1)):
             # k < k1: no usable weight vector yet; step on
             prev_theta = None
             continue
         seen_valid = True
-        theta = complex(state.d[0] * nu[0] + state.d[1] * nu[1])
-        if prev_theta is not None and prev_k == k - 1:
-            raw_bound = k * abs(theta - prev_theta) / denom
-            last_pair = (k, theta - prev_theta)
-            bounds.append(raw_bound)
-            if raw_bound <= tol and len(bounds) >= _MONOTONE_STEPS and all(
-                    bounds[-i] <= bounds[-i - 1] or bounds[-i] <= tol
-                    for i in range(1, _MONOTONE_STEPS)):
+        theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
+        if prev_theta is not None:
+            dtheta = theta - prev_theta
+            bound = k * abs(dtheta) / denom
+            # values at or below tol never break the non-increasing run
+            calm = calm + 1 if bound <= raw_bound or bound <= tol else 1
+            raw_bound = bound
+            last_pair = (k, dtheta)
+            if bound <= tol and calm >= _MONOTONE_STEPS:
                 return ThetaResult(
-                    theta=theta, error_bound=_BOUND_SAFETY * raw_bound,
+                    theta=theta, error_bound=_BOUND_SAFETY * bound,
                     k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
                     status="converged")
         prev_theta = theta
-        prev_k = k
 
     if not seen_valid:
         return ThetaResult(theta=complex("nan"), error_bound=math.inf,
@@ -640,3 +758,28 @@ def _tau(last_pair, delta: complex, n: int) -> complex:
         return complex("nan")
     k, dtheta = last_pair
     return cmath.exp((delta + n + 2) * math.log(k)) * dtheta
+
+
+def _real_part(values, what: str):
+    """Real part of ``values`` (scalar or array), which must be real.
+
+    Raises
+    ------
+    ConsistencyError
+        If some |imaginary part| exceeds 1e-10 * max(1, max |values|).
+    """
+    v = np.asarray(values)
+    imag = float(np.max(np.abs(v.imag), initial=0.0))
+    scale = max(float(np.max(np.abs(v), initial=0.0)), 1.0)
+    if not imag <= 1e-10 * scale:
+        raise ConsistencyError(
+            f"{what} should be real for real parameters (imaginary part "
+            f"{imag:.3e})")
+    return v.real
+
+
+def _real_guard(result: ThetaResult, inputs_real: bool) -> ThetaResult:
+    """Check that a finite Theta from real parameters is real."""
+    if inputs_real and math.isfinite(result.theta.real):
+        _real_part(result.theta, f"theta = {result.theta}")
+    return result

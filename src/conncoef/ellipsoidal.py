@@ -28,14 +28,18 @@ singular points and acts on the entries as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, frobenius_step,
-                   mirrored_shifted, build_shifted, series_start, theta_iterate)
-from .errors import MatchFailure, NoConvergence, QuadratureNotConverged
+from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _real_guard,
+                   _real_part, build_shifted, mirrored_shifted, prefix_sums,
+                   theta_iterate)
+from .core import frobenius_step  # noqa: F401  (re-exported)
+from .errors import (ConncoefError, ConsistencyError, MatchFailure,
+                     NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
 
 __all__ = [
@@ -100,7 +104,14 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     """System entries for spectral parameters (lam, mu).
 
     a12 = lam, b12 = c(lam+mu+gamma)/(1-c), r12 = (lam + c*mu + c^2*gamma)/(c-1);
-    they satisfy a12 + b12 + r12 = c*gamma identically, which is asserted.
+    they satisfy a12 + b12 + r12 = c*gamma identically, which is checked.
+
+    Raises
+    ------
+    ValueError
+        If lam or mu is not finite.
+    ConsistencyError
+        If the identity fails by more than 1e-12 of the largest entry.
     """
     c = problem.c
     g = problem.gamma
@@ -111,7 +122,9 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
                       r12=(lam + c * mu + c * c * g) / (c - 1))
     total = e.a12 + e.b12 + e.r12
     scale = max(abs(e.a12), abs(e.b12), abs(e.r12), 1.0)
-    assert abs(total - c * g) <= 1e-12 * scale
+    if not abs(total - c * g) <= 1e-12 * scale:
+        raise ConsistencyError(
+            f"entry sum {total} differs from c*gamma = {c * g}")
     return e
 
 
@@ -180,13 +193,6 @@ def spectral_frame(problem: EllipsoidalProblem, e: SystemEntries) -> SpectralFra
     )
 
 
-def _real_guard(result: ThetaResult, inputs_real: bool) -> ThetaResult:
-    if inputs_real and np.isfinite(result.theta.real):
-        assert abs(result.theta.imag) <= 1e-10 * max(1.0, abs(result.theta)), \
-            f"theta = {result.theta} should be real for real parameters"
-    return result
-
-
 def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
           k_max: int = 10 ** 6) -> ThetaResult:
     """Connection coefficient Theta(lam, mu) of the (0, 1) singular pair.
@@ -194,7 +200,8 @@ def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
     Theta vanishes exactly when the chosen local solution at z=0 connects
     to the subdominant local solution at z=1.  Uses the rational-structure
     driver (one pole at c plus a constant term), so each recurrence step is
-    O(1) work.
+    O(1) work.  Raises ConsistencyError if a finite Theta from real
+    parameters comes out with an imaginary part above 1e-10 * max(1, |Theta|).
     """
     sys_ = build_system(lam, mu, problem)
     frame = spectral_frame(problem, entries(lam, mu, problem))
@@ -241,12 +248,15 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     Theta evaluations run at tolerance opts.tol_residual / 10 so that
     evaluation noise stays below the residual target (default 1e-9).
     For steep problems (large |lam|, |mu|) the achievable residual bottoms
-    out near |dTheta/dlam| * ulp(lam); choose opts.tol_residual above that
-    floor, e.g. 1e-8 for the wave-number parameter ranges of a few hundred.
-    ``k_max`` caps the series length per evaluation; at wild trial points
-    the absolute tolerance may be unreachable (the noise floor of the sum
-    scales with |Theta|), and a capped partial sum is plenty for the
-    solver's descent decisions.  Near a root a few hundred terms suffice.
+    out near |dTheta/dlam| * ulp(lam), which can lie far above any useful
+    target: at the wave row k^2 = 0.9, omega^2 = 25, H = 141.0901 it is
+    near 1e-2 (|dTheta/dlam| ~ 2e12).  There the solver stops once its
+    quasi-Newton step is below opts.tol_step * (1 + |x|), and the returned
+    residuals show the floor.  ``k_max`` caps the series length per
+    evaluation; at wild trial points the absolute tolerance may be
+    unreachable (the noise floor of the sum scales with |Theta|), and a
+    capped partial sum is plenty for the solver's descent decisions.  Near
+    a root a few hundred terms suffice.
 
     Raises
     ------
@@ -301,10 +311,23 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     """Evaluate Theta and Theta-hat on a rectangular (lam, mu) grid.
 
     resolution may be an int (both axes) or a pair (n_lambda, n_mu), each
-    >= 2.  Individual node failures are recorded in the grid status and the
-    values set to NaN.  The modest k_max default keeps nodes far from any
+    >= 2.  Node failures (`ConncoefError` or `ArithmeticError`) are recorded
+    in the grid status and the values set to NaN; any other error
+    propagates.  The modest k_max default keeps nodes far from any
     eigencurve cheap; only sign changes matter for seeding.
+
+    Raises
+    ------
+    ValueError
+        If resolution < 2 on an axis, n is not an integer >= 0, tol is not a
+        real number >= 0, or k_max is not an integer >= 1.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
+    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     if np.isscalar(resolution):
         res_l = res_m = int(resolution)
     else:
@@ -327,8 +350,8 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
                     status[i, j] = "converged"
                 else:
                     status[i, j] = "k_max_reached"
-            except Exception:  # node failure stays local
-                pass
+            except (ConncoefError, ArithmeticError):
+                pass  # node failure stays local
     seeds = _seed_cells(lambdas, mus, th, thh)
     return ThetaGrid(lambdas=lambdas, mus=mus, theta=th, theta_hat=thh,
                      status=status, seeds=seeds)
@@ -478,22 +501,16 @@ class EllipsoidalEigenfunction:
 
 def _second_components(system: TwoPointSystem, frame: SpectralFrame,
                        n_terms: int, mirrored: bool) -> np.ndarray:
-    """Prefix-sum second components <d_k, e2> for k = 0..n_terms-1."""
+    """Prefix-sum second components <d_k, e2> for k = 0..n_terms-1.
+
+    Raises ConsistencyError if the start value of the series is not real.
+    """
     if mirrored:
-        shifted = mirrored_shifted(system, frame)
-        state = series_start(frame.b2, shifted)
+        d = prefix_sums(mirrored_shifted(system, frame), frame.b2, n_terms)
     else:
-        shifted = build_shifted(system, frame)
-        state = series_start(frame.a0, shifted)
-    out = np.empty(n_terms)
-    val = state.d[1]
-    assert abs(val.imag) <= 1e-10 * max(1.0, abs(val))
-    out[0] = val.real
-    for k in range(1, n_terms):
-        state = frobenius_step(state, shifted)
-        val = state.d[1]
-        out[k] = val.real
-    return out
+        d = prefix_sums(build_shifted(system, frame), frame.a0, n_terms)
+    _real_part(d[0, 1], "series start value")
+    return d[:, 1].real.copy()
 
 
 def eigenfunction(pair, problem: EllipsoidalProblem,

@@ -14,6 +14,12 @@ class SingularStep(ConncoefError):
     """A0 - k*I is (numerically) singular at some recurrence step k."""
 
 
+class ConsistencyError(ConncoefError):
+    """A relation that holds in exact arithmetic failed beyond rounding: a
+    value that must be real for real parameters came out complex, or the
+    entry-sum identity of an ellipsoidal system broke."""
+
+
 class DegenerateFrame(ConncoefError):
     """det(b1, p_k) is too small to normalize the weight vector at this k."""
 

@@ -125,7 +125,9 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
        stale and J is recomputed by forward differences once before the
        step is retried
 
-    Returns the first iterate with residual <= opts.tol_residual.  Raises
+    Returns the first iterate with residual <= opts.tol_residual, or the
+    best iterate once the quasi-Newton step dx satisfies
+    |dx_i| <= opts.tol_step * (1 + |x_i|) in both components.  Raises
     SingularJacobian if the difference Jacobian is singular at the seed, and
     NoConvergence (best iterate, residual, trace attached) on a spent budget
     or when the step shrinks below floating-point resolution of x.  Steps
@@ -165,6 +167,10 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             dx = np.linalg.solve(Jm, -fx)
         except np.linalg.LinAlgError:
             break
+        if np.all(np.abs(dx) <= opts.tol_step * (1.0 + np.abs(x))):
+            # the root lies within the step tolerance: the residual floor
+            # |J| * ulp(x) of a steep F can sit above tol_residual
+            return best_x
         def _eval(xv):
             try:
                 out = np.asarray(F(xv), dtype=float).reshape(2)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, build_shifted,
-                   frobenius_step, series_start, theta_iterate)
+from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _real_guard,
+                   _real_part, build_shifted, prefix_sums, theta_iterate)
+from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
 
@@ -96,24 +97,19 @@ def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
     through the reflection d~_k = K d_k, K = diag(-1, 1), instead of a second
     recurrence run (the mirrored system is the K-conjugate of the main one,
     so the identity is exact even in floating point).
+
+    Raises ConsistencyError if a finite Theta from real parameters comes out
+    with an imaginary part above 1e-10 * max(1, |Theta|).
     """
     sys_ = build_system(t, problem)
     frame = spectral_frame(t, problem)
     if complex(problem.mu) == 0:
-        shifted = build_shifted(sys_, frame)
-        state = series_start(frame.a0, shifted)
-        prefix = [np.array([-state.d[0], state.d[1]])]
-        for _ in range(n):
-            state = frobenius_step(state, shifted)
-            prefix.append(np.array([-state.d[0], state.d[1]]))
+        d = prefix_sums(build_shifted(sys_, frame), frame.a0, n + 1)
         res = theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max,
-                            tilde_prefix=prefix)
+                            tilde_prefix=np.column_stack((-d[:, 0], d[:, 1])))
     else:
         res = theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max)
-    if problem.is_real and complex(t).imag == 0 and np.isfinite(res.theta.real):
-        assert abs(res.theta.imag) <= 1e-10 * max(1.0, abs(res.theta)), \
-            f"theta = {res.theta} should be real for real parameters"
-    return res
+    return _real_guard(res, problem.is_real and complex(t).imag == 0)
 
 
 # --------------------------------------------------------------------------
@@ -238,16 +234,8 @@ def _coefficient_sequence(t, problem: SpheroidalProblem,
     """Series coefficients e2^T d_k / 2^k of the bounded solution."""
     sys_ = build_system(t, problem)
     frame = spectral_frame(t, problem)
-    shifted = build_shifted(sys_, frame)
-    state = series_start(frame.a0, shifted)
-    out = np.empty(n_terms, dtype=complex)
-    out[0] = state.d[1]
-    half = 1.0
-    for k in range(1, n_terms):
-        state = frobenius_step(state, shifted)
-        half *= 0.5
-        out[k] = state.d[1] * half
-    return out
+    d = prefix_sums(build_shifted(sys_, frame), frame.a0, n_terms)
+    return d[:, 1] * np.ldexp(1.0, -np.arange(n_terms))
 
 
 def _series_sum(coefs: np.ndarray, base: float) -> complex:
@@ -301,7 +289,8 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     it converges geometrically where the direct form would crawl).
 
     Requires eig.residual <= 1e-8.  Raises ParityAmbiguous if the parity
-    probe fails at both x0 = 0.3 and x0 = 0.55.
+    probe fails at both x0 = 0.3 and x0 = 0.55, and ConsistencyError if the
+    values of a real problem come out complex.
     """
     if not eig.residual <= 1e-8:
         raise ValueError(
@@ -321,8 +310,6 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         else:
             vals[i] = parity * _w_direct(coefs, mu, -float(xi))
     if problem.is_real:
-        scale = max(np.max(np.abs(vals)), 1.0)
-        assert np.max(np.abs(vals.imag)) <= 1e-10 * scale
-        vals = vals.real
+        vals = _real_part(vals, "eigenfunction values")
     return SpheroidalEigenfunction(x=x, values=vals, parity=parity,
                                    parity_deviation=float(deviation))

@@ -8,15 +8,21 @@ and cross-checks against the independent integration oracle in _oracle.py.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+from conncoef import ellipsoidal as ell
+from conncoef import spheroidal as sph
 from conncoef.core import (
     RationalTail,
+    ShiftedSystem,
     SpectralFrame,
     TwoPointSystem,
     build_shifted,
     frobenius_step,
     mirrored_shifted,
     p_vector,
+    prefix_sums,
     series_start,
     theta_iterate,
     weight_vector,
@@ -182,6 +188,25 @@ def test_generic_and_rational_drivers_agree():
             assert np.max(np.abs(sr.d - sg.d)) <= 1e-13 * scale, f"k={k}"
 
 
+def test_prefix_sums_match_frobenius_steps():
+    # prefix_sums runs the scalar kernel (rational) or frobenius_step
+    # (generic) from the same start; both must equal step-by-step stepping
+    sys_r = _sample_system()
+    frame = _sample_frame()
+    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
+                                        g_at_zero=sys_r.tail.coeff_at_zero)
+    for system in (sys_r, sys_g):
+        sh = build_shifted(system, frame)
+        st = series_start(frame.a0, sh)
+        want = [st.d.copy()]
+        for _ in range(39):
+            st = frobenius_step(st, sh)
+            want.append(st.d.copy())
+        assert np.array_equal(prefix_sums(sh, frame.a0, 40), np.array(want))
+    with pytest.raises(ValueError, match="n_terms"):
+        prefix_sums(build_shifted(sys_r, frame), frame.a0, 0)
+
+
 def test_series_solves_the_ode():
     # Assemble y = z^alpha0 (1-z)^beta1 sum u_k z^k from 60 recurrence steps
     # and check y' = (A/z + B/(z-1) + G) y pointwise.  (The partial sums d_k
@@ -220,6 +245,16 @@ def test_singular_step_guard():
                        tail_const=np.zeros((2, 2)))
     st = series_start(np.array([0.0, 1.0]), sh)
     with pytest.raises(SingularStep):
+        frobenius_step(st, sh)
+    with pytest.raises(SingularStep):
+        prefix_sums(sh, np.array([0.0, 1.0]), 3)
+
+
+def test_frobenius_step_rejects_state_of_other_pole_count():
+    sh = build_shifted(_sample_system(), _sample_frame())   # one pole
+    no_pole = ShiftedSystem(A0=sh.A0, A1=sh.A1, tail_const=sh.tail_const)
+    st = series_start(_sample_frame().a0, no_pole)
+    with pytest.raises(ValueError, match="accumulator"):
         frobenius_step(st, sh)
 
 
@@ -272,6 +307,40 @@ def test_weight_vector_bilinear_identities():
 # --------------------------------------------------------------------------
 # the Theta iteration
 # --------------------------------------------------------------------------
+
+def _reference_theta(system, frame, n, k):
+    """Theta_k from the public single-step functions, one array op at a time."""
+    sh = build_shifted(system, frame)
+    mi = mirrored_shifted(system, frame)
+    st = series_start(frame.b2, mi)
+    prefix = [st.d.copy()]
+    for _ in range(n):
+        st = frobenius_step(st, mi)
+        prefix.append(st.d.copy())
+    st = series_start(frame.a0, sh)
+    for _ in range(k):
+        st = frobenius_step(st, sh)
+    nu = weight_vector(frame.b1, p_vector(frame.b2, prefix, frame.delta, k, n))
+    return complex(st.d @ nu)
+
+
+@pytest.mark.parametrize("case", ["one pole", "constant tail"])
+def test_theta_iterate_matches_reference_loop(case):
+    # Both sides step the same series; the fused loop forms p_k, nu_k and
+    # Theta_k from scalars where the reference calls p_vector and
+    # weight_vector on arrays, so agreement is to rounding, not bitwise.
+    if case == "one pole":
+        system, frame = _sample_system(), _sample_frame()
+    else:
+        problem = sph.SpheroidalProblem(mu=1, gamma2=4.0)
+        system = sph.build_system(2.5, problem)
+        frame = sph.spectral_frame(2.5, problem)
+    for n in (0, 3, 5):
+        res = theta_iterate(system, frame, n=n, tol=1e-300, k_max=60)
+        assert res.status == "k_max_reached" and res.k_final == 60
+        ref = _reference_theta(system, frame, n, 60)
+        assert abs(res.theta - ref) <= 1e-13 * max(1.0, abs(ref))
+
 
 def test_theta_iterate_matches_oracle_on_synthetic_system():
     sys_ = _sample_system()
@@ -328,3 +397,36 @@ def test_theta_iterate_accepts_precomputed_prefix():
     b = theta_iterate(sys_, frame, n=5, tol=1e-10, tilde_prefix=prefix)
     assert a.theta == b.theta
     assert a.k_final == b.k_final
+
+
+# --------------------------------------------------------------------------
+# property: scalar rational kernel against the generic-stream path
+# --------------------------------------------------------------------------
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gamma_re=hst.floats(-5.0, 5.0, **_finite),
+       gamma_im=hst.floats(-5.0, 5.0, **_finite),
+       lam=hst.floats(-5.0, 5.0, **_finite),
+       mu=hst.floats(0.01, 5.0, **_finite),
+       c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
+       rho=hst.integers(0, 1), tau=hst.integers(0, 1))
+def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
+                                                     mu, c, rho, tau):
+    problem = ell.EllipsoidalProblem(gamma=complex(gamma_re, gamma_im), c=c,
+                                     rho=rho, sigma=1, tau=tau)
+    sys_r = ell.build_system(lam, mu, problem)
+    frame = ell.spectral_frame(problem, ell.entries(lam, mu, problem))
+    assert frame.delta == -0.5
+    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
+                                        g_at_zero=sys_r.tail.coeff_at_zero,
+                                        g_at_one=sys_r.tail.coeff_at_one)
+    # the generic path is O(k^2); a capped run still compares like with
+    # like, since both report the bound of the Theta_k they return
+    a = theta_iterate(sys_r, frame, n=5, tol=1e-8, k_max=300)
+    b = theta_iterate(sys_g, frame, n=5, tol=1e-8, k_max=300)
+    allowance = a.error_bound + b.error_bound + 1e-9 * max(1.0, abs(a.theta))
+    assert abs(a.theta - b.theta) <= allowance

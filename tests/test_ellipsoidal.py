@@ -11,8 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 from conncoef import ellipsoidal as ell
-from conncoef.core import theta_iterate
-from conncoef.errors import InvalidExponent, NoConvergence
+from conncoef.core import ThetaResult, theta_iterate
+from conncoef.errors import ConsistencyError, InvalidExponent, NoConvergence
 from conncoef.rootfind import SolverOptions
 
 from _oracle import theta_oracle
@@ -207,6 +207,14 @@ def test_scan_grid_resolution_validation(table_problem):
         ell.scan_grid(table_problem, (0, 1), (0, 1), (5, 1))
 
 
+def test_scan_grid_validates_solver_arguments(table_problem):
+    # a bad argument is an error of the call, not a failure of every node
+    for kwargs in ({"n": "5"}, {"n": -1}, {"tol": "1e-8"}, {"tol": -1.0},
+                   {"k_max": 0}, {"k_max": 2.5}):
+        with pytest.raises(ValueError):
+            ell.scan_grid(table_problem, (0, 4), (-4, 0), 3, **kwargs)
+
+
 # --------------------------------------------------------------------------
 # the generalized constructor
 # --------------------------------------------------------------------------
@@ -346,6 +354,32 @@ def test_normalize_integral_against_quadrature(eigenfunction_325):
     Q0 = moment(1.0, c, 0, lambda z: np.sqrt(z))
     Q1 = moment(1.0, c, 1, lambda z: np.sqrt(z))
     assert abs(P0 * Q1 - P1 * Q0 - 1.0) <= 2e-5
+
+
+@pytest.mark.parametrize("row", [(0.9, 25.0, 141.0901, 482.5134),
+                                 (0.9, 1.0, 137.6824, 456.4856)])
+def test_steep_wave_rows_converge_from_nearby_seeds(row):
+    # At these rows |dTheta/dlam| ~ 1e12, so the residual floor
+    # |dTheta/dlam| * ulp(lam) lies above the 1e-8 target and the solver
+    # must stop on its step tolerance, whatever the last bit of the seed.
+    k2, omega2, H, L = row
+    gamma, c, lam0, mu0 = ell.from_abramov(k2, omega2, H, L)
+    prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    for lam in (np.nextafter(lam0, -np.inf), np.nextafter(lam0, np.inf)):
+        pair = ell.solve_pair(float(lam), mu0, prob,
+                              opts=SolverOptions(tol_residual=1e-8))
+        _, _, H_out, L_out = ell.to_abramov(gamma, c, pair.lam, pair.mu)
+        assert abs(H_out - H) <= 5e-5
+        assert abs(L_out - L) <= 5e-5
+
+
+def test_theta_raises_typed_error_on_complex_value(monkeypatch,
+                                                   anchor_problem):
+    fake = ThetaResult(theta=1.0 + 1e-3j, error_bound=0.0, k_final=1, n=5,
+                       tau_estimate=0j, status="converged")
+    monkeypatch.setattr(ell, "theta_iterate", lambda *a, **kw: fake)
+    with pytest.raises(ConsistencyError):
+        ell.theta(3.2, -5.0, anchor_problem)
 
 
 def test_wave_number_case_end_to_end():

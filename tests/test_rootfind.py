@@ -155,3 +155,21 @@ def test_broyden2_damps_through_failed_evaluations():
 
     root = broyden2(F, np.array([4.0, 0.0]))
     assert np.allclose(root, [2.0, 1.0], atol=1e-8)
+
+
+def test_broyden2_stops_on_step_below_residual_floor():
+    # F has slope 1e12 and its root lies halfway between two floats in each
+    # component, so max |F| cannot drop below 1e12 * ulp(x) / 2 ~ 4e-3, far
+    # above tol_residual.  The Newton step then falls below
+    # tol_step * (1 + |x|) and the solver must return the best iterate
+    # instead of raising NoConvergence.
+    r = np.array([39.1, -120.3])
+    ulp = np.abs(np.spacing(r))
+
+    def F(v):
+        return 1e12 * ((v - r) - ulp / 2)
+
+    opts = SolverOptions(tol_residual=1e-8, tol_step=1e-13)
+    root = broyden2(F, r + [1e-9, -2e-9], opts)
+    assert np.all(np.abs(root - r) <= 2 * ulp)
+    assert np.max(np.abs(F(root))) > opts.tol_residual

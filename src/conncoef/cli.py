@@ -24,41 +24,15 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ellipsoidal as ell
 from . import spheroidal as sph
-from .errors import ConncoefError, NoConvergence
+from .errors import ConncoefError
 from .rootfind import SolverOptions
 
-__all__ = ["main", "RunRecord"]
-
-
-@dataclass
-class RunRecord:
-    """Everything one invocation produced, for the human-readable report."""
-
-    command: str
-    params: dict
-    results: list = field(default_factory=list)
-    error_bounds: list = field(default_factory=list)
-    iterations: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def human_lines(self) -> list[str]:
-        lines = [f"command: {self.command}"]
-        lines += [f"  {k} = {v}" for k, v in self.params.items()]
-        lines += [str(r) for r in self.results]
-        if self.error_bounds:
-            lines.append("error bounds: "
-                         + ", ".join(_fmt(b) for b in self.error_bounds))
-        if self.iterations:
-            lines.append("iterations: "
-                         + ", ".join(str(i) for i in self.iterations))
-        lines.append(f"wall_time_s = {self.wall_time_s:.3f}")
-        return lines
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:
@@ -105,17 +79,17 @@ def cmd_theta_ellipsoidal(args) -> int:
             "status": res.status,
         })
     else:
-        rec = RunRecord(
-            command="theta-ell",
-            params={"lambda": args.lam, "mu": args.mu, "gamma": args.gamma,
-                    "c": args.c, "rho": args.rho, "sigma": args.sigma,
-                    "n": args.n, "tol": args.tol},
-            results=[f"theta = {_fmt(res.theta.real)}  (k = {res.k_final})",
-                     f"status = {res.status}"],
-            error_bounds=[res.error_bound],
-            iterations=[res.k_final],
-            wall_time_s=wall)
-        print("\n".join(rec.human_lines()))
+        print("command: theta-ell")
+        for key, val in (("lambda", args.lam), ("mu", args.mu),
+                         ("gamma", args.gamma), ("c", args.c),
+                         ("rho", args.rho), ("sigma", args.sigma),
+                         ("n", args.n), ("tol", args.tol)):
+            print(f"  {key} = {val}")
+        print(f"theta = {_fmt(res.theta.real)}  (k = {res.k_final})\n"
+              f"status = {res.status}\n"
+              f"error bounds: {_fmt(res.error_bound)}\n"
+              f"iterations: {res.k_final}\n"
+              f"wall_time_s = {wall:.3f}")
     return 0 if res.status == "converged" else 2
 
 
@@ -131,10 +105,7 @@ def _ell_problem_from_args(args) -> ell.EllipsoidalProblem:
     if args.abramov:
         if args.k2 is None or args.omega2 is None:
             raise ValueError("--abramov needs --k2 and --omega2")
-        gamma = args.omega2 / 4.0
-        c = 1.0 / args.k2
-        if not 0 < args.k2 < 1:
-            raise ValueError("--k2 must lie in (0, 1)")
+        gamma, c, _, _ = ell.from_abramov(args.k2, args.omega2, 0.0, 0.0)
     else:
         if args.gamma is None or args.c is None:
             raise ValueError("need --gamma and --c (or --abramov)")
@@ -168,7 +139,7 @@ def cmd_eigen_ellipsoidal(args) -> int:
         try:
             pair = ell.solve_pair(s[0], s[1], problem, opts=opts, n=args.n,
                                   k_max=args.k_max)
-        except (NoConvergence, ConncoefError):
+        except ConncoefError:
             continue
         if any(abs(pair.lam - q.lam) <= 1e-6 * (1 + abs(pair.lam))
                and abs(pair.mu - q.mu) <= 1e-6 * (1 + abs(pair.mu))
@@ -189,8 +160,8 @@ def cmd_eigen_ellipsoidal(args) -> int:
                    "residual_theta_hat": p.residual_theta_hat,
                    "iterations": p.iterations}
             if args.abramov:
-                rec["H"] = 4 * p.lam / problem.c
-                rec["L"] = -4 * p.mu / problem.c
+                _, _, rec["H"], rec["L"] = ell.to_abramov(
+                    problem.gamma, problem.c, p.lam, p.mu)
             out.append(rec)
         _emit_json(out)
     else:
@@ -200,8 +171,9 @@ def cmd_eigen_ellipsoidal(args) -> int:
                     f"residuals = ({p.residual_theta:.2e}, "
                     f"{p.residual_theta_hat:.2e})")
             if args.abramov:
-                line += (f"  H = {_fmt(4 * p.lam / problem.c)}"
-                         f"  L = {_fmt(-4 * p.mu / problem.c)}")
+                _, _, H, L = ell.to_abramov(problem.gamma, problem.c, p.lam,
+                                            p.mu)
+                line += f"  H = {_fmt(H)}  L = {_fmt(L)}"
             lines.append(line)
         lines.append(f"wall_time_s = {wall:.3f}")
         print("\n".join(lines))
@@ -275,7 +247,8 @@ def cmd_scan(args) -> int:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["t", "theta"])
             for t in ts:
-                r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol)
+                r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol,
+                                k_max=args.k_max)
                 w.writerow([_fmt(t), _fmt(r.theta.real)])
         finally:
             if close:
@@ -301,8 +274,8 @@ def cmd_eigenfunction(args) -> int:
         if args.abramov:
             if args.H is None or args.L is None:
                 raise ValueError("--abramov eigenfunctions need --H and --L")
-            lam0 = args.H * problem.c / 4.0
-            mu0 = -args.L * problem.c / 4.0
+            _, _, lam0, mu0 = ell.from_abramov(args.k2, args.omega2, args.H,
+                                               args.L)
         else:
             if args.lam is None or args.mu is None:
                 raise ValueError("need --lambda and --mu (or --abramov with "
@@ -331,6 +304,9 @@ def cmd_eigenfunction(args) -> int:
     else:
         if args.gamma2 is None:
             raise ValueError("spheroidal eigenfunctions need --gamma2")
+        if args.normalize not in ("none", "sup"):
+            raise ValueError("spheroidal eigenfunctions support "
+                             "--normalize none|sup")
         problem = sph.SpheroidalProblem(mu=args.mu, gamma2=args.gamma2)
         eigs = sph.eigenvalues(problem, args.index + 1, n=args.n,
                                k_max=args.k_max)
@@ -340,9 +316,6 @@ def cmd_eigenfunction(args) -> int:
         vals = np.asarray(fn.values, dtype=float)
         if args.normalize == "sup":
             vals = vals / np.max(np.abs(vals))
-        elif args.normalize != "none":
-            raise ValueError("spheroidal eigenfunctions support "
-                             "--normalize none|sup")
         fh, close = _open_output(args.output)
         try:
             w = csv.writer(fh, lineterminator="\n")

@@ -344,6 +344,11 @@ def mirrored_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSys
     `p_vector`.
     """
     _check_frame(system, frame)
+    return _mirrored(system, frame)
+
+
+def _mirrored(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
+    """`mirrored_shifted` without the frame check."""
     eye = np.eye(2)
     A0 = system.B - frame.beta2 * eye
     A1 = system.A - frame.alpha0 * eye
@@ -531,6 +536,28 @@ def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
     return np.fromiter(flat, dtype=complex, count=2 * n_terms).reshape(-1, 2)
 
 
+def _power_sum(coefs, x):
+    """sum_k coefs[k] * x**k, truncated adaptively.
+
+    Stops once 3 terms in a row are each at most 1e-12 * |running sum|.
+    The sum starts from 0, so real coefficients at real x give a real sum.
+    """
+    total = 0
+    xk = 1.0
+    small = 0
+    for ck in coefs:
+        term = ck * xk
+        total += term
+        xk *= x
+        if abs(term) <= 1e-12 * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    return total
+
+
 # --------------------------------------------------------------------------
 # acceleration vectors and the Theta iteration
 # --------------------------------------------------------------------------
@@ -684,10 +711,9 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     if n < 0:
         raise ValueError("acceleration order n must be >= 0")
     delta = frame.delta
-    shifted = build_shifted(system, frame)
+    shifted = build_shifted(system, frame)      # the one frame check
     if tilde_prefix is None:
-        tilde_prefix = prefix_sums(mirrored_shifted(system, frame), frame.b2,
-                                   n + 1)
+        tilde_prefix = prefix_sums(_mirrored(system, frame), frame.b2, n + 1)
     elif len(tilde_prefix) < n + 1:
         raise ValueError(f"tilde_prefix needs >= {n} entries beyond d~_0")
 

@@ -34,12 +34,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _real_guard,
-                   _real_part, build_shifted, mirrored_shifted, prefix_sums,
-                   theta_iterate)
+from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _power_sum,
+                   _real_guard, _real_part, build_shifted, mirrored_shifted,
+                   prefix_sums, theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
-from .errors import (ConncoefError, ConsistencyError, MatchFailure,
-                     NoConvergence, QuadratureNotConverged)
+from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
+                     MatchFailure, NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
 
 __all__ = [
@@ -117,15 +117,20 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     g = problem.gamma
     if not (np.isfinite(complex(lam)) and np.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
-    e = SystemEntries(a12=complex(lam),
-                      b12=c * (lam + mu + g) / (1 - c),
-                      r12=(lam + c * mu + c * c * g) / (c - 1))
+    e = _entries(lam, mu, g, c)
     total = e.a12 + e.b12 + e.r12
     scale = max(abs(e.a12), abs(e.b12), abs(e.r12), 1.0)
     if not abs(total - c * g) <= 1e-12 * scale:
         raise ConsistencyError(
             f"entry sum {total} differs from c*gamma = {c * g}")
     return e
+
+
+def _entries(lam, mu, gamma, c) -> SystemEntries:
+    """The entry formulas of `entries`, unchecked and for any pole c."""
+    return SystemEntries(a12=complex(lam),
+                         b12=c * (lam + mu + gamma) / (1 - c),
+                         r12=(lam + c * mu + c * c * gamma) / (c - 1))
 
 
 def hat_entries(e: SystemEntries, c: float) -> tuple[SystemEntries, float]:
@@ -160,18 +165,13 @@ def hat_parameters(lam, mu, problem: EllipsoidalProblem):
     return lam_h, mu_h, hat_prob
 
 
-_S = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-
 def build_system(lam, mu, problem: EllipsoidalProblem) -> TwoPointSystem:
-    """Rational-structure TwoPointSystem for the given parameters."""
-    e = entries(lam, mu, problem)
-    c = problem.c
-    A = np.array([[-0.5, e.a12], [0.0, 0.0]])
-    B = np.array([[-0.5, e.b12], [0.0, 0.0]])
-    R = np.array([[-0.5, e.r12], [0.0, 0.0]])
-    return TwoPointSystem.from_rational(A, B, const=-_S / c, poles=(c,),
-                                        residues=(R,))
+    """Rational-structure TwoPointSystem for the given parameters.
+
+    This is `build_heun_system` at nu0 = nu1 = nu2 = 1/2, kappa = 0.
+    """
+    return build_heun_system(0.5, 0.5, 0.5, 0, problem.c, problem.gamma,
+                             lam, mu)
 
 
 def spectral_frame(problem: EllipsoidalProblem, e: SystemEntries) -> SpectralFrame:
@@ -438,43 +438,25 @@ class EllipsoidalEigenfunction:
 
     # -- raw pieces (no matching constants) --------------------------------
 
-    def _s(self, coefs: np.ndarray, x: float) -> float:
-        # adaptive truncation: stop when the last 3 terms are each below
-        # 1e-12 * |running sum|
-        total = 0.0
-        small = 0
-        xk = 1.0
-        for ck in coefs:
-            term = ck * xk
-            total += term
-            xk *= x
-            if abs(term) <= 1e-12 * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        return total
-
     def piece0(self, z: float) -> float:
         if z == 0.0:
             return self.coef0[0] if self.rho == 0 else 0.0
         pref = abs(z) ** (-self.rho / 2) * abs(1 - z) ** ((1 + self.sigma) / 2)
-        return pref * self._s(self.coef0, z)
+        return pref * _power_sum(self.coef0, z)
 
     def piece1(self, z: float) -> float:
         x = 1.0 - z
         if x == 0.0:
             return self.coef1[0] if self.sigma == 0 else 0.0
         pref = abs(z) ** (-self.rho / 2) * abs(x) ** (-self.sigma / 2)
-        return pref * self._s(self.coef1, x)
+        return pref * _power_sum(self.coef1, x)
 
     def piece2(self, z: float) -> float:
         zh = (self.c - z) / (self.c - 1)
         if zh == 0.0:
             return self.coef2[0] if self.tau == 0 else 0.0
         pref = abs(zh) ** (-self.tau / 2) * abs(1 - zh) ** ((1 + self.sigma) / 2)
-        return pref * self._s(self.coef2, zh)
+        return pref * _power_sum(self.coef2, zh)
 
     # -- public evaluation --------------------------------------------------
 
@@ -701,8 +683,8 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
     The residue matrices carry (nu_j - 1) in the top-left slot at z = 0, 1, c
     and the constant term is -(1/c) [[kappa*c, 0], [1, 0]]; the off-diagonal
     entries are the same (lam, mu, gamma, c) combinations as in the
-    ellipsoidal case.  With nu0 = nu1 = nu2 = 1/2 and kappa = 0 this
-    reproduces `build_system` exactly.
+    ellipsoidal case.  `build_system` is the case nu0 = nu1 = nu2 = 1/2,
+    kappa = 0.
 
     Raises
     ------
@@ -710,8 +692,6 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
         If some nu_j = 1 or Re(nu_j) <= 0 (outside the supported region), or
         c in {0, 1}.
     """
-    from .errors import InvalidExponent
-
     if c in (0, 1):
         raise InvalidExponent("c must avoid the other singular points 0 and 1")
     for name, nu in (("nu0", nu0), ("nu1", nu1), ("nu2", nu2)):
@@ -719,12 +699,10 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
         if nu == 1 or nu.real <= 0:
             raise InvalidExponent(
                 f"{name} = {nu} outside the supported region (nu != 1, Re(nu) > 0)")
-    a12 = complex(lam)
-    b12 = c * (lam + mu + gamma) / (1 - c)
-    r12 = (lam + c * mu + c * c * gamma) / (c - 1)
-    A = np.array([[nu0 - 1, a12], [0.0, 0.0]], dtype=complex)
-    B = np.array([[nu1 - 1, b12], [0.0, 0.0]], dtype=complex)
-    R = np.array([[nu2 - 1, r12], [0.0, 0.0]], dtype=complex)
+    e = _entries(lam, mu, gamma, c)
+    A = np.array([[nu0 - 1, e.a12], [0.0, 0.0]], dtype=complex)
+    B = np.array([[nu1 - 1, e.b12], [0.0, 0.0]], dtype=complex)
+    R = np.array([[nu2 - 1, e.r12], [0.0, 0.0]], dtype=complex)
     const = np.array([[-kappa, 0.0], [-1.0 / c, 0.0]], dtype=complex)
     return TwoPointSystem.from_rational(A, B, const=const, poles=(c,),
                                         residues=(R,))

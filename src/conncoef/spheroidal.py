@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _real_guard,
-                   _real_part, build_shifted, prefix_sums, theta_iterate)
+from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _power_sum,
+                   _real_guard, _real_part, build_shifted, prefix_sums,
+                   theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
@@ -93,22 +94,11 @@ def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
             k_max: int = 10 ** 6) -> ThetaResult:
     """Connection coefficient Theta(t); zeros give the eigenvalues.
 
-    For mu = 0 the mirrored prefix sums are obtained from the main sequence
-    through the reflection d~_k = K d_k, K = diag(-1, 1), instead of a second
-    recurrence run (the mirrored system is the K-conjugate of the main one,
-    so the identity is exact even in floating point).
-
     Raises ConsistencyError if a finite Theta from real parameters comes out
     with an imaginary part above 1e-10 * max(1, |Theta|).
     """
-    sys_ = build_system(t, problem)
-    frame = spectral_frame(t, problem)
-    if complex(problem.mu) == 0:
-        d = prefix_sums(build_shifted(sys_, frame), frame.a0, n + 1)
-        res = theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max,
-                            tilde_prefix=np.column_stack((-d[:, 0], d[:, 1])))
-    else:
-        res = theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max)
+    res = theta_iterate(build_system(t, problem), spectral_frame(t, problem),
+                        n=n, tol=tol, k_max=k_max)
     return _real_guard(res, problem.is_real and complex(t).imag == 0)
 
 
@@ -238,30 +228,11 @@ def _coefficient_sequence(t, problem: SpheroidalProblem,
     return d[:, 1] * np.ldexp(1.0, -np.arange(n_terms))
 
 
-def _series_sum(coefs: np.ndarray, base: float) -> complex:
-    # adaptive truncation: stop once the last 3 terms are each below
-    # 1e-12 * |running sum|
-    total = 0.0 + 0.0j
-    xk = 1.0
-    small = 0
-    for ck in coefs:
-        term = ck * xk
-        total += term
-        xk *= base
-        if abs(term) <= 1e-12 * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    return total
-
-
 def _w_direct(coefs: np.ndarray, mu: complex, x: float) -> complex:
     if not -1 < x < 1:
         raise ValueError(f"x = {x} outside (-1, 1)")
     pref = ((1 + x) / (1 - x)) ** (mu / 2)
-    return pref * _series_sum(coefs, 1.0 + x)
+    return pref * _power_sum(coefs, 1.0 + x)
 
 
 def _parity_probe(coefs: np.ndarray, mu: complex) -> tuple[int, float]:

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from conncoef import spheroidal as sph
 from conncoef.cli import main
 
 C_TABLE = "1.7142857142857142"  # 12/7
@@ -45,6 +46,38 @@ def test_incomplete_problem_flags_exit_1(capsys):
     # eigen-ell without --gamma/--c (and not --abramov) is a usage error
     assert main(["eigen-ell", "--seed", "0.2", "-0.5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen-ell", "--seed", "1", "1"],
+    ["scan", "--problem", "ell", "--lambda-range", "0", "1",
+     "--mu-range", "0", "1", "--output", "-"],
+    ["eigenfunction", "--problem", "ell", "--H", "1", "--L", "1",
+     "--output", "-"],
+])
+def test_abramov_k2_zero_exits_1(capsys, argv):
+    # k2 = 0 would put the third singular point at infinity; the range
+    # check must come before the division by k2
+    rc = main(argv[:1] + ["--abramov", "--k2", "0", "--omega2", "1"]
+              + argv[1:])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_sph_integral_normalization_rejected_before_solve(monkeypatch,
+                                                          capsys):
+    calls = []
+
+    def eigenvalues(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("the eigenvalue solve must not run")
+
+    monkeypatch.setattr(sph, "eigenvalues", eigenvalues)
+    rc = main(["eigenfunction", "--problem", "sph", "--gamma2", "4",
+               "--normalize", "integral", "--output", "-"])
+    assert rc == 1
+    assert "--normalize none|sup" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_unconverged_run_exits_2(capsys):
@@ -146,6 +179,23 @@ def test_scan_sph_deterministic_file(tmp_path, capsys):
     lines = f1.read_text().splitlines()
     assert lines[0] == "t,theta"
     assert len(lines) == 30
+
+
+def test_scan_sph_honours_k_max(tmp_path, capsys):
+    out = tmp_path / "short.csv"
+    assert main(["scan", "--problem", "sph", "--mu-order", "0",
+                 "--gamma2", "4", "--t-range", "-4", "10",
+                 "--resolution", "8", "--k-max", "12",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 8
+    for row in rows:
+        t = float(row["t"])
+        ref = sph.theta_t(t, problem, n=5, tol=1e-8, k_max=12)
+        assert ref.k_final == 12
+        assert row["theta"] == repr(ref.theta.real)
 
 
 def test_scan_ell_file(tmp_path, capsys):

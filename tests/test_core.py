@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
 from conncoef.core import (
@@ -115,6 +116,20 @@ def test_build_shifted_rejects_wrong_eigenvector():
                         b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
     with pytest.raises(FrameMismatch, match="a0"):
         build_shifted(sys_, bad)
+
+
+def test_theta_iterate_checks_the_frame_once(monkeypatch):
+    calls = []
+    check = core._check_frame
+
+    def counting_check(system, frame):
+        calls.append(frame)
+        check(system, frame)
+
+    monkeypatch.setattr(core, "_check_frame", counting_check)
+    res = theta_iterate(_sample_system(), _sample_frame(), n=5, tol=1e-10)
+    assert res.status == "converged"
+    assert len(calls) == 1
 
 
 def test_shift_matrices():

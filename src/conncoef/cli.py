@@ -13,13 +13,15 @@ deterministic: fixed key order, floats in shortest round-trip form (at most
 17 significant digits), CSV with comma separator, LF endings, UTF-8.
 Wall-clock timing appears in human-readable output only.
 
-Exit codes: 0 success, 1 usage error, 2 computation did not converge
-(k_max reached or a solver failure), 3 scan found no seeds.
+Exit codes: 0 success, 1 usage error (including an unwritable output
+path), 2 computation did not converge (k_max reached or a solver failure),
+3 scan found no seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -44,10 +46,13 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, separators=(", ", ": ")))
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_csv(path: str, header, rows) -> None:
+    """Write the header and rows as CSV to ``path``, or to stdout for '-'."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-" else
+          open(path, "w", encoding="utf-8", newline="")) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,11 +197,9 @@ def cmd_eigen_spheroidal(args) -> int:
                            n=args.n, tol=args.tol, k_max=args.k_max)
     wall = time.perf_counter() - t0
     if args.csv:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["N", "lambda", "parity", "residual"])
-        for e in eigs:
-            w.writerow([e.index, _fmt(complex(e.lam).real), e.parity,
-                        _fmt(e.residual)])
+        _write_csv("-", ["N", "lambda", "parity", "residual"],
+                   ([e.index, _fmt(complex(e.lam).real), e.parity,
+                     _fmt(e.residual)] for e in eigs))
     elif args.json:
         _emit_json([{"index": e.index, "lambda": complex(e.lam).real,
                      "t": e.t_root, "parity": e.parity,
@@ -223,17 +226,11 @@ def cmd_scan(args) -> int:
         grid = ell.scan_grid(problem, args.lambda_range, args.mu_range,
                              args.resolution, n=args.n, tol=args.tol,
                              k_max=args.k_max)
-        fh, close = _open_output(args.output)
-        try:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["lambda", "mu", "theta", "theta_hat"])
-            for i, lam in enumerate(grid.lambdas):
-                for j, mu in enumerate(grid.mus):
-                    w.writerow([_fmt(lam), _fmt(mu), _fmt(grid.theta[i, j]),
-                                _fmt(grid.theta_hat[i, j])])
-        finally:
-            if close:
-                fh.close()
+        _write_csv(args.output, ["lambda", "mu", "theta", "theta_hat"],
+                   ([_fmt(lam), _fmt(mu), _fmt(grid.theta[i, j]),
+                     _fmt(grid.theta_hat[i, j])]
+                    for i, lam in enumerate(grid.lambdas)
+                    for j, mu in enumerate(grid.mus)))
         n_seeds = len(grid.seeds)
     else:
         if args.gamma2 is None:
@@ -242,17 +239,12 @@ def cmd_scan(args) -> int:
         if not args.t_range:
             raise ValueError("spheroidal scan needs --t-range")
         ts = np.linspace(args.t_range[0], args.t_range[1], args.resolution)
-        fh, close = _open_output(args.output)
-        try:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t", "theta"])
-            for t in ts:
-                r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol,
-                                k_max=args.k_max)
-                w.writerow([_fmt(t), _fmt(r.theta.real)])
-        finally:
-            if close:
-                fh.close()
+
+        def row(t):
+            r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol,
+                            k_max=args.k_max)
+            return [_fmt(t), _fmt(r.theta.real)]
+        _write_csv(args.output, ["t", "theta"], map(row, ts))
         n_seeds = None
     wall = time.perf_counter() - t0
     if args.output != "-":
@@ -289,15 +281,8 @@ def cmd_eigenfunction(args) -> int:
         if args.normalize != "none":
             fn = ell.normalize(fn, mode=args.normalize)
         zs = problem.c * np.arange(1, args.samples + 1) / (args.samples + 1)
-        fh, close = _open_output(args.output)
-        try:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["z", "w"])
-            for z in zs:
-                w.writerow([_fmt(z), _fmt(fn(float(z)))])
-        finally:
-            if close:
-                fh.close()
+        _write_csv(args.output, ["z", "w"],
+                   ([_fmt(z), _fmt(fn(float(z)))] for z in zs))
         summary = (f"pair: lambda = {_fmt(pair.lam)}  mu = {_fmt(pair.mu)}  "
                    f"(residuals {pair.residual_theta:.2e}, "
                    f"{pair.residual_theta_hat:.2e})")
@@ -316,15 +301,8 @@ def cmd_eigenfunction(args) -> int:
         vals = np.asarray(fn.values, dtype=float)
         if args.normalize == "sup":
             vals = vals / np.max(np.abs(vals))
-        fh, close = _open_output(args.output)
-        try:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x", "w"])
-            for x, v in zip(xs, vals):
-                w.writerow([_fmt(x), _fmt(v)])
-        finally:
-            if close:
-                fh.close()
+        _write_csv(args.output, ["x", "w"],
+                   ([_fmt(x), _fmt(v)] for x, v in zip(xs, vals)))
         summary = (f"N = {eig.index}  lambda = {_fmt(complex(eig.lam).real)}  "
                    f"parity = {fn.parity:+d}  "
                    f"parity_deviation = {fn.parity_deviation:.2e}")
@@ -461,7 +439,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConncoefError as exc:

@@ -92,6 +92,9 @@ _DEGENERATE_TOL = 1e-12
 #: relative eigen-residual allowed when a frame is matched against a system
 _FRAME_RESIDUAL_TOL = 1e-10
 
+#: length of the coefficient sequences the eigenfunctions are summed from
+_SERIES_TERMS = 2000
+
 
 def _c2vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=complex).reshape(2)
@@ -562,7 +565,7 @@ def _power_sum(coefs, x):
 # acceleration vectors and the Theta iteration
 # --------------------------------------------------------------------------
 
-def p_vector(b2, tilde_prefix: Sequence, delta: complex, k: int, n: int) -> np.ndarray:
+def p_vector(b2, prefix: Sequence, delta: complex, k: int, n: int) -> np.ndarray:
     """Acceleration vector p_k of order n.
 
     p_k = b2 + sum_{l=1..n} (prod_{m=0..l-1} (m+delta)/(m+delta-k)) d~_l,
@@ -571,7 +574,7 @@ def p_vector(b2, tilde_prefix: Sequence, delta: complex, k: int, n: int) -> np.n
     Parameters
     ----------
     b2 : (2,) complex array-like
-    tilde_prefix : sequence of (2,) arrays
+    prefix : sequence of (2,) arrays
         Mirrored prefix sums d~_0, d~_1, ..., at least n entries beyond d~_0.
     delta : complex
         Exponent difference beta2 - beta1.
@@ -583,8 +586,8 @@ def p_vector(b2, tilde_prefix: Sequence, delta: complex, k: int, n: int) -> np.n
     """
     if n < 0:
         raise ValueError("acceleration order n must be >= 0")
-    if len(tilde_prefix) < n + 1:
-        raise ValueError(f"tilde_prefix needs >= {n} entries beyond d~_0")
+    if len(prefix) < n + 1:
+        raise ValueError(f"prefix needs >= {n} entries beyond d~_0")
     if not k > complex(delta).real + n - 1:
         raise ValueError(f"index k={k} too small for order n={n}")
     p = _c2vector(b2).copy()
@@ -592,7 +595,7 @@ def p_vector(b2, tilde_prefix: Sequence, delta: complex, k: int, n: int) -> np.n
     for ell in range(1, n + 1):
         m = ell - 1
         prod *= (m + delta) / (m + delta - k)
-        p += prod * np.asarray(tilde_prefix[ell], dtype=complex)
+        p += prod * np.asarray(prefix[ell], dtype=complex)
     return p
 
 
@@ -656,14 +659,15 @@ _MONOTONE_STEPS = 5
 
 
 def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
-                  tol: float = 1e-10, k_max: int = 10 ** 6,
-                  tilde_prefix: Sequence | None = None) -> ThetaResult:
+                  tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
     """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
 
-    Runs the mirrored recurrence for the first n prefix sums d~_1..d~_n, then
-    advances the main recurrence, forming p_k, nu_k and Theta_k at each step
-    once the frame is nondegenerate.  For rational structure this is one
-    loop of plain complex arithmetic on the scalar kernel (see the module
+    Runs the mirrored recurrence (`mirrored_shifted` through `prefix_sums`)
+    for the first n prefix sums d~_1..d~_n, then advances the main
+    recurrence, forming p_k, nu_k and Theta_k at each step from the first
+    usable index k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the
+    frame is nondegenerate.  For rational structure this is one loop of
+    plain complex arithmetic on the scalar kernel (see the module
     docstring); p_k and nu_k follow the formulas of `p_vector` and
     `weight_vector`.
     Stops at the first k where
@@ -685,24 +689,20 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     tol : float
         Target for the raw a posteriori bound.
     k_max : int
-        Step budget; on exhaustion the best Theta_k and bound so far are
-        returned with status ``"k_max_reached"``.
-    tilde_prefix : sequence, optional
-        Precomputed d~_0..d~_n.  Used by callers that know the mirrored
-        coefficients without a second recurrence run (e.g. symmetric
-        systems); default is to run `mirrored_shifted` through `prefix_sums`.
+        Step budget, at least k_start; on exhaustion the best Theta_k and
+        bound so far are returned with status ``"k_max_reached"``.
 
     Returns
     -------
     ThetaResult
-        With status ``"frame_degenerate"`` (and NaN theta) if no k <= k_max
-        admits a valid weight vector.
+        With status ``"frame_degenerate"`` (and NaN theta) if no k in
+        k_start..k_max admits a valid weight vector.
 
     Raises
     ------
     ValueError
-        If tol < 0, n < 0, tilde_prefix is too short, or b1, b2 or
-        d~_0..d~_n are not finite.
+        If tol < 0, n < 0, k_max < k_start, or b1, b2 or d~_0..d~_n are not
+        finite.
     SingularStep
         As `frobenius_step`.
     """
@@ -711,22 +711,23 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     if n < 0:
         raise ValueError("acceleration order n must be >= 0")
     delta = frame.delta
+    # first k > Re(delta) + n - 1, the range `p_vector` admits
+    k_start = max(math.floor(delta.real + n - 1) + 1, 1)
+    if k_max < k_start:
+        raise ValueError(f"k_max = {k_max} is below the first usable index "
+                         f"k = {k_start} at order n = {n}")
     shifted = build_shifted(system, frame)      # the one frame check
-    if tilde_prefix is None:
-        tilde_prefix = prefix_sums(_mirrored(system, frame), frame.b2, n + 1)
-    elif len(tilde_prefix) < n + 1:
-        raise ValueError(f"tilde_prefix needs >= {n} entries beyond d~_0")
 
     # everything the loop reads, unpacked and checked for finiteness once
     b10, b11 = _c2vector(frame.b1).tolist()
     b20, b21 = _c2vector(frame.b2).tolist()
     b1_norm = math.hypot(abs(b10), abs(b11))
-    tilde = [_c2vector(v).tolist() for v in tilde_prefix[:n + 1]]
+    tilde = [_c2vector(v).tolist()
+             for v in prefix_sums(_mirrored(system, frame), frame.b2, n + 1)]
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l
     accel = [(m + delta, t0, t1) for m, (t0, t1) in enumerate(tilde[1:])]
 
     denom = delta.real + n + 1
-    k_start = max(math.floor(delta.real + n - 1) + 1, 1)
     steps = itertools.islice(_steps(series_start(frame.a0, shifted), shifted),
                              k_max)
     prev_theta = None       # Theta_{k-1}; None after a skipped index

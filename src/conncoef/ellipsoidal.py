@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _power_sum,
-                   _real_guard, _real_part, build_shifted, mirrored_shifted,
-                   prefix_sums, theta_iterate)
+from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
+                   _power_sum, _real_guard, _real_part, build_shifted,
+                   mirrored_shifted, prefix_sums, theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
@@ -438,11 +438,15 @@ class EllipsoidalEigenfunction:
 
     # -- raw pieces (no matching constants) --------------------------------
 
+    def _outer_piece(self, x: float, coef: np.ndarray, bit: int) -> float:
+        """|x|**(-bit/2) |1-x|**((1+sigma)/2) * sum_k coef[k] x**k."""
+        if x == 0.0:
+            return coef[0] if bit == 0 else 0.0
+        pref = abs(x) ** (-bit / 2) * abs(1 - x) ** ((1 + self.sigma) / 2)
+        return pref * _power_sum(coef, x)
+
     def piece0(self, z: float) -> float:
-        if z == 0.0:
-            return self.coef0[0] if self.rho == 0 else 0.0
-        pref = abs(z) ** (-self.rho / 2) * abs(1 - z) ** ((1 + self.sigma) / 2)
-        return pref * _power_sum(self.coef0, z)
+        return self._outer_piece(z, self.coef0, self.rho)
 
     def piece1(self, z: float) -> float:
         x = 1.0 - z
@@ -452,11 +456,8 @@ class EllipsoidalEigenfunction:
         return pref * _power_sum(self.coef1, x)
 
     def piece2(self, z: float) -> float:
-        zh = (self.c - z) / (self.c - 1)
-        if zh == 0.0:
-            return self.coef2[0] if self.tau == 0 else 0.0
-        pref = abs(zh) ** (-self.tau / 2) * abs(1 - zh) ** ((1 + self.sigma) / 2)
-        return pref * _power_sum(self.coef2, zh)
+        return self._outer_piece((self.c - z) / (self.c - 1), self.coef2,
+                                 self.tau)
 
     # -- public evaluation --------------------------------------------------
 
@@ -482,25 +483,26 @@ class EllipsoidalEigenfunction:
 
 
 def _second_components(system: TwoPointSystem, frame: SpectralFrame,
-                       n_terms: int, mirrored: bool) -> np.ndarray:
-    """Prefix-sum second components <d_k, e2> for k = 0..n_terms-1.
+                       mirrored: bool) -> np.ndarray:
+    """Prefix-sum second components <d_k, e2> for k < _SERIES_TERMS.
 
     Raises ConsistencyError if the start value of the series is not real.
     """
     if mirrored:
-        d = prefix_sums(mirrored_shifted(system, frame), frame.b2, n_terms)
+        d = prefix_sums(mirrored_shifted(system, frame), frame.b2,
+                        _SERIES_TERMS)
     else:
-        d = prefix_sums(build_shifted(system, frame), frame.a0, n_terms)
+        d = prefix_sums(build_shifted(system, frame), frame.a0, _SERIES_TERMS)
     _real_part(d[0, 1], "series start value")
     return d[:, 1].real.copy()
 
 
-def eigenfunction(pair, problem: EllipsoidalProblem,
-                  n_terms: int = 2000) -> EllipsoidalEigenfunction:
+def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction:
     """Build the matched piecewise eigenfunction for an eigenpair.
 
     ``pair`` is an `EigenPair` or a plain (lam, mu) tuple whose residuals
-    max(|Theta|, |Theta-hat|) must not exceed 1e-6 (checked).  Matching uses
+    max(|Theta|, |Theta-hat|) must not exceed 1e-6 (checked).  Each of the
+    three local series keeps its first 2000 coefficients.  Matching uses
     C1 = 1 and fixes C0 at z = 1/2 (or 1 - r1/2 when the default lies outside
     a convergence disk) and C2 at z = (1+c)/2 (or 1 + r1/2), with r1 =
     min(1, c-1).
@@ -530,13 +532,13 @@ def eigenfunction(pair, problem: EllipsoidalProblem,
 
     sys_ = build_system(lam, mu, problem)
     frame = spectral_frame(problem, entries(lam, mu, problem))
-    coef0 = _second_components(sys_, frame, n_terms, mirrored=False)
-    coef1 = _second_components(sys_, frame, n_terms, mirrored=True)
+    coef0 = _second_components(sys_, frame, mirrored=False)
+    coef1 = _second_components(sys_, frame, mirrored=True)
 
     lam_h, mu_h, hat_prob = hat_parameters(lam, mu, problem)
     sys_h = build_system(lam_h, mu_h, hat_prob)
     frame_h = spectral_frame(hat_prob, entries(lam_h, mu_h, hat_prob))
-    coef2 = _second_components(sys_h, frame_h, n_terms, mirrored=False)
+    coef2 = _second_components(sys_h, frame_h, mirrored=False)
 
     fn = EllipsoidalEigenfunction(
         coef0=coef0, coef1=coef1, coef2=coef2, C0=1.0, C1=1.0, C2=1.0,

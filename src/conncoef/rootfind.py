@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,29 +20,28 @@ class SolverOptions:
     tol_residual: stop when |f| (max-norm for systems) drops below this.
     tol_step: stop when the step is below tol_step * (1 + |x|).
     max_iter: iteration budget.
-    damping: "halving" backtracks on residual increase, "none" never does.
+
+    `broyden2` always backtracks by step halving on a residual increase.
     """
 
     tol_residual: float = 1e-9
     tol_step: float = 1e-13
     max_iter: int = 50
-    damping: str = "halving"
 
     def __post_init__(self):
         if self.tol_residual <= 0 or self.tol_step <= 0:
             raise ValueError("tolerances must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.damping not in ("none", "halving"):
-            raise ValueError("damping must be 'none' or 'halving'")
 
 
 def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
     """Secant iteration for a scalar root.
 
-    Stops when |f| <= tol_residual or the step falls below
-    tol_step * (1 + |t|); raises NoConvergence (with the best iterate
-    attached) when max_iter runs out.
+    Returns the best iterate once |f| <= tol_residual there, or once a step
+    with a finite value falls below tol_step * (1 + |t|); raises
+    NoConvergence (with the best iterate attached) when max_iter steps run
+    out or the secant turns flat.
     """
     opts = opts or SolverOptions()
     a, b = float(t0), float(t1)
@@ -49,21 +49,19 @@ def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
     if not (np.isfinite(fa) and np.isfinite(fb)):
         raise ValueError("f must be finite at both starting points")
     best, fbest = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    for _ in range(opts.max_iter):
-        if abs(fbest) <= opts.tol_residual:
+    small_step = False      # the last step met the step rule at a finite f
+    for it in range(opts.max_iter + 1):
+        if abs(fbest) <= opts.tol_residual or small_step:
             return best
-        if fb == fa:
-            break  # flat secant; cannot divide
+        if it == opts.max_iter or fb == fa:
+            break  # budget spent, or a flat secant that cannot divide
         t = b - fb * (b - a) / (fb - fa)
         ft = f(t)
         if np.isfinite(ft) and abs(ft) < abs(fbest):
             best, fbest = t, ft
-        if abs(fbest) <= opts.tol_residual or abs(t - b) <= opts.tol_step * (1 + abs(t)):
-            if abs(fbest) <= opts.tol_residual or np.isfinite(ft):
-                return best
+        small_step = (abs(t - b) <= opts.tol_step * (1 + abs(t))
+                      and np.isfinite(ft))
         a, fa, b, fb = b, fb, t, ft
-    if abs(fbest) <= opts.tol_residual:
-        return best
     raise NoConvergence(
         f"secant: no root to |f|<={opts.tol_residual:g} within "
         f"{opts.max_iter} iterations", best=best, residual=abs(fbest))
@@ -77,11 +75,18 @@ def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, floa
     the last sample); sign tracking restarts after it, so a sign change
     through an exact zero yields a single bracket.  NaN samples are skipped
     (a single warning reports how many).
+
+    Raises ValueError unless lo and hi are finite with lo <= hi, and
+    step > 0.
     """
+    lo, hi = float(lo), float(hi)
+    if not -math.inf < lo <= hi < math.inf:     # also false for NaN
+        raise ValueError(f"scan bounds must be finite with lo <= hi, got "
+                         f"[{lo}, {hi}]")
     if step <= 0:
         raise ValueError("step must be > 0")
     ts = []
-    t = float(lo)
+    t = lo
     while t <= hi + 1e-12 * max(1.0, abs(hi)):
         ts.append(min(t, hi))
         t += step
@@ -119,7 +124,7 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
 
     a. initial Jacobian by forward differences, step 1e-6 * (1 + |x_i|)
     b. solve J dx = -F, backtrack by halving (<= 8 times) while the max-norm
-       residual would increase (opts.damping = "halving")
+       residual would increase
     c. rank-one Broyden update of J from the accepted step; when a damped
        step still increases the residual, the quasi-Newton model is assumed
        stale and J is recomputed by forward differences once before the
@@ -127,8 +132,9 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
 
     Returns the first iterate with residual <= opts.tol_residual, or the
     best iterate once the quasi-Newton step dx satisfies
-    |dx_i| <= opts.tol_step * (1 + |x_i|) in both components.  Raises
-    SingularJacobian if the difference Jacobian is singular at the seed, and
+    |dx_i| <= opts.tol_step * (1 + |x_i|) in both components.  A difference
+    Jacobian counts as singular when |det J| <= 1e-14 * max|J_ij|^2.  Raises
+    SingularJacobian if it is singular at the seed, and
     NoConvergence (best iterate, residual, trace attached) on a spent budget
     or when the step shrinks below floating-point resolution of x.  Steps
     where F raises ValueError/ArithmeticError (or returns non-finite values)
@@ -150,9 +156,19 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             J[:, i] = (np.asarray(F(xp), dtype=float).reshape(2) - fv) / h[i]
         return J
 
+    def _singular(J) -> bool:
+        return abs(np.linalg.det(J)) <= 1e-14 * max(np.max(np.abs(J)) ** 2,
+                                                    1e-300)
+
+    def _eval(xv):
+        try:
+            out = np.asarray(F(xv), dtype=float).reshape(2)
+        except (ValueError, ArithmeticError, ConncoefError):
+            return None
+        return out if np.all(np.isfinite(out)) else None
+
     Jm = _diff_jacobian(x, fx)
-    scale = max(np.max(np.abs(Jm)) ** 2, 1e-300)
-    if abs(np.linalg.det(Jm)) <= 1e-14 * scale:
+    if _singular(Jm):
         raise SingularJacobian(
             "forward-difference Jacobian at the seed is numerically singular")
 
@@ -171,29 +187,20 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             # the root lies within the step tolerance: the residual floor
             # |J| * ulp(x) of a steep F can sit above tol_residual
             return best_x
-        def _eval(xv):
-            try:
-                out = np.asarray(F(xv), dtype=float).reshape(2)
-            except (ValueError, ArithmeticError, ConncoefError):
-                return None
-            return out if np.all(np.isfinite(out)) else None
-
         xn = x + dx
         fn = _eval(xn)
-        if opts.damping == "halving":
-            lam = 1.0
-            for _ in range(8):
-                if fn is not None and np.max(np.abs(fn)) < res:
-                    break
-                if not np.any(xn != x):
-                    break  # step below the resolution of x; halving is moot
-                lam *= 0.5
-                xn = x + lam * dx
-                fn = _eval(xn)
+        lam = 1.0
+        for _ in range(8):
+            if fn is not None and np.max(np.abs(fn)) < res:
+                break
+            if not np.any(xn != x):
+                break  # step below the resolution of x; halving is moot
+            lam *= 0.5
+            xn = x + lam * dx
+            fn = _eval(xn)
         if fn is None:
             break
-        if (np.max(np.abs(fn)) >= res and not fresh_jacobian
-                and opts.damping == "halving"):
+        if np.max(np.abs(fn)) >= res and not fresh_jacobian:
             # stale quasi-Newton model: retry the step from a fresh
             # finite-difference Jacobian before accepting an uphill move
             try:
@@ -201,8 +208,7 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             except (ValueError, ArithmeticError, ConncoefError):
                 break
             fresh_jacobian = True
-            if abs(np.linalg.det(Jm)) <= 1e-14 * max(
-                    np.max(np.abs(Jm)) ** 2, 1e-300):
+            if _singular(Jm):
                 break
             continue
         step = xn - x

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SpectralFrame, ThetaResult, TwoPointSystem, _power_sum,
-                   _real_guard, _real_part, build_shifted, prefix_sums,
-                   theta_iterate)
+from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
+                   _power_sum, _real_guard, _real_part, build_shifted,
+                   prefix_sums, theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
@@ -132,10 +132,12 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     secant solver run at min(tol, 1e-9)/100 so evaluation noise stays below
     the target.
 
-    t_scan_range defaults to [-2|gamma2|-2, upper] with the upper end grown
-    automatically until enough sign changes appear.  An explicit range is
-    extended once by doubling its span; if sign changes are still missing,
-    ScanExhausted is raised.
+    t_scan_range defaults to [-2|gamma2|-2, upper], upper = lower +
+    max(8, 2*count).  While sign changes are missing, the upper end hi of
+    the scanned range [lo, hi] moves to hi + (hi - lo), doubling the span:
+    at most 64 times for the default range, once for an explicit one.  If
+    sign changes are still missing, ScanExhausted is raised.  ValueError is
+    raised for an explicit range that is not finite with lo <= hi.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -148,30 +150,23 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     def f_scan(t: float) -> float:
         return theta_t(t, problem, n=n, tol=scan_tol, k_max=k_max).theta.real
 
-    g2 = abs(complex(problem.gamma2))
     if t_scan_range is None:
-        lo = -2.0 * g2 - 2.0
+        lo = -2.0 * abs(complex(problem.gamma2)) - 2.0
         hi = lo + max(8.0, 2.0 * count)
-        brackets = bracket_scan(f_scan, lo, hi, _SCAN_STEP)
-        grown = 0
-        while len(brackets) < count:
-            grown += 1
-            if grown > 64:
-                raise ScanExhausted(
-                    f"only {len(brackets)} sign changes up to t = {hi}")
-            new_hi = hi + max(8.0, hi - lo)
-            brackets += bracket_scan(f_scan, hi, new_hi, _SCAN_STEP)
-            hi = new_hi
+        extensions = 64
     else:
         lo, hi = float(t_scan_range[0]), float(t_scan_range[1])
-        brackets = bracket_scan(f_scan, lo, hi, _SCAN_STEP)
-        if len(brackets) < count:
-            # one automatic 2x extension, then give up
-            brackets += bracket_scan(f_scan, hi, lo + 2 * (hi - lo), _SCAN_STEP)
-            if len(brackets) < count:
-                raise ScanExhausted(
-                    f"found {len(brackets)} sign changes in the (extended) "
-                    f"scan range, need {count}")
+        extensions = 1
+    brackets = bracket_scan(f_scan, lo, hi, _SCAN_STEP)
+    for _ in range(extensions):
+        if len(brackets) >= count:
+            break
+        new_hi = hi + (hi - lo)
+        brackets += bracket_scan(f_scan, hi, new_hi, _SCAN_STEP)
+        hi = new_hi
+    if len(brackets) < count:
+        raise ScanExhausted(f"found {len(brackets)} sign changes up to "
+                            f"t = {hi}, need {count}")
 
     opts = SolverOptions(tol_residual=tol, tol_step=1e-13, max_iter=60)
     roots: list[float] = []
@@ -219,13 +214,13 @@ class SpheroidalEigenfunction:
     parity_deviation: float
 
 
-def _coefficient_sequence(t, problem: SpheroidalProblem,
-                          n_terms: int = 2000) -> np.ndarray:
-    """Series coefficients e2^T d_k / 2^k of the bounded solution."""
+def _coefficient_sequence(t, problem: SpheroidalProblem) -> np.ndarray:
+    """Series coefficients e2^T d_k / 2^k, k < _SERIES_TERMS, of the
+    bounded solution."""
     sys_ = build_system(t, problem)
     frame = spectral_frame(t, problem)
-    d = prefix_sums(build_shifted(sys_, frame), frame.a0, n_terms)
-    return d[:, 1] * np.ldexp(1.0, -np.arange(n_terms))
+    d = prefix_sums(build_shifted(sys_, frame), frame.a0, _SERIES_TERMS)
+    return d[:, 1] * np.ldexp(1.0, -np.arange(_SERIES_TERMS))
 
 
 def _w_direct(coefs: np.ndarray, mu: complex, x: float) -> complex:
@@ -252,10 +247,11 @@ def _parity_probe(coefs: np.ndarray, mu: complex) -> tuple[int, float]:
 
 
 def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
-                  x_samples, n_terms: int = 2000) -> SpheroidalEigenfunction:
+                  x_samples) -> SpheroidalEigenfunction:
     """Evaluate the eigenfunction at x_samples (all inside (-1, 1)).
 
-    The series is summed with adaptive truncation; for x > 0 the reflected
+    The series (2000 coefficients) is summed with adaptive truncation, and
+    the parity is probed from the same coefficients; for x > 0 the reflected
     form Omega * w(-x) is used (its series argument 1-x stays below 1, so
     it converges geometrically where the direct form would crawl).
 
@@ -271,7 +267,7 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         raise ValueError("all samples must lie strictly inside (-1, 1)")
 
     mu = complex(problem.mu)
-    coefs = _coefficient_sequence(eig.t_root, problem, n_terms)
+    coefs = _coefficient_sequence(eig.t_root, problem)
     parity, deviation = _parity_probe(coefs, mu)
 
     vals = np.empty(len(x), dtype=complex)

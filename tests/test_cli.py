@@ -88,6 +88,34 @@ def test_unconverged_run_exits_2(capsys):
     assert payload["k"] == 40
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--gamma2", "4", "--t-range", "5", "1"],
+    ["--gamma2", "nan"],
+])
+def test_eigen_sph_bad_scan_bounds_exit_1(capsys, bounds):
+    rc = main(["eigen-sph", "--count", "2"] + bounds)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: scan bounds")
+
+
+def test_k_max_below_first_usable_index_exits_1(capsys):
+    rc = main(["theta-ell", "--lambda", "3.2", "--mu", "-5", "--gamma", "4",
+               "--c", "1.6", "--k-max", "3"])
+    assert rc == 1
+    assert "first usable index" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["scan", "--problem", "sph", "--gamma2", "4",
+               "--t-range", "-4", "10", "--resolution", "3",
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.csv" in err
+    assert not out.exists()
+
+
 def test_seedless_scan_exits_3(capsys):
     rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
                "--lambda-range", "30", "31", "--mu-range", "5", "6",
@@ -239,6 +267,23 @@ def test_eigenfunction_sph_csv(tmp_path, capsys):
     assert abs(float(mid["w"])) <= 1e-9
     peak = max(abs(float(r["w"])) for r in rows)
     assert abs(peak - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--problem", "sph", "--mu-order", "1", "--gamma2", "4",
+     "--t-range", "-4", "10", "--resolution", "15"],
+    ["eigenfunction", "--problem", "ell", "--gamma", "0", "--c", C_TABLE,
+     "--tau", "1", "--lambda", "0.26", "--mu", "-0.45",
+     "--normalize", "integral", "--samples", "21"],
+])
+def test_stdout_output_matches_file_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert "wrote" in capsys.readouterr().out
+    assert main(argv + ["--output", "-"]) == 0
+    captured = capsys.readouterr().out
+    assert "wrote" not in captured
+    assert captured.encode("utf-8") == out.read_bytes()
 
 
 # --------------------------------------------------------------------------

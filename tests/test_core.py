@@ -390,28 +390,15 @@ def test_theta_iterate_rejects_negative_tol():
         theta_iterate(_sample_system(), _sample_frame(), tol=-1.0)
 
 
-def test_theta_iterate_short_tilde_prefix_rejected():
+def test_theta_iterate_rejects_k_max_below_first_usable_index():
+    # delta = 1/2 at n = 5 puts the first usable index at k = 5: a smaller
+    # budget tries no index at all, which is a caller error, not a status
     frame = _sample_frame()
-    with pytest.raises(ValueError, match="tilde_prefix"):
-        theta_iterate(_sample_system(), frame, n=3,
-                      tilde_prefix=[frame.b2, frame.b2])
-
-
-def test_theta_iterate_accepts_precomputed_prefix():
-    # Supplying the prefix computed by the mirrored run itself must not
-    # change anything.
-    sys_ = _sample_system()
-    frame = _sample_frame()
-    mi = mirrored_shifted(sys_, frame)
-    st = series_start(frame.b2, mi)
-    prefix = [st.d.copy()]
-    for _ in range(5):
-        st = frobenius_step(st, mi)
-        prefix.append(st.d.copy())
-    a = theta_iterate(sys_, frame, n=5, tol=1e-10)
-    b = theta_iterate(sys_, frame, n=5, tol=1e-10, tilde_prefix=prefix)
-    assert a.theta == b.theta
-    assert a.k_final == b.k_final
+    assert frame.delta == 0.5
+    with pytest.raises(ValueError, match="first usable index"):
+        theta_iterate(_sample_system(), frame, n=5, k_max=4)
+    res = theta_iterate(_sample_system(), frame, n=5, k_max=5)
+    assert res.status == "k_max_reached" and res.k_final == 5
 
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,6 @@ def test_options_validation():
         SolverOptions(tol_step=-1e-9)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(damping="thirds")
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +89,20 @@ def test_bracket_scan_exact_grid_zeros():
 def test_bracket_scan_trailing_zero_degenerates():
     brackets = bracket_scan(lambda t: t - 2.0, 0.0, 2.0, 1.0)
     assert brackets == [(2.0, 2.0)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5.0, 1.0),                 # reversed
+    (float("nan"), 1.0),
+    (0.0, float("nan")),
+    (0.0, float("inf")),        # would grow the sample list without end
+    (float("-inf"), 0.0),
+])
+def test_bracket_scan_rejects_bad_bounds(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        bracket_scan(lambda t: calls.append(t) or t, lo, hi, 0.5)
+    assert calls == []
 
 
 def test_bracket_scan_warns_on_nan():

@@ -100,7 +100,7 @@ def test_theta_t_matches_general_path():
 
 @pytest.mark.parametrize("mu", [0, 1])
 def test_theta_t_raises_typed_error_on_complex_value(monkeypatch, mu):
-    # both the reflected (mu = 0) and the general path keep the real guard
+    # the real guard holds at mu = 0 as well as at mu > 0
     fake = ThetaResult(theta=1.0 + 1e-3j, error_bound=0.0, k_final=1, n=5,
                        tau_estimate=0j, status="converged")
     monkeypatch.setattr(sph, "theta_iterate", lambda *a, **kw: fake)
@@ -171,6 +171,21 @@ def test_explicit_scan_range():
     eigs = sph.eigenvalues(problem, 2, t_scan_range=(-4.0, 1.0))
     assert abs(complex(eigs[0].lam).real - PROLATE_8[0]) <= 1e-9
     assert abs(complex(eigs[1].lam).real - PROLATE_8[1]) <= 1e-9
+
+
+def test_explicit_scan_range_extends_once():
+    # [-4, -1] holds one root; the one extension to [-1, 2] finds the second
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    eigs = sph.eigenvalues(problem, 2, t_scan_range=(-4.0, -1.0))
+    assert abs(complex(eigs[0].lam).real - PROLATE_8[0]) <= 1e-9
+    assert abs(complex(eigs[1].lam).real - PROLATE_8[1]) <= 1e-9
+
+
+def test_k_max_below_first_usable_index_raises_at_once():
+    # with no usable index the scan would only see NaN samples and keep
+    # doubling its span; the error must come from the first sample
+    with pytest.raises(ValueError, match="first usable index"):
+        sph.eigenvalues(sph.SpheroidalProblem(mu=0, gamma2=4.0), 2, k_max=0)
 
 
 def test_scan_exhausted_on_rootless_range():

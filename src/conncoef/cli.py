@@ -122,23 +122,16 @@ def _ell_problem_from_args(args) -> ell.EllipsoidalProblem:
 def cmd_eigen_ellipsoidal(args) -> int:
     t0 = time.perf_counter()
     problem = _ell_problem_from_args(args)
-    if args.seed:
-        seeds = [(s[0], s[1]) for s in args.seed]
-    else:
-        (l_lo, l_hi), (m_lo, m_hi), res_n = _DEFAULT_WINDOW
-        if args.lambda_range:
-            l_lo, l_hi = args.lambda_range
-        if args.mu_range:
-            m_lo, m_hi = args.mu_range
-        grid = ell.scan_grid(problem, (l_lo, l_hi), (m_lo, m_hi),
-                             args.resolution or res_n, n=args.n,
-                             k_max=args.k_max)
-        seeds = grid.seeds
-    if not seeds:
-        print("no seeds found", file=sys.stderr)
-        return 3
-
     opts = SolverOptions(tol_residual=args.tol)
+    if args.seed:
+        seeds = args.seed
+    else:
+        lam_range, mu_range, res_n = _DEFAULT_WINDOW
+        seeds = ell.scan_grid(problem, args.lambda_range or lam_range,
+                              args.mu_range or mu_range,
+                              args.resolution or res_n, n=args.n,
+                              k_max=args.k_max).seeds
+
     pairs: list[ell.EigenPair] = []
     for s in seeds:
         try:
@@ -157,28 +150,26 @@ def cmd_eigen_ellipsoidal(args) -> int:
     pairs.sort(key=lambda p: (p.lam, p.mu))
     wall = time.perf_counter() - t0
 
+    records = []
+    for p in pairs:
+        rec = {"lambda": p.lam, "mu": p.mu,
+               "residual_theta": p.residual_theta,
+               "residual_theta_hat": p.residual_theta_hat,
+               "iterations": p.iterations}
+        if args.abramov:
+            _, _, rec["H"], rec["L"] = ell.to_abramov(
+                problem.gamma, problem.c, p.lam, p.mu)
+        records.append(rec)
     if args.json:
-        out = []
-        for p in pairs:
-            rec = {"lambda": p.lam, "mu": p.mu,
-                   "residual_theta": p.residual_theta,
-                   "residual_theta_hat": p.residual_theta_hat,
-                   "iterations": p.iterations}
-            if args.abramov:
-                _, _, rec["H"], rec["L"] = ell.to_abramov(
-                    problem.gamma, problem.c, p.lam, p.mu)
-            out.append(rec)
-        _emit_json(out)
+        _emit_json(records)
     else:
         lines = []
-        for p in pairs:
-            line = (f"lambda = {_fmt(p.lam)}  mu = {_fmt(p.mu)}  "
-                    f"residuals = ({p.residual_theta:.2e}, "
-                    f"{p.residual_theta_hat:.2e})")
+        for rec in records:
+            line = (f"lambda = {_fmt(rec['lambda'])}  mu = {_fmt(rec['mu'])}  "
+                    f"residuals = ({rec['residual_theta']:.2e}, "
+                    f"{rec['residual_theta_hat']:.2e})")
             if args.abramov:
-                _, _, H, L = ell.to_abramov(problem.gamma, problem.c, p.lam,
-                                            p.mu)
-                line += f"  H = {_fmt(H)}  L = {_fmt(L)}"
+                line += f"  H = {_fmt(rec['H'])}  L = {_fmt(rec['L'])}"
             lines.append(line)
         lines.append(f"wall_time_s = {wall:.3f}")
         print("\n".join(lines))
@@ -238,6 +229,8 @@ def cmd_scan(args) -> int:
         problem = sph.SpheroidalProblem(mu=args.mu, gamma2=args.gamma2)
         if not args.t_range:
             raise ValueError("spheroidal scan needs --t-range")
+        if args.resolution < 2:
+            raise ValueError("spheroidal scan needs --resolution >= 2")
         ts = np.linspace(args.t_range[0], args.t_range[1], args.resolution)
 
         def row(t):
@@ -261,6 +254,8 @@ def cmd_scan(args) -> int:
 
 def cmd_eigenfunction(args) -> int:
     t0 = time.perf_counter()
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     if args.problem == "ell":
         problem = _ell_problem_from_args(args)
         if args.abramov:
@@ -343,6 +338,12 @@ def _add_ell_problem(p: argparse.ArgumentParser, with_tau: bool) -> None:
     p.add_argument("--omega2", type=float, default=None)
 
 
+def _add_ranges(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, nargs=2, type=float, default=None,
+                       metavar=("LO", "HI"))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="conncoef", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -367,10 +368,7 @@ def _build_parser() -> _Parser:
                    metavar=("LAMBDA", "MU"),
                    help="starting pair for the two-parameter solver "
                         "(repeatable); omit to scan for seeds")
-    p.add_argument("--lambda-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--mu-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
+    _add_ranges(p, "--lambda-range", "--mu-range")
     p.add_argument("--resolution", type=int, default=None)
     # residuals of steep problems bottom out near |dTheta/dlam| * ulp(lam):
     # near 1e-2 for the k^2 = 0.9, omega^2 = 25 wave row, where the solver
@@ -384,8 +382,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma2", type=float, required=True,
                    help="gamma^2 (prolate > 0, oblate < 0)")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--t-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
+    _add_ranges(p, "--t-range")
     _add_common(p, tol_default=1e-9)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -397,12 +394,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu-order", dest="mu", type=float, default=0.0,
                    help="spheroidal order mu (spheroidal scans)")
     p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--lambda-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--mu-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--t-range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
+    _add_ranges(p, "--lambda-range", "--mu-range", "--t-range")
     p.add_argument("--resolution", type=int, default=33)
     _add_common(p, tol_default=1e-8)
     p.add_argument("--output", required=True,

@@ -58,6 +58,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -701,31 +702,35 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     Raises
     ------
     ValueError
-        If tol < 0, n < 0, k_max < k_start, or b1, b2 or d~_0..d~_n are not
-        finite.
+        Before any series work unless n is an integer >= 0, tol a real
+        number >= 0 (not NaN) and k_max an integer >= k_start; and if
+        d~_0..d~_n are not finite.
     SingularStep
         As `frobenius_step`.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if n < 0:
-        raise ValueError("acceleration order n must be >= 0")
+    # the one check of n, tol and k_max; `tol >= 0` is False for NaN
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
     delta = frame.delta
     # first k > Re(delta) + n - 1, the range `p_vector` admits
     k_start = max(math.floor(delta.real + n - 1) + 1, 1)
-    if k_max < k_start:
-        raise ValueError(f"k_max = {k_max} is below the first usable index "
-                         f"k = {k_start} at order n = {n}")
+    if not (isinstance(k_max, numbers.Integral) and k_max >= k_start):
+        raise ValueError(f"k_max must be an integer >= the first usable index "
+                         f"k = {k_start} at order n = {n}, got {k_max!r}")
     shifted = build_shifted(system, frame)      # the one frame check
 
-    # everything the loop reads, unpacked and checked for finiteness once
-    b10, b11 = _c2vector(frame.b1).tolist()
-    b20, b21 = _c2vector(frame.b2).tolist()
+    # everything the loop reads, unpacked once; the frame checked b1 and b2
+    b10, b11 = frame.b1.tolist()
+    b20, b21 = frame.b2.tolist()
     b1_norm = math.hypot(abs(b10), abs(b11))
-    tilde = [_c2vector(v).tolist()
-             for v in prefix_sums(_mirrored(system, frame), frame.b2, n + 1)]
+    tilde = prefix_sums(_mirrored(system, frame), frame.b2, n + 1)
+    if not np.all(np.isfinite(tilde)):
+        raise ValueError("mirrored prefix sums d~_0..d~_n are not finite")
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l
-    accel = [(m + delta, t0, t1) for m, (t0, t1) in enumerate(tilde[1:])]
+    accel = [(m + delta, t0, t1)
+             for m, (t0, t1) in enumerate(tilde[1:].tolist())]
 
     denom = delta.real + n + 1
     steps = itertools.islice(_steps(series_start(frame.a0, shifted), shifted),

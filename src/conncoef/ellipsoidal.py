@@ -28,7 +28,6 @@ singular points and acts on the entries as
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -251,7 +250,7 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     out near |dTheta/dlam| * ulp(lam), which can lie far above any useful
     target: at the wave row k^2 = 0.9, omega^2 = 25, H = 141.0901 it is
     near 1e-2 (|dTheta/dlam| ~ 2e12).  There the solver stops once its
-    quasi-Newton step is below opts.tol_step * (1 + |x|), and the returned
+    quasi-Newton step is below 1e-13 * (1 + |x|), and the returned
     residuals show the floor.  ``k_max`` caps the series length per
     evaluation; at wild trial points the absolute tolerance may be
     unreachable (the noise floor of the sum scales with |Theta|), and a
@@ -260,6 +259,9 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
 
     Raises
     ------
+    ValueError, SingularJacobian
+        At the seed, as `broyden2`; a bad n or k_max raises from the first
+        Theta evaluation (see `theta_iterate`).
     NoConvergence
         After opts.max_iter Broyden iterations; the best iterate and its
         residuals ride on the exception (`best`, `residual`, `trace`).
@@ -319,15 +321,9 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     Raises
     ------
     ValueError
-        If resolution < 2 on an axis, n is not an integer >= 0, tol is not a
-        real number >= 0, or k_max is not an integer >= 1.
+        If resolution < 2 on an axis.  A bad n, tol or k_max raises
+        `theta_iterate`'s ValueError from the first node.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
-        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
-    if not (isinstance(k_max, numbers.Integral) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     if np.isscalar(resolution):
         res_l = res_m = int(resolution)
     else:
@@ -357,28 +353,24 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
                      status=status, seeds=seeds)
 
 
-def _sign_change(a: float, b: float) -> bool:
-    if not (np.isfinite(a) and np.isfinite(b)):
-        return False
-    return a == 0 or b == 0 or (a < 0) != (b < 0)
-
-
-def _cell_crossing(v: np.ndarray, i: int, j: int) -> bool:
-    # any of the 4 edges of cell (i, j)-(i+1, j+1)
-    return (_sign_change(v[i, j], v[i + 1, j])
-            or _sign_change(v[i, j], v[i, j + 1])
-            or _sign_change(v[i + 1, j], v[i + 1, j + 1])
-            or _sign_change(v[i, j + 1], v[i + 1, j + 1]))
-
-
 def _seed_cells(lambdas, mus, th, thh) -> list:
-    seeds = []
-    for i in range(len(lambdas) - 1):
-        for j in range(len(mus) - 1):
-            if _cell_crossing(th, i, j) and _cell_crossing(thh, i, j):
-                seeds.append(((lambdas[i] + lambdas[i + 1]) / 2,
-                              (mus[j] + mus[j + 1]) / 2))
-    return seeds
+    """Centers of the cells where Theta and Theta-hat both cross, row-major.
+
+    An edge crosses when both ends are finite and either one end is 0 or
+    the signs differ.  A grid crosses on cell (i, j)-(i+1, j+1) when one of
+    the cell's four edges crosses; a cell is a seed when both grids do.
+    """
+    def crosses(a, b):
+        return (np.isfinite(a) & np.isfinite(b)
+                & ((a == 0) | (b == 0) | ((a < 0) != (b < 0))))
+
+    v = np.stack([th, thh])
+    along_lam = crosses(v[:, :-1], v[:, 1:])            # (2, L-1, M)
+    along_mu = crosses(v[:, :, :-1], v[:, :, 1:])       # (2, L, M-1)
+    cells = (along_lam[:, :, :-1] | along_lam[:, :, 1:]
+             | along_mu[:, :-1] | along_mu[:, 1:]).all(axis=0)
+    return [((lambdas[i] + lambdas[i + 1]) / 2, (mus[j] + mus[j + 1]) / 2)
+            for i, j in zip(*np.nonzero(cells))]
 
 
 # --------------------------------------------------------------------------

@@ -12,25 +12,27 @@ from .errors import ConncoefError, NoConvergence, SingularJacobian
 
 __all__ = ["SolverOptions", "secant", "bracket_scan", "broyden2"]
 
+#: the solvers also stop once a step is below _TOL_STEP * (1 + |x|)
+_TOL_STEP = 1e-13
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Shared solver knobs.
+    """Shared solver knobs; the one check of the solvers' tolerances.
 
     tol_residual: stop when |f| (max-norm for systems) drops below this.
-    tol_step: stop when the step is below tol_step * (1 + |x|).
-    max_iter: iteration budget.
+    max_iter: iteration budget.  ValueError unless tol_residual > 0 (not
+    NaN) and max_iter >= 1.
 
     `broyden2` always backtracks by step halving on a residual increase.
     """
 
     tol_residual: float = 1e-9
-    tol_step: float = 1e-13
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not self.tol_residual > 0:       # also true for NaN
+            raise ValueError("tol_residual must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -39,9 +41,10 @@ def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
     """Secant iteration for a scalar root.
 
     Returns the best iterate once |f| <= tol_residual there, or once a step
-    with a finite value falls below tol_step * (1 + |t|); raises
+    with a finite value falls below 1e-13 * (1 + |t|); raises
     NoConvergence (with the best iterate attached) when max_iter steps run
-    out or the secant turns flat.
+    out or the secant turns flat, and ValueError if f is not finite at both
+    starting points.
     """
     opts = opts or SolverOptions()
     a, b = float(t0), float(t1)
@@ -59,7 +62,7 @@ def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
         ft = f(t)
         if np.isfinite(ft) and abs(ft) < abs(fbest):
             best, fbest = t, ft
-        small_step = (abs(t - b) <= opts.tol_step * (1 + abs(t))
+        small_step = (abs(t - b) <= _TOL_STEP * (1 + abs(t))
                       and np.isfinite(ft))
         a, fa, b, fb = b, fb, t, ft
     raise NoConvergence(
@@ -132,9 +135,10 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
 
     Returns the first iterate with residual <= opts.tol_residual, or the
     best iterate once the quasi-Newton step dx satisfies
-    |dx_i| <= opts.tol_step * (1 + |x_i|) in both components.  A difference
+    |dx_i| <= 1e-13 * (1 + |x_i|) in both components.  A difference
     Jacobian counts as singular when |det J| <= 1e-14 * max|J_ij|^2.  Raises
-    SingularJacobian if it is singular at the seed, and
+    ValueError if F is not finite (or raises it) at the seed,
+    SingularJacobian if J is singular there, and
     NoConvergence (best iterate, residual, trace attached) on a spent budget
     or when the step shrinks below floating-point resolution of x.  Steps
     where F raises ValueError/ArithmeticError (or returns non-finite values)
@@ -183,7 +187,7 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             dx = np.linalg.solve(Jm, -fx)
         except np.linalg.LinAlgError:
             break
-        if np.all(np.abs(dx) <= opts.tol_step * (1.0 + np.abs(x))):
+        if np.all(np.abs(dx) <= _TOL_STEP * (1.0 + np.abs(x))):
             # the root lies within the step tolerance: the residual floor
             # |J| * ulp(x) of a steep F can sit above tol_residual
             return best_x

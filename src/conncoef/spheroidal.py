@@ -137,10 +137,13 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     the scanned range [lo, hi] moves to hi + (hi - lo), doubling the span:
     at most 64 times for the default range, once for an explicit one.  If
     sign changes are still missing, ScanExhausted is raised.  ValueError is
-    raised for an explicit range that is not finite with lo <= hi.
+    raised before any Theta evaluation for count < 1, tol not > 0 (or NaN)
+    or an explicit range that is not finite with lo <= hi, and by the first
+    one for a bad n or k_max (see `theta_iterate`).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    opts = SolverOptions(tol_residual=tol, max_iter=60)
     eval_tol = min(tol, 1e-9) / 100.0
     scan_tol = max(1e-6, eval_tol)
 
@@ -168,7 +171,6 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
         raise ScanExhausted(f"found {len(brackets)} sign changes up to "
                             f"t = {hi}, need {count}")
 
-    opts = SolverOptions(tol_residual=tol, tol_step=1e-13, max_iter=60)
     roots: list[float] = []
     for a, b in brackets:
         if len(roots) == count:

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
 from conncoef.cli import main
 
@@ -114,6 +115,44 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "x.csv" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    THETA_ARGS + ["--json"],
+    ["eigen-sph", "--gamma2", "4", "--count", "2"],
+    ["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+     "--seed", "0.26", "-0.45"],
+])
+def test_nan_tolerance_exits_1(argv, capsys):
+    # checked before any work: a NaN tol used to run every step budget
+    assert main(argv + ["--tol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "tol" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenfunction", "--problem", "sph", "--gamma2", "4",
+     "--samples", "0"],
+    ["eigenfunction", "--problem", "sph", "--gamma2", "4",
+     "--samples", "-2"],
+    ["eigenfunction", "--problem", "ell", "--gamma", "0", "--c", C_TABLE,
+     "--tau", "1", "--lambda", "0.26", "--mu", "-0.45", "--samples", "0"],
+    ["scan", "--problem", "sph", "--gamma2", "4", "--t-range", "-4", "10",
+     "--resolution", "0"],
+    ["scan", "--problem", "sph", "--gamma2", "4", "--t-range", "-4", "10",
+     "--resolution", "1"],
+])
+def test_too_few_samples_exit_1_before_any_solve(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("no solve may run for a bad sample count")
+
+    for name in ("eigenvalues", "theta_t"):
+        monkeypatch.setattr(sph, name, fail)
+    monkeypatch.setattr(ell, "solve_pair", fail)
+    assert main(argv + ["--output", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_seedless_scan_exits_3(capsys):

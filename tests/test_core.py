@@ -390,6 +390,20 @@ def test_theta_iterate_rejects_negative_tol():
         theta_iterate(_sample_system(), _sample_frame(), tol=-1.0)
 
 
+@pytest.mark.parametrize("kwargs, what", [
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": "1e-8"}, "tol"),
+    ({"n": 2.5}, "n must be"),
+    ({"k_max": 2.5}, "k_max"),
+    ({"k_max": 12.5}, "k_max"),
+])
+def test_theta_iterate_rejects_bad_arguments(kwargs, what):
+    # each bad argument is a ValueError naming it, raised before any step
+    # (a NaN tol would otherwise run the whole step budget)
+    with pytest.raises(ValueError, match=what):
+        theta_iterate(_sample_system(), _sample_frame(), **kwargs)
+
+
 def test_theta_iterate_rejects_k_max_below_first_usable_index():
     # delta = 1/2 at n = 5 puts the first usable index at k = 5: a smaller
     # budget tries no index at all, which is a caller error, not a status

@@ -207,6 +207,100 @@ def test_scan_grid_resolution_validation(table_problem):
         ell.scan_grid(table_problem, (0, 1), (0, 1), (5, 1))
 
 
+@pytest.mark.parametrize("kwargs, what", [
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": "1e-8"}, "tol"),
+    ({"n": 2.5}, "n must be"),
+    ({"k_max": 2.5}, "k_max"),
+    ({"k_max": 12.5}, "k_max"),
+])
+def test_theta_rejects_bad_arguments(anchor_problem, kwargs, what):
+    with pytest.raises(ValueError, match=what):
+        ell.theta(3.2, -5.0, anchor_problem, **kwargs)
+
+
+def _edge_loop_seeds(lambdas, mus, th, thh):
+    """The seed rule written out edge by edge, cell by cell."""
+    def crosses(a, b):
+        return bool(np.isfinite(a) and np.isfinite(b)
+                    and (a == 0 or b == 0 or (a < 0) != (b < 0)))
+
+    def cell_crosses(v, i, j):
+        edges = (((i, j), (i + 1, j)), ((i, j), (i, j + 1)),
+                 ((i + 1, j), (i + 1, j + 1)), ((i, j + 1), (i + 1, j + 1)))
+        return any(crosses(v[a], v[b]) for a, b in edges)
+
+    return [((lambdas[i] + lambdas[i + 1]) / 2, (mus[j] + mus[j + 1]) / 2)
+            for i in range(len(lambdas) - 1) for j in range(len(mus) - 1)
+            if cell_crosses(th, i, j) and cell_crosses(thh, i, j)]
+
+
+def _synthetic_scan(monkeypatch, problem, th, thh):
+    """scan_grid over the integer nodes of th/thh, Theta stubbed from them.
+
+    NaN entries come back from the stub as a ConsistencyError, so they
+    enter the grid as failed nodes.
+    """
+    def stub(values):
+        def fake(lam, mu, problem, **kwargs):
+            v = values[round(lam), round(mu)]
+            if np.isnan(v):
+                raise ConsistencyError("synthetic failed node")
+            return ThetaResult(theta=complex(v), error_bound=0.0, k_final=1,
+                               n=5, tau_estimate=0j, status="converged")
+        return fake
+
+    monkeypatch.setattr(ell, "theta", stub(th))
+    monkeypatch.setattr(ell, "theta_hat", stub(thh))
+    L, M = th.shape
+    return ell.scan_grid(problem, (0, L - 1), (0, M - 1), (L, M))
+
+
+@pytest.mark.parametrize("edge", range(4))
+def test_scan_grid_seeds_from_each_cell_edge(monkeypatch, table_problem,
+                                             edge):
+    # one cell whose grids cross on the given edge only: its ends p, q
+    # differ in sign, the node s after q repeats q's sign, and the node r
+    # after s failed (NaN), so the edges q-s, s-r and r-p cannot cross
+    cycle = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    p, q, s, r = (cycle[(edge + i) % 4] for i in range(4))
+    th = np.empty((2, 2))
+    th[p], th[q], th[s], th[r] = 1.0, -1.0, -1.0, np.nan
+    grid = _synthetic_scan(monkeypatch, table_problem, th, -2.0 * th)
+    assert grid.seeds == [(0.5, 0.5)]
+    th[p] = -1.0
+    grid = _synthetic_scan(monkeypatch, table_problem, th, -2.0 * th)
+    assert grid.seeds == []
+
+
+def test_scan_grid_seed_rule_on_nan_and_zero_nodes(monkeypatch,
+                                                   table_problem):
+    # a sign change across a failed node seeds nothing; an exact zero
+    # crosses on both of its edges
+    jump = np.array([[1.0, np.nan, -1.0], [1.0, np.nan, -1.0]])
+    assert _synthetic_scan(monkeypatch, table_problem, jump, jump).seeds == []
+    zero = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    assert _synthetic_scan(monkeypatch, table_problem, zero,
+                           zero).seeds == [(0.5, 0.5), (0.5, 1.5)]
+
+    # a fixed random grid of signs, exact zeros and failed nodes against
+    # the rule written out edge by edge
+    rng = np.random.default_rng(7)
+    values = np.array([-2.0, -1.0, 0.0, 1.0, 3.0, np.nan])
+    weights = [0.2, 0.2, 0.1, 0.2, 0.2, 0.1]
+    th = rng.choice(values, size=(8, 9), p=weights)
+    thh = rng.choice(values, size=(8, 9), p=weights)
+    grid = _synthetic_scan(monkeypatch, table_problem, th, thh)
+    failed = np.isnan(th) | np.isnan(thh)
+    assert list(grid.status[failed]) == ["error"] * int(failed.sum())
+    assert np.array_equal(grid.theta, np.where(failed, np.nan, th),
+                          equal_nan=True)
+    expected = _edge_loop_seeds(grid.lambdas, grid.mus, grid.theta,
+                                grid.theta_hat)
+    assert 0 < len(expected) < 7 * 8
+    assert grid.seeds == expected
+
+
 def test_scan_grid_validates_solver_arguments(table_problem):
     # a bad argument is an error of the call, not a failure of every node
     for kwargs in ({"n": "5"}, {"n": -1}, {"tol": "1e-8"}, {"tol": -1.0},

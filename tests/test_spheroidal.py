@@ -188,6 +188,21 @@ def test_k_max_below_first_usable_index_raises_at_once():
         sph.eigenvalues(sph.SpheroidalProblem(mu=0, gamma2=4.0), 2, k_max=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+def test_bad_tolerance_raises_before_any_theta_evaluation(monkeypatch, tol):
+    calls = []
+
+    def counting_theta_t(*args, **kwargs):
+        calls.append(args)
+        return theta_t(*args, **kwargs)
+
+    theta_t = sph.theta_t
+    monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    with pytest.raises(ValueError, match="tol"):
+        sph.eigenvalues(sph.SpheroidalProblem(mu=0, gamma2=100.0), 4, tol=tol)
+    assert calls == []
+
+
 def test_scan_exhausted_on_rootless_range():
     problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
     with pytest.raises(ScanExhausted):

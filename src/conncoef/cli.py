@@ -123,14 +123,16 @@ def cmd_eigen_ellipsoidal(args) -> int:
     t0 = time.perf_counter()
     problem = _ell_problem_from_args(args)
     opts = SolverOptions(tol_residual=args.tol)
+    if args.resolution is not None and args.resolution < 2:
+        raise ValueError("--resolution must be >= 2")
     if args.seed:
         seeds = args.seed
     else:
         lam_range, mu_range, res_n = _DEFAULT_WINDOW
-        seeds = ell.scan_grid(problem, args.lambda_range or lam_range,
-                              args.mu_range or mu_range,
-                              args.resolution or res_n, n=args.n,
-                              k_max=args.k_max).seeds
+        seeds = ell.scan_grid(
+            problem, args.lambda_range or lam_range, args.mu_range or mu_range,
+            res_n if args.resolution is None else args.resolution, n=args.n,
+            k_max=args.k_max).seeds
 
     pairs: list[ell.EigenPair] = []
     for s in seeds:

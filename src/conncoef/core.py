@@ -44,13 +44,22 @@ valid for every eps > 0 once k is large enough; see `theta_iterate`.
 
 For rational structure every series runs on one scalar recurrence kernel:
 the entries of A0, A1 + I and C, the poles c_j and the residues R_j are
-unpacked into Python complex scalars once, and a single loop advances u_k,
-d_k and the geometric sums s_k^(j) with no array allocation per step.  The
-Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
-that loop; the mirrored prefix and the eigenfunction coefficient sequences
-(`prefix_sums`) use the same kernel.  The public `frobenius_step`,
-`p_vector` and `weight_vector` stay as validating single-step entry points.
-Generic structure keeps its own O(k) convolution in `frobenius_step`.
+unpacked into Python scalars once, and a single loop advances u_k, d_k and
+the geometric sums s_k^(j) with no array allocation per step.  A value whose
+imaginary part is exactly 0 is unpacked as a float, any other as a complex
+(`_unpack`), so real problems run on float arithmetic.  This keeps the bits:
+CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands with
+imaginary part 0 give the real part that float arithmetic gives, as long as
+nothing overflows, and a float met by a complex is promoted to
+``complex(x, 0.0)``.  Only the sign of an exact zero can differ; comparisons
+and ``abs`` do not see it.
+
+The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
+that loop and takes the mirrored prefix sums straight from the kernel; the
+eigenfunction coefficient sequences (`prefix_sums`) use the same kernel.
+The public `frobenius_step`, `p_vector` and `weight_vector` stay as
+validating single-step entry points.  Generic structure keeps its own O(k)
+convolution in `frobenius_step`.
 """
 
 from __future__ import annotations
@@ -97,18 +106,33 @@ _FRAME_RESIDUAL_TOL = 1e-10
 _SERIES_TERMS = 2000
 
 
+#: the 2x2 identity, read-only
+_EYE = np.eye(2)
+_EYE.flags.writeable = False
+
+
 def _c2vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=complex).reshape(2)
-    if not np.all(np.isfinite(v.view(float))):
+    if not all(map(cmath.isfinite, v.tolist())):
         raise ValueError("C2 vector has non-finite components")
     return v
 
 
 def _c2matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex).reshape(2, 2)
-    if not np.all(np.isfinite(m.view(float))):
+    if not all(map(cmath.isfinite, m.ravel().tolist())):
         raise ValueError("C2 matrix has non-finite entries")
     return m
+
+
+def _unpack(values) -> list:
+    """Kernel scalars: a float where the imaginary part is exactly 0.
+
+    Every other value stays complex.  Float arithmetic gives the real part
+    that complex arithmetic would give (see the module docstring), so a real
+    problem keeps its values and runs faster.
+    """
+    return [v.real if v.imag == 0 else v for v in values]
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +270,9 @@ class SpectralFrame:
             raise FrameMismatch(
                 f"Re(delta) = {self.delta.real} <= -1 is outside the frame's "
                 "admissible region")
-        det12 = self.b1[0] * self.b2[1] - self.b1[1] * self.b2[0]
-        scale = _norm2(self.b1) * _norm2(self.b2)
+        b1, b2 = self.b1.tolist(), self.b2.tolist()
+        det12 = b1[0] * b2[1] - b1[1] * b2[0]
+        scale = _norm2(b1) * _norm2(b2)
         if abs(det12) <= 1e-14 * scale:
             raise FrameMismatch("b1 and b2 are (numerically) linearly dependent")
 
@@ -287,24 +312,25 @@ class ShiftedSystem:
         return cache[k]
 
 
-def _norm2(v: np.ndarray) -> float:
+def _norm2(v) -> float:
     return math.hypot(abs(v[0]), abs(v[1]))
 
 
-def _eigen_residual(M: np.ndarray, val: complex, vec: np.ndarray) -> float:
-    r = M @ vec - val * vec
-    scale = max(_norm2(M @ vec), abs(val) * _norm2(vec), 1e-300)
-    return _norm2(r) / scale
-
-
 def _check_frame(system: TwoPointSystem, frame: SpectralFrame) -> None:
+    """Relative eigen-residual |M v - val v| / max(|M v|, |val| |v|) test."""
+    A = _unpack(system.A.ravel().tolist())
+    B = _unpack(system.B.ravel().tolist())
     checks = (
-        ("a0", system.A, frame.alpha0, frame.a0),
-        ("b1", system.B, frame.beta1, frame.b1),
-        ("b2", system.B, frame.beta2, frame.b2),
+        ("a0", A, frame.alpha0, frame.a0),
+        ("b1", B, frame.beta1, frame.b1),
+        ("b2", B, frame.beta2, frame.b2),
     )
-    for name, M, val, vec in checks:
-        res = _eigen_residual(M, val, vec)
+    for name, (m11, m12, m21, m22), val, vec in checks:
+        val, v0, v1 = _unpack((val, *vec.tolist()))
+        w0 = m11 * v0 + m12 * v1
+        w1 = m21 * v0 + m22 * v1
+        scale = max(_norm2((w0, w1)), abs(val) * _norm2((v0, v1)), 1e-300)
+        res = _norm2((w0 - val * v0, w1 - val * v1)) / scale
         if res > _FRAME_RESIDUAL_TOL:
             raise FrameMismatch(
                 f"{name} is not an eigenvector for its exponent "
@@ -329,9 +355,8 @@ def build_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem
         (relative).
     """
     _check_frame(system, frame)
-    eye = np.eye(2)
-    A0 = system.A - frame.alpha0 * eye
-    A1 = system.B - (frame.beta1 + 1) * eye
+    A0 = system.A - frame.alpha0 * _EYE
+    A1 = system.B - (frame.beta1 + 1) * _EYE
     if system.structure == "rational":
         t = system.tail
         return ShiftedSystem(A0=A0, A1=A1, tail_const=t.const,
@@ -353,9 +378,8 @@ def mirrored_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSys
 
 def _mirrored(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
     """`mirrored_shifted` without the frame check."""
-    eye = np.eye(2)
-    A0 = system.B - frame.beta2 * eye
-    A1 = system.A - frame.alpha0 * eye
+    A0 = system.B - frame.beta2 * _EYE
+    A1 = system.A - frame.alpha0 * _EYE
     if system.structure == "rational":
         t = system.tail
         # -G(1-x) = -C + sum_j R_j / (x - (1 - c_j))
@@ -432,15 +456,16 @@ def frobenius_step(state: SeriesState, shifted: ShiftedSystem) -> SeriesState:
         sums = [s.tolist() for s in state.tail_sums]
         k, u0, u1, d0, d1 = next(_rational_steps(
             shifted, state.k, state.u.tolist(), state.d.tolist(), sums))
-        return SeriesState(k=k, u=np.array([u0, u1]), d=np.array([d0, d1]),
-                           tail_sums=[np.array(s) for s in sums])
+        return SeriesState(k=k, u=np.array([u0, u1], dtype=complex),
+                           d=np.array([d0, d1], dtype=complex),
+                           tail_sums=[np.array(s, dtype=complex) for s in sums])
 
     k = state.k + 1
     hist = state.history
     conv = np.zeros(2, dtype=complex)
     for ell in range(k):
         conv = conv + shifted._coeff(k - 1 - ell) @ hist[ell]
-    rhs = (shifted.A1 + np.eye(2)) @ state.d - conv
+    rhs = (shifted.A1 + _EYE) @ state.d - conv
     # closed-form 2x2 solve of (A0 - k I) u = rhs; the determinant doubles
     # as the singular-step guard
     (a11, a12), (a21, a22) = shifted.A0.tolist()
@@ -461,21 +486,23 @@ def _rational_steps(shifted: ShiftedSystem, k: int, u: list, d: list,
                     sums: list):
     """Scalar recurrence kernel for rational structure.
 
-    Starts from u_k = ``u`` and d_k = ``d`` (pairs of complex) and yields
+    Starts from u_k = ``u`` and d_k = ``d`` (pairs of scalars) and yields
     ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
-    one [s0, s1] list per pole and is advanced in place.  Raises
-    SingularStep at the first k with |det(A0 - k*I)| < 1e-30.
+    one [s0, s1] list per pole and is advanced in place.  Every input goes
+    through `_unpack`, so a real problem steps on floats and yields floats.
+    Raises SingularStep at the first k with |det(A0 - k*I)| < 1e-30.
     """
-    (a11, a12), (a21, a22) = shifted.A0.tolist()
-    (e11, e12), (e21, e22) = (shifted.A1 + np.eye(2)).tolist()
-    (c11, c12), (c21, c22) = shifted.tail_const.tolist()
+    a11, a12, a21, a22 = _unpack(shifted.A0.ravel().tolist())
+    e11, e12, e21, e22 = _unpack((shifted.A1 + _EYE).ravel().tolist())
+    c11, c12, c21, c22 = _unpack(shifted.tail_const.ravel().tolist())
     a12a21 = a12 * a21
     # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
-    poles = [(*(r / c).ravel().tolist(), 1 / c, s)
-             for c, r, s in zip(shifted.tail_poles, shifted.tail_residues,
-                                sums)]
-    u0, u1 = u
-    d0, d1 = d
+    poles = []
+    for c, r, s in zip(shifted.tail_poles, shifted.tail_residues, sums):
+        s[:] = _unpack(s)
+        poles.append((*_unpack([*(r / c).ravel().tolist(), 1 / c]), s))
+    u0, u1 = _unpack(u)
+    d0, d1 = _unpack(d)
     # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
     w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
     w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
@@ -505,17 +532,16 @@ def _generic_steps(state: SeriesState, shifted: ShiftedSystem):
     """`frobenius_step` from ``state`` on, yielding like `_rational_steps`."""
     while True:
         state = frobenius_step(state, shifted)
-        (u0, u1), (d0, d1) = state.u.tolist(), state.d.tolist()
+        u0, u1, d0, d1 = _unpack([*state.u.tolist(), *state.d.tolist()])
         yield state.k, u0, u1, d0, d1
 
 
-def _steps(state: SeriesState, shifted: ShiftedSystem):
-    """Steps k+1, k+2, ... of the series from ``state`` as scalar tuples."""
+def _steps(shifted: ShiftedSystem, start: list):
+    """Steps 1, 2, ... of the series from u_0 = d_0 = ``start`` (2 scalars)."""
     if shifted.is_rational:
-        return _rational_steps(shifted, state.k, state.u.tolist(),
-                               state.d.tolist(),
-                               [s.tolist() for s in state.tail_sums])
-    return _generic_steps(state, shifted)
+        return _rational_steps(shifted, 0, start, start,
+                               [list(start) for _ in shifted.tail_poles])
+    return _generic_steps(series_start(start, shifted), shifted)
 
 
 def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
@@ -531,11 +557,11 @@ def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    state = series_start(start, shifted)
-    steps = itertools.islice(_steps(state, shifted), n_terms - 1)
+    start = _unpack(_c2vector(start).tolist())
+    steps = itertools.islice(_steps(shifted, start), n_terms - 1)
     # streamed into the array: a list of row tuples would hold several
     # times the result's memory at the peak
-    flat = itertools.chain(state.d.tolist(), itertools.chain.from_iterable(
+    flat = itertools.chain(start, itertools.chain.from_iterable(
         (d0, d1) for _, _, _, d0, d1 in steps))
     return np.fromiter(flat, dtype=complex, count=2 * n_terms).reshape(-1, 2)
 
@@ -663,14 +689,16 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                   tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
     """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
 
-    Runs the mirrored recurrence (`mirrored_shifted` through `prefix_sums`)
-    for the first n prefix sums d~_1..d~_n, then advances the main
-    recurrence, forming p_k, nu_k and Theta_k at each step from the first
-    usable index k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the
-    frame is nondegenerate.  For rational structure this is one loop of
-    plain complex arithmetic on the scalar kernel (see the module
-    docstring); p_k and nu_k follow the formulas of `p_vector` and
-    `weight_vector`.
+    Runs the mirrored recurrence (the system of `mirrored_shifted`) for the
+    first n prefix sums d~_1..d~_n, then advances the main recurrence,
+    forming p_k, nu_k and Theta_k at each step from the first usable index
+    k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the frame is
+    nondegenerate.  For rational structure this is one loop of plain scalar
+    arithmetic on the kernel: a0, b1, b2, delta and every kernel input with
+    imaginary part exactly 0 are floats, all others complex, which gives the
+    bits of all-complex arithmetic (see the module docstring).  p_k and nu_k
+    follow the formulas of `p_vector` and `weight_vector`; ``theta`` and
+    ``tau_estimate`` are returned as complex.
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -721,20 +749,23 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                          f"k = {k_start} at order n = {n}, got {k_max!r}")
     shifted = build_shifted(system, frame)      # the one frame check
 
-    # everything the loop reads, unpacked once; the frame checked b1 and b2
-    b10, b11 = frame.b1.tolist()
-    b20, b21 = frame.b2.tolist()
+    # everything the loop reads, unpacked once; the frame checked that a0,
+    # b1 and b2 = d~_0 are finite
+    a00, a01, b10, b11, b20, b21, delta_s = _unpack(
+        [*frame.a0.tolist(), *frame.b1.tolist(), *frame.b2.tolist(), delta])
     b1_norm = math.hypot(abs(b10), abs(b11))
-    tilde = prefix_sums(_mirrored(system, frame), frame.b2, n + 1)
-    if not np.all(np.isfinite(tilde)):
+    # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l, with the
+    # mirrored prefix sums d~_1..d~_n straight from the kernel
+    mirrored = itertools.islice(_steps(_mirrored(system, frame), [b20, b21]),
+                                n)
+    accel = [(m + delta_s, t0, t1)
+             for m, (_, _, _, t0, t1) in enumerate(mirrored)]
+    if not all(cmath.isfinite(t0) and cmath.isfinite(t1)
+               for _, t0, t1 in accel):
         raise ValueError("mirrored prefix sums d~_0..d~_n are not finite")
-    # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l
-    accel = [(m + delta, t0, t1)
-             for m, (t0, t1) in enumerate(tilde[1:].tolist())]
 
     denom = delta.real + n + 1
-    steps = itertools.islice(_steps(series_start(frame.a0, shifted), shifted),
-                             k_max)
+    steps = itertools.islice(_steps(shifted, [a00, a01]), k_max)
     prev_theta = None       # Theta_{k-1}; None after a skipped index
     theta = complex("nan")
     raw_bound = math.inf    # latest recorded bound
@@ -769,7 +800,7 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
             last_pair = (k, dtheta)
             if bound <= tol and calm >= _MONOTONE_STEPS:
                 return ThetaResult(
-                    theta=theta, error_bound=_BOUND_SAFETY * bound,
+                    theta=complex(theta), error_bound=_BOUND_SAFETY * bound,
                     k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
                     status="converged")
         prev_theta = theta
@@ -779,7 +810,8 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                            k_final=k_max, n=n, tau_estimate=complex("nan"),
                            status="frame_degenerate")
     bound = _BOUND_SAFETY * raw_bound if math.isfinite(raw_bound) else math.inf
-    return ThetaResult(theta=theta, error_bound=bound, k_final=k_max, n=n,
+    return ThetaResult(theta=complex(theta), error_bound=bound,
+                       k_final=k_max, n=n,
                        tau_estimate=_tau(last_pair, delta, n),
                        status="k_max_reached")
 
@@ -801,17 +833,27 @@ def _real_part(values, what: str):
         If some |imaginary part| exceeds 1e-10 * max(1, max |values|).
     """
     v = np.asarray(values)
-    imag = float(np.max(np.abs(v.imag), initial=0.0))
-    scale = max(float(np.max(np.abs(v), initial=0.0)), 1.0)
-    if not imag <= 1e-10 * scale:
+    _check_real(float(np.max(np.abs(v.imag), initial=0.0)),
+                float(np.max(np.abs(v), initial=0.0)), what)
+    return v.real
+
+
+def _check_real(imag: float, size: float, what) -> None:
+    """The `_real_part` test on max |imaginary part| and max |value|.
+
+    ``what`` names the value in the error: a string, or a callable that
+    returns one, so a passing check formats nothing.
+    """
+    if not imag <= 1e-10 * max(size, 1.0):
+        what = what() if callable(what) else what
         raise ConsistencyError(
             f"{what} should be real for real parameters (imaginary part "
             f"{imag:.3e})")
-    return v.real
 
 
 def _real_guard(result: ThetaResult, inputs_real: bool) -> ThetaResult:
     """Check that a finite Theta from real parameters is real."""
-    if inputs_real and math.isfinite(result.theta.real):
-        _real_part(result.theta, f"theta = {result.theta}")
+    theta = result.theta
+    if inputs_real and math.isfinite(theta.real):
+        _check_real(abs(theta.imag), abs(theta), lambda: f"theta = {theta}")
     return result

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ class SolverOptions:
 
     tol_residual: stop when |f| (max-norm for systems) drops below this.
     max_iter: iteration budget.  ValueError unless tol_residual > 0 (not
-    NaN) and max_iter >= 1.
+    NaN) and max_iter is an integer >= 1.
 
     `broyden2` always backtracks by step halving on a residual increase.
     """
@@ -33,8 +34,10 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol_residual > 0:       # also true for NaN
             raise ValueError("tol_residual must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got "
+                             f"{self.max_iter!r}")
 
 
 def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
@@ -80,14 +83,14 @@ def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, floa
     (a single warning reports how many).
 
     Raises ValueError unless lo and hi are finite with lo <= hi, and
-    step > 0.
+    step is finite and > 0.
     """
     lo, hi = float(lo), float(hi)
     if not -math.inf < lo <= hi < math.inf:     # also false for NaN
         raise ValueError(f"scan bounds must be finite with lo <= hi, got "
                          f"[{lo}, {hi}]")
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not 0 < step < math.inf:                 # also false for NaN
+        raise ValueError(f"step must be finite and > 0, got {step}")
     ts = []
     t = lo
     while t <= hi + 1e-12 * max(1.0, abs(hi)):

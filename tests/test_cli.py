@@ -155,6 +155,23 @@ def test_too_few_samples_exit_1_before_any_solve(argv, monkeypatch, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "0.26", "-0.45"]])
+@pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+def test_eigen_ell_bad_resolution_exits_1_before_any_theta(
+        resolution, seed, monkeypatch, capsys):
+    # 0 once fell back to the default 17x17 scan and exited 0
+    def fail(*args, **kwargs):
+        raise AssertionError("no Theta may run for a bad --resolution")
+
+    monkeypatch.setattr(ell, "theta", fail)
+    rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+               "--resolution", resolution] + seed)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "resolution" in captured.err
+    assert captured.out == ""
+
+
 def test_seedless_scan_exits_3(capsys):
     rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
                "--lambda-range", "30", "31", "--mu-range", "5", "6",

@@ -446,3 +446,85 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
     b = theta_iterate(sys_g, frame, n=5, tol=1e-8, k_max=300)
     allowance = a.error_bound + b.error_bound + 1e-9 * max(1.0, abs(a.theta))
     assert abs(a.theta - b.theta) <= allowance
+
+
+# --------------------------------------------------------------------------
+# property: exact-real unpacking keeps every value of all-complex arithmetic
+# --------------------------------------------------------------------------
+
+def _all_complex(values):
+    """`core._unpack` as it would be with no float fast path."""
+    return [complex(v) for v in values]
+
+
+def _same(a, b) -> bool:
+    """``a == b``, with NaN equal to NaN; arrays must share dtype and shape."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    return a == b or (a != a and b != b)
+
+
+def _draw_system(family, kind, x, y, im, c, bits):
+    """A system and frame of one family; ``kind`` says where i enters.
+
+    real: every parameter real; complex gamma: gamma (or gamma^2) complex;
+    mixed: gamma real but lambda (or t) complex, so the kernel mixes float
+    and complex entries.
+    """
+    if family == "ell":
+        gamma = complex(x, im) if kind == "complex gamma" else x
+        lam = complex(y, im) if kind == "mixed" else y
+        problem = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=bits[0],
+                                         sigma=bits[1], tau=bits[2])
+        return (ell.build_system(lam, -y, problem),
+                ell.spectral_frame(problem, ell.entries(lam, -y, problem)))
+    gamma2 = complex(x, im) if kind == "complex gamma" else x
+    t = complex(y, im) if kind == "mixed" else y
+    problem = sph.SpheroidalProblem(mu=bits[0] + bits[1] / 2, gamma2=gamma2)
+    return sph.build_system(t, problem), sph.spectral_frame(t, problem)
+
+
+def _outputs(system, frame, n):
+    """Every value the unpacking reaches: Theta, prefix sums, single steps."""
+    res = theta_iterate(system, frame, n=n, tol=1e-9, k_max=400)
+    out = [res.theta, res.error_bound, res.k_final, res.status,
+           res.tau_estimate]
+    for sh, start in ((build_shifted(system, frame), frame.a0),
+                      (mirrored_shifted(system, frame), frame.b2)):
+        out.append(prefix_sums(sh, start, 40))
+        st = series_start(start, sh)
+        for _ in range(5):
+            st = frobenius_step(st, sh)
+            out += [st.u, st.d, *st.tail_sums]
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=hst.sampled_from(["ell", "sph"]),
+       kind=hst.sampled_from(["real", "complex gamma", "mixed"]),
+       x=hst.floats(-20.0, 20.0, **_finite),
+       y=hst.floats(-20.0, 20.0, **_finite),
+       im=hst.floats(0.01, 5.0, **_finite),
+       c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
+       bits=hst.tuples(*[hst.integers(0, 1)] * 3),
+       n=hst.integers(0, 8))
+def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
+                                                bits, n):
+    system, frame = _draw_system(family, kind, x, y, im, c, bits)
+    fast = _outputs(system, frame, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_unpack", _all_complex)
+        reference = _outputs(system, frame, n)
+    # `==`: the two can differ only in the sign of an exact zero
+    assert all(_same(a, b) for a, b in zip(fast, reference, strict=True))
+    assert all(v.dtype == complex for v in fast if isinstance(v, np.ndarray))
+    assert type(fast[0]) is complex and type(fast[4]) is complex
+
+    # the fast path must really run on floats when the problem is real
+    start = core._unpack(frame.a0.tolist())
+    step = next(core._steps(build_shifted(system, frame), start))[1:]
+    if kind == "real":
+        assert all(type(v) is float for v in start + list(step))
+    else:
+        assert any(type(v) is complex for v in step)

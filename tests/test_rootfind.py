@@ -25,6 +25,13 @@ def test_options_reject_nan_tolerance():
         SolverOptions(tol_residual=float("nan"))
 
 
+@pytest.mark.parametrize("max_iter", [2.5, float("nan"), float("inf"), "50"])
+def test_options_reject_non_integer_max_iter(max_iter):
+    # these once passed and failed later inside the solver's range()
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverOptions(max_iter=max_iter)
+
+
 # --------------------------------------------------------------------------
 # secant
 # --------------------------------------------------------------------------
@@ -77,6 +84,16 @@ def test_bracket_scan_simple_crossings():
 def test_bracket_scan_validates_step():
     with pytest.raises(ValueError):
         bracket_scan(math.cos, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -0.5])
+def test_bracket_scan_rejects_non_finite_or_negative_step(step):
+    # a NaN or infinite step once sampled only the two endpoints, and
+    # missed the roots of cos between 0 and 7
+    calls = []
+    with pytest.raises(ValueError, match="step"):
+        bracket_scan(lambda t: calls.append(t) or math.cos(t), 0.0, 7.0, step)
+    assert calls == []
 
 
 def test_bracket_scan_exact_grid_zeros():

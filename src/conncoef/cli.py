@@ -191,15 +191,15 @@ def cmd_eigen_spheroidal(args) -> int:
     wall = time.perf_counter() - t0
     if args.csv:
         _write_csv("-", ["N", "lambda", "parity", "residual"],
-                   ([e.index, _fmt(complex(e.lam).real), e.parity,
+                   ([e.index, _fmt(e.lam), e.parity,
                      _fmt(e.residual)] for e in eigs))
     elif args.json:
-        _emit_json([{"index": e.index, "lambda": complex(e.lam).real,
+        _emit_json([{"index": e.index, "lambda": e.lam,
                      "t": e.t_root, "parity": e.parity,
                      "residual": e.residual} for e in eigs])
     else:
         for e in eigs:
-            print(f"N = {e.index}  lambda = {_fmt(complex(e.lam).real)}  "
+            print(f"N = {e.index}  lambda = {_fmt(e.lam)}  "
                   f"parity = {e.parity:+d}  residual = {e.residual:.2e}")
         print(f"wall_time_s = {wall:.3f}")
     return 0
@@ -300,7 +300,7 @@ def cmd_eigenfunction(args) -> int:
             vals = vals / np.max(np.abs(vals))
         _write_csv(args.output, ["x", "w"],
                    ([_fmt(x), _fmt(v)] for x, v in zip(xs, vals)))
-        summary = (f"N = {eig.index}  lambda = {_fmt(complex(eig.lam).real)}  "
+        summary = (f"N = {eig.index}  lambda = {_fmt(eig.lam)}  "
                    f"parity = {fn.parity:+d}  "
                    f"parity_deviation = {fn.parity_deviation:.2e}")
     wall = time.perf_counter() - t0
@@ -324,15 +324,14 @@ def _add_common(p: argparse.ArgumentParser, n_default: int = 5,
                    help="series step budget (default %(default)s)")
 
 
-def _add_ell_problem(p: argparse.ArgumentParser, with_tau: bool) -> None:
+def _add_ell_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=None,
                    help="coefficient gamma of the ellipsoidal equation")
     p.add_argument("--c", type=float, default=None,
                    help="third singular point c > 1")
     p.add_argument("--rho", type=int, default=0, choices=(0, 1))
     p.add_argument("--sigma", type=int, default=0, choices=(0, 1))
-    if with_tau:
-        p.add_argument("--tau", type=int, default=0, choices=(0, 1))
+    p.add_argument("--tau", type=int, default=0, choices=(0, 1))
     p.add_argument("--abramov", action="store_true",
                    help="take --k2/--omega2 (wave-number form) instead of "
                         "--gamma/--c")
@@ -365,7 +364,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_theta_ellipsoidal)
 
     p = sub.add_parser("eigen-ell", help="ellipsoidal eigenpairs")
-    _add_ell_problem(p, with_tau=True)
+    _add_ell_problem(p)
     p.add_argument("--seed", nargs=2, type=float, action="append",
                    metavar=("LAMBDA", "MU"),
                    help="starting pair for the two-parameter solver "
@@ -392,7 +391,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="theta samples on a grid or line")
     p.add_argument("--problem", choices=("ell", "sph"), required=True)
-    _add_ell_problem(p, with_tau=True)
+    _add_ell_problem(p)
     p.add_argument("--mu-order", dest="mu", type=float, default=0.0,
                    help="spheroidal order mu (spheroidal scans)")
     p.add_argument("--gamma2", type=float, default=None)
@@ -405,7 +404,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eigenfunction", help="sampled eigenfunction to CSV")
     p.add_argument("--problem", choices=("ell", "sph"), required=True)
-    _add_ell_problem(p, with_tau=True)
+    _add_ell_problem(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--mu", type=float, default=0.0,
                    help="ellipsoidal: seed mu; spheroidal: order mu")

@@ -52,7 +52,8 @@ CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands with
 imaginary part 0 give the real part that float arithmetic gives, as long as
 nothing overflows, and a float met by a complex is promoted to
 ``complex(x, 0.0)``.  Only the sign of an exact zero can differ; comparisons
-and ``abs`` do not see it.
+and ``abs`` do not see it.  So a system and frame with real entries give a
+Theta whose imaginary part is exactly 0, by construction and unchecked.
 
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
 that loop and takes the mirrored prefix sums straight from the kernel; the
@@ -73,8 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConsistencyError, DegenerateFrame, FrameMismatch,
-                     SingularStep)
+from .errors import DegenerateFrame, FrameMismatch, SingularStep
 
 __all__ = [
     "RationalTail",
@@ -823,37 +823,3 @@ def _tau(last_pair, delta: complex, n: int) -> complex:
     k, dtheta = last_pair
     return cmath.exp((delta + n + 2) * math.log(k)) * dtheta
 
-
-def _real_part(values, what: str):
-    """Real part of ``values`` (scalar or array), which must be real.
-
-    Raises
-    ------
-    ConsistencyError
-        If some |imaginary part| exceeds 1e-10 * max(1, max |values|).
-    """
-    v = np.asarray(values)
-    _check_real(float(np.max(np.abs(v.imag), initial=0.0)),
-                float(np.max(np.abs(v), initial=0.0)), what)
-    return v.real
-
-
-def _check_real(imag: float, size: float, what) -> None:
-    """The `_real_part` test on max |imaginary part| and max |value|.
-
-    ``what`` names the value in the error: a string, or a callable that
-    returns one, so a passing check formats nothing.
-    """
-    if not imag <= 1e-10 * max(size, 1.0):
-        what = what() if callable(what) else what
-        raise ConsistencyError(
-            f"{what} should be real for real parameters (imaginary part "
-            f"{imag:.3e})")
-
-
-def _real_guard(result: ThetaResult, inputs_real: bool) -> ThetaResult:
-    """Check that a finite Theta from real parameters is real."""
-    theta = result.theta
-    if inputs_real and math.isfinite(theta.real):
-        _check_real(abs(theta.imag), abs(theta), lambda: f"theta = {theta}")
-    return result

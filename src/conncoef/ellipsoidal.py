@@ -34,8 +34,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
-                   _power_sum, _real_guard, _real_part, build_shifted,
-                   mirrored_shifted, prefix_sums, theta_iterate)
+                   _power_sum, build_shifted, mirrored_shifted, prefix_sums,
+                   theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
@@ -199,15 +199,11 @@ def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
     Theta vanishes exactly when the chosen local solution at z=0 connects
     to the subdominant local solution at z=1.  Uses the rational-structure
     driver (one pole at c plus a constant term), so each recurrence step is
-    O(1) work.  Raises ConsistencyError if a finite Theta from real
-    parameters comes out with an imaginary part above 1e-10 * max(1, |Theta|).
+    O(1) work.
     """
     sys_ = build_system(lam, mu, problem)
     frame = spectral_frame(problem, entries(lam, mu, problem))
-    res = theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max)
-    real_in = (problem.is_real and complex(lam).imag == 0
-               and complex(mu).imag == 0)
-    return _real_guard(res, real_in)
+    return theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max)
 
 
 def theta_hat(lam, mu, problem: EllipsoidalProblem, n: int = 5,
@@ -476,16 +472,12 @@ class EllipsoidalEigenfunction:
 
 def _second_components(system: TwoPointSystem, frame: SpectralFrame,
                        mirrored: bool) -> np.ndarray:
-    """Prefix-sum second components <d_k, e2> for k < _SERIES_TERMS.
-
-    Raises ConsistencyError if the start value of the series is not real.
-    """
+    """Prefix-sum second components <d_k, e2> for k < _SERIES_TERMS."""
     if mirrored:
         d = prefix_sums(mirrored_shifted(system, frame), frame.b2,
                         _SERIES_TERMS)
     else:
         d = prefix_sums(build_shifted(system, frame), frame.a0, _SERIES_TERMS)
-    _real_part(d[0, 1], "series start value")
     return d[:, 1].real.copy()
 
 

@@ -15,8 +15,7 @@ class SingularStep(ConncoefError):
 
 
 class ConsistencyError(ConncoefError):
-    """A relation that holds in exact arithmetic failed beyond rounding: a
-    value that must be real for real parameters came out complex, or the
+    """A relation that holds in exact arithmetic failed beyond rounding: the
     entry-sum identity of an ellipsoidal system broke."""
 
 

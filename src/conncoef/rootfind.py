@@ -83,18 +83,23 @@ def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, floa
     (a single warning reports how many).
 
     Raises ValueError unless lo and hi are finite with lo <= hi, and
-    step is finite and > 0.
+    step is finite and above half an ulp of max(|lo|, |hi|) (so > 0);
+    a smaller step would round ``t += step`` back to t.
     """
     lo, hi = float(lo), float(hi)
     if not -math.inf < lo <= hi < math.inf:     # also false for NaN
         raise ValueError(f"scan bounds must be finite with lo <= hi, got "
                          f"[{lo}, {hi}]")
-    if not 0 < step < math.inf:                 # also false for NaN
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    m = max(abs(lo), abs(hi))
+    if not math.ulp(m) / 2 < step < math.inf:  # also false for NaN
+        raise ValueError(f"step must be finite and above half an ulp of "
+                         f"max(|lo|, |hi|) = {m}, got {step}")
     ts = []
     t = lo
     while t <= hi + 1e-12 * max(1.0, abs(hi)):
         ts.append(min(t, hi))
+        if t >= hi:     # the slack can exceed the step: take hi once
+            break
         t += step
     if ts[-1] < hi:
         ts.append(hi)

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
-                   _power_sum, _real_guard, _real_part, build_shifted,
-                   prefix_sums, theta_iterate)
+                   _power_sum, build_shifted, prefix_sums, theta_iterate)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
@@ -92,14 +91,9 @@ def spectral_frame(t, problem: SpheroidalProblem) -> SpectralFrame:
 
 def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
             k_max: int = 10 ** 6) -> ThetaResult:
-    """Connection coefficient Theta(t); zeros give the eigenvalues.
-
-    Raises ConsistencyError if a finite Theta from real parameters comes out
-    with an imaginary part above 1e-10 * max(1, |Theta|).
-    """
-    res = theta_iterate(build_system(t, problem), spectral_frame(t, problem),
-                        n=n, tol=tol, k_max=k_max)
-    return _real_guard(res, problem.is_real and complex(t).imag == 0)
+    """Connection coefficient Theta(t); zeros give the eigenvalues."""
+    return theta_iterate(build_system(t, problem), spectral_frame(t, problem),
+                         n=n, tol=tol, k_max=k_max)
 
 
 # --------------------------------------------------------------------------
@@ -258,8 +252,8 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     it converges geometrically where the direct form would crawl).
 
     Requires eig.residual <= 1e-8.  Raises ParityAmbiguous if the parity
-    probe fails at both x0 = 0.3 and x0 = 0.55, and ConsistencyError if the
-    values of a real problem come out complex.
+    probe fails at both x0 = 0.3 and x0 = 0.55.  Values are float for a
+    real problem, complex otherwise.
     """
     if not eig.residual <= 1e-8:
         raise ValueError(
@@ -279,6 +273,6 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         else:
             vals[i] = parity * _w_direct(coefs, mu, -float(xi))
     if problem.is_real:
-        vals = _real_part(vals, "eigenfunction values")
+        vals = vals.real
     return SpheroidalEigenfunction(x=x, values=vals, parity=parity,
                                    parity_deviation=float(deviation))

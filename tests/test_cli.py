@@ -15,6 +15,8 @@ import pytest
 from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
 from conncoef.cli import main
+from conncoef.errors import ScanExhausted
+from conncoef.rootfind import SolverOptions
 
 C_TABLE = "1.7142857142857142"  # 12/7
 
@@ -246,6 +248,63 @@ def test_eigen_sph_csv(capsys):
     assert abs(float(rows[0]["lambda"]) - (-2.872265935150069)) <= 1e-9
     assert [r["parity"] for r in rows] == ["1", "-1", "1"]
     assert all(float(r["residual"]) <= 1e-9 for r in rows)
+
+
+# eigen-sph as the CLI builds it: every flag at its default but these
+SPH_ARGS = ["eigen-sph", "--mu", "0", "--gamma2", "4", "--count", "3"]
+
+
+def _sph_library(count=3, **kw):
+    return sph.eigenvalues(sph.SpheroidalProblem(mu=0.0, gamma2=4.0), count,
+                           n=5, tol=1e-9, k_max=10 ** 6, **kw)
+
+
+def test_eigen_sph_json_equals_library(capsys):
+    assert main(SPH_ARGS + ["--json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert records == [{"index": e.index, "lambda": e.lam, "t": e.t_root,
+                        "parity": e.parity, "residual": e.residual}
+                       for e in _sph_library()]
+    assert all(type(r["lambda"]) is float for r in records)
+
+
+def test_eigen_sph_human_output_equals_library(capsys):
+    assert main(SPH_ARGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"N = {e.index}  lambda = {e.lam!r}  "
+                          f"parity = {e.parity:+d}  residual = "
+                          f"{e.residual:.2e}" for e in _sph_library()]
+    assert lines[-1].startswith("wall_time_s = ")
+
+
+def test_eigen_ell_abramov_human_output_equals_library(capsys):
+    rc = main(["eigen-ell", "--abramov", "--k2", "0.5", "--omega2", "1",
+               "--rho", "1", "--tau", "1",
+               "--seed", "202.28625", "-127.07475"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    gamma, c, _, _ = ell.from_abramov(0.5, 1.0, 0.0, 0.0)
+    problem = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, tau=1)
+    pair = ell.solve_pair(202.28625, -127.07475, problem,
+                          opts=SolverOptions(tol_residual=1e-8), n=5,
+                          k_max=10 ** 6)
+    _, _, H, L = ell.to_abramov(gamma, c, pair.lam, pair.mu)
+    assert lines[:-1] == [
+        f"lambda = {pair.lam!r}  mu = {pair.mu!r}  residuals = "
+        f"({pair.residual_theta:.2e}, {pair.residual_theta_hat:.2e})  "
+        f"H = {H!r}  L = {L!r}"]
+    assert lines[-1].startswith("wall_time_s = ")
+
+
+def test_typed_library_error_exits_2(capsys):
+    # one sign change in the explicit range and its one extension
+    rc = main(SPH_ARGS[:-1] + ["2", "--t-range", "0.1", "0.2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    with pytest.raises(ScanExhausted) as exc:
+        _sph_library(2, t_scan_range=(0.1, 0.2))
+    assert captured.err == f"error: {exc.value}\n"
+    assert captured.out == ""
 
 
 # --------------------------------------------------------------------------

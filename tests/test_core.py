@@ -465,11 +465,12 @@ def _same(a, b) -> bool:
 
 
 def _draw_system(family, kind, x, y, im, c, bits):
-    """A system and frame of one family; ``kind`` says where i enters.
+    """A system, frame, problem and parameters of one family; ``kind``
+    says where i enters.
 
     real: every parameter real; complex gamma: gamma (or gamma^2) complex;
     mixed: gamma real but lambda (or t) complex, so the kernel mixes float
-    and complex entries.
+    and complex entries.  The parameters are (lambda, mu) or (t,).
     """
     if family == "ell":
         gamma = complex(x, im) if kind == "complex gamma" else x
@@ -477,11 +478,13 @@ def _draw_system(family, kind, x, y, im, c, bits):
         problem = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=bits[0],
                                          sigma=bits[1], tau=bits[2])
         return (ell.build_system(lam, -y, problem),
-                ell.spectral_frame(problem, ell.entries(lam, -y, problem)))
+                ell.spectral_frame(problem, ell.entries(lam, -y, problem)),
+                problem, (lam, -y))
     gamma2 = complex(x, im) if kind == "complex gamma" else x
     t = complex(y, im) if kind == "mixed" else y
     problem = sph.SpheroidalProblem(mu=bits[0] + bits[1] / 2, gamma2=gamma2)
-    return sph.build_system(t, problem), sph.spectral_frame(t, problem)
+    return (sph.build_system(t, problem), sph.spectral_frame(t, problem),
+            problem, (t,))
 
 
 def _outputs(system, frame, n):
@@ -511,7 +514,8 @@ def _outputs(system, frame, n):
        n=hst.integers(0, 8))
 def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
                                                 bits, n):
-    system, frame = _draw_system(family, kind, x, y, im, c, bits)
+    system, frame, problem, params = _draw_system(family, kind, x, y, im, c,
+                                                  bits)
     fast = _outputs(system, frame, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_unpack", _all_complex)
@@ -524,7 +528,22 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
     # the fast path must really run on floats when the problem is real
     start = core._unpack(frame.a0.tolist())
     step = next(core._steps(build_shifted(system, frame), start))[1:]
-    if kind == "real":
-        assert all(type(v) is float for v in start + list(step))
-    else:
+    if kind != "real":
         assert any(type(v) is complex for v in step)
+        return
+    assert all(type(v) is float for v in start + list(step))
+
+    # so Theta of a real problem is real by construction, through every
+    # public entry point, and no runtime check is needed
+    kw = dict(n=n, tol=1e-9, k_max=400)
+    if family == "ell":
+        public = [ell.theta(*params, problem, **kw),
+                  ell.theta_hat(*params, problem, **kw)]
+    else:
+        public = [sph.theta_t(*params, problem, **kw)]
+    assert all(r.theta.imag == 0.0 for r in public)
+    if family == "sph":
+        eig = sph.eigenvalues(problem, 1)[0]
+        assert type(eig.lam) is float
+        fn = sph.eigenfunction(eig, problem, [-0.5, 0.0, 0.5])
+        assert fn.values.dtype == np.float64

@@ -200,6 +200,20 @@ def test_scan_grid_seeds_lead_to_eigenpairs(table_problem):
     assert abs(pair.mu + 0.5) <= 1e-6
 
 
+def test_scan_grid_reports_k_max_reached_nodes(table_problem):
+    # no node converges in 8 steps; each keeps its best Theta_k all the same
+    grid = ell.scan_grid(table_problem, (0, 4), (-4, 0), 3, k_max=8)
+    assert (grid.status == "k_max_reached").all()
+    assert not grid.all_converged
+    for i, lam in enumerate(grid.lambdas):
+        for j, mu in enumerate(grid.mus):
+            for fn, values in ((ell.theta, grid.theta),
+                               (ell.theta_hat, grid.theta_hat)):
+                res = fn(lam, mu, table_problem, tol=1e-8, k_max=8)
+                assert res.status == "k_max_reached"
+                assert values[i, j] == res.theta.real
+
+
 def test_scan_grid_resolution_validation(table_problem):
     with pytest.raises(ValueError, match="resolution"):
         ell.scan_grid(table_problem, (0, 1), (0, 1), 1)
@@ -465,15 +479,6 @@ def test_steep_wave_rows_converge_from_nearby_seeds(row):
         _, _, H_out, L_out = ell.to_abramov(gamma, c, pair.lam, pair.mu)
         assert abs(H_out - H) <= 5e-5
         assert abs(L_out - L) <= 5e-5
-
-
-def test_theta_raises_typed_error_on_complex_value(monkeypatch,
-                                                   anchor_problem):
-    fake = ThetaResult(theta=1.0 + 1e-3j, error_bound=0.0, k_final=1, n=5,
-                       tau_estimate=0j, status="converged")
-    monkeypatch.setattr(ell, "theta_iterate", lambda *a, **kw: fake)
-    with pytest.raises(ConsistencyError):
-        ell.theta(3.2, -5.0, anchor_problem)
 
 
 def test_wave_number_case_end_to_end():

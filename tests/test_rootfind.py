@@ -125,6 +125,30 @@ def test_bracket_scan_rejects_bad_bounds(lo, hi):
     assert calls == []
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (1e16, 1e16 + 4, 0.5),      # t += 0.5 rounds back to t
+    (1e16, 1e16, 0.5),
+    (-1e16 - 4, -1e16, 0.5),
+    (1e16, 1e16 + 2, 1.0),      # half an ulp: ties to even stall at 1e16
+])
+def test_bracket_scan_rejects_step_that_cannot_move_t(lo, hi, step):
+    # t += step cannot advance t in any of these: reject before sampling
+    calls = []
+    with pytest.raises(ValueError, match="ulp"):
+        bracket_scan(lambda t: calls.append(t) or t, lo, hi, step)
+    assert calls == []
+
+
+def test_bracket_scan_accepts_step_just_above_half_an_ulp():
+    # ulp(1e16) = 2: a step of 1.0000000000000002 moves t by one ulp.  The
+    # end slack 1e-12 * |hi| = 1e4 is far above the step, and hi is still
+    # sampled once
+    ts = []
+    bracket_scan(lambda t: ts.append(t) or 1.0, 1e16, 1e16 + 4,
+                 math.nextafter(1.0, 2.0))
+    assert ts == [1e16, 1e16 + 2, 1e16 + 4]
+
+
 def test_bracket_scan_warns_on_nan():
     def f(t):
         return float("nan") if t < 0 else t - 0.75

@@ -11,14 +11,13 @@ import pytest
 
 from conncoef import spheroidal as sph
 from conncoef.core import (
-    ThetaResult,
     build_shifted,
     frobenius_step,
     mirrored_shifted,
     series_start,
     theta_iterate,
 )
-from conncoef.errors import ConsistencyError, ScanExhausted
+from conncoef.errors import ScanExhausted
 
 from _oracle import theta_oracle
 
@@ -96,16 +95,6 @@ def test_theta_t_matches_general_path():
                       sph.spectral_frame(1.5, problem), n=5, tol=1e-12)
     assert a.theta == b.theta
     assert a.k_final == b.k_final
-
-
-@pytest.mark.parametrize("mu", [0, 1])
-def test_theta_t_raises_typed_error_on_complex_value(monkeypatch, mu):
-    # the real guard holds at mu = 0 as well as at mu > 0
-    fake = ThetaResult(theta=1.0 + 1e-3j, error_bound=0.0, k_final=1, n=5,
-                       tau_estimate=0j, status="converged")
-    monkeypatch.setattr(sph, "theta_iterate", lambda *a, **kw: fake)
-    with pytest.raises(ConsistencyError):
-        sph.theta_t(1.5, sph.SpheroidalProblem(mu=mu, gamma2=4.0))
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,10 @@ with eigenvalue solvers for the ellipsoidal and spheroidal wave equations."""
 
 from . import ellipsoidal, spheroidal
 from .core import (RationalTail, SeriesState, ShiftedSystem, SpectralFrame,
-                   ThetaResult, TwoPointSystem, build_shifted, frobenius_step,
-                   mirrored_shifted, p_vector, prefix_sums, series_start,
-                   theta_iterate, weight_vector)
+                   ThetaKernel, ThetaResult, TwoPointSystem, build_shifted,
+                   frobenius_step, mirrored_shifted, p_vector, prefix_sums,
+                   series_start, theta_iterate, theta_kernel, theta_many,
+                   weight_vector)
 from .errors import (ConncoefError, ConsistencyError, DegenerateFrame,
                      FrameMismatch, InvalidExponent, MatchFailure,
                      NoConvergence, ParityAmbiguous, QuadratureNotConverged,
@@ -21,6 +22,7 @@ __all__ = [
     "ShiftedSystem",
     "SeriesState",
     "ThetaResult",
+    "ThetaKernel",
     "build_shifted",
     "mirrored_shifted",
     "series_start",
@@ -28,7 +30,9 @@ __all__ = [
     "prefix_sums",
     "p_vector",
     "weight_vector",
+    "theta_kernel",
     "theta_iterate",
+    "theta_many",
     "SolverOptions",
     "secant",
     "bracket_scan",

@@ -42,10 +42,12 @@ iteration stops on the a posteriori bound
 
 valid for every eps > 0 once k is large enough; see `theta_iterate`.
 
-For rational structure every series runs on one scalar recurrence kernel:
-the entries of A0, A1 + I and C, the poles c_j and the residues R_j are
-unpacked into Python scalars once, and a single loop advances u_k, d_k and
-the geometric sums s_k^(j) with no array allocation per step.  A value whose
+For rational structure every series runs on one scalar recurrence kernel,
+which reads one plain description of the problem, a `ThetaKernel`: Python
+scalars for the entries of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per
+pole, for the main and the mirrored series, plus a0, b1, b2 and delta.  A
+single loop advances u_k, d_k and the geometric sums s_k^(j) with no array
+allocation per step.  A value whose
 imaginary part is exactly 0 is unpacked as a float, any other as a complex
 (`_unpack`), so real problems run on float arithmetic.  This keeps the bits:
 CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands with
@@ -61,6 +63,21 @@ eigenfunction coefficient sequences (`prefix_sums`) use the same kernel.
 The public `frobenius_step`, `p_vector` and `weight_vector` stay as
 validating single-step entry points.  Generic structure keeps its own O(k)
 convolution in `frobenius_step`.
+
+Two kinds of caller fill the description.  `theta_iterate` given a
+`TwoPointSystem` and a `SpectralFrame` checks the frame against the system
+once, then reads the shifted arrays (`theta_kernel`).  `spheroidal.theta_t`
+and `ellipsoidal.theta` fill it in closed form, with no array and no frame
+check, since their frames are exact eigenvectors by construction; each
+scalar comes out of the same floating-point operations as the array path,
+so the values are the same bits.  `theta_many` runs many descriptions as
+one batch and returns, bit for bit, what `theta_iterate` returns for each:
+those whose scalars are all floats advance in lockstep, one numpy
+operation per scalar operation of the loop, in the same order, and a
+description leaves the arrays when its iteration stops.  IEEE arithmetic
+on float64 arrays is the scalar float arithmetic, so the bits agree;
+numpy's complex division is not CPython's, so a description holding a
+complex scalar runs the scalar loop on its own.
 """
 
 from __future__ import annotations
@@ -69,12 +86,14 @@ import cmath
 import itertools
 import math
 import numbers
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFrame, FrameMismatch, SingularStep
+from .errors import ConncoefError, DegenerateFrame, FrameMismatch, SingularStep
 
 __all__ = [
     "RationalTail",
@@ -83,6 +102,7 @@ __all__ = [
     "ShiftedSystem",
     "SeriesState",
     "ThetaResult",
+    "ThetaKernel",
     "build_shifted",
     "mirrored_shifted",
     "series_start",
@@ -90,7 +110,9 @@ __all__ = [
     "prefix_sums",
     "p_vector",
     "weight_vector",
+    "theta_kernel",
     "theta_iterate",
+    "theta_many",
 ]
 
 #: determinant threshold below which a recurrence step counts as singular
@@ -128,11 +150,12 @@ def _c2matrix(x) -> np.ndarray:
 def _unpack(values) -> list:
     """Kernel scalars: a float where the imaginary part is exactly 0.
 
-    Every other value stays complex.  Float arithmetic gives the real part
-    that complex arithmetic would give (see the module docstring), so a real
-    problem keeps its values and runs faster.
+    Every other value becomes a Python complex.  Float arithmetic gives the
+    real part that complex arithmetic would give (see the module
+    docstring), so a real problem keeps its values and runs faster.
     """
-    return [v.real if v.imag == 0 else v for v in values]
+    return [v if type(v) is float
+            else z.real if (z := complex(v)).imag == 0 else z for v in values]
 
 
 # --------------------------------------------------------------------------
@@ -264,17 +287,7 @@ class SpectralFrame:
         object.__setattr__(self, "beta2", complex(self.beta2))
         for name in ("a0", "b1", "b2"):
             object.__setattr__(self, name, _c2vector(getattr(self, name)))
-        if self.beta1 == self.beta2:
-            raise FrameMismatch("beta1 and beta2 must be distinct")
-        if not self.delta.real > -1:
-            raise FrameMismatch(
-                f"Re(delta) = {self.delta.real} <= -1 is outside the frame's "
-                "admissible region")
-        b1, b2 = self.b1.tolist(), self.b2.tolist()
-        det12 = b1[0] * b2[1] - b1[1] * b2[0]
-        scale = _norm2(b1) * _norm2(b2)
-        if abs(det12) <= 1e-14 * scale:
-            raise FrameMismatch("b1 and b2 are (numerically) linearly dependent")
+        _check_exponents(self.delta, self.b1.tolist(), self.b2.tolist())
 
     @property
     def delta(self) -> complex:
@@ -314,6 +327,21 @@ class ShiftedSystem:
 
 def _norm2(v) -> float:
     return math.hypot(abs(v[0]), abs(v[1]))
+
+
+def _check_exponents(delta, b1, b2) -> None:
+    """A frame's own conditions: delta != 0, Re(delta) > -1, b1 and b2
+    linearly independent."""
+    if delta == 0:
+        raise FrameMismatch("beta1 and beta2 must be distinct")
+    if not delta.real > -1:
+        raise FrameMismatch(
+            f"Re(delta) = {delta.real} <= -1 is outside the frame's "
+            "admissible region")
+    det12 = b1[0] * b2[1] - b1[1] * b2[0]
+    scale = _norm2(b1) * _norm2(b2)
+    if abs(det12) <= 1e-14 * scale:
+        raise FrameMismatch("b1 and b2 are (numerically) linearly dependent")
 
 
 def _check_frame(system: TwoPointSystem, frame: SpectralFrame) -> None:
@@ -393,6 +421,87 @@ def _mirrored(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
 
 
 # --------------------------------------------------------------------------
+# the kernel's description of a Theta problem
+# --------------------------------------------------------------------------
+
+class ThetaKernel(NamedTuple):
+    """Everything `theta_iterate` reads, as Python scalars.
+
+    ``main`` describes the shifted system of the series started from ``a0``
+    (see `build_shifted`), ``mirror`` that of the mirrored series started
+    from ``b2`` (see `mirrored_shifted`).  Each is a flat tuple, a *side*:
+    the entries of A0, A1 + I and C, row-major, then per pole c_j the
+    entries of R_j / c_j, row-major, and 1 / c_j.  A generic-structure
+    system keeps its two `ShiftedSystem` objects there instead.  ``b1``,
+    ``b2`` and ``delta`` = beta2 - beta1 are the frame's data at z = 1.
+    Make one with `theta_kernel`.
+    """
+
+    main: tuple | ShiftedSystem
+    mirror: tuple | ShiftedSystem
+    a0: tuple
+    b1: tuple
+    b2: tuple
+    delta: float | complex
+
+
+def _side(values) -> tuple:
+    """A side of kernel scalars (see `ThetaKernel`), each through `_unpack`.
+
+    Raises ValueError if one is not finite.
+    """
+    side = tuple(_unpack(values))
+    if not all(map(cmath.isfinite, side)):
+        raise ValueError("Theta kernel has non-finite entries")
+    return side
+
+
+def _series(shifted: ShiftedSystem):
+    """The side of a rational shifted system; a generic one as is."""
+    if not shifted.is_rational:
+        return shifted
+    # numpy divides a complex array by c as a product with 1 / c
+    return _side([*shifted.A0.ravel().tolist(),
+                  *(shifted.A1 + _EYE).ravel().tolist(),
+                  *shifted.tail_const.ravel().tolist(),
+                  *itertools.chain(*((*(r / c).ravel().tolist(), 1 / c)
+                                     for c, r in zip(shifted.tail_poles,
+                                                     shifted.tail_residues)))])
+
+
+def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
+    """Check a Theta problem's data and unpack it into a `ThetaKernel`.
+
+    ``main`` and ``mirror`` are each a sequence of numbers laid out as a
+    side (see `ThetaKernel`), or a generic-structure `ShiftedSystem`, taken
+    as is.  ``a0``, ``b1`` and ``b2`` are pairs of numbers.  Every number
+    goes through `_unpack`, so a real problem is described by floats.
+
+    Raises
+    ------
+    ValueError
+        If a number is not finite.
+    FrameMismatch
+        As `SpectralFrame`: delta = 0, Re(delta) <= -1, or b1 and b2
+        (numerically) linearly dependent.
+    """
+    sides = [s if isinstance(s, ShiftedSystem) else _side(s)
+             for s in (main, mirror)]
+    frame = _side([*a0, *b1, *b2, delta])
+    a0, b1, b2 = frame[0:2], frame[2:4], frame[4:6]
+    _check_exponents(frame[6], b1, b2)
+    return ThetaKernel(*sides, a0, b1, b2, frame[6])
+
+
+def _frame_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
+    """The `ThetaKernel` of a system and frame, after the one frame check."""
+    shifted = build_shifted(system, frame)
+    return theta_kernel(_series(shifted), _series(_mirrored(system, frame)),
+                        frame.a0.tolist(), frame.b1.tolist(),
+                        frame.b2.tolist(), frame.delta)
+
+
+# --------------------------------------------------------------------------
 # Frobenius recurrence
 # --------------------------------------------------------------------------
 
@@ -453,9 +562,10 @@ def frobenius_step(state: SeriesState, shifted: ShiftedSystem) -> SeriesState:
         if state.tail_sums is None or (len(state.tail_sums)
                                        != len(shifted.tail_poles)):
             raise ValueError("state needs one tail accumulator per pole")
-        sums = [s.tolist() for s in state.tail_sums]
+        sums = [_unpack(s.tolist()) for s in state.tail_sums]
         k, u0, u1, d0, d1 = next(_rational_steps(
-            shifted, state.k, state.u.tolist(), state.d.tolist(), sums))
+            _series(shifted), state.k, _unpack(state.u.tolist()),
+            _unpack(state.d.tolist()), sums))
         return SeriesState(k=k, u=np.array([u0, u1], dtype=complex),
                            d=np.array([d0, d1], dtype=complex),
                            tail_sums=[np.array(s, dtype=complex) for s in sums])
@@ -482,27 +592,23 @@ def _singular_step(k: int, det: complex) -> SingularStep:
     return SingularStep(f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
 
 
-def _rational_steps(shifted: ShiftedSystem, k: int, u: list, d: list,
-                    sums: list):
+def _rational_steps(side: tuple, k: int, u: list, d: list, sums: list):
     """Scalar recurrence kernel for rational structure.
 
     Starts from u_k = ``u`` and d_k = ``d`` (pairs of scalars) and yields
     ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
-    one [s0, s1] list per pole and is advanced in place.  Every input goes
-    through `_unpack`, so a real problem steps on floats and yields floats.
-    Raises SingularStep at the first k with |det(A0 - k*I)| < 1e-30.
+    one [s0, s1] list per pole and is advanced in place.  All of them are
+    kernel scalars (see `_unpack`), like the side's, so a real problem
+    steps on floats and yields floats.  Raises SingularStep at the first k
+    with |det(A0 - k*I)| < 1e-30.
     """
-    a11, a12, a21, a22 = _unpack(shifted.A0.ravel().tolist())
-    e11, e12, e21, e22 = _unpack((shifted.A1 + _EYE).ravel().tolist())
-    c11, c12, c21, c22 = _unpack(shifted.tail_const.ravel().tolist())
+    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
     a12a21 = a12 * a21
     # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
-    poles = []
-    for c, r, s in zip(shifted.tail_poles, shifted.tail_residues, sums):
-        s[:] = _unpack(s)
-        poles.append((*_unpack([*(r / c).ravel().tolist(), 1 / c]), s))
-    u0, u1 = _unpack(u)
-    d0, d1 = _unpack(d)
+    poles = [(*side[j:j + 5], s) for j, s in zip(range(12, len(side), 5),
+                                                  sums)]
+    u0, u1 = u
+    d0, d1 = d
     # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
     w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
     w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
@@ -536,12 +642,17 @@ def _generic_steps(state: SeriesState, shifted: ShiftedSystem):
         yield state.k, u0, u1, d0, d1
 
 
-def _steps(shifted: ShiftedSystem, start: list):
-    """Steps 1, 2, ... of the series from u_0 = d_0 = ``start`` (2 scalars)."""
-    if shifted.is_rational:
-        return _rational_steps(shifted, 0, start, start,
-                               [list(start) for _ in shifted.tail_poles])
-    return _generic_steps(series_start(start, shifted), shifted)
+def _steps(series, start: list):
+    """Steps 1, 2, ... of the series from u_0 = d_0 = ``start`` (2 scalars).
+
+    ``series`` is a side of a `ThetaKernel` or a `ShiftedSystem`.
+    """
+    if isinstance(series, ShiftedSystem):
+        if not series.is_rational:
+            return _generic_steps(series_start(start, series), series)
+        series = _series(series)
+    return _rational_steps(series, 0, start, start,
+                           [list(start) for _ in range(12, len(series), 5)])
 
 
 def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
@@ -685,6 +796,23 @@ _BOUND_SAFETY = 2.0
 _MONOTONE_STEPS = 5
 
 
+def _first_index(n, tol, k_max, delta) -> int:
+    """The one check of n, tol and k_max; returns the first usable index.
+
+    k_start is the first k > Re(delta) + n - 1, the range `p_vector`
+    admits, and at least 1.  ``tol >= 0`` is False for NaN.
+    """
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
+    k_start = max(math.floor(delta.real + n - 1) + 1, 1)
+    if not (isinstance(k_max, numbers.Integral) and k_max >= k_start):
+        raise ValueError(f"k_max must be an integer >= the first usable index "
+                         f"k = {k_start} at order n = {n}, got {k_max!r}")
+    return k_start
+
+
 def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                   tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
     """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
@@ -694,11 +822,11 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     forming p_k, nu_k and Theta_k at each step from the first usable index
     k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the frame is
     nondegenerate.  For rational structure this is one loop of plain scalar
-    arithmetic on the kernel: a0, b1, b2, delta and every kernel input with
-    imaginary part exactly 0 are floats, all others complex, which gives the
-    bits of all-complex arithmetic (see the module docstring).  p_k and nu_k
-    follow the formulas of `p_vector` and `weight_vector`; ``theta`` and
-    ``tau_estimate`` are returned as complex.
+    arithmetic on the kernel's description (`ThetaKernel`): every scalar
+    with imaginary part exactly 0 is a float, all others complex, which
+    gives the bits of all-complex arithmetic (see the module docstring).
+    p_k and nu_k follow the formulas of `p_vector` and `weight_vector`;
+    ``theta`` and ``tau_estimate`` are returned as complex.
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -711,6 +839,9 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     Parameters
     ----------
     system, frame : TwoPointSystem, SpectralFrame
+        The frame is checked against the system once.  In their place a
+        `ThetaKernel` may be passed as ``system``, with ``frame`` None; it
+        is read as is, with no frame check.
     n : int
         Acceleration order.  The default 5 reaches ~1e-10 bounds within a few
         hundred steps on the wave-equation systems; n <= 1 may need millions
@@ -733,39 +864,33 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         Before any series work unless n is an integer >= 0, tol a real
         number >= 0 (not NaN) and k_max an integer >= k_start; and if
         d~_0..d~_n are not finite.
+    FrameMismatch
+        As `build_shifted`.
     SingularStep
         As `frobenius_step`.
     """
-    # the one check of n, tol and k_max; `tol >= 0` is False for NaN
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
-        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
-    delta = frame.delta
-    # first k > Re(delta) + n - 1, the range `p_vector` admits
-    k_start = max(math.floor(delta.real + n - 1) + 1, 1)
-    if not (isinstance(k_max, numbers.Integral) and k_max >= k_start):
-        raise ValueError(f"k_max must be an integer >= the first usable index "
-                         f"k = {k_start} at order n = {n}, got {k_max!r}")
-    shifted = build_shifted(system, frame)      # the one frame check
+    if isinstance(system, ThetaKernel):
+        if frame is not None:
+            raise TypeError("pass frame=None with a ThetaKernel")
+        kernel = system
+        k_start = _first_index(n, tol, k_max, kernel.delta)
+    else:
+        k_start = _first_index(n, tol, k_max, frame.delta)
+        kernel = _frame_kernel(system, frame)       # the one frame check
 
-    # everything the loop reads, unpacked once; the frame checked that a0,
-    # b1 and b2 = d~_0 are finite
-    a00, a01, b10, b11, b20, b21, delta_s = _unpack(
-        [*frame.a0.tolist(), *frame.b1.tolist(), *frame.b2.tolist(), delta])
+    main, mirror, (a00, a01), (b10, b11), (b20, b21), delta = kernel
     b1_norm = math.hypot(abs(b10), abs(b11))
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l, with the
     # mirrored prefix sums d~_1..d~_n straight from the kernel
-    mirrored = itertools.islice(_steps(_mirrored(system, frame), [b20, b21]),
-                                n)
-    accel = [(m + delta_s, t0, t1)
+    mirrored = itertools.islice(_steps(mirror, [b20, b21]), n)
+    accel = [(m + delta, t0, t1)
              for m, (_, _, _, t0, t1) in enumerate(mirrored)]
     if not all(cmath.isfinite(t0) and cmath.isfinite(t1)
                for _, t0, t1 in accel):
-        raise ValueError("mirrored prefix sums d~_0..d~_n are not finite")
+        raise ValueError(_MIRROR_NOT_FINITE)
 
     denom = delta.real + n + 1
-    steps = itertools.islice(_steps(shifted, [a00, a01]), k_max)
+    steps = itertools.islice(_steps(main, [a00, a01]), k_max)
     prev_theta = None       # Theta_{k-1}; None after a skipped index
     theta = complex("nan")
     raw_bound = math.inf    # latest recorded bound
@@ -799,12 +924,25 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
             raw_bound = bound
             last_pair = (k, dtheta)
             if bound <= tol and calm >= _MONOTONE_STEPS:
-                return ThetaResult(
-                    theta=complex(theta), error_bound=_BOUND_SAFETY * bound,
-                    k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
-                    status="converged")
+                return _converged(theta, bound, k, n, last_pair, delta)
         prev_theta = theta
 
+    return _exhausted(seen_valid, theta, raw_bound, k_max, n, last_pair, delta)
+
+
+_MIRROR_NOT_FINITE = "mirrored prefix sums d~_0..d~_n are not finite"
+
+
+def _converged(theta, bound, k, n, last_pair, delta) -> ThetaResult:
+    """The result of a run that met its stop rule at step k."""
+    return ThetaResult(theta=complex(theta), error_bound=_BOUND_SAFETY * bound,
+                       k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
+                       status="converged")
+
+
+def _exhausted(seen_valid, theta, raw_bound, k_max, n, last_pair,
+               delta) -> ThetaResult:
+    """The result of a run that used its whole step budget."""
     if not seen_valid:
         return ThetaResult(theta=complex("nan"), error_bound=math.inf,
                            k_final=k_max, n=n, tau_estimate=complex("nan"),
@@ -823,3 +961,232 @@ def _tau(last_pair, delta: complex, n: int) -> complex:
     k, dtheta = last_pair
     return cmath.exp((delta + n + 2) * math.log(k)) * dtheta
 
+
+# --------------------------------------------------------------------------
+# many Theta problems in lockstep
+# --------------------------------------------------------------------------
+
+def theta_many(kernels, n: int = 5, tol: float = 1e-10,
+               k_max: int = 10 ** 6) -> list:
+    """`theta_iterate` of many `ThetaKernel` objects, bit for bit, as a batch.
+
+    ``kernels`` may be any iterable; it is read once, and a float kernel is
+    kept only as its scalars.  Returns one entry per kernel, in order: the
+    `ThetaResult` that ``theta_iterate(kernel, None, n=n, tol=tol,
+    k_max=k_max)`` returns, or None where that call raises a
+    `ConncoefError` or an `ArithmeticError`.
+    Kernels whose scalars are all floats advance together, grouped by first
+    usable index and side lengths: one numpy loop runs the operations of
+    the scalar loop in the same order on arrays with one entry per kernel,
+    so IEEE arithmetic gives the same bits, and the kernels that stop leave
+    the arrays.  Any other kernel (a complex scalar, generic structure)
+    runs `theta_iterate` on its own, because numpy's complex division is
+    not CPython's.
+
+    Raises
+    ------
+    ValueError
+        As `theta_iterate`: before any series work for a bad n, tol or
+        k_max, and if some kernel's d~_0..d~_n are not finite.
+    """
+    out = []
+    groups = {}         # (k_start, side lengths) -> (positions, scalars)
+    alone = []
+    k_starts = {}       # the gate, once per distinct delta
+    for i, kernel in enumerate(kernels):
+        out.append(None)
+        if kernel.delta not in k_starts:
+            k_starts[kernel.delta] = _first_index(n, tol, k_max, kernel.delta)
+        row = _float_row(kernel)
+        if row is None:
+            alone.append((i, kernel))
+            continue
+        key = (k_starts[kernel.delta], len(kernel.main), len(kernel.mirror))
+        idx, scalars = groups.setdefault(key, ([], array("d")))
+        idx.append(i)
+        scalars.extend(row)
+    # no numpy warning escapes: where the scalar loop meets inf or NaN
+    # without raising, so do the arrays
+    with np.errstate(all="ignore"):
+        for (k_start, m, _), (idx, scalars) in groups.items():
+            table = np.frombuffer(scalars).reshape(len(idx), -1).T
+            for i, res in zip(idx, _lockstep(table, m, n, tol, k_max,
+                                             k_start)):
+                out[i] = res
+    for i, kernel in alone:
+        try:
+            out[i] = theta_iterate(kernel, None, n=n, tol=tol, k_max=k_max)
+        except (ConncoefError, ArithmeticError):
+            pass
+    return out
+
+
+def _float_row(kernel: ThetaKernel) -> list | None:
+    """The kernel's scalars in `_lockstep`'s order, or None unless every one
+    is a float."""
+    main, mirror, a0, b1, b2, delta = kernel
+    if isinstance(main, ShiftedSystem):
+        return None
+    row = [*main, *mirror, *a0, *b1, *b2, delta]
+    return row if set(map(type, row)) == {float} else None
+
+
+def _batch_start(side, x0, x1) -> list:
+    """State u_0 = d_0 = s_0^(j) = (x0, x1) of `_batch_step` on ``side``."""
+    w0 = w1 = np.zeros(len(x0))
+    for j in range(12, len(side), 5):
+        q11, q12, q21, q22, _ = side[j:j + 5]
+        w0 = w0 + (q11 * x0 + q12 * x1)
+        w1 = w1 + (q21 * x0 + q22 * x1)
+    return [x0, x1, x0, x1, w0, w1] + [x0, x1] * ((len(side) - 12) // 5)
+
+
+def _batch_step(k: int, side, state: list):
+    """One `_rational_steps` step on arrays, operation for operation.
+
+    ``side`` holds one row per scalar of a side (see `ThetaKernel`),
+    ``state`` the arrays u0, u1, d0, d1, w0, w1 and s0, s1 per pole.
+    Returns the new state and the mask of singular steps.
+    """
+    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
+    u0, u1, d0, d1, w0, w1, *sums = state
+    r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+    r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+    m11 = a11 - k
+    m22 = a22 - k
+    det = m11 * m22 - a12 * a21
+    u0 = (m22 * r0 - a12 * r1) / det
+    u1 = (m11 * r1 - a21 * r0) / det
+    w0 = w1 = np.zeros(len(det))
+    for i, j in enumerate(range(12, len(side), 5)):
+        q11, q12, q21, q22, inv_c = side[j:j + 5]
+        s0 = sums[2 * i] = sums[2 * i] * inv_c + u0
+        s1 = sums[2 * i + 1] = sums[2 * i + 1] * inv_c + u1
+        w0 = w0 + (q11 * s0 + q12 * s1)
+        w1 = w1 + (q21 * s0 + q22 * s1)
+    return ([u0, u1, d0 + u0, d1 + u1, w0, w1, *sums],
+            np.abs(det) < _SINGULAR_STEP_TOL)
+
+
+def _degenerate(norm, b1_norm, p0, p1):
+    """The `weight_vector` degeneracy test of `theta_iterate`, on arrays.
+
+    np.hypot and math.hypot may differ in the last bit, so every node the
+    arrays find degenerate, or within a hair of it, is decided by
+    math.hypot on its scalars, as the scalar loop decides it.
+    """
+    lhs = np.abs(norm)
+    rhs = _DEGENERATE_TOL * b1_norm * np.hypot(p0, p1)
+    out = np.zeros(len(lhs), dtype=bool)
+    for j in np.flatnonzero(lhs <= rhs * (1 + 1e-14)).tolist():
+        out[j] = lhs[j] <= _DEGENERATE_TOL * b1_norm[j] * math.hypot(
+            abs(p0[j]), abs(p1[j]))
+    return out
+
+
+def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
+    """The loop of `theta_iterate` on columns of float kernels.
+
+    ``table`` has one row per scalar in `_float_row`'s order, with the main
+    side in its first ``m`` rows, and one column per kernel; ``k_start`` is
+    the kernels' first usable index.  Every array operation is the scalar
+    loop's operation, in the same order.  Returns a `ThetaResult`, or None
+    for a raised `ConncoefError` or `ArithmeticError`, per column.
+    """
+    results = [None] * table.shape[1]
+    mirror = table[m:-7]
+    a00, a01, b10, b11, b20, b21, delta = table[-7:]
+
+    # the mirrored prefix sums d~_1..d~_n; a singular step fails its kernel
+    state = _batch_start(mirror, b20, b21)
+    failed = np.zeros(table.shape[1], dtype=bool)
+    accel = []
+    for k in range(1, n + 1):
+        state, singular = _batch_step(k, mirror, state)
+        failed |= singular
+        accel += [(k - 1) + delta, state[2], state[3]]
+    if not all(np.isfinite(t[~failed]).all()
+               for t in accel[1::3] + accel[2::3]):
+        raise ValueError(_MIRROR_NOT_FINITE)
+
+    # the main series; every per-kernel constant sits in one table, so that
+    # one index drops the kernels that stopped
+    b1_norm = [math.hypot(abs(x), abs(y))
+               for x, y in zip(b10.tolist(), b11.tolist())]
+    consts = np.vstack([table[:m], a00, a01, b10, b11, b20, b21, b1_norm,
+                        delta, delta + n + 1, *accel])
+
+    def split(consts):
+        return consts[:m], consts[m:m + 9], consts[m + 9:]
+
+    side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), acc = split(
+        consts)
+    state = _batch_start(side, a00, a01)
+    cols = np.arange(len(failed))       # the table column of each entry
+    prev = theta = last_d = np.full(len(cols), np.nan)
+    raw = np.full(len(cols), np.inf)
+    calm = last_k = np.zeros(len(cols), dtype=int)
+    has_prev = seen = has_last = np.zeros(len(cols), dtype=bool)
+    done = failed       # stopped, with its result (or None) recorded
+
+    for k in range(1, k_max + 1):
+        state, stop = _batch_step(k, side, state)
+        if k >= k_start:
+            p0, p1 = b20, b21
+            prod = 1.0
+            for m_delta, t0, t1 in zip(acc[0::3], acc[1::3], acc[2::3]):
+                prod = prod * (m_delta / (m_delta - k))
+                p0 = p0 + prod * t0
+                p1 = p1 + prod * t1
+            norm = b10 * p1 - b11 * p0
+            valid = ~_degenerate(norm, b1_norm, p0, p1)
+            theta_k = state[2] * (p1 / norm) + state[3] * (-p0 / norm)
+            new = valid & has_prev      # the kernels that record a bound
+            dtheta = theta_k - prev
+            bound = k * np.abs(dtheta) / denom
+            calm = np.where(new, np.where((bound <= raw) | (bound <= tol),
+                                          calm + 1, 1), calm)
+            raw = np.where(new, bound, raw)
+            last_k = np.where(new, k, last_k)
+            last_d = np.where(new, dtheta, last_d)
+            has_last = has_last | new
+            theta = np.where(valid, theta_k, theta)
+            seen = seen | valid
+            prev, has_prev = theta_k, valid
+            conv = (new & (bound <= tol) & (calm >= _MONOTONE_STEPS)
+                    & ~(stop | done))
+            for j in np.flatnonzero(conv).tolist():
+                results[cols[j]] = _or_none(
+                    _converged, theta_k[j].item(), bound[j].item(), k, n,
+                    (k, dtheta[j].item()), delta[j].item())
+            stop = stop | conv
+        done = done | stop
+        # stopped kernels step on until a quarter of the arrays is spent
+        if 4 * np.count_nonzero(done) >= len(done):
+            keep = ~done
+            cols = cols[keep]
+            if not cols.size:
+                return results
+            consts = consts[:, keep]
+            side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), \
+                acc = split(consts)
+            state = [x[keep] for x in state]
+            (prev, theta, last_d, raw, calm, last_k, has_prev, seen, has_last,
+             done) = (x[keep] for x in (prev, theta, last_d, raw, calm, last_k,
+                                        has_prev, seen, has_last, done))
+
+    for j in np.flatnonzero(~done).tolist():
+        last = (last_k[j].item(), last_d[j].item()) if has_last[j] else None
+        results[cols[j]] = _or_none(_exhausted, bool(seen[j]),
+                                    theta[j].item(), raw[j].item(), k_max, n,
+                                    last, delta[j].item())
+    return results
+
+
+def _or_none(make, *args):
+    """``make(*args)``, or None if it raises an ArithmeticError (the tau
+    estimate can overflow)."""
+    try:
+        return make(*args)
+    except ArithmeticError:
+        return None

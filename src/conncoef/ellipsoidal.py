@@ -27,15 +27,16 @@ singular points and acts on the entries as
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
-                   _power_sum, build_shifted, mirrored_shifted, prefix_sums,
-                   theta_iterate)
+from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
+                   TwoPointSystem, _power_sum, build_shifted, mirrored_shifted,
+                   prefix_sums, theta_iterate, theta_kernel, theta_many)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
@@ -192,18 +193,45 @@ def spectral_frame(problem: EllipsoidalProblem, e: SystemEntries) -> SpectralFra
     )
 
 
+def _kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
+    """`build_system` and `spectral_frame` in closed form, as the kernel's
+    description.
+
+    Their frame is exact by construction, so it is not checked.  Each
+    scalar comes out of the same operations as the array path: A0 = A -
+    alpha0*I, A1 + I = B - beta1*I, the mirrored side B - beta2*I and
+    A - (alpha0 - 1)*I with -C, and numpy's R / c_j, which is R * (1 / c_j).
+    """
+    e = entries(lam, mu, problem)
+    c, rho, sigma = problem.c, problem.rho, problem.sigma
+    alpha0, beta1, beta2 = -rho / 2, (sigma - 1) / 2, -sigma / 2
+    inv_c, inv_m = 1.0 / c, 1.0 / (1 - c)
+    main = (-0.5 - alpha0, e.a12, 0.0, 0.0 - alpha0,
+            -0.5 - (beta1 + 1) + 1, e.b12, 0.0, 0.0 - (beta1 + 1) + 1,
+            0.0, 0.0, -1.0 / c, 0.0,
+            -0.5 * inv_c, complex(e.r12) * inv_c, 0.0, 0.0, inv_c)
+    mirror = (-0.5 - beta2, e.b12, 0.0, 0.0 - beta2,
+              -0.5 - alpha0 + 1, e.a12, 0.0, 0.0 - alpha0 + 1,
+              0.0, 0.0, 1.0 / c, 0.0,
+              -0.5 * inv_m, complex(e.r12) * inv_m, 0.0, 0.0, inv_m)
+    return theta_kernel(
+        main, mirror, (2 * e.a12 * (1 - rho) + rho / 2, 1 - rho),
+        (2 * e.b12 * sigma + (1 - sigma) / 2, sigma),
+        (2 * e.b12 * (1 - sigma) + sigma / 2, 1 - sigma), beta2 - beta1)
+
+
 def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
           k_max: int = 10 ** 6) -> ThetaResult:
     """Connection coefficient Theta(lam, mu) of the (0, 1) singular pair.
 
     Theta vanishes exactly when the chosen local solution at z=0 connects
-    to the subdominant local solution at z=1.  Uses the rational-structure
-    driver (one pole at c plus a constant term), so each recurrence step is
-    O(1) work.
+    to the subdominant local solution at z=1.  Runs `theta_iterate` on the
+    closed-form kernel of `build_system` and `spectral_frame` (one pole at
+    c plus a constant term), so each recurrence step is O(1) work; the
+    values are those of the system and frame, bit for bit.
     """
-    sys_ = build_system(lam, mu, problem)
-    frame = spectral_frame(problem, entries(lam, mu, problem))
-    return theta_iterate(sys_, frame, n=n, tol=tol, k_max=k_max)
+    return theta_iterate(_kernel(lam, mu, problem), None, n=n, tol=tol,
+                         k_max=k_max)
 
 
 def theta_hat(lam, mu, problem: EllipsoidalProblem, n: int = 5,
@@ -309,16 +337,20 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     """Evaluate Theta and Theta-hat on a rectangular (lam, mu) grid.
 
     resolution may be an int (both axes) or a pair (n_lambda, n_mu), each
-    >= 2.  Node failures (`ConncoefError` or `ArithmeticError`) are recorded
-    in the grid status and the values set to NaN; any other error
-    propagates.  The modest k_max default keeps nodes far from any
-    eigencurve cheap; only sign changes matter for seeding.
+    >= 2.  Every node's values are those of `theta` and `theta_hat`, bit
+    for bit, but the grid runs them as two `theta_many` batches: first
+    Theta at every node, then Theta-hat at the nodes where Theta ran.  Node
+    failures (`ConncoefError` or `ArithmeticError`, in a node's set-up or
+    its series) are recorded in the grid status and the values set to
+    NaN; any other error propagates.  The modest k_max default keeps nodes
+    far from any eigencurve cheap; only sign changes matter for seeding.
 
     Raises
     ------
     ValueError
-        If resolution < 2 on an axis.  A bad n, tol or k_max raises
-        `theta_iterate`'s ValueError from the first node.
+        If resolution < 2 on an axis or a range bound is not finite, and
+        for a bad n, tol or k_max (see `theta_iterate`), each before any
+        Theta work.
     """
     if np.isscalar(resolution):
         res_l = res_m = int(resolution)
@@ -326,27 +358,48 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
         res_l, res_m = (int(r) for r in resolution)
     if res_l < 2 or res_m < 2:
         raise ValueError("resolution must be >= 2 per axis")
-    lambdas = np.linspace(float(lambda_range[0]), float(lambda_range[1]), res_l)
-    mus = np.linspace(float(mu_range[0]), float(mu_range[1]), res_m)
+    axes = []
+    for name, bounds, res in (("lambda_range", lambda_range, res_l),
+                              ("mu_range", mu_range, res_m)):
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} ({lo}, {hi}) is not finite")
+        axes.append(np.linspace(lo, hi, res))
+    lambdas, mus = axes
     th = np.full((res_l, res_m), np.nan)
     thh = np.full((res_l, res_m), np.nan)
     status = np.full((res_l, res_m), "error", dtype=object)
-    for i, lam in enumerate(lambdas):
-        for j, mu in enumerate(mus):
-            try:
-                r1 = theta(lam, mu, problem, n=n, tol=tol, k_max=k_max)
-                r2 = theta_hat(lam, mu, problem, n=n, tol=tol, k_max=k_max)
-                th[i, j] = r1.theta.real
-                thh[i, j] = r2.theta.real
-                if r1.status == "converged" and r2.status == "converged":
-                    status[i, j] = "converged"
-                else:
-                    status[i, j] = "k_max_reached"
-            except (ConncoefError, ArithmeticError):
-                pass  # node failure stays local
+
+    def batch(make, nodes) -> dict:
+        """{node: (Theta.real, converged)} where set-up and series ran."""
+        ran = []
+
+        def kernels():
+            for i, j in nodes:
+                try:
+                    kernel = make(lambdas[i], mus[j], problem)
+                except (ConncoefError, ArithmeticError):
+                    continue  # node failure stays local
+                ran.append((i, j))
+                yield kernel
+        results = theta_many(kernels(), n=n, tol=tol, k_max=k_max)
+        return {node: (r.theta.real, r.status == "converged")
+                for node, r in zip(ran, results) if r is not None}
+
+    first = batch(_kernel, itertools.product(range(res_l), range(res_m)))
+    for node, (value, converged) in batch(_hat_kernel, first).items():
+        th[node], first_converged = first[node]
+        thh[node] = value
+        both = first_converged and converged
+        status[node] = "converged" if both else "k_max_reached"
     seeds = _seed_cells(lambdas, mus, th, thh)
     return ThetaGrid(lambdas=lambdas, mus=mus, theta=th, theta_hat=thh,
                      status=status, seeds=seeds)
+
+
+def _hat_kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
+    """The kernel `theta_hat` runs: `_kernel` of the hatted parameters."""
+    return _kernel(*hat_parameters(lam, mu, problem))
 
 
 def _seed_cells(lambdas, mus, th, thh) -> list:

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SERIES_TERMS, SpectralFrame, ThetaResult, TwoPointSystem,
-                   _power_sum, build_shifted, prefix_sums, theta_iterate)
+from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
+                   TwoPointSystem, _power_sum, build_shifted, prefix_sums,
+                   theta_iterate, theta_kernel)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
@@ -89,11 +90,39 @@ def spectral_frame(t, problem: SpheroidalProblem) -> SpectralFrame:
     )
 
 
+def _kernel(t, problem: SpheroidalProblem) -> ThetaKernel:
+    """`build_system` and `spectral_frame` in closed form, as the kernel's
+    description.
+
+    Their frame is exact by construction, so it is not checked.  Each
+    scalar comes out of the same operations as the array path: A0 = A -
+    alpha0*I, A1 + I = B - beta1*I, and the mirrored side B - beta2*I and
+    A - (alpha0 - 1)*I with -C; here A[0, 0] = B[0, 0] = beta1 and
+    A[1, 1] = B[1, 1] = alpha0 = beta2.
+    """
+    mu = complex(problem.mu)
+    t = complex(t)
+    g = -4 * complex(problem.gamma2)
+    alpha0 = mu / 2
+    beta1 = -mu / 2 - 1
+    a11 = beta1 - alpha0
+    main = (a11, -t, 0.0, 0.0,
+            beta1 - (beta1 + 1) + 1, t, 0.0, alpha0 - (beta1 + 1) + 1,
+            0.0, g, 1.0, 0.0)
+    mirror = (a11, t, 0.0, 0.0, a11 + 1, -t, 0.0, 1.0, 0.0, -g, -1.0, 0.0)
+    return theta_kernel(main, mirror, (-t / (mu + 1), 1.0), (1.0, 0.0),
+                        (t / (mu + 1), 1.0), alpha0 - beta1)
+
+
 def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
             k_max: int = 10 ** 6) -> ThetaResult:
-    """Connection coefficient Theta(t); zeros give the eigenvalues."""
-    return theta_iterate(build_system(t, problem), spectral_frame(t, problem),
-                         n=n, tol=tol, k_max=k_max)
+    """Connection coefficient Theta(t); zeros give the eigenvalues.
+
+    Runs `theta_iterate` on the closed-form kernel of `build_system` and
+    `spectral_frame`; the values are those of the system and frame, bit
+    for bit.
+    """
+    return theta_iterate(_kernel(t, problem), None, n=n, tol=tol, k_max=k_max)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import filecmp
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -166,12 +167,37 @@ def test_eigen_ell_bad_resolution_exits_1_before_any_theta(
         raise AssertionError("no Theta may run for a bad --resolution")
 
     monkeypatch.setattr(ell, "theta", fail)
+    monkeypatch.setattr(ell, "theta_many", fail)
     rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
                "--resolution", resolution] + seed)
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "resolution" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--lambda-range", "0", "inf", "--mu-range", "-4", "0"],
+    ["--lambda-range", "0", "4", "--mu-range", "nan", "0"],
+])
+def test_eigen_ell_non_finite_range_exits_1_before_any_theta(
+        bounds, monkeypatch, capsys):
+    # `--lambda-range 0 inf` once printed numpy's RuntimeWarning, then an
+    # error from inside the first grid node
+    def fail(*args, **kwargs):
+        raise AssertionError("no Theta may run for a non-finite range")
+
+    monkeypatch.setattr(ell, "theta_many", fail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+                   *bounds])
+    assert rc == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
 
 
 def test_seedless_scan_exits_3(capsys):

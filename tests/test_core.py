@@ -6,6 +6,9 @@ Expected values fall into three classes: exact hand-derived arithmetic
 and cross-checks against the independent integration oracle in _oracle.py.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +31,8 @@ from conncoef.core import (
     theta_iterate,
     weight_vector,
 )
-from conncoef.errors import DegenerateFrame, FrameMismatch, SingularStep
+from conncoef.errors import (ConncoefError, DegenerateFrame, FrameMismatch,
+                             SingularStep)
 
 from _oracle import theta_oracle
 
@@ -116,6 +120,19 @@ def test_build_shifted_rejects_wrong_eigenvector():
                         b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
     with pytest.raises(FrameMismatch, match="a0"):
         build_shifted(sys_, bad)
+
+
+def test_theta_iterate_checks_a_user_built_frame():
+    # closed-form kernels skip the frame check; a system and frame from the
+    # caller still get it
+    bad = SpectralFrame(alpha0=-0.5, a0=np.array([0.3, 1.0]),  # not an eigvec
+                        beta1=-0.5, beta2=0.0,
+                        b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
+    with pytest.raises(FrameMismatch, match="a0"):
+        theta_iterate(_sample_system(), bad)
+    kernel = core._frame_kernel(_sample_system(), _sample_frame())
+    with pytest.raises(TypeError):
+        theta_iterate(kernel, _sample_frame())
 
 
 def test_theta_iterate_checks_the_frame_once(monkeypatch):
@@ -547,3 +564,119 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
         assert type(eig.lam) is float
         fn = sph.eigenfunction(eig, problem, [-0.5, 0.0, 0.5])
         assert fn.values.dtype == np.float64
+
+
+# --------------------------------------------------------------------------
+# property: the closed-form kernels and the lockstep batch keep every bit
+# --------------------------------------------------------------------------
+
+def _bits(result):
+    """A ThetaResult's fields as exact text (signed zeros included)."""
+    if result is None:
+        return None
+    return tuple(repr(getattr(result, name)) for name in
+                 ("theta", "error_bound", "k_final", "n", "tau_estimate",
+                  "status"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=hst.sampled_from(["ell", "sph"]),
+       kind=hst.sampled_from(["real", "complex gamma", "mixed"]),
+       x=hst.floats(-20.0, 20.0, **_finite),
+       y=hst.floats(-20.0, 20.0, **_finite),
+       im=hst.floats(0.01, 5.0, **_finite),
+       c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
+       bits=hst.tuples(*[hst.integers(0, 1)] * 3),
+       n=hst.integers(0, 8), k_max=hst.sampled_from([12, 60, 5000]))
+def test_closed_form_kernels_equal_the_array_path(family, kind, x, y, im, c,
+                                                  bits, n, k_max):
+    system, frame, problem, params = _draw_system(family, kind, x, y, im, c,
+                                                  bits)
+    kw = dict(n=n, tol=1e-10, k_max=k_max)
+    if family == "sph":
+        pairs = [(sph.theta_t(*params, problem, **kw),
+                  theta_iterate(system, frame, **kw))]
+    else:
+        lam_h, mu_h, hat = ell.hat_parameters(*params, problem)
+        pairs = [(ell.theta(*params, problem, **kw),
+                  theta_iterate(system, frame, **kw)),
+                 (ell.theta_hat(*params, problem, **kw),
+                  theta_iterate(ell.build_system(lam_h, mu_h, hat),
+                                ell.spectral_frame(hat, ell.entries(
+                                    lam_h, mu_h, hat)), **kw))]
+    for closed, array_path in pairs:
+        assert _bits(closed) == _bits(array_path)
+
+
+def _scalar(kernel, **kw):
+    """`theta_iterate` of one kernel, None where it raises as a grid node."""
+    try:
+        return theta_iterate(kernel, None, **kw)
+    except (ConncoefError, ArithmeticError):
+        return None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=hst.sampled_from(["ell", "sph"]),
+       x=hst.floats(-20.0, 20.0, **_finite),
+       lo=hst.floats(-20.0, 0.0, **_finite),
+       span=hst.floats(0.5, 20.0, **_finite),
+       c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
+       bits=hst.tuples(*[hst.integers(0, 1)] * 3),
+       n=hst.integers(0, 8), log_tol=hst.floats(-12.0, -3.0, **_finite),
+       budget=hst.sampled_from([0, 4, 30, 3000]),
+       extra=hst.sampled_from(["none", "complex", "singular main",
+                               "singular mirror"]))
+def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
+                                           log_tol, budget, extra):
+    axis = np.linspace(lo, lo + span, 4)
+    if family == "ell":
+        problem = ell.EllipsoidalProblem(gamma=x, c=c, rho=bits[0],
+                                         sigma=bits[1], tau=bits[2])
+        kernels = [make(lam, mu, problem) for lam in axis for mu in -axis
+                   for make in (ell._kernel, ell._hat_kernel)]
+        odd = ell._kernel(axis[1], -axis[2],
+                          replace(problem, gamma=complex(x, 1.5)))
+    else:
+        problem = sph.SpheroidalProblem(mu=bits[0] + bits[1] / 2, gamma2=x)
+        kernels = [sph._kernel(float(t), problem)
+                   for t in np.linspace(lo, lo + 4 * span, 16)]
+        odd = sph._kernel(axis[1], sph.SpheroidalProblem(
+            mu=problem.mu, gamma2=complex(x, 1.5)))
+    # the scalar fallback, or a node whose step k = 3 (main series) or
+    # k = 1 (mirrored series) is singular
+    if extra == "complex":
+        assert core._float_row(odd) is None
+        kernels.insert(3, odd)
+    elif extra == "singular main":
+        kernels[2] = kernels[2]._replace(main=(3.0, *kernels[2].main[1:]))
+    elif extra == "singular mirror":
+        kernels[2] = kernels[2]._replace(
+            mirror=(1.0, *kernels[2].mirror[1:]))
+    k_max = core._first_index(n, 0.0, 10 ** 9, kernels[0].delta) + budget
+    kw = dict(n=n, tol=10.0 ** log_tol, k_max=k_max)
+    many = core.theta_many(iter(kernels), **kw)
+    assert [_bits(r) for r in many] == [_bits(_scalar(k, **kw))
+                                        for k in kernels]
+    if extra.startswith("singular") and k_max >= 3 and n >= 1:
+        assert many[2] is None
+
+
+def test_batch_degeneracy_test_decides_like_math_hypot():
+    # np.hypot and math.hypot differ in the last bit on some pairs; a node
+    # right at the threshold must be decided as the scalar loop decides it
+    rng = np.random.default_rng(3)
+    pairs = [(a, b) for a, b in rng.uniform(-5.0, 5.0, (20000, 2)).tolist()
+             if float(np.hypot(a, b)) != math.hypot(a, b)]
+    if not pairs:
+        pytest.skip("np.hypot and math.hypot agree on every sample here")
+    for a, b in pairs[:50]:
+        for h in (float(np.hypot(a, b)), math.hypot(a, b)):
+            norm = core._DEGENERATE_TOL * h
+            scalar = abs(norm) <= core._DEGENERATE_TOL * 1.0 * math.hypot(
+                abs(a), abs(b))
+            batch = core._degenerate(np.array([norm]), np.array([1.0]),
+                                     np.array([a]), np.array([b]))
+            assert batch.tolist() == [scalar]

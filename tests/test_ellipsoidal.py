@@ -252,20 +252,27 @@ def _edge_loop_seeds(lambdas, mus, th, thh):
 def _synthetic_scan(monkeypatch, problem, th, thh):
     """scan_grid over the integer nodes of th/thh, Theta stubbed from them.
 
-    NaN entries come back from the stub as a ConsistencyError, so they
-    enter the grid as failed nodes.
+    The stubbed per-node set-up hands the node's value on as its kernel,
+    and the stubbed batch turns each into a result.  NaN entries come back
+    from the set-up as a ConsistencyError, so they enter the grid as failed
+    nodes.
     """
     def stub(values):
-        def fake(lam, mu, problem, **kwargs):
+        def fake(lam, mu, problem):
             v = values[round(lam), round(mu)]
             if np.isnan(v):
                 raise ConsistencyError("synthetic failed node")
-            return ThetaResult(theta=complex(v), error_bound=0.0, k_final=1,
-                               n=5, tau_estimate=0j, status="converged")
+            return v
         return fake
 
-    monkeypatch.setattr(ell, "theta", stub(th))
-    monkeypatch.setattr(ell, "theta_hat", stub(thh))
+    def batch(values, **kwargs):
+        return [ThetaResult(theta=complex(v), error_bound=0.0, k_final=1,
+                            n=5, tau_estimate=0j, status="converged")
+                for v in values]
+
+    monkeypatch.setattr(ell, "_kernel", stub(th))
+    monkeypatch.setattr(ell, "_hat_kernel", stub(thh))
+    monkeypatch.setattr(ell, "theta_many", batch)
     L, M = th.shape
     return ell.scan_grid(problem, (0, L - 1), (0, M - 1), (L, M))
 
@@ -313,6 +320,22 @@ def test_scan_grid_seed_rule_on_nan_and_zero_nodes(monkeypatch,
                                 grid.theta_hat)
     assert 0 < len(expected) < 7 * 8
     assert grid.seeds == expected
+
+
+@pytest.mark.parametrize("lambda_range, mu_range", [
+    ((0.0, np.inf), (-4.0, 0.0)),
+    ((0.0, np.nan), (-4.0, 0.0)),
+    ((0.0, 4.0), (-np.inf, 0.0)),
+])
+def test_scan_grid_rejects_non_finite_ranges(table_problem, monkeypatch,
+                                             lambda_range, mu_range):
+    # these once warned from linspace, then failed inside the first node
+    def fail(*args, **kwargs):
+        raise AssertionError("no Theta may run for a non-finite range")
+
+    monkeypatch.setattr(ell, "theta_many", fail)
+    with pytest.raises(ValueError, match=r"_range \(.*\) is not finite"):
+        ell.scan_grid(table_problem, lambda_range, mu_range, 3)
 
 
 def test_scan_grid_validates_solver_arguments(table_problem):

@@ -73,8 +73,9 @@ scalar comes out of the same floating-point operations as the array path,
 so the values are the same bits.  `theta_many` runs many descriptions as
 one batch and returns, bit for bit, what `theta_iterate` returns for each:
 those whose scalars are all floats advance in lockstep, one numpy
-operation per scalar operation of the loop, in the same order, and a
-description leaves the arrays when its iteration stops.  IEEE arithmetic
+operation per scalar operation of the loop, in the same order; a
+description leaves the arrays when its iteration stops, and the last few
+finish on the scalar loop from the state they reached.  IEEE arithmetic
 on float64 arrays is the scalar float arithmetic, so the bits agree;
 numpy's complex division is not CPython's, so a description holding a
 complex scalar runs the scalar loop on its own.
@@ -878,8 +879,7 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         k_start = _first_index(n, tol, k_max, frame.delta)
         kernel = _frame_kernel(system, frame)       # the one frame check
 
-    main, mirror, (a00, a01), (b10, b11), (b20, b21), delta = kernel
-    b1_norm = math.hypot(abs(b10), abs(b11))
+    main, mirror, (a00, a01), b1, (b20, b21), delta = kernel
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l, with the
     # mirrored prefix sums d~_1..d~_n straight from the kernel
     mirrored = itertools.islice(_steps(mirror, [b20, b21]), n)
@@ -888,16 +888,30 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     if not all(cmath.isfinite(t0) and cmath.isfinite(t1)
                for _, t0, t1 in accel):
         raise ValueError(_MIRROR_NOT_FINITE)
-
-    denom = delta.real + n + 1
     steps = itertools.islice(_steps(main, [a00, a01]), k_max)
-    prev_theta = None       # Theta_{k-1}; None after a skipped index
-    theta = complex("nan")
-    raw_bound = math.inf    # latest recorded bound
-    calm = 0                # trailing recorded bounds with no increase
-    last_pair = None
-    seen_valid = False
+    return _theta_loop(steps, accel, b1, (b20, b21), delta, n, tol, k_max,
+                       k_start)
 
+
+#: the state of `_theta_loop` before its first step: Theta_{k-1} (None after
+#: a skipped index), the last Theta_k, the latest recorded bound, the
+#: trailing recorded bounds with no increase, the last (k, dTheta), and
+#: whether some k had a valid weight vector
+_FRESH = (None, complex("nan"), math.inf, 0, None, False)
+
+
+def _theta_loop(steps, accel, b1, b2, delta, n: int, tol, k_max: int,
+                k_start: int, state=_FRESH) -> ThetaResult:
+    """The Theta loop of `theta_iterate` over the main series ``steps``.
+
+    ``accel`` holds (m + delta, d~_{m+1}) per order m < n; ``state`` is the
+    loop's state after the steps before ``steps`` (see `_FRESH`), so that a
+    run of `_lockstep` can end here, bit for bit.
+    """
+    prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
+    (b10, b11), (b20, b21) = b1, b2
+    b1_norm = math.hypot(abs(b10), abs(b11))
+    denom = delta.real + n + 1
     for k, _, _, d0, d1 in steps:
         if k < k_start:
             continue
@@ -927,7 +941,15 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                 return _converged(theta, bound, k, n, last_pair, delta)
         prev_theta = theta
 
-    return _exhausted(seen_valid, theta, raw_bound, k_max, n, last_pair, delta)
+    if not seen_valid:
+        return ThetaResult(theta=complex("nan"), error_bound=math.inf,
+                           k_final=k_max, n=n, tau_estimate=complex("nan"),
+                           status="frame_degenerate")
+    bound = _BOUND_SAFETY * raw_bound if math.isfinite(raw_bound) else math.inf
+    return ThetaResult(theta=complex(theta), error_bound=bound,
+                       k_final=k_max, n=n,
+                       tau_estimate=_tau(last_pair, delta, n),
+                       status="k_max_reached")
 
 
 _MIRROR_NOT_FINITE = "mirrored prefix sums d~_0..d~_n are not finite"
@@ -938,20 +960,6 @@ def _converged(theta, bound, k, n, last_pair, delta) -> ThetaResult:
     return ThetaResult(theta=complex(theta), error_bound=_BOUND_SAFETY * bound,
                        k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
                        status="converged")
-
-
-def _exhausted(seen_valid, theta, raw_bound, k_max, n, last_pair,
-               delta) -> ThetaResult:
-    """The result of a run that used its whole step budget."""
-    if not seen_valid:
-        return ThetaResult(theta=complex("nan"), error_bound=math.inf,
-                           k_final=k_max, n=n, tau_estimate=complex("nan"),
-                           status="frame_degenerate")
-    bound = _BOUND_SAFETY * raw_bound if math.isfinite(raw_bound) else math.inf
-    return ThetaResult(theta=complex(theta), error_bound=bound,
-                       k_final=k_max, n=n,
-                       tau_estimate=_tau(last_pair, delta, n),
-                       status="k_max_reached")
 
 
 def _tau(last_pair, delta: complex, n: int) -> complex:
@@ -975,13 +983,16 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     `ThetaResult` that ``theta_iterate(kernel, None, n=n, tol=tol,
     k_max=k_max)`` returns, or None where that call raises a
     `ConncoefError` or an `ArithmeticError`.
+
     Kernels whose scalars are all floats advance together, grouped by first
     usable index and side lengths: one numpy loop runs the operations of
     the scalar loop in the same order on arrays with one entry per kernel,
-    so IEEE arithmetic gives the same bits, and the kernels that stop leave
-    the arrays.  Any other kernel (a complex scalar, generic structure)
-    runs `theta_iterate` on its own, because numpy's complex division is
-    not CPython's.
+    so IEEE arithmetic gives the same bits.  Kernels that stop leave the
+    arrays, and once fewer than `_LOCKSTEP_MIN` are left, those finish on
+    the scalar loop from the state they reached, since a numpy step then
+    costs more than their scalar steps.  Any other kernel (a complex
+    scalar, generic structure) runs `theta_iterate` on its own, because
+    numpy's complex division is not CPython's.
 
     Raises
     ------
@@ -1084,6 +1095,13 @@ def _degenerate(norm, b1_norm, p0, p1):
     return out
 
 
+#: fewest kernels a `_lockstep` step runs: one step costs about 100 numpy
+#: calls, near 1.5 us each on small arrays, and a scalar step about 3.5 us
+#: (2-core x86-64, CPython 3.11), so below this many kernels the rest
+#: finish faster on the scalar loop
+_LOCKSTEP_MIN = 32
+
+
 def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     """The loop of `theta_iterate` on columns of float kernels.
 
@@ -1129,6 +1147,23 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     has_prev = seen = has_last = np.zeros(len(cols), dtype=bool)
     done = failed       # stopped, with its result (or None) recorded
 
+    def finish(j, k):
+        """Entry j's run, continued from step k on the scalar loop."""
+        x = [v[j].item() for v in state]
+        a = acc[:, j].tolist()
+        steps = _rational_steps(tuple(side[:, j].tolist()), k, x[0:2], x[2:4],
+                                [x[i:i + 2] for i in range(6, len(x), 2)])
+        loop_state = (prev[j].item() if has_prev[j] else None,
+                      theta[j].item() if seen[j] else complex("nan"),
+                      raw[j].item(), calm[j].item(),
+                      (last_k[j].item(), last_d[j].item())
+                      if has_last[j] else None, bool(seen[j]))
+        return _theta_loop(itertools.islice(steps, k_max - k),
+                           list(zip(a[0::3], a[1::3], a[2::3])),
+                           (b10[j].item(), b11[j].item()),
+                           (b20[j].item(), b21[j].item()), delta[j].item(),
+                           n, tol, k_max, k_start, loop_state)
+
     for k in range(1, k_max + 1):
         state, stop = _batch_step(k, side, state)
         if k >= k_start:
@@ -1161,12 +1196,13 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                     (k, dtheta[j].item()), delta[j].item())
             stop = stop | conv
         done = done | stop
+        left = np.flatnonzero(~done)
+        if len(left) < _LOCKSTEP_MIN or k == k_max:
+            break
         # stopped kernels step on until a quarter of the arrays is spent
-        if 4 * np.count_nonzero(done) >= len(done):
+        if 4 * (len(done) - len(left)) >= len(done):
             keep = ~done
             cols = cols[keep]
-            if not cols.size:
-                return results
             consts = consts[:, keep]
             side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), \
                 acc = split(consts)
@@ -1174,19 +1210,17 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
             (prev, theta, last_d, raw, calm, last_k, has_prev, seen, has_last,
              done) = (x[keep] for x in (prev, theta, last_d, raw, calm, last_k,
                                         has_prev, seen, has_last, done))
-
-    for j in np.flatnonzero(~done).tolist():
-        last = (last_k[j].item(), last_d[j].item()) if has_last[j] else None
-        results[cols[j]] = _or_none(_exhausted, bool(seen[j]),
-                                    theta[j].item(), raw[j].item(), k_max, n,
-                                    last, delta[j].item())
+    # the kernels left finish on the scalar loop from step k (at k = k_max,
+    # with no step to go)
+    for j in left.tolist():
+        results[cols[j]] = _or_none(finish, j, k)
     return results
 
 
 def _or_none(make, *args):
-    """``make(*args)``, or None if it raises an ArithmeticError (the tau
-    estimate can overflow)."""
+    """``make(*args)``, or None if it raises a ConncoefError or an
+    ArithmeticError, as a node of `theta_many` does."""
     try:
         return make(*args)
-    except ArithmeticError:
+    except (ConncoefError, ArithmeticError):
         return None

@@ -628,9 +628,11 @@ def _scalar(kernel, **kw):
        n=hst.integers(0, 8), log_tol=hst.floats(-12.0, -3.0, **_finite),
        budget=hst.sampled_from([0, 4, 30, 3000]),
        extra=hst.sampled_from(["none", "complex", "singular main",
-                               "singular mirror"]))
+                               "singular mirror"]),
+       lockstep_min=hst.sampled_from([1, 8, 12, 24, 64]))
 def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
-                                           log_tol, budget, extra):
+                                           log_tol, budget, extra,
+                                           lockstep_min):
     axis = np.linspace(lo, lo + span, 4)
     if family == "ell":
         problem = ell.EllipsoidalProblem(gamma=x, c=c, rho=bits[0],
@@ -657,11 +659,34 @@ def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
             mirror=(1.0, *kernels[2].mirror[1:]))
     k_max = core._first_index(n, 0.0, 10 ** 9, kernels[0].delta) + budget
     kw = dict(n=n, tol=10.0 ** log_tol, k_max=k_max)
-    many = core.theta_many(iter(kernels), **kw)
+    # 1: every kernel stays in the arrays to the end; 64: the arrays hand
+    # every kernel to the scalar loop after the first step; the others hand
+    # off part of the way
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
+        many = core.theta_many(iter(kernels), **kw)
     assert [_bits(r) for r in many] == [_bits(_scalar(k, **kw))
                                         for k in kernels]
     if extra.startswith("singular") and k_max >= 3 and n >= 1:
         assert many[2] is None
+
+
+@pytest.mark.parametrize("k_max", [400, 150])
+def test_theta_many_hands_off_to_the_scalar_loop_at_every_point(k_max):
+    # the kernels left in the arrays finish on the scalar loop from their
+    # state; move that hand-off through every count of kernels left.  The
+    # k_final spread over 74..205, so at k_max = 150 some kernels run out
+    # of steps after the hand-off
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 24)]
+    kw = dict(n=5, tol=1e-12, k_max=k_max)
+    expected = [_bits(_scalar(k, **kw)) for k in kernels]
+    assert len({e[2] for e in expected}) > 5
+    for lockstep_min in range(1, len(kernels) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
+            many = core.theta_many(kernels, **kw)
+        assert [_bits(r) for r in many] == expected
 
 
 def test_batch_degeneracy_test_decides_like_math_hypot():

@@ -58,11 +58,11 @@ and ``abs`` do not see it.  So a system and frame with real entries give a
 Theta whose imaginary part is exactly 0, by construction and unchecked.
 
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
-that loop and takes the mirrored prefix sums straight from the kernel; the
-eigenfunction coefficient sequences (`prefix_sums`) use the same kernel.
-The public `frobenius_step`, `p_vector` and `weight_vector` stay as
-validating single-step entry points.  Generic structure keeps its own O(k)
-convolution in `frobenius_step`.
+that loop, with the mirrored prefix sums straight from the kernel.  Spheroidal
+eigenfunctions step it only as far as a sum reads; ellipsoidal ones take all
+`_SERIES_TERMS` `prefix_sums` up front.  The public `frobenius_step`,
+`p_vector` and `weight_vector` stay as validating single-step entry points.
+Generic structure keeps its own O(k) convolution in `frobenius_step`.
 
 Two kinds of caller fill the description.  `theta_iterate` given a
 `TwoPointSystem` and a `SpectralFrame` checks the frame against the system
@@ -125,7 +125,7 @@ _DEGENERATE_TOL = 1e-12
 #: relative eigen-residual allowed when a frame is matched against a system
 _FRAME_RESIDUAL_TOL = 1e-10
 
-#: length of the coefficient sequences the eigenfunctions are summed from
+#: length of the eigenfunctions' coefficient sequences (spheroidal: the cap)
 _SERIES_TERMS = 2000
 
 

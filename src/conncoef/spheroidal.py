@@ -23,13 +23,14 @@ x > 0, where it converges much faster.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _power_sum, build_shifted, prefix_sums,
-                   theta_iterate, theta_kernel)
+                   TwoPointSystem, _power_sum, _steps, theta_iterate,
+                   theta_kernel)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, bracket_scan, secant
@@ -170,8 +171,14 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     eval_tol = min(tol, 1e-9) / 100.0
     scan_tol = max(1e-6, eval_tol)
 
+    # every root the secant returns is a t it evaluated; its residual is
+    # read from that evaluation
+    evaluated: dict[float, ThetaResult] = {}
+
     def f(t: float) -> float:
-        return theta_t(t, problem, n=n, tol=eval_tol, k_max=k_max).theta.real
+        result = evaluated[t] = theta_t(t, problem, n=n, tol=eval_tol,
+                                        k_max=k_max)
+        return result.theta.real
 
     def f_scan(t: float) -> float:
         return theta_t(t, problem, n=n, tol=scan_tol, k_max=k_max).theta.real
@@ -210,9 +217,8 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     mu = complex(problem.mu)
     out = []
     for i, r in enumerate(roots):
-        coefs = _coefficient_sequence(r, problem)
-        parity, _ = _parity_probe(coefs, mu)
-        res = abs(theta_t(r, problem, n=n, tol=eval_tol, k_max=k_max).theta)
+        parity, _ = _parity_probe(_Coefficients(r, problem), mu)
+        res = abs(evaluated[r].theta)
         lam = r + mu * (mu + 1)
         if problem.is_real:
             lam = lam.real
@@ -239,23 +245,47 @@ class SpheroidalEigenfunction:
     parity_deviation: float
 
 
-def _coefficient_sequence(t, problem: SpheroidalProblem) -> np.ndarray:
+#: coefficients computed at a time when a sum reads past the known ones
+_CHUNK = 32
+
+
+class _Coefficients:
     """Series coefficients e2^T d_k / 2^k, k < _SERIES_TERMS, of the
-    bounded solution."""
-    sys_ = build_system(t, problem)
-    frame = spectral_frame(t, problem)
-    d = prefix_sums(build_shifted(sys_, frame), frame.a0, _SERIES_TERMS)
-    return d[:, 1] * np.ldexp(1.0, -np.arange(_SERIES_TERMS))
+    bounded solution, computed as the sums read them.
+
+    d_k comes from the closed-form kernel (`_kernel`), with no system or
+    frame arrays.  Every iteration yields the same terms; the ones computed
+    are kept for the next, and more are computed `_CHUNK` at a time.  Each
+    is a complex128 d_k[1] times 2**-k in a numpy array product, as in an
+    array of all _SERIES_TERMS of them: a scalar product can differ from
+    it in the sign of a zero that underflows.
+    """
+
+    def __init__(self, t, problem: SpheroidalProblem):
+        kernel = _kernel(t, problem)
+        self._d1 = itertools.chain(
+            kernel.a0[1:], (d1 for *_, d1 in _steps(kernel.main, kernel.a0)))
+        self._terms: list[np.complex128] = []
+
+    def __iter__(self):
+        terms = self._terms
+        for k in range(_SERIES_TERMS):
+            if k == len(terms):
+                stop = min(k + _CHUNK, _SERIES_TERMS)
+                d1 = np.fromiter(itertools.islice(self._d1, stop - k),
+                                 dtype=complex, count=stop - k)
+                terms.extend(d1 * np.ldexp(1.0, -np.arange(k, stop)))
+            yield terms[k]
 
 
-def _w_direct(coefs: np.ndarray, mu: complex, x: float) -> complex:
+def _w_direct(coefs: _Coefficients, mu: complex, x: float) -> complex:
     if not -1 < x < 1:
         raise ValueError(f"x = {x} outside (-1, 1)")
     pref = ((1 + x) / (1 - x)) ** (mu / 2)
     return pref * _power_sum(coefs, 1.0 + x)
 
 
-def _parity_probe(coefs: np.ndarray, mu: complex) -> tuple[int, float]:
+def _parity_probe(coefs: _Coefficients, mu: complex) -> tuple[int, float]:
     """Parity Omega and relative deviation, probing x0 = 0.3 then 0.55."""
     for x0 in (0.3, 0.55):
         wp = _w_direct(coefs, mu, x0)
@@ -275,10 +305,11 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
                   x_samples) -> SpheroidalEigenfunction:
     """Evaluate the eigenfunction at x_samples (all inside (-1, 1)).
 
-    The series (2000 coefficients) is summed with adaptive truncation, and
-    the parity is probed from the same coefficients; for x > 0 the reflected
-    form Omega * w(-x) is used (its series argument 1-x stays below 1, so
-    it converges geometrically where the direct form would crawl).
+    The series (up to 2000 coefficients, computed as the sum reads them) is
+    summed with adaptive truncation, and the parity is probed from the same
+    coefficients; for x > 0 the reflected form Omega * w(-x) is used (its
+    series argument 1-x stays below 1, so it converges geometrically where
+    the direct form would crawl).
 
     Requires eig.residual <= 1e-8.  Raises ParityAmbiguous if the parity
     probe fails at both x0 = 0.3 and x0 = 0.55.  Values are float for a
@@ -292,7 +323,7 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         raise ValueError("all samples must lie strictly inside (-1, 1)")
 
     mu = complex(problem.mu)
-    coefs = _coefficient_sequence(eig.t_root, problem)
+    coefs = _Coefficients(eig.t_root, problem)
     parity, deviation = _parity_probe(coefs, mu)
 
     vals = np.empty(len(x), dtype=complex)

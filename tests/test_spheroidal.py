@@ -5,15 +5,22 @@ cross-checked against the integration oracle; Legendre limits are exact.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+from conncoef import core
 from conncoef import spheroidal as sph
 from conncoef.core import (
+    _SERIES_TERMS,
+    _power_sum,
     build_shifted,
     frobenius_step,
     mirrored_shifted,
+    prefix_sums,
     series_start,
     theta_iterate,
 )
@@ -271,3 +278,122 @@ def test_eigenfunction_domain_and_preconditions(prolate):
     stale = dataclasses.replace(eigs[0], residual=1.0)
     with pytest.raises(ValueError, match="residual"):
         sph.eigenfunction(stale, problem, [0.5])
+
+
+# --------------------------------------------------------------------------
+# the coefficient sequence, computed as the sums read it
+# --------------------------------------------------------------------------
+
+def _full_build(t, problem):
+    """All _SERIES_TERMS coefficients e2^T d_k / 2^k from the array path."""
+    frame = sph.spectral_frame(t, problem)
+    d = prefix_sums(build_shifted(sph.build_system(t, problem), frame),
+                    frame.a0, _SERIES_TERMS)
+    return d[:, 1] * np.ldexp(1.0, -np.arange(_SERIES_TERMS))
+
+
+def _exact(values):
+    """Values as exact text, signed zeros included."""
+    return [repr(complex(v)) for v in values]
+
+
+def _counted(terms, reads):
+    """Iterate ``terms``, counting the reads, never more than one past the
+    cap."""
+    for v in itertools.islice(terms, _SERIES_TERMS + 1):
+        reads[0] += 1
+        yield v
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=hst.sampled_from(["real", "complex mu", "complex gamma2",
+                              "complex t"]),
+       mu=hst.sampled_from([0.0, 0.5, 1.0, 2.5]),
+       gamma2=hst.floats(-20.0, 20.0, **_finite),
+       t=hst.floats(-20.0, 40.0, **_finite),
+       im=hst.floats(0.01, 5.0, **_finite),
+       xs=hst.lists(hst.floats(0.05, 1.55, **_finite), min_size=1,
+                    max_size=4))
+def test_on_demand_coefficients_equal_the_full_build(kind, mu, gamma2, t, im,
+                                                     xs):
+    mu = complex(mu + 0.5, im) if kind == "complex mu" else mu
+    gamma2 = complex(gamma2, im) if kind == "complex gamma2" else gamma2
+    t = complex(t, im) if kind == "complex t" else t
+    problem = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
+    reference = _full_build(t, problem)
+    coefs = sph._Coefficients(t, problem)
+    # sums over a fresh sequence, then over the terms it has kept, read the
+    # same bits as over the full array
+    for x in xs:
+        want = _exact([_power_sum(reference, x)])
+        assert _exact([_power_sum(sph._Coefficients(t, problem), x)]) == want
+        assert _exact([_power_sum(coefs, x)]) == want
+    assert len(coefs._terms) < _SERIES_TERMS
+    # element by element, up to the cap and no further
+    for _ in range(2):
+        terms = itertools.islice(coefs, _SERIES_TERMS + 1)
+        assert _exact(terms) == _exact(reference)
+
+
+@pytest.mark.parametrize("x", [2.0, float("nan")])
+@pytest.mark.parametrize("mu, gamma2, t", [(0, 4.0, 1.5),
+                                           (1 + 0.5j, 2 - 1j, 0.3 + 0.2j)])
+def test_on_demand_coefficients_stop_at_the_cap(mu, gamma2, t, x):
+    # at argument 2 the terms do not shrink until x**k overflows at
+    # k = 1024, and inf terms meet the stop rule; NaN terms never meet it,
+    # so at a NaN argument both sums read exactly _SERIES_TERMS terms
+    problem = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
+    lazy, full = [0], [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _power_sum(_counted(sph._Coefficients(t, problem), lazy), x)
+        want = _power_sum(_counted(_full_build(t, problem), full), x)
+    assert lazy == full
+    assert (lazy[0] == _SERIES_TERMS) == (x != x)
+    assert _exact([got]) == _exact([want])
+
+
+def test_spectrum_and_eigenfunctions_run_no_full_series(monkeypatch):
+    # the parity probes and the eigenfunctions sum a few dozen terms; no
+    # series may be stepped to the end of the 2000-term sequence
+    deepest = [0]
+    rational_steps = core._rational_steps
+
+    def tracked(side, k, u, d, sums):
+        for step in rational_steps(side, k, u, d, sums):
+            deepest[0] = max(deepest[0], step[0])
+            yield step
+
+    monkeypatch.setattr(core, "_rational_steps", tracked)
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    eigs = sph.eigenvalues(problem, 8)
+    xs = np.linspace(-0.95, 0.95, 39)
+    for eig in eigs:
+        sph.eigenfunction(eig, problem, xs)
+    assert 0 < deepest[0] < _SERIES_TERMS - 1
+
+
+@pytest.mark.parametrize("mu, gamma2", [(0, 4.0), (0, 4 + 0.5j),
+                                        (1 + 0.5j, 2.0)])
+def test_residual_comes_from_the_secant_evaluation(monkeypatch, mu, gamma2):
+    # the residual is |Theta| (complex Theta for a complex problem) at the
+    # root, read from the evaluation the secant made there, not a new one
+    calls = []
+    theta_t = sph.theta_t
+
+    def counting_theta_t(t, problem, **kw):
+        calls.append((t, kw["tol"]))
+        return theta_t(t, problem, **kw)
+
+    monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    problem = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
+    eigs = sph.eigenvalues(problem, 3)
+    monkeypatch.undo()
+    eval_tol = min(1e-9, 1e-9) / 100.0   # as `eigenvalues` sets it
+    for eig in eigs:
+        assert calls.count((eig.t_root, eval_tol)) == 1
+        want = abs(sph.theta_t(eig.t_root, problem, tol=eval_tol).theta)
+        assert repr(eig.residual) == repr(want)

@@ -94,7 +94,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConncoefError, DegenerateFrame, FrameMismatch, SingularStep
+from .errors import (ConncoefError, DegenerateFrame, FrameMismatch,
+                     NoConvergence, SingularStep)
 
 __all__ = [
     "RationalTail",
@@ -683,6 +684,7 @@ def _power_sum(coefs, x):
 
     Stops once 3 terms in a row are each at most 1e-12 * |running sum|.
     The sum starts from 0, so real coefficients at real x give a real sum.
+    Raises NoConvergence if the sum is not finite.
     """
     total = 0
     xk = 1.0
@@ -697,6 +699,8 @@ def _power_sum(coefs, x):
                 break
         else:
             small = 0
+    if not cmath.isfinite(total):
+        raise NoConvergence(f"power series at x = {x} sums to {total}")
     return total
 
 

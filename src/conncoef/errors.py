@@ -44,7 +44,7 @@ class ScanExhausted(ConncoefError):
 
 
 class NoConvergence(ConncoefError):
-    """Iterative solver ran out of iterations.
+    """Iterative solver ran out of iterations, or a series sum is not finite.
 
     Attributes
     ----------

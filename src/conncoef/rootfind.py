@@ -76,15 +76,30 @@ def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
 def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, float]]:
     """Sample f on [lo, hi] with the given step; return sign-change intervals.
 
-    A sample that is exactly zero counts as one crossing, paired with its
-    right neighbour (or returned as the degenerate pair (t, t) when it is
-    the last sample); sign tracking restarts after it, so a sign change
-    through an exact zero yields a single bracket.  NaN samples are skipped
-    (a single warning reports how many).
+    The intervals of `_scan_brackets`, which also raises ValueError, before
+    any call to f, for bounds or a step it cannot walk; a single warning
+    reports how many NaN samples were skipped.
+    """
+    skipped: list[float] = []
+    brackets = list(_scan_brackets(f, lo, hi, step, skipped))
+    if skipped:
+        warnings.warn(f"bracket_scan: skipped {len(skipped)} NaN samples",
+                      RuntimeWarning, stacklevel=2)
+    return brackets
 
-    Raises ValueError unless lo and hi are finite with lo <= hi, and
-    step is finite and above half an ulp of max(|lo|, |hi|) (so > 0);
-    a smaller step would round ``t += step`` back to t.
+
+def _scan_brackets(f, lo: float, hi: float, step: float,
+                   skipped: list[float]):
+    """Generator of the sign-change intervals of f sampled at lo, lo + step,
+    ... (by ``t += step``) and hi, each yielded once the sample that closes
+    it is evaluated.
+
+    An exactly zero sample is one crossing, paired with the next finite
+    sample (or (t, t) when it is the last), and sign tracking restarts after
+    it.  NaN samples are skipped and their t appended to ``skipped``.
+    Raises ValueError before any call to f unless lo <= hi are finite and
+    step is finite and above half an ulp of max(|lo|, |hi|), below which
+    ``t += step`` would stall.
     """
     lo, hi = float(lo), float(hi)
     if not -math.inf < lo <= hi < math.inf:     # also false for NaN
@@ -94,40 +109,34 @@ def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, floa
     if not math.ulp(m) / 2 < step < math.inf:  # also false for NaN
         raise ValueError(f"step must be finite and above half an ulp of "
                          f"max(|lo|, |hi|) = {m}, got {step}")
-    ts = []
-    t = lo
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
-        ts.append(min(t, hi))
-        if t >= hi:     # the slack can exceed the step: take hi once
-            break
-        t += step
-    if ts[-1] < hi:
-        ts.append(hi)
 
-    brackets = []
-    nan_count = 0
+    def points():
+        t = lo
+        while t <= hi + 1e-12 * max(1.0, abs(hi)):
+            yield min(t, hi)
+            if t >= hi:     # the slack can exceed the step: take hi once
+                return
+            t += step
+        yield hi
+
     prev_t = prev_f = None
     zero_t = None
-    for t in ts:
+    for t in points():
         ft = f(t)
         if not np.isfinite(ft):
-            nan_count += 1
+            skipped.append(t)
             continue
         if zero_t is not None:
-            brackets.append((zero_t, t))
+            yield zero_t, t
             zero_t = None
             prev_f = None  # crossing consumed by the exact zero
         if ft == 0:
             zero_t = t
         elif prev_f is not None and (prev_f < 0) != (ft < 0):
-            brackets.append((prev_t, t))
+            yield prev_t, t
         prev_t, prev_f = t, ft
     if zero_t is not None:
-        brackets.append((zero_t, zero_t))
-    if nan_count:
-        warnings.warn(f"bracket_scan: skipped {nan_count} NaN samples",
-                      RuntimeWarning, stacklevel=2)
-    return brackets
+        yield zero_t, zero_t
 
 
 def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:

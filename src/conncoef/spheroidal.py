@@ -24,6 +24,7 @@ x > 0, where it converges much faster.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
                    theta_kernel)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import ParityAmbiguous, ScanExhausted
-from .rootfind import SolverOptions, bracket_scan, secant
+from .rootfind import SolverOptions, _scan_brackets, secant
 
 __all__ = [
     "SpheroidalProblem",
@@ -149,21 +150,26 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
                 k_max: int = 10 ** 6) -> list[SpheroidalEigenvalue]:
     """The lowest ``count`` eigenvalues, in increasing order of t.
 
-    A sign scan of Theta(t) with step 0.5 brackets the roots; each bracket is
-    polished by the secant method to |Theta| <= tol (at most 60 iterations,
-    step cutoff 1e-13*(1+|t|)).  Scan samples only need reliable signs, so
-    they run at the loose tolerance 1e-6; Theta evaluations inside the
+    A sign scan of Theta(t) with step 0.5, in increasing t, brackets the
+    roots; each bracket is polished as soon as it is found, by the secant
+    method to |Theta| <= tol (at most 60 iterations, step cutoff
+    1e-13*(1+|t|)).  The scan stops at the sign change that brackets the
+    count-th distinct root: samples past it are never evaluated, so a NaN
+    or an error there is not seen.  Scan samples only need reliable signs,
+    so they run at the loose tolerance 1e-6; Theta evaluations inside the
     secant solver run at min(tol, 1e-9)/100 so evaluation noise stays below
-    the target.
+    the target.  NaN scan samples are skipped; one RuntimeWarning says how
+    many were evaluated.
 
     t_scan_range defaults to [-2|gamma2|-2, upper], upper = lower +
-    max(8, 2*count).  While sign changes are missing, the upper end hi of
-    the scanned range [lo, hi] moves to hi + (hi - lo), doubling the span:
-    at most 64 times for the default range, once for an explicit one.  If
-    sign changes are still missing, ScanExhausted is raised.  ValueError is
-    raised before any Theta evaluation for count < 1, tol not > 0 (or NaN)
-    or an explicit range that is not finite with lo <= hi, and by the first
-    one for a bad n or k_max (see `theta_iterate`).
+    max(8, 2*count).  While the scanned range [lo, hi] ends with fewer than
+    count sign changes, hi moves to hi + (hi - lo), doubling the span: at
+    most 64 times for the default range, once for an explicit one.  If sign
+    changes are still missing, or they polish to fewer than count distinct
+    roots, ScanExhausted is raised.  ValueError is raised before any Theta
+    evaluation for count < 1, tol not > 0 (or NaN) or an explicit range
+    that is not finite with lo <= hi, and by the first one for a bad n or
+    k_max (see `theta_iterate`).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -190,25 +196,28 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     else:
         lo, hi = float(t_scan_range[0]), float(t_scan_range[1])
         extensions = 1
-    brackets = bracket_scan(f_scan, lo, hi, _SCAN_STEP)
-    for _ in range(extensions):
-        if len(brackets) >= count:
-            break
-        new_hi = hi + (hi - lo)
-        brackets += bracket_scan(f_scan, hi, new_hi, _SCAN_STEP)
-        hi = new_hi
-    if len(brackets) < count:
-        raise ScanExhausted(f"found {len(brackets)} sign changes up to "
-                            f"t = {hi}, need {count}")
-
     roots: list[float] = []
-    for a, b in brackets:
-        if len(roots) == count:
+    found = 0
+    skipped: list[float] = []
+    start = lo
+    for extension in range(extensions + 1):
+        if extension:
+            start, hi = hi, hi + (hi - lo)
+        for a, b in _scan_brackets(f_scan, start, hi, _SCAN_STEP, skipped):
+            found += 1
+            r = secant(f, a, b, opts)
+            if not any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
+                roots.append(float(r))
+            if len(roots) == count:
+                break
+        if found >= count:
             break
-        r = secant(f, a, b, opts)
-        if any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
-            continue
-        roots.append(float(r))
+    if skipped:
+        warnings.warn(f"eigenvalues: skipped {len(skipped)} NaN scan samples",
+                      RuntimeWarning, stacklevel=2)
+    if found < count:
+        raise ScanExhausted(f"found {found} sign changes up to t = {hi}, "
+                            f"need {count}")
     if len(roots) < count:
         raise ScanExhausted(
             f"brackets collapsed to {len(roots)} distinct roots, need {count}")

@@ -32,7 +32,7 @@ from conncoef.core import (
     weight_vector,
 )
 from conncoef.errors import (ConncoefError, DegenerateFrame, FrameMismatch,
-                             SingularStep)
+                             NoConvergence, SingularStep)
 
 from _oracle import theta_oracle
 
@@ -288,6 +288,19 @@ def test_frobenius_step_rejects_state_of_other_pole_count():
     st = series_start(_sample_frame().a0, no_pole)
     with pytest.raises(ValueError, match="accumulator"):
         frobenius_step(st, sh)
+
+
+# --------------------------------------------------------------------------
+# power series sums
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [1.0, 1 + 1j])
+def test_power_sum_raises_on_an_overflowing_series(c):
+    # 2**k overflows at k = 1024, and the inf term meets the stop rule
+    # (inf <= 1e-12 * inf): only the check of the total can catch it
+    with pytest.raises(NoConvergence, match="sums to"):
+        core._power_sum([c] * 2000, 2.0)
+    assert abs(core._power_sum([c] * 2000, 0.5) - 2 * c) <= 1e-11
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,8 @@ cross-checked against the integration oracle; Legendre limits are exact.
 
 import dataclasses
 import itertools
+import math
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from conncoef.core import (
     series_start,
     theta_iterate,
 )
-from conncoef.errors import ScanExhausted
+from conncoef.errors import NoConvergence, ScanExhausted
+from conncoef.rootfind import SolverOptions, bracket_scan, secant
 
 from _oracle import theta_oracle
 
@@ -345,15 +348,17 @@ def test_on_demand_coefficients_equal_the_full_build(kind, mu, gamma2, t, im,
 def test_on_demand_coefficients_stop_at_the_cap(mu, gamma2, t, x):
     # at argument 2 the terms do not shrink until x**k overflows at
     # k = 1024, and inf terms meet the stop rule; NaN terms never meet it,
-    # so at a NaN argument both sums read exactly _SERIES_TERMS terms
+    # so at a NaN argument both sums read exactly _SERIES_TERMS terms.
+    # Neither sum is finite, so both raise after the same reads.
     problem = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
     lazy, full = [0], [0]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _power_sum(_counted(sph._Coefficients(t, problem), lazy), x)
-        want = _power_sum(_counted(_full_build(t, problem), full), x)
+        with pytest.raises(NoConvergence, match="sums to"):
+            _power_sum(_counted(sph._Coefficients(t, problem), lazy), x)
+        with pytest.raises(NoConvergence, match="sums to"):
+            _power_sum(_counted(_full_build(t, problem), full), x)
     assert lazy == full
     assert (lazy[0] == _SERIES_TERMS) == (x != x)
-    assert _exact([got]) == _exact([want])
 
 
 def test_spectrum_and_eigenfunctions_run_no_full_series(monkeypatch):
@@ -397,3 +402,163 @@ def test_residual_comes_from_the_secant_evaluation(monkeypatch, mu, gamma2):
         assert calls.count((eig.t_root, eval_tol)) == 1
         want = abs(sph.theta_t(eig.t_root, problem, tol=eval_tol).theta)
         assert repr(eig.residual) == repr(want)
+
+
+# --------------------------------------------------------------------------
+# the scan stops at the count-th sign change
+# --------------------------------------------------------------------------
+
+def _eager_eigenvalues(problem, count, t_scan_range=None, samples=None):
+    """`sph.eigenvalues` (default n, tol, k_max) as it ran before its scan
+    streamed: every sample of each doubled segment first, then the secant
+    on each bracket.  The scan's sample points are appended to ``samples``,
+    and the right end of the bracket that gave the count-th distinct root
+    is returned along with the eigenvalues."""
+    opts = SolverOptions(tol_residual=1e-9, max_iter=60)
+    eval_tol, scan_tol = 1e-11, 1e-6
+    evaluated = {}
+    samples = [] if samples is None else samples
+
+    def f(t):
+        result = evaluated[t] = sph.theta_t(t, problem, tol=eval_tol)
+        return result.theta.real
+
+    def f_scan(t):
+        samples.append(t)
+        return sph.theta_t(t, problem, tol=scan_tol).theta.real
+
+    if t_scan_range is None:
+        lo = -2.0 * abs(complex(problem.gamma2)) - 2.0
+        hi = lo + max(8.0, 2.0 * count)
+        extensions = 64
+    else:
+        lo, hi = float(t_scan_range[0]), float(t_scan_range[1])
+        extensions = 1
+    brackets = bracket_scan(f_scan, lo, hi, 0.5)
+    for _ in range(extensions):
+        if len(brackets) >= count:
+            break
+        new_hi = hi + (hi - lo)
+        brackets += bracket_scan(f_scan, hi, new_hi, 0.5)
+        hi = new_hi
+    if len(brackets) < count:
+        raise ScanExhausted(f"found {len(brackets)} sign changes up to "
+                            f"t = {hi}, need {count}")
+
+    roots = []
+    for a, b in brackets:
+        if len(roots) == count:
+            break
+        r = secant(f, a, b, opts)
+        if any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
+            continue
+        roots.append(float(r))
+        closing = b
+    if len(roots) < count:
+        raise ScanExhausted(
+            f"brackets collapsed to {len(roots)} distinct roots, need {count}")
+    roots.sort()
+
+    mu = complex(problem.mu)
+    out = []
+    for i, r in enumerate(roots):
+        parity, _ = sph._parity_probe(sph._Coefficients(r, problem), mu)
+        lam = r + mu * (mu + 1)
+        if problem.is_real:
+            lam = lam.real
+        out.append(sph.SpheroidalEigenvalue(
+            index=i, t_root=r, lam=lam, parity=parity,
+            residual=abs(evaluated[r].theta)))
+    return out, closing
+
+
+#: the fingerprint's spectra, the benchmark's and its command-line request
+_SPECTRA = [
+    ((0, 4.0), 8, None), ((0, -4.0), 4, None), ((1, 4.0), 4, None),
+    ((2, 10.0), 3, None), ((0, 4.0), 2, (-4.0, 2.0)),
+    ((0, 4.0), 2, (-4.0, -1.0)), ((0, 4.0), 3, (-4.0, -3.0)),
+    ((0, 16.0), 8, None), ((0, -4.0), 6, None), ((2, -9.0), 5, None),
+    ((0, 0.0), 8, None), ((1, 4.0), 6, None),
+]
+
+
+@pytest.mark.parametrize("args, count, t_range", _SPECTRA)
+def test_lazy_scan_equals_the_eager_scan(args, count, t_range):
+    problem = sph.SpheroidalProblem(*args)
+    try:
+        want, _ = _eager_eigenvalues(problem, count, t_range)
+    except ScanExhausted as exc:
+        with pytest.raises(ScanExhausted) as got:
+            sph.eigenvalues(problem, count, t_scan_range=t_range)
+        assert str(got.value) == str(exc)
+        return
+    got = sph.eigenvalues(problem, count, t_scan_range=t_range)
+    assert ([[repr(v) for v in dataclasses.astuple(e)] for e in got]
+            == [[repr(v) for v in dataclasses.astuple(e)] for e in want])
+
+
+@pytest.mark.parametrize("args, count, t_range", [
+    ((0, 4.0), 8, None), ((2, -9.0), 5, None), ((0, 4.0), 2, (-4.0, -1.0))])
+def test_scan_stops_at_the_sample_closing_the_last_bracket(
+        monkeypatch, args, count, t_range):
+    problem = sph.SpheroidalProblem(*args)
+    every = []
+    _, closing = _eager_eigenvalues(problem, count, t_range, every)
+    scanned = []
+    theta_t = sph.theta_t
+
+    def counting_theta_t(t, problem, **kw):
+        if kw["tol"] == 1e-6:
+            scanned.append(t)
+        return theta_t(t, problem, **kw)
+
+    monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    sph.eigenvalues(problem, count, t_scan_range=t_range)
+    # the same grid, walked up to the closing sample and no further
+    assert scanned == every[:len(scanned)]
+    assert scanned[-1] == closing == max(scanned)
+    assert len(scanned) < len(every)
+
+
+def _stubbed_scan(monkeypatch, scan_value, root=0.25):
+    """Replace `sph.theta_t`: scan samples read ``scan_value(t)``, the
+    secant's evaluations t - root, so every bracket polishes to ``root``.
+    Returns the list of scanned t."""
+    scanned = []
+
+    def stub(t, problem, **kw):
+        if kw["tol"] == 1e-6:
+            scanned.append(t)
+            return types.SimpleNamespace(theta=complex(scan_value(t)))
+        return types.SimpleNamespace(theta=complex(t - root))
+
+    monkeypatch.setattr(sph, "theta_t", stub)
+    return scanned
+
+
+def test_collapsed_brackets_consume_the_segment(monkeypatch):
+    # cos has sign changes near 1.57, 4.71 and 7.85 on [0, 10]; the second
+    # bracket makes count = 2 sign changes, but all three polish to one
+    # root, so the rest of the segment is scanned and not extended
+    scanned = _stubbed_scan(monkeypatch, math.cos)
+    with pytest.raises(ScanExhausted,
+                       match="brackets collapsed to 1 distinct roots, need 2"):
+        sph.eigenvalues(sph.SpheroidalProblem(0, 4.0), 2,
+                        t_scan_range=(0.0, 10.0))
+    assert scanned == [0.5 * i for i in range(21)]
+
+
+def test_nan_warning_counts_only_the_samples_evaluated(monkeypatch):
+    # NaN at t = 1 and t = 3, before the sign change in (4.5, 5]; the one
+    # at t = 7 lies past the closing sample t = 5
+    nan = float("nan")
+    scanned = _stubbed_scan(
+        monkeypatch, lambda t: nan if t in (1.0, 3.0, 7.0) else t - 4.7,
+        root=4.7)
+    with pytest.warns(RuntimeWarning) as caught:
+        eigs = sph.eigenvalues(sph.SpheroidalProblem(0, 4.0), 1,
+                               t_scan_range=(0.0, 10.0))
+    assert [str(w.message) for w in caught] == [
+        "eigenvalues: skipped 2 NaN scan samples"]
+    assert scanned[-1] == 5.0
+    assert eigs[0].t_root == pytest.approx(4.7)

@@ -5,8 +5,7 @@ This module works on first-order systems
     y'(z) = (A/z + B/(z-1) + G(z)) y(z),                                 (*)
 
 where ``A`` and ``B`` are constant complex 2x2 matrices and ``G`` is analytic
-on a neighbourhood of the closed unit disk, given either by its Taylor
-coefficient streams at z=0 and z=1 or in the closed rational form
+on a neighbourhood of the closed unit disk, given in the closed rational form
 
     G(z) = C + sum_j R_j / (z - c_j),      |c_j| > 1.
 
@@ -42,27 +41,27 @@ iteration stops on the a posteriori bound
 
 valid for every eps > 0 once k is large enough; see `theta_iterate`.
 
-For rational structure every series runs on one scalar recurrence kernel,
-which reads one plain description of the problem, a `ThetaKernel`: Python
-scalars for the entries of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per
-pole, for the main and the mirrored series, plus a0, b1, b2 and delta.  A
-single loop advances u_k, d_k and the geometric sums s_k^(j) with no array
-allocation per step.  A value whose
-imaginary part is exactly 0 is unpacked as a float, any other as a complex
-(`_unpack`), so real problems run on float arithmetic.  This keeps the bits:
-CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands with
-imaginary part 0 give the real part that float arithmetic gives, as long as
-nothing overflows, and a float met by a complex is promoted to
-``complex(x, 0.0)``.  Only the sign of an exact zero can differ; comparisons
-and ``abs`` do not see it.  So a system and frame with real entries give a
-Theta whose imaginary part is exactly 0, by construction and unchecked.
+Every series runs on one scalar recurrence kernel, which reads one plain
+description of the problem, a `ThetaKernel`: Python scalars for the entries
+of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per pole, for the main and
+the mirrored series, plus a0, b1, b2 and delta.  A single loop advances u_k,
+d_k and the geometric sums s_k^(j) with no array allocation per step.  A
+value whose imaginary part is exactly 0 is unpacked as a float, any other as
+a complex (`_unpack`), so real problems run on float arithmetic.  This keeps
+the bits: CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on
+operands with imaginary part 0 give the real part that float arithmetic
+gives, as long as nothing overflows, and a float met by a complex is
+promoted to ``complex(x, 0.0)``.  Only the sign of an exact zero can
+differ; comparisons and ``abs`` do not see it.  So a system and frame with
+real entries give a Theta whose imaginary part is exactly 0, by
+construction and unchecked.
 
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
 that loop, with the mirrored prefix sums straight from the kernel.  Spheroidal
-eigenfunctions step it only as far as a sum reads; ellipsoidal ones take all
-`_SERIES_TERMS` `prefix_sums` up front.  The public `frobenius_step`,
-`p_vector` and `weight_vector` stay as validating single-step entry points.
-Generic structure keeps its own O(k) convolution in `frobenius_step`.
+eigenfunctions step it only as far as a sum reads; ellipsoidal ones take
+`_SERIES_TERMS` steps of their closed-form sides.  The public
+`frobenius_step`, `p_vector` and `weight_vector` stay as validating
+single-step entry points on the same kernel.
 
 Two kinds of caller fill the description.  `theta_iterate` given a
 `TwoPointSystem` and a `SpectralFrame` checks the frame against the system
@@ -88,8 +87,8 @@ import itertools
 import math
 import numbers
 from array import array
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -197,67 +196,34 @@ class RationalTail:
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residues", residues)
 
-    def coeff_at_zero(self, k: int) -> np.ndarray:
-        """Taylor coefficient G_k of G(z) = sum G_k z**k."""
-        out = -sum((r / c ** (k + 1) for c, r in zip(self.poles, self.residues)),
-                   start=np.zeros((2, 2), dtype=complex))
-        if k == 0:
-            out = out + self.const
-        return out
-
-    def coeff_at_one(self, k: int) -> np.ndarray:
-        """Coefficient G~_k of G(z) = sum G~_k (1-z)**k."""
-        out = sum((r / (1 - c) ** (k + 1) for c, r in zip(self.poles, self.residues)),
-                  start=np.zeros((2, 2), dtype=complex))
-        if k == 0:
-            out = out + self.const
-        return out
-
 
 @dataclass(frozen=True)
 class TwoPointSystem:
     """The data of the system y' = (A/z + B/(z-1) + G(z)) y.
 
-    Either ``tail`` is given (rational structure, preferred: O(1) work per
-    recurrence step) or both coefficient streams are given explicitly
-    (generic structure, O(k) work per step from the stored history).
+    G is given in closed rational form, so every recurrence step is O(1)
+    work.
 
     Attributes
     ----------
     A, B : (2, 2) complex ndarray
         Residue matrices at the singular points z=0 and z=1.
-    g_at_zero, g_at_one : callable k -> (2,2) ndarray, optional
-        Taylor coefficient streams of G at z=0 / z=1 (generic structure).
-    tail : RationalTail, optional
-        Closed rational form of G (rational structure).
+    tail : RationalTail
+        Closed rational form of G.
     """
 
     A: np.ndarray
     B: np.ndarray
-    g_at_zero: Callable[[int], np.ndarray] | None = None
-    g_at_one: Callable[[int], np.ndarray] | None = None
-    tail: RationalTail | None = None
+    tail: RationalTail
 
     def __post_init__(self):
         object.__setattr__(self, "A", _c2matrix(self.A))
         object.__setattr__(self, "B", _c2matrix(self.B))
-        if self.tail is None and self.g_at_zero is None:
-            raise ValueError("need a rational tail or a g_at_zero stream")
-
-    @property
-    def structure(self) -> str:
-        """Structure tag: ``"rational"`` or ``"generic"``."""
-        return "rational" if self.tail is not None else "generic"
 
     @classmethod
     def from_rational(cls, A, B, const, poles=(), residues=()) -> "TwoPointSystem":
-        """Build a rational-structure system from C, c_j, R_j."""
+        """Build a system from C, c_j, R_j."""
         return cls(A=A, B=B, tail=RationalTail(const, tuple(poles), tuple(residues)))
-
-    @classmethod
-    def from_streams(cls, A, B, g_at_zero, g_at_one=None) -> "TwoPointSystem":
-        """Build a generic-structure system from coefficient streams."""
-        return cls(A=A, B=B, g_at_zero=g_at_zero, g_at_one=g_at_one)
 
 
 @dataclass(frozen=True)
@@ -303,28 +269,14 @@ class ShiftedSystem:
 
     Represents eta' = (A0/z + A1/(z-1) + G(z)) eta.  ``tail_const``,
     ``tail_poles`` and ``tail_residues`` hold the (possibly re-centered)
-    rational data; for generic systems ``stream`` yields the coefficient
-    stream and an internal cache grows lazily as steps are taken.
+    rational data of G.
     """
 
     A0: np.ndarray
     A1: np.ndarray
-    stream: Callable[[int], np.ndarray] | None = None
-    tail_const: np.ndarray | None = None
+    tail_const: np.ndarray
     tail_poles: tuple = ()
     tail_residues: tuple = ()
-    _stream_cache: list = field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.tail_const is not None
-
-    def _coeff(self, k: int) -> np.ndarray:
-        """Cached generic-stream coefficient G_k."""
-        cache = self._stream_cache
-        while len(cache) <= k:
-            cache.append(_c2matrix(self.stream(len(cache))))
-        return cache[k]
 
 
 def _norm2(v) -> float:
@@ -385,20 +337,18 @@ def build_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem
         (relative).
     """
     _check_frame(system, frame)
-    A0 = system.A - frame.alpha0 * _EYE
-    A1 = system.B - (frame.beta1 + 1) * _EYE
-    if system.structure == "rational":
-        t = system.tail
-        return ShiftedSystem(A0=A0, A1=A1, tail_const=t.const,
-                             tail_poles=t.poles, tail_residues=t.residues)
-    return ShiftedSystem(A0=A0, A1=A1, stream=system.g_at_zero)
+    t = system.tail
+    return ShiftedSystem(A0=system.A - frame.alpha0 * _EYE,
+                         A1=system.B - (frame.beta1 + 1) * _EYE,
+                         tail_const=t.const, tail_poles=t.poles,
+                         tail_residues=t.residues)
 
 
 def mirrored_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
     """Shifted system of the mirrored problem (z -> 1-z).
 
     The mirrored system has A0~ = B - beta2*I, A1~ = A - alpha0*I and the
-    negated, re-centered G stream.  Running `frobenius_step` on the result,
+    negated, re-centered G.  Running `frobenius_step` on the result,
     started from u_0 = d~_0 = b2, yields the mirrored prefix sums d~_k used by
     `p_vector`.
     """
@@ -408,18 +358,13 @@ def mirrored_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSys
 
 def _mirrored(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
     """`mirrored_shifted` without the frame check."""
-    A0 = system.B - frame.beta2 * _EYE
-    A1 = system.A - frame.alpha0 * _EYE
-    if system.structure == "rational":
-        t = system.tail
-        # -G(1-x) = -C + sum_j R_j / (x - (1 - c_j))
-        return ShiftedSystem(A0=A0, A1=A1, tail_const=-t.const,
-                             tail_poles=tuple(1 - c for c in t.poles),
-                             tail_residues=t.residues)
-    if system.g_at_one is None:
-        raise ValueError("mirrored run needs the g_at_one stream")
-    g1 = system.g_at_one
-    return ShiftedSystem(A0=A0, A1=A1, stream=lambda k: -np.asarray(g1(k)))
+    t = system.tail
+    # -G(1-x) = -C + sum_j R_j / (x - (1 - c_j))
+    return ShiftedSystem(A0=system.B - frame.beta2 * _EYE,
+                         A1=system.A - frame.alpha0 * _EYE,
+                         tail_const=-t.const,
+                         tail_poles=tuple(1 - c for c in t.poles),
+                         tail_residues=t.residues)
 
 
 # --------------------------------------------------------------------------
@@ -433,14 +378,13 @@ class ThetaKernel(NamedTuple):
     (see `build_shifted`), ``mirror`` that of the mirrored series started
     from ``b2`` (see `mirrored_shifted`).  Each is a flat tuple, a *side*:
     the entries of A0, A1 + I and C, row-major, then per pole c_j the
-    entries of R_j / c_j, row-major, and 1 / c_j.  A generic-structure
-    system keeps its two `ShiftedSystem` objects there instead.  ``b1``,
-    ``b2`` and ``delta`` = beta2 - beta1 are the frame's data at z = 1.
-    Make one with `theta_kernel`.
+    entries of R_j / c_j, row-major, and 1 / c_j.  ``b1``, ``b2`` and
+    ``delta`` = beta2 - beta1 are the frame's data at z = 1.  Make one with
+    `theta_kernel`.
     """
 
-    main: tuple | ShiftedSystem
-    mirror: tuple | ShiftedSystem
+    main: tuple
+    mirror: tuple
     a0: tuple
     b1: tuple
     b2: tuple
@@ -458,10 +402,8 @@ def _side(values) -> tuple:
     return side
 
 
-def _series(shifted: ShiftedSystem):
-    """The side of a rational shifted system; a generic one as is."""
-    if not shifted.is_rational:
-        return shifted
+def _series(shifted: ShiftedSystem) -> tuple:
+    """The side of a shifted system."""
     # numpy divides a complex array by c as a product with 1 / c
     return _side([*shifted.A0.ravel().tolist(),
                   *(shifted.A1 + _EYE).ravel().tolist(),
@@ -475,9 +417,9 @@ def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
     """Check a Theta problem's data and unpack it into a `ThetaKernel`.
 
     ``main`` and ``mirror`` are each a sequence of numbers laid out as a
-    side (see `ThetaKernel`), or a generic-structure `ShiftedSystem`, taken
-    as is.  ``a0``, ``b1`` and ``b2`` are pairs of numbers.  Every number
-    goes through `_unpack`, so a real problem is described by floats.
+    side (see `ThetaKernel`).  ``a0``, ``b1`` and ``b2`` are pairs of
+    numbers.  Every number goes through `_unpack`, so a real problem is
+    described by floats.
 
     Raises
     ------
@@ -487,12 +429,10 @@ def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
         As `SpectralFrame`: delta = 0, Re(delta) <= -1, or b1 and b2
         (numerically) linearly dependent.
     """
-    sides = [s if isinstance(s, ShiftedSystem) else _side(s)
-             for s in (main, mirror)]
     frame = _side([*a0, *b1, *b2, delta])
     a0, b1, b2 = frame[0:2], frame[2:4], frame[4:6]
     _check_exponents(frame[6], b1, b2)
-    return ThetaKernel(*sides, a0, b1, b2, frame[6])
+    return ThetaKernel(_side(main), _side(mirror), a0, b1, b2, frame[6])
 
 
 def _frame_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
@@ -519,75 +459,49 @@ class SeriesState:
         Latest series coefficient u_k = d_k - d_{k-1}.
     d : (2,) complex ndarray
         Prefix sum d_k = u_0 + ... + u_k.
-    history : list of ndarray or None
-        All u_0..u_k (generic structure only; drives the convolution).
-    tail_sums : list of ndarray or None
-        Geometric accumulators s_k^(j) = s_{k-1}^(j)/c_j + u_k, one per pole
-        (rational structure only).
+    tail_sums : list of ndarray
+        Geometric accumulators s_k^(j) = s_{k-1}^(j)/c_j + u_k, one per pole.
     """
 
     k: int
     u: np.ndarray
     d: np.ndarray
-    history: list | None = None
-    tail_sums: list | None = None
+    tail_sums: list
 
 
 def series_start(vector, shifted: ShiftedSystem) -> SeriesState:
     """Initial state u_0 = d_0 = vector (with s_0^(j) = vector per pole)."""
     v = _c2vector(vector)
-    if shifted.is_rational:
-        sums = [v.copy() for _ in shifted.tail_poles]
-        return SeriesState(k=0, u=v, d=v.copy(), tail_sums=sums)
-    return SeriesState(k=0, u=v, d=v.copy(), history=[v])
+    return SeriesState(k=0, u=v, d=v.copy(),
+                       tail_sums=[v.copy() for _ in shifted.tail_poles])
 
 
 def frobenius_step(state: SeriesState, shifted: ShiftedSystem) -> SeriesState:
     """Advance the recurrence one step: u_{k+1}, d_{k+1} from the state.
 
     Implements u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - sum_{l<k} G_{k-1-l} u_l)
-    and d_k = d_{k-1} + u_k.  For rational structure the convolution collapses
-    to  C u_{k-1} - sum_j (R_j / c_j) s_{k-1}^(j)  with the geometric
+    and d_k = d_{k-1} + u_k.  For rational G the convolution collapses to
+    C u_{k-1} - sum_j (R_j / c_j) s_{k-1}^(j)  with the geometric
     accumulators updated as s_k = s_{k-1}/c_j + u_k in O(1) per pole; this
-    runs one step of the scalar kernel that `theta_iterate` and `prefix_sums`
-    use.  Generic structure evaluates the full convolution from the stored
-    history.
+    runs one step of the scalar kernel that `theta_iterate` and
+    `prefix_sums` use.
 
     Raises
     ------
     SingularStep
         If |det(A0 - k*I)| < 1e-30 at the new index k.
     ValueError
-        If a rational state does not hold one accumulator per pole.
+        If the state does not hold one accumulator per pole.
     """
-    if shifted.is_rational:
-        if state.tail_sums is None or (len(state.tail_sums)
-                                       != len(shifted.tail_poles)):
-            raise ValueError("state needs one tail accumulator per pole")
-        sums = [_unpack(s.tolist()) for s in state.tail_sums]
-        k, u0, u1, d0, d1 = next(_rational_steps(
-            _series(shifted), state.k, _unpack(state.u.tolist()),
-            _unpack(state.d.tolist()), sums))
-        return SeriesState(k=k, u=np.array([u0, u1], dtype=complex),
-                           d=np.array([d0, d1], dtype=complex),
-                           tail_sums=[np.array(s, dtype=complex) for s in sums])
-
-    k = state.k + 1
-    hist = state.history
-    conv = np.zeros(2, dtype=complex)
-    for ell in range(k):
-        conv = conv + shifted._coeff(k - 1 - ell) @ hist[ell]
-    rhs = (shifted.A1 + _EYE) @ state.d - conv
-    # closed-form 2x2 solve of (A0 - k I) u = rhs; the determinant doubles
-    # as the singular-step guard
-    (a11, a12), (a21, a22) = shifted.A0.tolist()
-    m11, m22 = a11 - k, a22 - k
-    det = m11 * m22 - a12 * a21
-    if abs(det) < _SINGULAR_STEP_TOL:
-        raise _singular_step(k, det)
-    u = np.array([(m22 * rhs[0] - a12 * rhs[1]) / det,
-                  (m11 * rhs[1] - a21 * rhs[0]) / det])
-    return SeriesState(k=k, u=u, d=state.d + u, history=hist + [u])
+    if len(state.tail_sums) != len(shifted.tail_poles):
+        raise ValueError("state needs one tail accumulator per pole")
+    sums = [_unpack(s.tolist()) for s in state.tail_sums]
+    k, u0, u1, d0, d1 = next(_rational_steps(
+        _series(shifted), state.k, _unpack(state.u.tolist()),
+        _unpack(state.d.tolist()), sums))
+    return SeriesState(k=k, u=np.array([u0, u1], dtype=complex),
+                       d=np.array([d0, d1], dtype=complex),
+                       tail_sums=[np.array(s, dtype=complex) for s in sums])
 
 
 def _singular_step(k: int, det: complex) -> SingularStep:
@@ -595,7 +509,7 @@ def _singular_step(k: int, det: complex) -> SingularStep:
 
 
 def _rational_steps(side: tuple, k: int, u: list, d: list, sums: list):
-    """Scalar recurrence kernel for rational structure.
+    """The scalar recurrence kernel.
 
     Starts from u_k = ``u`` and d_k = ``d`` (pairs of scalars) and yields
     ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
@@ -636,32 +550,17 @@ def _rational_steps(side: tuple, k: int, u: list, d: list, sums: list):
         yield k, u0, u1, d0, d1
 
 
-def _generic_steps(state: SeriesState, shifted: ShiftedSystem):
-    """`frobenius_step` from ``state`` on, yielding like `_rational_steps`."""
-    while True:
-        state = frobenius_step(state, shifted)
-        u0, u1, d0, d1 = _unpack([*state.u.tolist(), *state.d.tolist()])
-        yield state.k, u0, u1, d0, d1
-
-
-def _steps(series, start: list):
-    """Steps 1, 2, ... of the series from u_0 = d_0 = ``start`` (2 scalars).
-
-    ``series`` is a side of a `ThetaKernel` or a `ShiftedSystem`.
-    """
-    if isinstance(series, ShiftedSystem):
-        if not series.is_rational:
-            return _generic_steps(series_start(start, series), series)
-        series = _series(series)
-    return _rational_steps(series, 0, start, start,
-                           [list(start) for _ in range(12, len(series), 5)])
+def _steps(side: tuple, start: Sequence):
+    """Steps 1, 2, ... of the series on a side of a `ThetaKernel` from
+    u_0 = d_0 = ``start`` (2 kernel scalars)."""
+    return _rational_steps(side, 0, start, start,
+                           [list(start) for _ in range(12, len(side), 5)])
 
 
 def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
     """Prefix sums d_0..d_{n_terms-1} of the series started from ``start``.
 
-    Returns a complex array of shape (n_terms, 2).  Rational structure runs
-    the scalar kernel; generic structure steps `frobenius_step`.
+    Returns a complex array of shape (n_terms, 2), from the scalar kernel.
 
     Raises
     ------
@@ -671,7 +570,7 @@ def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     start = _unpack(_c2vector(start).tolist())
-    steps = itertools.islice(_steps(shifted, start), n_terms - 1)
+    steps = itertools.islice(_steps(_series(shifted), start), n_terms - 1)
     # streamed into the array: a list of row tuples would hold several
     # times the result's memory at the peak
     flat = itertools.chain(start, itertools.chain.from_iterable(
@@ -826,8 +725,8 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     first n prefix sums d~_1..d~_n, then advances the main recurrence,
     forming p_k, nu_k and Theta_k at each step from the first usable index
     k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the frame is
-    nondegenerate.  For rational structure this is one loop of plain scalar
-    arithmetic on the kernel's description (`ThetaKernel`): every scalar
+    nondegenerate.  This is one loop of plain scalar arithmetic on the
+    kernel's description (`ThetaKernel`): every scalar
     with imaginary part exactly 0 is a float, all others complex, which
     gives the bits of all-complex arithmetic (see the module docstring).
     p_k and nu_k follow the formulas of `p_vector` and `weight_vector`;
@@ -994,9 +893,9 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     so IEEE arithmetic gives the same bits.  Kernels that stop leave the
     arrays, and once fewer than `_LOCKSTEP_MIN` are left, those finish on
     the scalar loop from the state they reached, since a numpy step then
-    costs more than their scalar steps.  Any other kernel (a complex
-    scalar, generic structure) runs `theta_iterate` on its own, because
-    numpy's complex division is not CPython's.
+    costs more than their scalar steps.  A kernel with a complex scalar runs
+    `theta_iterate` on its own, because numpy's complex division is not
+    CPython's.
 
     Raises
     ------
@@ -1040,8 +939,6 @@ def _float_row(kernel: ThetaKernel) -> list | None:
     """The kernel's scalars in `_lockstep`'s order, or None unless every one
     is a float."""
     main, mirror, a0, b1, b2, delta = kernel
-    if isinstance(main, ShiftedSystem):
-        return None
     row = [*main, *mirror, *a0, *b1, *b2, delta]
     return row if set(map(type, row)) == {float} else None
 

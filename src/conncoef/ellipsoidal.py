@@ -35,8 +35,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _power_sum, build_shifted, mirrored_shifted,
-                   prefix_sums, theta_iterate, theta_kernel, theta_many)
+                   TwoPointSystem, _power_sum, _steps, theta_iterate,
+                   theta_kernel, theta_many)
 from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
@@ -523,15 +523,13 @@ class EllipsoidalEigenfunction:
         return self.C2 * self.piece2(z)
 
 
-def _second_components(system: TwoPointSystem, frame: SpectralFrame,
-                       mirrored: bool) -> np.ndarray:
-    """Prefix-sum second components <d_k, e2> for k < _SERIES_TERMS."""
-    if mirrored:
-        d = prefix_sums(mirrored_shifted(system, frame), frame.b2,
-                        _SERIES_TERMS)
-    else:
-        d = prefix_sums(build_shifted(system, frame), frame.a0, _SERIES_TERMS)
-    return d[:, 1].real.copy()
+def _second_components(side: tuple, start: tuple) -> np.ndarray:
+    """Real parts of the prefix-sum second components <d_k, e2>, k <
+    _SERIES_TERMS, of the series on a kernel side from ``start``."""
+    steps = itertools.islice(_steps(side, start), _SERIES_TERMS - 1)
+    return np.fromiter(
+        itertools.chain((start[1],), (d1 for _, _, _, _, d1 in steps)),
+        dtype=complex, count=_SERIES_TERMS).real.copy()
 
 
 def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction:
@@ -567,18 +565,12 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
             f"(lam, mu) = ({lam}, {mu}) is not an eigenpair: residual "
             f"{worst:.2e} > 1e-6")
 
-    sys_ = build_system(lam, mu, problem)
-    frame = spectral_frame(problem, entries(lam, mu, problem))
-    coef0 = _second_components(sys_, frame, mirrored=False)
-    coef1 = _second_components(sys_, frame, mirrored=True)
-
-    lam_h, mu_h, hat_prob = hat_parameters(lam, mu, problem)
-    sys_h = build_system(lam_h, mu_h, hat_prob)
-    frame_h = spectral_frame(hat_prob, entries(lam_h, mu_h, hat_prob))
-    coef2 = _second_components(sys_h, frame_h, mirrored=False)
-
+    kernel = _kernel(lam, mu, problem)
+    hat = _hat_kernel(lam, mu, problem)
     fn = EllipsoidalEigenfunction(
-        coef0=coef0, coef1=coef1, coef2=coef2, C0=1.0, C1=1.0, C2=1.0,
+        coef0=_second_components(kernel.main, kernel.a0),
+        coef1=_second_components(kernel.mirror, kernel.b2),
+        coef2=_second_components(hat.main, hat.a0), C0=1.0, C1=1.0, C2=1.0,
         rho=problem.rho, sigma=problem.sigma, tau=problem.tau, c=problem.c,
         lam=lam, mu=mu, gamma=float(problem.gamma.real
                                     if isinstance(problem.gamma, complex)

@@ -137,7 +137,7 @@ class SpheroidalEigenvalue:
 
     index: int
     t_root: float
-    lam: complex
+    lam: float
     parity: int
     residual: float
 
@@ -167,10 +167,13 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     most 64 times for the default range, once for an explicit one.  If sign
     changes are still missing, or they polish to fewer than count distinct
     roots, ScanExhausted is raised.  ValueError is raised before any Theta
-    evaluation for count < 1, tol not > 0 (or NaN) or an explicit range
-    that is not finite with lo <= hi, and by the first one for a bad n or
-    k_max (see `theta_iterate`).
+    evaluation for a problem that is not real (the scan and the secant see
+    only Re Theta over real t), count < 1, tol not > 0 (or NaN) or an
+    explicit range that is not finite with lo <= hi, and by the first one
+    for a bad n or k_max (see `theta_iterate`).
     """
+    if not problem.is_real:
+        raise ValueError("eigenvalues are computed for real problems only")
     if count < 1:
         raise ValueError("count must be >= 1")
     opts = SolverOptions(tol_residual=tol, max_iter=60)
@@ -228,9 +231,7 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     for i, r in enumerate(roots):
         parity, _ = _parity_probe(_Coefficients(r, problem), mu)
         res = abs(evaluated[r].theta)
-        lam = r + mu * (mu + 1)
-        if problem.is_real:
-            lam = lam.real
+        lam = (r + mu * (mu + 1)).real
         out.append(SpheroidalEigenvalue(index=i, t_root=r, lam=lam,
                                         parity=parity, residual=res))
     return out

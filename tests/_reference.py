@@ -1,0 +1,76 @@
+"""Reference recurrence for the test suite: the full O(k) convolution.
+
+The library steps every series on the rational kernel, where the tail sum
+collapses to geometric accumulators.  This module steps the same recurrence
+
+    u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - sum_{l<k} G_{k-1-l} u_l)
+
+from the Taylor coefficients G_k of the rational tail and the whole history
+u_0..u_{k-1}, sharing no step with the kernel, so that the kernel can be
+checked against it.
+"""
+
+import numpy as np
+
+from conncoef.core import p_vector, weight_vector
+from conncoef.errors import DegenerateFrame
+
+
+def coeff_at_zero(tail, k):
+    """Taylor coefficient G_k of G(z) = sum G_k z**k."""
+    out = -sum((r / c ** (k + 1) for c, r in zip(tail.poles, tail.residues)),
+               start=np.zeros((2, 2), dtype=complex))
+    return out + tail.const if k == 0 else out
+
+
+def coeff_at_one(tail, k):
+    """Coefficient G~_k of G(z) = sum G~_k (1-z)**k."""
+    out = sum((r / (1 - c) ** (k + 1) for c, r in zip(tail.poles, tail.residues)),
+              start=np.zeros((2, 2), dtype=complex))
+    return out + tail.const if k == 0 else out
+
+
+def series(A0, A1, stream, start):
+    """Yields (history u_0..u_k, d_k) for k = 1, 2, ... of the series from
+    u_0 = d_0 = ``start``, with G_k = ``stream(k)``."""
+    history = [np.asarray(start, dtype=complex)]
+    d = history[0].copy()
+    (a11, a12), (a21, a22) = A0.tolist()
+    while True:
+        k = len(history)
+        conv = np.zeros(2, dtype=complex)
+        for m in range(k):
+            conv = conv + stream(k - 1 - m) @ history[m]
+        rhs = (A1 + np.eye(2)) @ d - conv
+        m11, m22 = a11 - k, a22 - k
+        det = m11 * m22 - a12 * a21
+        u = np.array([(m22 * rhs[0] - a12 * rhs[1]) / det,
+                      (m11 * rhs[1] - a21 * rhs[0]) / det])
+        history.append(u)
+        d = d + u
+        yield history, d
+
+
+def streams(system, frame):
+    """The main and mirrored series of a system and frame (see `series`):
+    G at z = 0 from a0, and -G(1-x) at x = 0 from b2."""
+    A, B, tail, eye = system.A, system.B, system.tail, np.eye(2)
+    return (series(A - frame.alpha0 * eye, B - (frame.beta1 + 1) * eye,
+                   lambda k: coeff_at_zero(tail, k), frame.a0),
+            series(B - frame.beta2 * eye, A - frame.alpha0 * eye,
+                   lambda k: -coeff_at_one(tail, k), frame.b2))
+
+
+def thetas(system, frame, n):
+    """(k, Theta_k) for every k > Re(delta) + n - 1, from `p_vector` and
+    `weight_vector` on the convolution series; None where p_k is
+    degenerate."""
+    main, mirrored = streams(system, frame)
+    prefix = [frame.b2] + [d for _, (_, d) in zip(range(n), mirrored)]
+    for k, (_, d) in enumerate(main, start=1):
+        if k > frame.delta.real + n - 1:
+            try:
+                p = p_vector(frame.b2, prefix, frame.delta, k, n)
+                yield k, complex(d @ weight_vector(frame.b1, p))
+            except DegenerateFrame:
+                yield k, None

@@ -6,6 +6,7 @@ Expected values fall into three classes: exact hand-derived arithmetic
 and cross-checks against the independent integration oracle in _oracle.py.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from conncoef.core import (
 from conncoef.errors import (ConncoefError, DegenerateFrame, FrameMismatch,
                              NoConvergence, SingularStep)
 
+import _reference
 from _oracle import theta_oracle
 
 
@@ -79,20 +81,11 @@ def test_rational_tail_coefficient_streams():
     R = np.array([[0.0, 3.0], [1.0, 0.0]])
     c = 4.0
     tail = RationalTail(const=C, poles=(c,), residues=(R,))
-    assert np.allclose(tail.coeff_at_zero(0), C - R / c, atol=1e-15)
-    assert np.allclose(tail.coeff_at_zero(3), -R / c ** 4, atol=1e-15)
-    assert np.allclose(tail.coeff_at_one(0), C + R / (1 - c), atol=1e-15)
-    assert np.allclose(tail.coeff_at_one(2), R / (1 - c) ** 3, atol=1e-15)
-
-
-def test_structure_tags():
-    sys_r = _sample_system()
-    assert sys_r.structure == "rational"
-    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
-                                        g_at_zero=sys_r.tail.coeff_at_zero)
-    assert sys_g.structure == "generic"
-    with pytest.raises(ValueError):
-        TwoPointSystem(A=sys_r.A, B=sys_r.B)
+    at_zero, at_one = _reference.coeff_at_zero, _reference.coeff_at_one
+    assert np.allclose(at_zero(tail, 0), C - R / c, atol=1e-15)
+    assert np.allclose(at_zero(tail, 3), -R / c ** 4, atol=1e-15)
+    assert np.allclose(at_one(tail, 0), C + R / (1 - c), atol=1e-15)
+    assert np.allclose(at_one(tail, 2), R / (1 - c) ** 3, atol=1e-15)
 
 
 def test_frame_rejects_equal_exponents():
@@ -188,53 +181,41 @@ def test_first_step_matches_hand_derivation():
 
 
 def test_prefix_sum_identity():
-    # d_k is the running sum of the u_l; the generic driver keeps the full
-    # history, so the identity can be checked directly.
-    sys_r = _sample_system()
-    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
-                                        g_at_zero=sys_r.tail.coeff_at_zero)
-    st = series_start(_sample_frame().a0, build_shifted(sys_g, _sample_frame()))
-    sh = build_shifted(sys_g, _sample_frame())
-    for _ in range(50):
-        st = frobenius_step(st, sh)
-    total = np.sum(st.history, axis=0)
-    assert np.allclose(st.d, total, rtol=0, atol=1e-13)
+    # d_k is the running sum of the u_l; the reference convolution keeps the
+    # full history, so the identity can be checked directly.
+    main, _ = _reference.streams(_sample_system(), _sample_frame())
+    for _, (history, d) in zip(range(50), main):
+        pass
+    assert np.allclose(d, np.sum(history, axis=0), rtol=0, atol=1e-13)
 
 
 def test_generic_and_rational_drivers_agree():
     """The O(1) geometric accumulators must reproduce the full convolution."""
     sys_r = _sample_system()
     frame = _sample_frame()
-    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
-                                        g_at_zero=sys_r.tail.coeff_at_zero,
-                                        g_at_one=sys_r.tail.coeff_at_one)
-    for builder in (build_shifted, mirrored_shifted):
-        start = frame.a0 if builder is build_shifted else frame.b2
-        sr = series_start(start, builder(sys_r, frame))
-        sg = series_start(start, builder(sys_g, frame))
-        shr, shg = builder(sys_r, frame), builder(sys_g, frame)
-        for k in range(1, 301):
+    for builder, start, reference in zip(
+            (build_shifted, mirrored_shifted), (frame.a0, frame.b2),
+            _reference.streams(sys_r, frame)):
+        shr = builder(sys_r, frame)
+        sr = series_start(start, shr)
+        for k, (_, d) in zip(range(1, 301), reference):
             sr = frobenius_step(sr, shr)
-            sg = frobenius_step(sg, shg)
             scale = max(np.max(np.abs(sr.d)), 1e-30)
-            assert np.max(np.abs(sr.d - sg.d)) <= 1e-13 * scale, f"k={k}"
+            assert np.max(np.abs(sr.d - d)) <= 1e-13 * scale, f"k={k}"
 
 
 def test_prefix_sums_match_frobenius_steps():
-    # prefix_sums runs the scalar kernel (rational) or frobenius_step
-    # (generic) from the same start; both must equal step-by-step stepping
+    # prefix_sums runs the scalar kernel from the same start; it must equal
+    # step-by-step stepping
     sys_r = _sample_system()
     frame = _sample_frame()
-    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
-                                        g_at_zero=sys_r.tail.coeff_at_zero)
-    for system in (sys_r, sys_g):
-        sh = build_shifted(system, frame)
-        st = series_start(frame.a0, sh)
-        want = [st.d.copy()]
-        for _ in range(39):
-            st = frobenius_step(st, sh)
-            want.append(st.d.copy())
-        assert np.array_equal(prefix_sums(sh, frame.a0, 40), np.array(want))
+    sh = build_shifted(sys_r, frame)
+    st = series_start(frame.a0, sh)
+    want = [st.d.copy()]
+    for _ in range(39):
+        st = frobenius_step(st, sh)
+        want.append(st.d.copy())
+    assert np.array_equal(prefix_sums(sh, frame.a0, 40), np.array(want))
     with pytest.raises(ValueError, match="n_terms"):
         prefix_sums(build_shifted(sys_r, frame), frame.a0, 0)
 
@@ -354,26 +335,16 @@ def test_weight_vector_bilinear_identities():
 # --------------------------------------------------------------------------
 
 def _reference_theta(system, frame, n, k):
-    """Theta_k from the public single-step functions, one array op at a time."""
-    sh = build_shifted(system, frame)
-    mi = mirrored_shifted(system, frame)
-    st = series_start(frame.b2, mi)
-    prefix = [st.d.copy()]
-    for _ in range(n):
-        st = frobenius_step(st, mi)
-        prefix.append(st.d.copy())
-    st = series_start(frame.a0, sh)
-    for _ in range(k):
-        st = frobenius_step(st, sh)
-    nu = weight_vector(frame.b1, p_vector(frame.b2, prefix, frame.delta, k, n))
-    return complex(st.d @ nu)
+    """Theta_k of the reference convolution (see `_reference.thetas`)."""
+    return next(t for j, t in _reference.thetas(system, frame, n) if j == k)
 
 
 @pytest.mark.parametrize("case", ["one pole", "constant tail"])
 def test_theta_iterate_matches_reference_loop(case):
-    # Both sides step the same series; the fused loop forms p_k, nu_k and
-    # Theta_k from scalars where the reference calls p_vector and
-    # weight_vector on arrays, so agreement is to rounding, not bitwise.
+    # The reference steps the full convolution and calls p_vector and
+    # weight_vector on arrays, where the fused loop forms p_k, nu_k and
+    # Theta_k from scalars on the kernel, so agreement is to rounding, not
+    # bitwise.
     if case == "one pole":
         system, frame = _sample_system(), _sample_frame()
     else:
@@ -446,7 +417,7 @@ def test_theta_iterate_rejects_k_max_below_first_usable_index():
 
 
 # --------------------------------------------------------------------------
-# property: scalar rational kernel against the generic-stream path
+# property: scalar rational kernel against the reference convolution
 # --------------------------------------------------------------------------
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -467,15 +438,18 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
     sys_r = ell.build_system(lam, mu, problem)
     frame = ell.spectral_frame(problem, ell.entries(lam, mu, problem))
     assert frame.delta == -0.5
-    sys_g = TwoPointSystem.from_streams(sys_r.A, sys_r.B,
-                                        g_at_zero=sys_r.tail.coeff_at_zero,
-                                        g_at_one=sys_r.tail.coeff_at_one)
-    # the generic path is O(k^2); a capped run still compares like with
-    # like, since both report the bound of the Theta_k they return
-    a = theta_iterate(sys_r, frame, n=5, tol=1e-8, k_max=300)
-    b = theta_iterate(sys_g, frame, n=5, tol=1e-8, k_max=300)
-    allowance = a.error_bound + b.error_bound + 1e-9 * max(1.0, abs(a.theta))
-    assert abs(a.theta - b.theta) <= allowance
+    # the reference is O(k^2); a capped run still compares like with like,
+    # since both carry the bound of the Theta_k they give: the reference's
+    # is theta_iterate's bound formula at the same k
+    n = 5
+    a = theta_iterate(sys_r, frame, n=n, tol=1e-8, k_max=300)
+    ref = dict(itertools.takewhile(lambda kt: kt[0] <= a.k_final,
+                                   _reference.thetas(sys_r, frame, n)))
+    b_theta, b_prev = ref[a.k_final], ref[a.k_final - 1]
+    denom = frame.delta.real + n + 1
+    b_bound = 2 * a.k_final * abs(b_theta - b_prev) / denom
+    allowance = a.error_bound + b_bound + 1e-9 * max(1.0, abs(a.theta))
+    assert abs(a.theta - b_theta) <= allowance
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +531,8 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
 
     # the fast path must really run on floats when the problem is real
     start = core._unpack(frame.a0.tolist())
-    step = next(core._steps(build_shifted(system, frame), start))[1:]
+    step = next(core._steps(core._series(build_shifted(system, frame)),
+                            start))[1:]
     if kind != "real":
         assert any(type(v) is complex for v in step)
         return
@@ -612,14 +587,29 @@ def test_closed_form_kernels_equal_the_array_path(family, kind, x, y, im, c,
                   theta_iterate(system, frame, **kw))]
     else:
         lam_h, mu_h, hat = ell.hat_parameters(*params, problem)
+        hat_system = ell.build_system(lam_h, mu_h, hat)
+        hat_frame = ell.spectral_frame(hat, ell.entries(lam_h, mu_h, hat))
         pairs = [(ell.theta(*params, problem, **kw),
                   theta_iterate(system, frame, **kw)),
                  (ell.theta_hat(*params, problem, **kw),
-                  theta_iterate(ell.build_system(lam_h, mu_h, hat),
-                                ell.spectral_frame(hat, ell.entries(
-                                    lam_h, mu_h, hat)), **kw))]
+                  theta_iterate(hat_system, hat_frame, **kw))]
     for closed, array_path in pairs:
         assert _bits(closed) == _bits(array_path)
+    if family == "ell":
+        # the eigenfunction series: closed-form sides against the arrays
+        main, hat_main = ell._kernel(*params, problem), ell._hat_kernel(
+            *params, problem)
+        closed = [ell._second_components(main.main, main.a0),
+                  ell._second_components(main.mirror, main.b2),
+                  ell._second_components(hat_main.main, hat_main.a0)]
+        arrays = [prefix_sums(build_shifted(system, frame), frame.a0,
+                              core._SERIES_TERMS),
+                  prefix_sums(mirrored_shifted(system, frame), frame.b2,
+                              core._SERIES_TERMS),
+                  prefix_sums(build_shifted(hat_system, hat_frame),
+                              hat_frame.a0, core._SERIES_TERMS)]
+        assert [c.tobytes() for c in closed] == [
+            a[:, 1].real.tobytes() for a in arrays]
 
 
 def _scalar(kernel, **kw):

@@ -381,11 +381,10 @@ def test_spectrum_and_eigenfunctions_run_no_full_series(monkeypatch):
     assert 0 < deepest[0] < _SERIES_TERMS - 1
 
 
-@pytest.mark.parametrize("mu, gamma2", [(0, 4.0), (0, 4 + 0.5j),
-                                        (1 + 0.5j, 2.0)])
+@pytest.mark.parametrize("mu, gamma2", [(0, 4.0)])
 def test_residual_comes_from_the_secant_evaluation(monkeypatch, mu, gamma2):
-    # the residual is |Theta| (complex Theta for a complex problem) at the
-    # root, read from the evaluation the secant made there, not a new one
+    # the residual is |Theta| at the root, read from the evaluation the
+    # secant made there, not a new one
     calls = []
     theta_t = sph.theta_t
 
@@ -402,6 +401,17 @@ def test_residual_comes_from_the_secant_evaluation(monkeypatch, mu, gamma2):
         assert calls.count((eig.t_root, eval_tol)) == 1
         want = abs(sph.theta_t(eig.t_root, problem, tol=eval_tol).theta)
         assert repr(eig.residual) == repr(want)
+
+
+@pytest.mark.parametrize("mu, gamma2", [(0, 4 + 0.5j), (1 + 0.5j, 2.0)])
+def test_eigenvalues_reject_a_complex_problem(monkeypatch, mu, gamma2):
+    # the scan and the secant see only Re Theta(t) over real t, so a complex
+    # problem would return roots whose |Theta| is far above tol
+    calls = []
+    monkeypatch.setattr(sph, "theta_t", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="real problems"):
+        sph.eigenvalues(sph.SpheroidalProblem(mu=mu, gamma2=gamma2), 3)
+    assert calls == []
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Two checkouts that print the same digest give bit-identical results on
 every record.  The records cover
 
-* Theta: `core.theta_iterate` at orders 2..8 (rational and generic-stream
-  structure), `ell.theta`, `ell.theta_hat` and `sph.theta_t` on parameter
-  lattices, real and complex;
+* Theta: `core.theta_iterate` at orders 2..8, `ell.theta`, `ell.theta_hat`
+  and `sph.theta_t` on parameter lattices, real and complex;
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
   the default and with explicit scan ranges;
 * eigenfunctions: `sph.eigenfunction` values and parities, and
@@ -114,15 +113,9 @@ def _theta_iterate_records():
     problem = ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1)
     sys_r = ell.build_system(3.2, -5.0, problem)
     frame = ell.spectral_frame(problem, ell.entries(3.2, -5.0, problem))
-    sys_g = core.TwoPointSystem.from_streams(
-        sys_r.A, sys_r.B, g_at_zero=sys_r.tail.coeff_at_zero,
-        g_at_one=sys_r.tail.coeff_at_one)
     for n in range(2, 9):
         yield (f"theta_iterate/rational/n={n}",
                lambda n=n: core.theta_iterate(sys_r, frame, n=n, tol=1e-10))
-        yield (f"theta_iterate/generic/n={n}",
-               lambda n=n: core.theta_iterate(sys_g, frame, n=n, tol=1e-8,
-                                              k_max=150))
     yield ("theta_iterate/k_max=40",
            lambda: core.theta_iterate(sys_r, frame, n=2, tol=1e-30, k_max=40))
 

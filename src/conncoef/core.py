@@ -59,25 +59,25 @@ construction and unchecked.
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
 that loop, with the mirrored prefix sums straight from the kernel.  Spheroidal
 eigenfunctions step it only as far as a sum reads; ellipsoidal ones take
-`_SERIES_TERMS` steps of their closed-form sides.  The public
-`frobenius_step`, `p_vector` and `weight_vector` stay as validating
-single-step entry points on the same kernel.
+`_SERIES_TERMS` steps of their closed-form sides.  `frobenius_step` is one
+step of the kernel on a side, as a function of its state; the library's
+loops step the kernel directly.
 
 Two kinds of caller fill the description.  `theta_iterate` given a
 `TwoPointSystem` and a `SpectralFrame` checks the frame against the system
-once, then reads the shifted arrays (`theta_kernel`).  `spheroidal.theta_t`
-and `ellipsoidal.theta` fill it in closed form, with no array and no frame
-check, since their frames are exact eigenvectors by construction; each
-scalar comes out of the same floating-point operations as the array path,
-so the values are the same bits.  `theta_many` runs many descriptions as
-one batch and returns, bit for bit, what `theta_iterate` returns for each:
-those whose scalars are all floats advance in lockstep, one numpy
-operation per scalar operation of the loop, in the same order; a
-description leaves the arrays when its iteration stops, and the last few
-finish on the scalar loop from the state they reached.  IEEE arithmetic
-on float64 arrays is the scalar float arithmetic, so the bits agree;
-numpy's complex division is not CPython's, so a description holding a
-complex scalar runs the scalar loop on its own.
+once, then builds both sides from A, B, the tail and the frame
+(`_frame_kernel`).  `spheroidal.theta_t` and `ellipsoidal.theta` fill it in
+closed form, with no array and no frame check, since their frames are exact
+eigenvectors by construction; each scalar comes out of the same
+floating-point operations as the array path, so the values are the same
+bits.  `theta_many` runs many descriptions as one batch and returns, bit for
+bit, what `theta_iterate` returns for each: those whose scalars are all
+floats advance in lockstep, one numpy operation per scalar operation of the
+loop, in the same order; a description leaves the arrays when its iteration
+stops, and the last few finish on the scalar loop from the state they
+reached.  IEEE arithmetic on float64 arrays is the scalar float arithmetic,
+so the bits agree; numpy's complex division is not CPython's, so a
+description holding a complex scalar runs the scalar loop on its own.
 """
 
 from __future__ import annotations
@@ -93,24 +93,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConncoefError, DegenerateFrame, FrameMismatch,
-                     NoConvergence, SingularStep)
+from .errors import ConncoefError, FrameMismatch, NoConvergence, SingularStep
 
 __all__ = [
     "RationalTail",
     "TwoPointSystem",
     "SpectralFrame",
-    "ShiftedSystem",
-    "SeriesState",
     "ThetaResult",
     "ThetaKernel",
-    "build_shifted",
-    "mirrored_shifted",
-    "series_start",
     "frobenius_step",
-    "prefix_sums",
-    "p_vector",
-    "weight_vector",
     "theta_kernel",
     "theta_iterate",
     "theta_many",
@@ -119,7 +110,7 @@ __all__ = [
 #: determinant threshold below which a recurrence step counts as singular
 _SINGULAR_STEP_TOL = 1e-30
 
-#: relative threshold for the k1 detection in `weight_vector`
+#: relative threshold for the degenerate-weight-vector (k < k1) test
 _DEGENERATE_TOL = 1e-12
 
 #: relative eigen-residual allowed when a frame is matched against a system
@@ -263,22 +254,6 @@ class SpectralFrame:
         return self.beta2 - self.beta1
 
 
-@dataclass(frozen=True)
-class ShiftedSystem:
-    """System data after the exponent shift, ready for the recurrence.
-
-    Represents eta' = (A0/z + A1/(z-1) + G(z)) eta.  ``tail_const``,
-    ``tail_poles`` and ``tail_residues`` hold the (possibly re-centered)
-    rational data of G.
-    """
-
-    A0: np.ndarray
-    A1: np.ndarray
-    tail_const: np.ndarray
-    tail_poles: tuple = ()
-    tail_residues: tuple = ()
-
-
 def _norm2(v) -> float:
     return math.hypot(abs(v[0]), abs(v[1]))
 
@@ -320,67 +295,21 @@ def _check_frame(system: TwoPointSystem, frame: SpectralFrame) -> None:
 
 
 # --------------------------------------------------------------------------
-# shifted systems
-# --------------------------------------------------------------------------
-
-def build_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
-    """Shift the system by the frame exponents at z=0.
-
-    Returns the system satisfied by eta with
-    ``y = z**alpha0 (1-z)**(beta1+1) eta``, i.e. ``A0 = A - alpha0*I`` and
-    ``A1 = B - (beta1+1)*I``; the G data is inherited unchanged.
-
-    Raises
-    ------
-    FrameMismatch
-        If the frame's eigen-residuals against the system exceed 1e-10
-        (relative).
-    """
-    _check_frame(system, frame)
-    t = system.tail
-    return ShiftedSystem(A0=system.A - frame.alpha0 * _EYE,
-                         A1=system.B - (frame.beta1 + 1) * _EYE,
-                         tail_const=t.const, tail_poles=t.poles,
-                         tail_residues=t.residues)
-
-
-def mirrored_shifted(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
-    """Shifted system of the mirrored problem (z -> 1-z).
-
-    The mirrored system has A0~ = B - beta2*I, A1~ = A - alpha0*I and the
-    negated, re-centered G.  Running `frobenius_step` on the result,
-    started from u_0 = d~_0 = b2, yields the mirrored prefix sums d~_k used by
-    `p_vector`.
-    """
-    _check_frame(system, frame)
-    return _mirrored(system, frame)
-
-
-def _mirrored(system: TwoPointSystem, frame: SpectralFrame) -> ShiftedSystem:
-    """`mirrored_shifted` without the frame check."""
-    t = system.tail
-    # -G(1-x) = -C + sum_j R_j / (x - (1 - c_j))
-    return ShiftedSystem(A0=system.B - frame.beta2 * _EYE,
-                         A1=system.A - frame.alpha0 * _EYE,
-                         tail_const=-t.const,
-                         tail_poles=tuple(1 - c for c in t.poles),
-                         tail_residues=t.residues)
-
-
-# --------------------------------------------------------------------------
 # the kernel's description of a Theta problem
 # --------------------------------------------------------------------------
 
 class ThetaKernel(NamedTuple):
     """Everything `theta_iterate` reads, as Python scalars.
 
-    ``main`` describes the shifted system of the series started from ``a0``
-    (see `build_shifted`), ``mirror`` that of the mirrored series started
-    from ``b2`` (see `mirrored_shifted`).  Each is a flat tuple, a *side*:
-    the entries of A0, A1 + I and C, row-major, then per pole c_j the
-    entries of R_j / c_j, row-major, and 1 / c_j.  ``b1``, ``b2`` and
-    ``delta`` = beta2 - beta1 are the frame's data at z = 1.  Make one with
-    `theta_kernel`.
+    ``main`` describes the shifted system eta' = (A0/z + A1/(z-1) + G) eta
+    of the series started from ``a0``, with A0 = A - alpha0*I and
+    A1 = B - (beta1+1)*I.  ``mirror`` describes the mirrored series
+    (z -> 1-z) started from ``b2``, with A0 = B - beta2*I, A1 = A - alpha0*I
+    and -G(1-x) = -C + sum_j R_j / (x - (1 - c_j)) in place of G.  Each is
+    a flat tuple, a *side*: the entries of A0, A1 + I and C, row-major, then
+    per pole c_j the entries of R_j / c_j, row-major, and 1 / c_j.  ``b1``,
+    ``b2`` and ``delta`` = beta2 - beta1 are the frame's data at z = 1.
+    Make one with `theta_kernel`.
     """
 
     main: tuple
@@ -402,15 +331,13 @@ def _side(values) -> tuple:
     return side
 
 
-def _series(shifted: ShiftedSystem) -> tuple:
-    """The side of a shifted system."""
+def _side_of(A0, A1, const, poles, residues) -> list:
+    """The scalars of a side (see `ThetaKernel`), not yet unpacked."""
     # numpy divides a complex array by c as a product with 1 / c
-    return _side([*shifted.A0.ravel().tolist(),
-                  *(shifted.A1 + _EYE).ravel().tolist(),
-                  *shifted.tail_const.ravel().tolist(),
-                  *itertools.chain(*((*(r / c).ravel().tolist(), 1 / c)
-                                     for c, r in zip(shifted.tail_poles,
-                                                     shifted.tail_residues)))])
+    return [*A0.ravel().tolist(), *(A1 + _EYE).ravel().tolist(),
+            *const.ravel().tolist(),
+            *itertools.chain(*((*(r / c).ravel().tolist(), 1 / c)
+                               for c, r in zip(poles, residues)))]
 
 
 def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
@@ -436,73 +363,25 @@ def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
 
 
 def _frame_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
-    """The `ThetaKernel` of a system and frame, after the one frame check."""
-    shifted = build_shifted(system, frame)
-    return theta_kernel(_series(shifted), _series(_mirrored(system, frame)),
-                        frame.a0.tolist(), frame.b1.tolist(),
+    """The `ThetaKernel` of a system and frame, after the one frame check.
+
+    Raises FrameMismatch if the frame's eigen-residuals against the system
+    exceed 1e-10 (relative).
+    """
+    _check_frame(system, frame)
+    A, B, t = system.A, system.B, system.tail
+    A0 = A - frame.alpha0 * _EYE
+    main = _side_of(A0, B - (frame.beta1 + 1) * _EYE, t.const, t.poles,
+                    t.residues)
+    mirror = _side_of(B - frame.beta2 * _EYE, A0, -t.const,
+                      tuple(1 - c for c in t.poles), t.residues)
+    return theta_kernel(main, mirror, frame.a0.tolist(), frame.b1.tolist(),
                         frame.b2.tolist(), frame.delta)
 
 
 # --------------------------------------------------------------------------
 # Frobenius recurrence
 # --------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class SeriesState:
-    """Recurrence state after k steps.
-
-    Attributes
-    ----------
-    k : int
-        Step index; state holds u_k and d_k.
-    u : (2,) complex ndarray
-        Latest series coefficient u_k = d_k - d_{k-1}.
-    d : (2,) complex ndarray
-        Prefix sum d_k = u_0 + ... + u_k.
-    tail_sums : list of ndarray
-        Geometric accumulators s_k^(j) = s_{k-1}^(j)/c_j + u_k, one per pole.
-    """
-
-    k: int
-    u: np.ndarray
-    d: np.ndarray
-    tail_sums: list
-
-
-def series_start(vector, shifted: ShiftedSystem) -> SeriesState:
-    """Initial state u_0 = d_0 = vector (with s_0^(j) = vector per pole)."""
-    v = _c2vector(vector)
-    return SeriesState(k=0, u=v, d=v.copy(),
-                       tail_sums=[v.copy() for _ in shifted.tail_poles])
-
-
-def frobenius_step(state: SeriesState, shifted: ShiftedSystem) -> SeriesState:
-    """Advance the recurrence one step: u_{k+1}, d_{k+1} from the state.
-
-    Implements u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - sum_{l<k} G_{k-1-l} u_l)
-    and d_k = d_{k-1} + u_k.  For rational G the convolution collapses to
-    C u_{k-1} - sum_j (R_j / c_j) s_{k-1}^(j)  with the geometric
-    accumulators updated as s_k = s_{k-1}/c_j + u_k in O(1) per pole; this
-    runs one step of the scalar kernel that `theta_iterate` and
-    `prefix_sums` use.
-
-    Raises
-    ------
-    SingularStep
-        If |det(A0 - k*I)| < 1e-30 at the new index k.
-    ValueError
-        If the state does not hold one accumulator per pole.
-    """
-    if len(state.tail_sums) != len(shifted.tail_poles):
-        raise ValueError("state needs one tail accumulator per pole")
-    sums = [_unpack(s.tolist()) for s in state.tail_sums]
-    k, u0, u1, d0, d1 = next(_rational_steps(
-        _series(shifted), state.k, _unpack(state.u.tolist()),
-        _unpack(state.d.tolist()), sums))
-    return SeriesState(k=k, u=np.array([u0, u1], dtype=complex),
-                       d=np.array([d0, d1], dtype=complex),
-                       tail_sums=[np.array(s, dtype=complex) for s in sums])
-
 
 def _singular_step(k: int, det: complex) -> SingularStep:
     return SingularStep(f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
@@ -557,25 +436,36 @@ def _steps(side: tuple, start: Sequence):
                            [list(start) for _ in range(12, len(side), 5)])
 
 
-def prefix_sums(shifted: ShiftedSystem, start, n_terms: int) -> np.ndarray:
-    """Prefix sums d_0..d_{n_terms-1} of the series started from ``start``.
+def frobenius_step(state: tuple, side: tuple) -> tuple:
+    """One step of the recurrence kernel on a side of a `ThetaKernel`.
 
-    Returns a complex array of shape (n_terms, 2), from the scalar kernel.
+    ``state`` is ``(k, u, d, sums)``: the index k, u_k and d_k as pairs of
+    kernel scalars (see `_unpack`), and one [s0, s1] accumulator
+    s_k^(j) = s_{k-1}^(j) / c_j + u_k per pole of the side.  The series
+    from a start vector v begins at ``(0, v, v, sums)`` with one copy of v
+    per pole in ``sums``.  Returns the state at k + 1 in the same form,
+    computing
+
+        u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - C u_{k-1}
+                              + sum_j (R_j / c_j) s_{k-1}^(j)),
+        d_k = d_{k-1} + u_k,
+
+    and leaves the given state unchanged.  The library never calls it: its
+    loops step the kernel (`_rational_steps`) directly.
 
     Raises
     ------
     SingularStep
-        As `frobenius_step`.
+        If |det(A0 - k*I)| < 1e-30 at the new index k.
+    ValueError
+        If the state does not hold one accumulator per pole of the side.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    start = _unpack(_c2vector(start).tolist())
-    steps = itertools.islice(_steps(_series(shifted), start), n_terms - 1)
-    # streamed into the array: a list of row tuples would hold several
-    # times the result's memory at the peak
-    flat = itertools.chain(start, itertools.chain.from_iterable(
-        (d0, d1) for _, _, _, d0, d1 in steps))
-    return np.fromiter(flat, dtype=complex, count=2 * n_terms).reshape(-1, 2)
+    k, u, d, sums = state
+    if len(sums) != (len(side) - 12) // 5:
+        raise ValueError("state needs one tail accumulator per pole")
+    sums = [list(s) for s in sums]
+    k, u0, u1, d0, d1 = next(_rational_steps(side, k, u, d, sums))
+    return k, (u0, u1), (d0, d1), sums
 
 
 def _power_sum(coefs, x):
@@ -606,61 +496,6 @@ def _power_sum(coefs, x):
 # --------------------------------------------------------------------------
 # acceleration vectors and the Theta iteration
 # --------------------------------------------------------------------------
-
-def p_vector(b2, prefix: Sequence, delta: complex, k: int, n: int) -> np.ndarray:
-    """Acceleration vector p_k of order n.
-
-    p_k = b2 + sum_{l=1..n} (prod_{m=0..l-1} (m+delta)/(m+delta-k)) d~_l,
-    with the product factors accumulated iteratively.
-
-    Parameters
-    ----------
-    b2 : (2,) complex array-like
-    prefix : sequence of (2,) arrays
-        Mirrored prefix sums d~_0, d~_1, ..., at least n entries beyond d~_0.
-    delta : complex
-        Exponent difference beta2 - beta1.
-    k : int
-        Current index; must satisfy k > Re(delta) + n - 1 so no denominator
-        vanishes.
-    n : int
-        Acceleration order (n = 0 returns b2 unchanged).
-    """
-    if n < 0:
-        raise ValueError("acceleration order n must be >= 0")
-    if len(prefix) < n + 1:
-        raise ValueError(f"prefix needs >= {n} entries beyond d~_0")
-    if not k > complex(delta).real + n - 1:
-        raise ValueError(f"index k={k} too small for order n={n}")
-    p = _c2vector(b2).copy()
-    prod = 1.0 + 0.0j
-    for ell in range(1, n + 1):
-        m = ell - 1
-        prod *= (m + delta) / (m + delta - k)
-        p += prod * np.asarray(prefix[ell], dtype=complex)
-    return p
-
-
-def weight_vector(b1, p) -> np.ndarray:
-    """Weight vector nu = J p / <J p, b1>, J = [[0,1],[-1,0]].
-
-    Satisfies <b1, nu> = 1 and <p, nu> = 0 in the bilinear pairing.
-
-    Raises
-    ------
-    DegenerateFrame
-        If |det(b1, p)| <= 1e-12 * ||b1|| * ||p|| (b1 and p too close to
-        parallel; the caller should advance k and retry).
-    """
-    b1 = _c2vector(b1)
-    p = _c2vector(p)
-    # <J p, b1> = b1[0] p[1] - b1[1] p[0] = det of the (b1, p) column pair
-    norm = b1[0] * p[1] - b1[1] * p[0]
-    if abs(norm) <= _DEGENERATE_TOL * _norm2(b1) * _norm2(p):
-        raise DegenerateFrame(
-            f"det(b1, p) = {norm:.3e} too small to normalize the weight vector")
-    return np.array([p[1] / norm, -p[0] / norm])
-
 
 @dataclass(frozen=True)
 class ThetaResult:
@@ -703,8 +538,9 @@ _MONOTONE_STEPS = 5
 def _first_index(n, tol, k_max, delta) -> int:
     """The one check of n, tol and k_max; returns the first usable index.
 
-    k_start is the first k > Re(delta) + n - 1, the range `p_vector`
-    admits, and at least 1.  ``tol >= 0`` is False for NaN.
+    k_start is the first k > Re(delta) + n - 1, where no denominator
+    m + delta - k of p_k vanishes, and at least 1.  ``tol >= 0`` is False
+    for NaN.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
@@ -721,16 +557,18 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                   tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
     """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
 
-    Runs the mirrored recurrence (the system of `mirrored_shifted`) for the
-    first n prefix sums d~_1..d~_n, then advances the main recurrence,
-    forming p_k, nu_k and Theta_k at each step from the first usable index
-    k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once the frame is
-    nondegenerate.  This is one loop of plain scalar arithmetic on the
-    kernel's description (`ThetaKernel`): every scalar
-    with imaginary part exactly 0 is a float, all others complex, which
-    gives the bits of all-complex arithmetic (see the module docstring).
-    p_k and nu_k follow the formulas of `p_vector` and `weight_vector`;
-    ``theta`` and ``tau_estimate`` are returned as complex.
+    Runs the mirrored recurrence (the ``mirror`` side of the `ThetaKernel`)
+    for the first n prefix sums d~_1..d~_n, then advances the main
+    recurrence, forming p_k, nu_k and Theta_k at each step from the first
+    usable index k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once
+    the frame is nondegenerate.  This is one loop of plain scalar
+    arithmetic on the kernel's description: every scalar with imaginary
+    part exactly 0 is a float, all others complex, which gives the bits of
+    all-complex arithmetic (see the module docstring).  p_k and nu_k are
+    the formulas of the module docstring; a k with
+    |det(b1, p_k)| <= 1e-12 * ||b1|| * ||p_k|| has no usable weight vector
+    and is skipped.  ``theta`` and ``tau_estimate`` are returned as
+    complex.
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -769,7 +607,8 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         number >= 0 (not NaN) and k_max an integer >= k_start; and if
         d~_0..d~_n are not finite.
     FrameMismatch
-        As `build_shifted`.
+        If the frame's eigen-residuals against the system exceed 1e-10
+        (relative).
     SingularStep
         As `frobenius_step`.
     """
@@ -824,7 +663,7 @@ def _theta_loop(steps, accel, b1, b2, delta, n: int, tol, k_max: int,
             prod *= m_delta / (m_delta - k)
             p0 += prod * t0
             p1 += prod * t1
-        # nu = J p / <J p, b1>; the weight_vector degeneracy test
+        # nu = J p / <J p, b1>, unless b1 and p are too close to parallel
         norm = b10 * p1 - b11 * p0
         if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(abs(p0),
                                                                abs(p1)):
@@ -981,7 +820,7 @@ def _batch_step(k: int, side, state: list):
 
 
 def _degenerate(norm, b1_norm, p0, p1):
-    """The `weight_vector` degeneracy test of `theta_iterate`, on arrays.
+    """The weight-vector degeneracy test of `theta_iterate`, on arrays.
 
     np.hypot and math.hypot may differ in the last bit, so every node the
     arrays find degenerate, or within a hair of it, is decided by

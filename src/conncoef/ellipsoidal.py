@@ -37,7 +37,6 @@ from scipy.special import roots_legendre
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
                    TwoPointSystem, _power_sum, _steps, theta_iterate,
                    theta_kernel, theta_many)
-from .core import frobenius_step  # noqa: F401  (re-exported)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
@@ -80,8 +79,10 @@ class EllipsoidalProblem:
     tau: int = 0
 
     def __post_init__(self):
-        if not self.c > 1:
-            raise ValueError("c must be a real number > 1")
+        if not (self.c > 1 and np.isfinite(self.c)):
+            raise ValueError("c must be a finite real number > 1")
+        if not np.isfinite(complex(self.gamma)):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         for name in ("rho", "sigma", "tau"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
@@ -508,7 +509,7 @@ class EllipsoidalEigenfunction:
             return np.array([self(float(zz)) for zz in np.asarray(z).ravel()]
                             ).reshape(np.shape(z))
         z = float(z)
-        if z < 0 or z > self.c:
+        if not 0 <= z <= self.c:
             raise ValueError(f"z = {z} outside the domain [0, {self.c}]")
         r1 = self.radius1
         if z <= 1.0:

@@ -19,10 +19,6 @@ class ConsistencyError(ConncoefError):
     entry-sum identity of an ellipsoidal system broke."""
 
 
-class DegenerateFrame(ConncoefError):
-    """det(b1, p_k) is too small to normalize the weight vector at this k."""
-
-
 class InvalidExponent(ConncoefError):
     """Characteristic-exponent parameters outside the supported region."""
 

@@ -24,6 +24,7 @@ x > 0, where it converges much faster.
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +33,9 @@ import numpy as np
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
                    TwoPointSystem, _power_sum, _steps, theta_iterate,
                    theta_kernel)
-from .core import frobenius_step  # noqa: F401  (re-exported)
+# re-exported: perfbench/test_perfbench.py reads sph.frobenius_step to check
+# that the tracer restores what it patched
+from .core import frobenius_step  # noqa: F401
 from .errors import ParityAmbiguous, ScanExhausted
 from .rootfind import SolverOptions, _scan_brackets, secant
 
@@ -168,14 +171,14 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     changes are still missing, or they polish to fewer than count distinct
     roots, ScanExhausted is raised.  ValueError is raised before any Theta
     evaluation for a problem that is not real (the scan and the secant see
-    only Re Theta over real t), count < 1, tol not > 0 (or NaN) or an
-    explicit range that is not finite with lo <= hi, and by the first one
-    for a bad n or k_max (see `theta_iterate`).
+    only Re Theta over real t), count not an integer >= 1, tol not > 0 (or
+    NaN) or an explicit range that is not finite with lo <= hi, and by the
+    first one for a bad n or k_max (see `theta_iterate`).
     """
     if not problem.is_real:
         raise ValueError("eigenvalues are computed for real problems only")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     opts = SolverOptions(tol_residual=tol, max_iter=60)
     eval_tol = min(tol, 1e-9) / 100.0
     scan_tol = max(1e-6, eval_tol)

@@ -1,19 +1,25 @@
-"""Reference recurrence for the test suite: the full O(k) convolution.
+"""Reference Theta iteration for the test suite: the full O(k) convolution.
 
 The library steps every series on the rational kernel, where the tail sum
-collapses to geometric accumulators.  This module steps the same recurrence
+collapses to geometric accumulators, and forms p_k, nu_k and Theta_k from
+scalars inside the same loop.  This module steps the same recurrence
 
     u_k = (A0 - k)^(-1) ((A1 + 1) d_{k-1} - sum_{l<k} G_{k-1-l} u_l)
 
 from the Taylor coefficients G_k of the rational tail and the whole history
-u_0..u_{k-1}, sharing no step with the kernel, so that the kernel can be
-checked against it.
+u_0..u_{k-1}, and forms
+
+    p_k   = b2 + sum_{l=1..n} (prod_{m<l} (m+delta)/(m+delta-k)) d~_l,
+    nu_k  = J p_k / <J p_k, b1>,          J = [[0,1],[-1,0]],
+    Theta_k = <d_k, nu_k>
+
+on numpy arrays.  It shares no code with the library, so that the kernel
+and the Theta loop can be checked against it.
 """
 
-import numpy as np
+import math
 
-from conncoef.core import p_vector, weight_vector
-from conncoef.errors import DegenerateFrame
+import numpy as np
 
 
 def coeff_at_zero(tail, k):
@@ -61,6 +67,35 @@ def streams(system, frame):
                    lambda k: -coeff_at_one(tail, k), frame.b2))
 
 
+def p_vector(b2, prefix, delta, k, n):
+    """Acceleration vector p_k of order n from the mirrored prefix sums
+    ``prefix`` = d~_0, d~_1, ..., d~_n (at least), for k > Re(delta) + n - 1.
+
+    The product factors are accumulated one order at a time.
+    """
+    p = np.array(b2, dtype=complex)
+    prod = 1.0 + 0.0j
+    for ell in range(1, n + 1):
+        m = ell - 1
+        prod *= (m + delta) / (m + delta - k)
+        p += prod * np.asarray(prefix[ell], dtype=complex)
+    return p
+
+
+def weight_vector(b1, p):
+    """Weight vector nu = J p / <J p, b1>, J = [[0,1],[-1,0]], so that
+    <b1, nu> = 1 and <p, nu> = 0; None where |det(b1, p)| <= 1e-12 *
+    ||b1|| * ||p|| (b1 and p too close to parallel)."""
+    b1 = np.asarray(b1, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    # <J p, b1> = b1[0] p[1] - b1[1] p[0] = det of the (b1, p) column pair
+    norm = b1[0] * p[1] - b1[1] * p[0]
+    if abs(norm) <= 1e-12 * math.hypot(*map(abs, b1)) * math.hypot(
+            *map(abs, p)):
+        return None
+    return np.array([p[1] / norm, -p[0] / norm])
+
+
 def thetas(system, frame, n):
     """(k, Theta_k) for every k > Re(delta) + n - 1, from `p_vector` and
     `weight_vector` on the convolution series; None where p_k is
@@ -69,8 +104,6 @@ def thetas(system, frame, n):
     prefix = [frame.b2] + [d for _, (_, d) in zip(range(n), mirrored)]
     for k, (_, d) in enumerate(main, start=1):
         if k > frame.delta.real + n - 1:
-            try:
-                p = p_vector(frame.b2, prefix, frame.delta, k, n)
-                yield k, complex(d @ weight_vector(frame.b1, p))
-            except DegenerateFrame:
-                yield k, None
+            nu = weight_vector(frame.b1, p_vector(frame.b2, prefix,
+                                                  frame.delta, k, n))
+            yield k, None if nu is None else complex(d @ nu)

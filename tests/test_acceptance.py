@@ -7,23 +7,18 @@ prints one ``criterion N (<name>): PASS/FAIL`` line before asserting, so a
 verbose run doubles as a scorecard.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
+from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
-from conncoef.core import (
-    build_shifted,
-    frobenius_step,
-    mirrored_shifted,
-    p_vector,
-    series_start,
-    weight_vector,
-)
 from conncoef.rootfind import SolverOptions
 
+import _reference
 from _oracle import theta_oracle
 from _residuals import eigenfunction_ode_residual
 
@@ -225,25 +220,22 @@ def test_criterion_06_legendre_limit():
 # --------------------------------------------------------------------------
 
 def _theta_sequence(system, frame, n, k_hi):
-    shifted = build_shifted(system, frame)
-    mirrored = mirrored_shifted(system, frame)
-    tstate = series_start(frame.b2, mirrored)
-    prefix = [tstate.d.copy()]
-    for _ in range(n):
-        tstate = frobenius_step(tstate, mirrored)
-        prefix.append(tstate.d.copy())
+    # the series from the kernel's sides (the O(k^2) reference convolution
+    # is too slow for k_hi = 8000), p_k and nu_k from the reference formulas
+    kernel = core._frame_kernel(system, frame)
+    mirrored = itertools.islice(core._steps(kernel.mirror, kernel.b2), n)
+    prefix = [kernel.b2] + [(d0, d1) for *_, d0, d1 in mirrored]
     delta = frame.delta
     k_start = max(int(np.floor(delta.real + n - 1)) + 1, 1)
-    state = series_start(frame.a0, shifted)
     ks, thetas = [], []
-    for k in range(1, k_hi + 1):
-        state = frobenius_step(state, shifted)
+    for k, _, _, d0, d1 in itertools.islice(
+            core._steps(kernel.main, kernel.a0), k_hi):
         if k < k_start:
             continue
-        p = p_vector(frame.b2, prefix, delta, k, n)
-        nu = weight_vector(frame.b1, p)
+        p = _reference.p_vector(frame.b2, prefix, delta, k, n)
+        nu = _reference.weight_vector(frame.b1, p)
         ks.append(k)
-        thetas.append(complex(state.d[0] * nu[0] + state.d[1] * nu[1]))
+        thetas.append(complex(d0 * nu[0] + d1 * nu[1]))
     return np.array(ks), np.array(thetas)
 
 

@@ -68,6 +68,18 @@ def test_abramov_k2_zero_exits_1(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--c", "inf")])
+def test_non_finite_problem_exits_1(capsys, flag, value):
+    # a usage error, not a run that fails to converge (exit 2)
+    argv = ["theta-ell", "--lambda", "0.3", "--mu", "-0.5", "--gamma", "1",
+            "--c", "2"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag[2:] in captured.err
+    assert captured.out == ""
+
+
 def test_sph_integral_normalization_rejected_before_solve(monkeypatch,
                                                           capsys):
     calls = []

@@ -20,20 +20,13 @@ from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
 from conncoef.core import (
     RationalTail,
-    ShiftedSystem,
     SpectralFrame,
     TwoPointSystem,
-    build_shifted,
     frobenius_step,
-    mirrored_shifted,
-    p_vector,
-    prefix_sums,
-    series_start,
     theta_iterate,
-    weight_vector,
 )
-from conncoef.errors import (ConncoefError, DegenerateFrame, FrameMismatch,
-                             NoConvergence, SingularStep)
+from conncoef.errors import (ConncoefError, FrameMismatch, NoConvergence,
+                             SingularStep)
 
 import _reference
 from _oracle import theta_oracle
@@ -55,6 +48,20 @@ def _sample_frame():
     return SpectralFrame(alpha0=-0.5, a0=np.array([1.0, 0.0]),
                          beta1=-0.5, beta2=0.0,
                          b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
+
+
+def _start(side, v):
+    """The `frobenius_step` state at k = 0 of the series on ``side`` from
+    u_0 = d_0 = ``v``."""
+    return 0, tuple(v), tuple(v), [list(v) for _ in range(12, len(side), 5)]
+
+
+def _prefix_sums(side, start, n_terms):
+    """d_0..d_{n_terms-1} of the series on ``side`` from ``start``, stepped
+    by the kernel, as a complex array of shape (n_terms, 2)."""
+    steps = itertools.islice(core._steps(side, start), n_terms - 1)
+    return np.array([start, *((d0, d1) for *_, d0, d1 in steps)],
+                    dtype=complex)
 
 
 # --------------------------------------------------------------------------
@@ -106,13 +113,13 @@ def test_frame_rejects_dependent_eigenvectors():
                       b1=[1, 2], b2=[2, 4])
 
 
-def test_build_shifted_rejects_wrong_eigenvector():
+def test_frame_kernel_rejects_wrong_eigenvector():
     sys_ = _sample_system()
     bad = SpectralFrame(alpha0=-0.5, a0=np.array([0.3, 1.0]),  # not an eigvec
                         beta1=-0.5, beta2=0.0,
                         b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
     with pytest.raises(FrameMismatch, match="a0"):
-        build_shifted(sys_, bad)
+        core._frame_kernel(sys_, bad)
 
 
 def test_theta_iterate_checks_a_user_built_frame():
@@ -143,16 +150,22 @@ def test_theta_iterate_checks_the_frame_once(monkeypatch):
 
 
 def test_shift_matrices():
+    # a side holds A0, A1 + I and C, then R_j / c_j and 1 / c_j per pole
     sys_ = _sample_system()
-    frame = _sample_frame()
-    sh = build_shifted(sys_, frame)
-    assert np.allclose(sh.A0, sys_.A + 0.5 * np.eye(2), atol=0)
-    assert np.allclose(sh.A1, sys_.B - 0.5 * np.eye(2), atol=0)
-    mi = mirrored_shifted(sys_, frame)
-    assert np.allclose(mi.A0, sys_.B, atol=0)          # beta2 = 0
-    assert np.allclose(mi.A1, sys_.A + 0.5 * np.eye(2), atol=0)
-    assert mi.tail_poles == (1 - 2.5,)
-    assert np.allclose(mi.tail_const, -sys_.tail.const, atol=0)
+    kernel = core._frame_kernel(sys_, _sample_frame())
+    eye = np.eye(2)
+    R, c = sys_.tail.residues[0], sys_.tail.poles[0]
+
+    def side(A0, A1, C, pole):
+        return [*A0.ravel(), *(A1 + eye).ravel(), *C.ravel(),
+                *(R / pole).ravel(), 1 / pole]
+
+    assert np.allclose(kernel.main, side(sys_.A + 0.5 * eye,
+                                         sys_.B - 0.5 * eye,
+                                         sys_.tail.const, c), atol=0)
+    # beta2 = 0; the mirrored tail is -C + R / (x - (1 - c))
+    assert np.allclose(kernel.mirror, side(sys_.B, sys_.A + 0.5 * eye,
+                                           -sys_.tail.const, 1 - c), atol=0)
 
 
 # --------------------------------------------------------------------------
@@ -172,12 +185,13 @@ def test_first_step_matches_hand_derivation():
         frame = SpectralFrame(alpha0=0.0, a0=np.array([-t, 1.0]),
                               beta1=-1.0, beta2=0.0,
                               b1=np.array([1.0, 0.0]), b2=np.array([t, 1.0]))
-        sh = build_shifted(sys_, frame)
-        st = frobenius_step(series_start(frame.a0, sh), sh)
-        assert st.k == 1
-        want = np.array([(t * t - 4 * g) / 2, -(1 + t)], dtype=complex)
-        assert np.array_equal(st.u, want)
-        assert np.array_equal(st.d, frame.a0 + want)
+        kernel = core._frame_kernel(sys_, frame)
+        k, u, d, sums = frobenius_step(_start(kernel.main, kernel.a0),
+                                       kernel.main)
+        assert k == 1 and sums == []
+        want = ((t * t - 4 * g) / 2, -(1 + t))
+        assert u == want
+        assert d == (-t + want[0], 1.0 + want[1])
 
 
 def test_prefix_sum_identity():
@@ -193,31 +207,30 @@ def test_generic_and_rational_drivers_agree():
     """The O(1) geometric accumulators must reproduce the full convolution."""
     sys_r = _sample_system()
     frame = _sample_frame()
-    for builder, start, reference in zip(
-            (build_shifted, mirrored_shifted), (frame.a0, frame.b2),
+    kernel = core._frame_kernel(sys_r, frame)
+    for side, start, reference in zip(
+            (kernel.main, kernel.mirror), (kernel.a0, kernel.b2),
             _reference.streams(sys_r, frame)):
-        shr = builder(sys_r, frame)
-        sr = series_start(start, shr)
+        state = _start(side, start)
         for k, (_, d) in zip(range(1, 301), reference):
-            sr = frobenius_step(sr, shr)
-            scale = max(np.max(np.abs(sr.d)), 1e-30)
-            assert np.max(np.abs(sr.d - d)) <= 1e-13 * scale, f"k={k}"
+            state = frobenius_step(state, side)
+            scale = max(np.max(np.abs(state[2])), 1e-30)
+            assert np.max(np.abs(np.subtract(state[2], d))) <= 1e-13 * scale, \
+                f"k={k}"
 
 
 def test_prefix_sums_match_frobenius_steps():
-    # prefix_sums runs the scalar kernel from the same start; it must equal
-    # step-by-step stepping
-    sys_r = _sample_system()
-    frame = _sample_frame()
-    sh = build_shifted(sys_r, frame)
-    st = series_start(frame.a0, sh)
-    want = [st.d.copy()]
-    for _ in range(39):
-        st = frobenius_step(st, sh)
-        want.append(st.d.copy())
-    assert np.array_equal(prefix_sums(sh, frame.a0, 40), np.array(want))
-    with pytest.raises(ValueError, match="n_terms"):
-        prefix_sums(build_shifted(sys_r, frame), frame.a0, 0)
+    # the library's loops step the kernel generator; frobenius_step must
+    # give the same bits one step at a time, and leave its input unchanged
+    kernel = core._frame_kernel(_sample_system(), _sample_frame())
+    for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
+        state = _start(side, start)
+        for step in itertools.islice(core._steps(side, start), 40):
+            before = repr(state)
+            new = frobenius_step(state, side)
+            assert repr(state) == before
+            state = new
+            assert repr((state[0], *state[1], *state[2])) == repr(step)
 
 
 def test_series_solves_the_ode():
@@ -226,12 +239,12 @@ def test_series_solves_the_ode():
     # carry the extra factor 1/(1-z), hence the beta1+1 exponent elsewhere.)
     sys_ = _sample_system()
     frame = _sample_frame()
-    sh = build_shifted(sys_, frame)
-    st = series_start(frame.a0, sh)
-    us = [st.u.copy()]
+    kernel = core._frame_kernel(sys_, frame)
+    state = _start(kernel.main, kernel.a0)
+    us = [np.array(state[1])]
     for _ in range(60):
-        st = frobenius_step(st, sh)
-        us.append(st.u.copy())
+        state = frobenius_step(state, kernel.main)
+        us.append(np.array(state[1]))
 
     def y_and_deriv(z):
         eta = sum(u * z ** k for k, u in enumerate(us))
@@ -252,23 +265,20 @@ def test_series_solves_the_ode():
 
 def test_singular_step_guard():
     # A0 with eigenvalue exactly 1 makes (A0 - 1*I) singular on step one.
-    from conncoef.core import ShiftedSystem
-    sh = ShiftedSystem(A0=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                       A1=np.zeros((2, 2)),
-                       tail_const=np.zeros((2, 2)))
-    st = series_start(np.array([0.0, 1.0]), sh)
+    zero = np.zeros((2, 2))
+    side = tuple(core._side_of(np.diag([1.0, 0.0]), zero, zero, (), ()))
+    start = (0.0, 1.0)
     with pytest.raises(SingularStep):
-        frobenius_step(st, sh)
+        frobenius_step(_start(side, start), side)
     with pytest.raises(SingularStep):
-        prefix_sums(sh, np.array([0.0, 1.0]), 3)
+        next(core._steps(side, start))
 
 
 def test_frobenius_step_rejects_state_of_other_pole_count():
-    sh = build_shifted(_sample_system(), _sample_frame())   # one pole
-    no_pole = ShiftedSystem(A0=sh.A0, A1=sh.A1, tail_const=sh.tail_const)
-    st = series_start(_sample_frame().a0, no_pole)
+    kernel = core._frame_kernel(_sample_system(), _sample_frame())  # 1 pole
+    no_pole = (0, kernel.a0, kernel.a0, [])
     with pytest.raises(ValueError, match="accumulator"):
-        frobenius_step(st, sh)
+        frobenius_step(no_pole, kernel.main)
 
 
 # --------------------------------------------------------------------------
@@ -285,12 +295,13 @@ def test_power_sum_raises_on_an_overflowing_series(c):
 
 
 # --------------------------------------------------------------------------
-# acceleration vectors
+# acceleration vectors of the reference (`_reference`), which the Theta loop
+# is checked against
 # --------------------------------------------------------------------------
 
 def test_p_vector_order_zero_is_b2():
     b2 = np.array([2.0, 1.0])
-    p = p_vector(b2, [b2], delta=0.5, k=7, n=0)
+    p = _reference.p_vector(b2, [b2], delta=0.5, k=7, n=0)
     assert np.array_equal(p, b2.astype(complex))
 
 
@@ -299,21 +310,22 @@ def test_p_vector_order_one_hand_value():
     # (0 + 1/2) / (0 + 1/2 - 2) = -1/3.
     b2 = np.array([2.0, 1.0])
     d1 = np.array([0.3, -0.9])
-    p = p_vector(b2, [np.array([99.0, 99.0]), d1], delta=0.5, k=2, n=1)
+    p = _reference.p_vector(b2, [np.array([99.0, 99.0]), d1], delta=0.5,
+                            k=2, n=1)
     assert np.allclose(p, b2 - d1 / 3, rtol=0, atol=1e-16)
 
 
 def test_weight_vector_hand_values():
     e1 = np.array([1.0, 0.0])
-    assert np.allclose(weight_vector(e1, np.array([0.0, 1.0])),
+    assert np.allclose(_reference.weight_vector(e1, np.array([0.0, 1.0])),
                        [1.0, 0.0], atol=0)
-    assert np.allclose(weight_vector(e1, np.array([1.0, 3.0])),
+    assert np.allclose(_reference.weight_vector(e1, np.array([1.0, 3.0])),
                        [1.0, -1.0 / 3.0], atol=1e-16)
 
 
 def test_weight_vector_degenerate():
-    with pytest.raises(DegenerateFrame):
-        weight_vector(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+    assert _reference.weight_vector(np.array([1.0, 2.0]),
+                                    np.array([2.0, 4.0])) is None
 
 
 def test_weight_vector_bilinear_identities():
@@ -322,9 +334,8 @@ def test_weight_vector_bilinear_identities():
     for _ in range(200):
         b1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        try:
-            nu = weight_vector(b1, p)
-        except DegenerateFrame:
+        nu = _reference.weight_vector(b1, p)
+        if nu is None:
             continue
         assert abs(b1 @ nu - 1) <= 1e-12
         assert abs(p @ nu) <= 1e-12 * max(1.0, float(np.max(np.abs(p))))
@@ -453,6 +464,41 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
 
 
 # --------------------------------------------------------------------------
+# the kernel rerun in 50-digit arithmetic
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(ell._kernel(3.2, -5.0, ell.EllipsoidalProblem(
+        gamma=4.0, c=1.6, rho=1)), id="ell real"),
+    pytest.param(ell._kernel(0.3, -0.5, ell.EllipsoidalProblem(
+        gamma=1 + 0.5j, c=1 / 0.9)), id="ell complex gamma"),
+    pytest.param(sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0)),
+                 id="prolate"),
+    pytest.param(sph._kernel(83.93, sph.SpheroidalProblem(
+        mu=0, gamma2=-100.0)), id="oblate"),
+])
+def test_kernel_agrees_with_a_50_digit_rerun(kernel):
+    # The kernel is plain scalar arithmetic, so it runs unchanged on mpmath
+    # numbers: the same sides, read exactly, stepped at 50 digits, form an
+    # oracle that shares no rounding with the float run.  In the oblate
+    # case the prefix sums peak near 6e10 at k = 20 and fall to 5e-4 by
+    # k = 300, so the error is measured against the largest |d_l| so far.
+    mpmath = pytest.importorskip("mpmath")
+    for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
+        floats = itertools.islice(core._steps(side, start), 300)
+        with mpmath.workdps(50):
+            exact = itertools.islice(core._steps(
+                tuple(map(mpmath.mpc, side)), list(map(mpmath.mpc, start))),
+                300)
+            peak = max(map(abs, start))
+            for f, x in zip(floats, exact, strict=True):
+                assert f[0] == x[0]
+                peak = max(peak, abs(x[3]), abs(x[4]))
+                err = max(abs(f[3] - x[3]), abs(f[4] - x[4]))
+                assert err <= 1e-13 * peak, f"k={f[0]}: {float(err / peak)}"
+
+
+# --------------------------------------------------------------------------
 # property: exact-real unpacking keeps every value of all-complex arithmetic
 # --------------------------------------------------------------------------
 
@@ -496,13 +542,13 @@ def _outputs(system, frame, n):
     res = theta_iterate(system, frame, n=n, tol=1e-9, k_max=400)
     out = [res.theta, res.error_bound, res.k_final, res.status,
            res.tau_estimate]
-    for sh, start in ((build_shifted(system, frame), frame.a0),
-                      (mirrored_shifted(system, frame), frame.b2)):
-        out.append(prefix_sums(sh, start, 40))
-        st = series_start(start, sh)
+    kernel = core._frame_kernel(system, frame)
+    for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
+        out.append(_prefix_sums(side, start, 40))
+        state = _start(side, start)
         for _ in range(5):
-            st = frobenius_step(st, sh)
-            out += [st.u, st.d, *st.tail_sums]
+            state = frobenius_step(state, side)
+            out += [*state[1], *state[2], *itertools.chain(*state[3])]
     return out
 
 
@@ -531,7 +577,7 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
 
     # the fast path must really run on floats when the problem is real
     start = core._unpack(frame.a0.tolist())
-    step = next(core._steps(core._series(build_shifted(system, frame)),
+    step = next(core._steps(core._frame_kernel(system, frame).main,
                             start))[1:]
     if kind != "real":
         assert any(type(v) is complex for v in step)
@@ -602,12 +648,12 @@ def test_closed_form_kernels_equal_the_array_path(family, kind, x, y, im, c,
         closed = [ell._second_components(main.main, main.a0),
                   ell._second_components(main.mirror, main.b2),
                   ell._second_components(hat_main.main, hat_main.a0)]
-        arrays = [prefix_sums(build_shifted(system, frame), frame.a0,
-                              core._SERIES_TERMS),
-                  prefix_sums(mirrored_shifted(system, frame), frame.b2,
-                              core._SERIES_TERMS),
-                  prefix_sums(build_shifted(hat_system, hat_frame),
-                              hat_frame.a0, core._SERIES_TERMS)]
+        kernel = core._frame_kernel(system, frame)
+        hat_kernel = core._frame_kernel(hat_system, hat_frame)
+        arrays = [_prefix_sums(side, start, core._SERIES_TERMS)
+                  for side, start in ((kernel.main, kernel.a0),
+                                      (kernel.mirror, kernel.b2),
+                                      (hat_kernel.main, hat_kernel.a0))]
         assert [c.tobytes() for c in closed] == [
             a[:, 1].real.tobytes() for a in arrays]
 

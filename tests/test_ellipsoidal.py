@@ -6,6 +6,8 @@ gamma = 0 configuration; the theta anchor value comes from the acceptance
 reference for (3.2, -5) at gamma = 4, c = 1.6.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -89,6 +91,13 @@ def test_problem_validation():
         ell.EllipsoidalProblem(gamma=1.0, c=1.0)
     with pytest.raises(ValueError, match="c"):
         ell.EllipsoidalProblem(gamma=1.0, c=0.5)
+    # a non-finite gamma or c is a usage error, not a Theta that fails later
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be a finite"):
+            ell.EllipsoidalProblem(gamma=1.0, c=c)
+    for gamma in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="gamma"):
+            ell.EllipsoidalProblem(gamma=gamma, c=2.0)
     with pytest.raises(ValueError, match="rho"):
         ell.EllipsoidalProblem(gamma=1.0, c=2.0, rho=2)
 
@@ -455,6 +464,8 @@ def test_eigenfunction_preconditions(table_problem, eigenfunction_325):
         fn(-0.1)
     with pytest.raises(ValueError, match="domain"):
         fn(fn.c + 0.1)
+    with pytest.raises(ValueError, match="domain"):
+        fn(math.nan)
 
 
 def test_normalize_sup(eigenfunction_325):

@@ -16,16 +16,7 @@ from hypothesis import strategies as hst
 
 from conncoef import core
 from conncoef import spheroidal as sph
-from conncoef.core import (
-    _SERIES_TERMS,
-    _power_sum,
-    build_shifted,
-    frobenius_step,
-    mirrored_shifted,
-    prefix_sums,
-    series_start,
-    theta_iterate,
-)
+from conncoef.core import _SERIES_TERMS, _power_sum, theta_iterate
 from conncoef.errors import NoConvergence, ScanExhausted
 from conncoef.rootfind import SolverOptions, bracket_scan, secant
 
@@ -88,14 +79,13 @@ def test_reflection_identity_is_exact():
     problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
     sys_ = sph.build_system(1.5, problem)
     frame = sph.spectral_frame(1.5, problem)
-    main = series_start(frame.a0, build_shifted(sys_, frame))
-    mirr = series_start(frame.b2, mirrored_shifted(sys_, frame))
-    sh_m = build_shifted(sys_, frame)
-    sh_t = mirrored_shifted(sys_, frame)
-    for _ in range(40):
-        assert np.array_equal(mirr.d, [-main.d[0], main.d[1]])
-        main = frobenius_step(main, sh_m)
-        mirr = frobenius_step(mirr, sh_t)
+    kernel = core._frame_kernel(sys_, frame)
+    assert kernel.b2 == (-kernel.a0[0], kernel.a0[1])
+    main = core._steps(kernel.main, kernel.a0)
+    mirr = core._steps(kernel.mirror, kernel.b2)
+    for _, (_, _, _, m0, m1), (_, _, _, t0, t1) in zip(range(39), main,
+                                                       mirr):
+        assert (t0, t1) == (-m0, m1)
 
 
 def test_theta_t_matches_general_path():
@@ -209,8 +199,10 @@ def test_scan_exhausted_on_rootless_range():
 
 
 def test_count_validation():
-    with pytest.raises(ValueError, match="count"):
-        sph.eigenvalues(sph.SpheroidalProblem(mu=0, gamma2=4.0), 0)
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    for count in (0, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="count"):
+            sph.eigenvalues(problem, count)
 
 
 # --------------------------------------------------------------------------
@@ -289,10 +281,14 @@ def test_eigenfunction_domain_and_preconditions(prolate):
 
 def _full_build(t, problem):
     """All _SERIES_TERMS coefficients e2^T d_k / 2^k from the array path."""
-    frame = sph.spectral_frame(t, problem)
-    d = prefix_sums(build_shifted(sph.build_system(t, problem), frame),
-                    frame.a0, _SERIES_TERMS)
-    return d[:, 1] * np.ldexp(1.0, -np.arange(_SERIES_TERMS))
+    kernel = core._frame_kernel(sph.build_system(t, problem),
+                                sph.spectral_frame(t, problem))
+    steps = itertools.islice(core._steps(kernel.main, kernel.a0),
+                             _SERIES_TERMS - 1)
+    d1 = np.fromiter(itertools.chain([kernel.a0[1]],
+                                     (d1 for *_, d1 in steps)),
+                     dtype=complex, count=_SERIES_TERMS)
+    return d1 * np.ldexp(1.0, -np.arange(_SERIES_TERMS))
 
 
 def _exact(values):

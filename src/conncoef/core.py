@@ -59,21 +59,25 @@ construction and unchecked.
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
 that loop, with the mirrored prefix sums straight from the kernel.  Spheroidal
 eigenfunctions step it only as far as a sum reads; ellipsoidal ones take
-`_SERIES_TERMS` steps of their closed-form sides.  `frobenius_step` is one
+`_SERIES_TERMS` steps of their kernels' sides.  `frobenius_step` is one
 step of the kernel on a side, as a function of its state; the library's
 loops step the kernel directly.
 
-Two kinds of caller fill the description.  `theta_iterate` given a
-`TwoPointSystem` and a `SpectralFrame` checks the frame against the system
-once, then builds both sides from A, B, the tail and the frame
-(`_frame_kernel`).  `spheroidal.theta_t` and `ellipsoidal.theta` fill it in
-closed form, with no array and no frame check, since their frames are exact
-eigenvectors by construction; each scalar comes out of the same
-floating-point operations as the array path, so the values are the same
-bits.  `theta_many` runs many descriptions as one batch and returns, bit for
-bit, what `theta_iterate` returns for each: those whose scalars are all
-floats advance in lockstep, one numpy operation per scalar operation of the
-loop, in the same order; a description leaves the arrays when its iteration
+Only this module knows how a side is laid out.  One builder, `_kernel_of`,
+forms the description from the numbers of A, B, the tail and the frame:
+A - alpha0*I, A1 + I, the mirrored system with -C and poles 1 - c_j, and
+R_j / c_j.  `theta_kernel` (and so `theta_iterate` given a `TwoPointSystem`
+and a `SpectralFrame`) checks the frame against the system once, then runs
+it on the entries of their arrays.  `spheroidal.theta_t` and
+`ellipsoidal.theta` run it on the numbers their `build_system` and
+`spectral_frame` are made of, with no array and no frame check, since their
+frames are exact eigenvectors by construction; the same numbers through the
+same operations give the same bits.
+
+`theta_many` runs many descriptions as one batch and returns, bit for bit,
+what `theta_iterate` returns for each: those whose scalars are all floats
+advance in lockstep, one numpy operation per scalar operation of the loop,
+in the same order; a description leaves the arrays when its iteration
 stops, and the last few finish on the scalar loop from the state they
 reached.  IEEE arithmetic on float64 arrays is the scalar float arithmetic,
 so the bits agree; numpy's complex division is not CPython's, so a
@@ -118,11 +122,6 @@ _FRAME_RESIDUAL_TOL = 1e-10
 
 #: length of the eigenfunctions' coefficient sequences (spheroidal: the cap)
 _SERIES_TERMS = 2000
-
-
-#: the 2x2 identity, read-only
-_EYE = np.eye(2)
-_EYE.flags.writeable = False
 
 
 def _c2vector(x) -> np.ndarray:
@@ -309,7 +308,7 @@ class ThetaKernel(NamedTuple):
     a flat tuple, a *side*: the entries of A0, A1 + I and C, row-major, then
     per pole c_j the entries of R_j / c_j, row-major, and 1 / c_j.  ``b1``,
     ``b2`` and ``delta`` = beta2 - beta1 are the frame's data at z = 1.
-    Make one with `theta_kernel`.
+    `theta_kernel` makes one from a system and frame.
     """
 
     main: tuple
@@ -331,22 +330,17 @@ def _side(values) -> tuple:
     return side
 
 
-def _side_of(A0, A1, const, poles, residues) -> list:
-    """The scalars of a side (see `ThetaKernel`), not yet unpacked."""
-    # numpy divides a complex array by c as a product with 1 / c
-    return [*A0.ravel().tolist(), *(A1 + _EYE).ravel().tolist(),
-            *const.ravel().tolist(),
-            *itertools.chain(*((*(r / c).ravel().tolist(), 1 / c)
-                               for c, r in zip(poles, residues)))]
+def _kernel_of(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
+               b2) -> ThetaKernel:
+    """The `ThetaKernel` of a system and frame given as numbers, unchecked
+    against each other.
 
-
-def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
-    """Check a Theta problem's data and unpack it into a `ThetaKernel`.
-
-    ``main`` and ``mirror`` are each a sequence of numbers laid out as a
-    side (see `ThetaKernel`).  ``a0``, ``b1`` and ``b2`` are pairs of
-    numbers.  Every number goes through `_unpack`, so a real problem is
-    described by floats.
+    ``A``, ``B``, ``const`` and each of ``residues`` are the entries of a
+    2x2 matrix, row-major; ``a0``, ``b1`` and ``b2`` are pairs.  The main
+    side holds A - alpha0*I, (B - (beta1+1)*I) + I and C, the mirrored side
+    B - beta2*I, (A - alpha0*I) + I and -C with the poles 1 - c_j; each
+    R_j / c_j is formed as R_j * (1 / c_j).  Every number goes through
+    `_unpack`, so a real problem is described by floats.
 
     Raises
     ------
@@ -356,27 +350,43 @@ def theta_kernel(main, mirror, a0, b1, b2, delta) -> ThetaKernel:
         As `SpectralFrame`: delta = 0, Re(delta) <= -1, or b1 and b2
         (numerically) linearly dependent.
     """
-    frame = _side([*a0, *b1, *b2, delta])
-    a0, b1, b2 = frame[0:2], frame[2:4], frame[4:6]
-    _check_exponents(frame[6], b1, b2)
-    return ThetaKernel(_side(main), _side(mirror), a0, b1, b2, frame[6])
+    a11, a12, a21, a22 = A
+    b11, b12, b21, b22 = B
+    c11, c12, c21, c22 = const
+    m11, m22 = a11 - alpha0, a22 - alpha0
+    shift = beta1 + 1
+    main = [m11, a12, a21, m22, b11 - shift + 1, b12, b21, b22 - shift + 1,
+            c11, c12, c21, c22]
+    mirror = [b11 - beta2, b12, b21, b22 - beta2, m11 + 1, a12, a21, m22 + 1,
+              -c11, -c12, -c21, -c22]
+    for c, (r11, r12, r21, r22) in zip(poles, residues):
+        for side, inv_c in ((main, 1 / c), (mirror, 1 / (1 - c))):
+            side += (r11 * inv_c, r12 * inv_c, r21 * inv_c, r22 * inv_c, inv_c)
+    m = len(main)
+    s = _side([*main, *mirror, *a0, *b1, *b2, beta2 - beta1])
+    _check_exponents(s[-1], s[-5:-3], s[-3:-1])
+    return ThetaKernel(s[:m], s[m:-7], s[-7:-5], s[-5:-3], s[-3:-1], s[-1])
 
 
-def _frame_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
+def theta_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
     """The `ThetaKernel` of a system and frame, after the one frame check.
 
-    Raises FrameMismatch if the frame's eigen-residuals against the system
-    exceed 1e-10 (relative).
+    Its `theta_iterate` and `theta_many` results are those of
+    ``theta_iterate(system, frame)``, bit for bit.
+
+    Raises
+    ------
+    FrameMismatch
+        If the frame's eigen-residuals against the system exceed 1e-10
+        (relative).
     """
     _check_frame(system, frame)
-    A, B, t = system.A, system.B, system.tail
-    A0 = A - frame.alpha0 * _EYE
-    main = _side_of(A0, B - (frame.beta1 + 1) * _EYE, t.const, t.poles,
-                    t.residues)
-    mirror = _side_of(B - frame.beta2 * _EYE, A0, -t.const,
-                      tuple(1 - c for c in t.poles), t.residues)
-    return theta_kernel(main, mirror, frame.a0.tolist(), frame.b1.tolist(),
-                        frame.b2.tolist(), frame.delta)
+    tail = system.tail
+    return _kernel_of(system.A.ravel().tolist(), system.B.ravel().tolist(),
+                      tail.const.ravel().tolist(), tail.poles,
+                      [r.ravel().tolist() for r in tail.residues],
+                      frame.alpha0, frame.a0.tolist(), frame.beta1,
+                      frame.beta2, frame.b1.tolist(), frame.b2.tolist())
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +629,7 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         k_start = _first_index(n, tol, k_max, kernel.delta)
     else:
         k_start = _first_index(n, tol, k_max, frame.delta)
-        kernel = _frame_kernel(system, frame)       # the one frame check
+        kernel = theta_kernel(system, frame)        # the one frame check
 
     main, mirror, (a00, a01), b1, (b20, b21), delta = kernel
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l, with the

@@ -27,16 +27,18 @@ singular points and acts on the entries as
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _power_sum, _steps, theta_iterate,
-                   theta_kernel, theta_many)
+                   TwoPointSystem, _kernel_of, _power_sum, _steps,
+                   theta_iterate, theta_many)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
@@ -79,9 +81,9 @@ class EllipsoidalProblem:
     tau: int = 0
 
     def __post_init__(self):
-        if not (self.c > 1 and np.isfinite(self.c)):
+        if not (self.c > 1 and math.isfinite(self.c)):
             raise ValueError("c must be a finite real number > 1")
-        if not np.isfinite(complex(self.gamma)):
+        if not cmath.isfinite(complex(self.gamma)):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         for name in ("rho", "sigma", "tau"):
             if getattr(self, name) not in (0, 1):
@@ -116,7 +118,7 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     """
     c = problem.c
     g = problem.gamma
-    if not (np.isfinite(complex(lam)) and np.isfinite(complex(mu))):
+    if not (cmath.isfinite(complex(lam)) and cmath.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
     e = _entries(lam, mu, g, c)
     total = e.a12 + e.b12 + e.r12
@@ -183,42 +185,26 @@ def spectral_frame(problem: EllipsoidalProblem, e: SystemEntries) -> SpectralFra
     beta2 = -sigma/2 with b2 = (2 b12 (1-sigma) + sigma/2, 1-sigma);
     delta = 1/2 - sigma.
     """
+    return SpectralFrame(*_frame_data(problem, e))
+
+
+def _frame_data(problem: EllipsoidalProblem, e: SystemEntries) -> tuple:
+    """The numbers (alpha0, a0, beta1, beta2, b1, b2) of `spectral_frame`."""
     rho, sigma = problem.rho, problem.sigma
-    return SpectralFrame(
-        alpha0=-rho / 2,
-        a0=np.array([2 * e.a12 * (1 - rho) + rho / 2, 1 - rho], dtype=complex),
-        beta1=(sigma - 1) / 2,
-        beta2=-sigma / 2,
-        b1=np.array([2 * e.b12 * sigma + (1 - sigma) / 2, sigma], dtype=complex),
-        b2=np.array([2 * e.b12 * (1 - sigma) + sigma / 2, 1 - sigma], dtype=complex),
-    )
+    return (-rho / 2, (2 * e.a12 * (1 - rho) + rho / 2, 1 - rho),
+            (sigma - 1) / 2, -sigma / 2,
+            (2 * e.b12 * sigma + (1 - sigma) / 2, sigma),
+            (2 * e.b12 * (1 - sigma) + sigma / 2, 1 - sigma))
 
 
 def _kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
-    """`build_system` and `spectral_frame` in closed form, as the kernel's
-    description.
-
-    Their frame is exact by construction, so it is not checked.  Each
-    scalar comes out of the same operations as the array path: A0 = A -
-    alpha0*I, A1 + I = B - beta1*I, the mirrored side B - beta2*I and
-    A - (alpha0 - 1)*I with -C, and numpy's R / c_j, which is R * (1 / c_j).
-    """
+    """The kernel of `build_system` and `spectral_frame`, from their numbers
+    with no array; their frame is exact by construction, so it is not
+    checked."""
     e = entries(lam, mu, problem)
-    c, rho, sigma = problem.c, problem.rho, problem.sigma
-    alpha0, beta1, beta2 = -rho / 2, (sigma - 1) / 2, -sigma / 2
-    inv_c, inv_m = 1.0 / c, 1.0 / (1 - c)
-    main = (-0.5 - alpha0, e.a12, 0.0, 0.0 - alpha0,
-            -0.5 - (beta1 + 1) + 1, e.b12, 0.0, 0.0 - (beta1 + 1) + 1,
-            0.0, 0.0, -1.0 / c, 0.0,
-            -0.5 * inv_c, complex(e.r12) * inv_c, 0.0, 0.0, inv_c)
-    mirror = (-0.5 - beta2, e.b12, 0.0, 0.0 - beta2,
-              -0.5 - alpha0 + 1, e.a12, 0.0, 0.0 - alpha0 + 1,
-              0.0, 0.0, 1.0 / c, 0.0,
-              -0.5 * inv_m, complex(e.r12) * inv_m, 0.0, 0.0, inv_m)
-    return theta_kernel(
-        main, mirror, (2 * e.a12 * (1 - rho) + rho / 2, 1 - rho),
-        (2 * e.b12 * sigma + (1 - sigma) / 2, sigma),
-        (2 * e.b12 * (1 - sigma) + sigma / 2, 1 - sigma), beta2 - beta1)
+    A, B, const, R = _heun_data(0.5, 0.5, 0.5, 0, problem.c, e)
+    return _kernel_of(A, B, const, (problem.c,), (R,),
+                      *_frame_data(problem, e))
 
 
 def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
@@ -227,9 +213,9 @@ def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
 
     Theta vanishes exactly when the chosen local solution at z=0 connects
     to the subdominant local solution at z=1.  Runs `theta_iterate` on the
-    closed-form kernel of `build_system` and `spectral_frame` (one pole at
-    c plus a constant term), so each recurrence step is O(1) work; the
-    values are those of the system and frame, bit for bit.
+    kernel of `build_system` and `spectral_frame` (one pole at c plus a
+    constant term), built with no array, so each recurrence step is O(1)
+    work; the values are those of the system and frame, bit for bit.
     """
     return theta_iterate(_kernel(lam, mu, problem), None, n=n, tol=tol,
                          k_max=k_max)
@@ -337,28 +323,28 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
               k_max: int = 50_000) -> ThetaGrid:
     """Evaluate Theta and Theta-hat on a rectangular (lam, mu) grid.
 
-    resolution may be an int (both axes) or a pair (n_lambda, n_mu), each
-    >= 2.  Every node's values are those of `theta` and `theta_hat`, bit
-    for bit, but the grid runs them as two `theta_many` batches: first
-    Theta at every node, then Theta-hat at the nodes where Theta ran.  Node
-    failures (`ConncoefError` or `ArithmeticError`, in a node's set-up or
-    its series) are recorded in the grid status and the values set to
-    NaN; any other error propagates.  The modest k_max default keeps nodes
-    far from any eigencurve cheap; only sign changes matter for seeding.
+    resolution may be an integer (both axes) or a pair (n_lambda, n_mu),
+    each an integer >= 2.  Every node's values are those of `theta` and
+    `theta_hat`, bit for bit, but the grid runs them as two `theta_many`
+    batches: first Theta at every node, then Theta-hat at the nodes where
+    Theta ran.  Node failures (`ConncoefError` or `ArithmeticError`, in a
+    node's set-up or its series) are recorded in the grid status and the
+    values set to NaN; any other error propagates.  The modest k_max
+    default keeps nodes far from any eigencurve cheap; only sign changes
+    matter for seeding.
 
     Raises
     ------
     ValueError
-        If resolution < 2 on an axis or a range bound is not finite, and
-        for a bad n, tol or k_max (see `theta_iterate`), each before any
-        Theta work.
+        If resolution is not an integer >= 2 on an axis or a range bound is
+        not finite, and for a bad n, tol or k_max (see `theta_iterate`),
+        each before any Theta work.
     """
-    if np.isscalar(resolution):
-        res_l = res_m = int(resolution)
-    else:
-        res_l, res_m = (int(r) for r in resolution)
-    if res_l < 2 or res_m < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+    res_l, res_m = (resolution,) * 2 if np.isscalar(resolution) else resolution
+    if not all(isinstance(r, numbers.Integral) and r >= 2
+               for r in (res_l, res_m)):
+        raise ValueError(f"resolution must be an integer >= 2 per axis, got "
+                         f"{resolution!r}")
     axes = []
     for name, bounds, res in (("lambda_range", lambda_range, res_l),
                               ("mu_range", mu_range, res_m)):
@@ -731,10 +717,13 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
         if nu == 1 or nu.real <= 0:
             raise InvalidExponent(
                 f"{name} = {nu} outside the supported region (nu != 1, Re(nu) > 0)")
-    e = _entries(lam, mu, gamma, c)
-    A = np.array([[nu0 - 1, e.a12], [0.0, 0.0]], dtype=complex)
-    B = np.array([[nu1 - 1, e.b12], [0.0, 0.0]], dtype=complex)
-    R = np.array([[nu2 - 1, e.r12], [0.0, 0.0]], dtype=complex)
-    const = np.array([[-kappa, 0.0], [-1.0 / c, 0.0]], dtype=complex)
+    A, B, const, R = _heun_data(nu0, nu1, nu2, kappa, c,
+                                _entries(lam, mu, gamma, c))
     return TwoPointSystem.from_rational(A, B, const=const, poles=(c,),
                                         residues=(R,))
+
+
+def _heun_data(nu0, nu1, nu2, kappa, c, e: SystemEntries) -> tuple:
+    """A, B, C and R of `build_heun_system`, row-major, as numbers."""
+    return ((nu0 - 1, e.a12, 0.0, 0.0), (nu1 - 1, e.b12, 0.0, 0.0),
+            (-kappa, 0.0, -1.0 / c, 0.0), (nu2 - 1, e.r12, 0.0, 0.0))

@@ -23,6 +23,7 @@ x > 0, where it converges much faster.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import numbers
 import warnings
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _power_sum, _steps, theta_iterate,
-                   theta_kernel)
+                   TwoPointSystem, _kernel_of, _power_sum, _steps,
+                   _unpack, theta_iterate)
 # re-exported: perfbench/test_perfbench.py reads sph.frobenius_step to check
 # that the tracer restores what it patched
 from .core import frobenius_step  # noqa: F401
@@ -55,7 +56,7 @@ __all__ = [
 class SpheroidalProblem:
     """Order mu and coupling gamma2 = gamma^2 (prolate > 0, oblate < 0).
 
-    Requires mu = 0 or Re(mu) > 0.
+    Requires both finite, and mu = 0 or Re(mu) > 0.
     """
 
     mu: complex
@@ -63,6 +64,9 @@ class SpheroidalProblem:
 
     def __post_init__(self):
         mu = complex(self.mu)
+        if not (cmath.isfinite(mu) and cmath.isfinite(complex(self.gamma2))):
+            raise ValueError(f"mu and gamma2 must be finite, got mu = "
+                             f"{self.mu!r}, gamma2 = {self.gamma2!r}")
         if mu != 0 and not mu.real > 0:
             raise ValueError("mu must be 0 or have Re(mu) > 0")
 
@@ -71,61 +75,47 @@ class SpheroidalProblem:
         return complex(self.mu).imag == 0 and complex(self.gamma2).imag == 0
 
 
+def _data(t, problem: SpheroidalProblem) -> tuple:
+    """A, B and G row-major, and the frame (alpha0, a0, beta1, beta2, b1,
+    b2), of `build_system` and `spectral_frame`, as numbers.
+
+    mu, t and gamma2 enter as kernel scalars (`_unpack`), so a real
+    problem's arithmetic here and in the kernel builder runs on floats.
+    """
+    mu, t, gamma2 = _unpack((problem.mu, t, problem.gamma2))
+    alpha0, beta1 = mu / 2, -mu / 2 - 1
+    return ((beta1, -t, 0.0, alpha0), (beta1, t, 0.0, alpha0),
+            (0.0, -4 * gamma2, 1.0, 0.0),
+            (alpha0, (-t / (mu + 1), 1.0), beta1, alpha0, (1.0, 0.0),
+             (t / (mu + 1), 1.0)))
+
+
 def build_system(t, problem: SpheroidalProblem) -> TwoPointSystem:
     """Constant-tail TwoPointSystem for spectral parameter t = lam - mu(mu+1)."""
-    mu = complex(problem.mu)
-    t = complex(t)
-    A = np.array([[-mu / 2 - 1, -t], [0.0, mu / 2]])
-    B = np.array([[-mu / 2 - 1, t], [0.0, mu / 2]])
-    G0 = np.array([[0.0, -4 * complex(problem.gamma2)], [1.0, 0.0]])
-    return TwoPointSystem.from_rational(A, B, const=G0)
+    A, B, G, _ = _data(t, problem)
+    return TwoPointSystem.from_rational(A, B, const=G)
 
 
 def spectral_frame(t, problem: SpheroidalProblem) -> SpectralFrame:
     """Frame with alpha0 = mu/2, beta1 = -mu/2-1, beta2 = mu/2, delta = mu+1."""
-    mu = complex(problem.mu)
-    t = complex(t)
-    return SpectralFrame(
-        alpha0=mu / 2,
-        a0=np.array([-t / (mu + 1), 1.0]),
-        beta1=-mu / 2 - 1,
-        beta2=mu / 2,
-        b1=np.array([1.0, 0.0]),
-        b2=np.array([t / (mu + 1), 1.0]),
-    )
+    return SpectralFrame(*_data(t, problem)[3])
 
 
 def _kernel(t, problem: SpheroidalProblem) -> ThetaKernel:
-    """`build_system` and `spectral_frame` in closed form, as the kernel's
-    description.
-
-    Their frame is exact by construction, so it is not checked.  Each
-    scalar comes out of the same operations as the array path: A0 = A -
-    alpha0*I, A1 + I = B - beta1*I, and the mirrored side B - beta2*I and
-    A - (alpha0 - 1)*I with -C; here A[0, 0] = B[0, 0] = beta1 and
-    A[1, 1] = B[1, 1] = alpha0 = beta2.
-    """
-    mu = complex(problem.mu)
-    t = complex(t)
-    g = -4 * complex(problem.gamma2)
-    alpha0 = mu / 2
-    beta1 = -mu / 2 - 1
-    a11 = beta1 - alpha0
-    main = (a11, -t, 0.0, 0.0,
-            beta1 - (beta1 + 1) + 1, t, 0.0, alpha0 - (beta1 + 1) + 1,
-            0.0, g, 1.0, 0.0)
-    mirror = (a11, t, 0.0, 0.0, a11 + 1, -t, 0.0, 1.0, 0.0, -g, -1.0, 0.0)
-    return theta_kernel(main, mirror, (-t / (mu + 1), 1.0), (1.0, 0.0),
-                        (t / (mu + 1), 1.0), alpha0 - beta1)
+    """The kernel of `build_system` and `spectral_frame`, from their numbers
+    with no array; their frame is exact by construction, so it is not
+    checked."""
+    A, B, G, frame = _data(t, problem)
+    return _kernel_of(A, B, G, (), (), *frame)
 
 
 def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
             k_max: int = 10 ** 6) -> ThetaResult:
     """Connection coefficient Theta(t); zeros give the eigenvalues.
 
-    Runs `theta_iterate` on the closed-form kernel of `build_system` and
-    `spectral_frame`; the values are those of the system and frame, bit
-    for bit.
+    Runs `theta_iterate` on the kernel of `build_system` and
+    `spectral_frame`, built with no array; the values are those of the
+    system and frame, bit for bit.
     """
     return theta_iterate(_kernel(t, problem), None, n=n, tol=tol, k_max=k_max)
 
@@ -266,8 +256,8 @@ class _Coefficients:
     """Series coefficients e2^T d_k / 2^k, k < _SERIES_TERMS, of the
     bounded solution, computed as the sums read them.
 
-    d_k comes from the closed-form kernel (`_kernel`), with no system or
-    frame arrays.  Every iteration yields the same terms; the ones computed
+    d_k comes from the kernel (`_kernel`), with no system or frame
+    arrays.  Every iteration yields the same terms; the ones computed
     are kept for the next, and more are computed `_CHUNK` at a time.  Each
     is a complex128 d_k[1] times 2**-k in a numpy array product, as in an
     array of all _SERIES_TERMS of them: a scalar product can differ from

@@ -222,7 +222,7 @@ def test_criterion_06_legendre_limit():
 def _theta_sequence(system, frame, n, k_hi):
     # the series from the kernel's sides (the O(k^2) reference convolution
     # is too slow for k_hi = 8000), p_k and nu_k from the reference formulas
-    kernel = core._frame_kernel(system, frame)
+    kernel = core.theta_kernel(system, frame)
     mirrored = itertools.islice(core._steps(kernel.mirror, kernel.b2), n)
     prefix = [kernel.b2] + [(d0, d1) for *_, d0, d1 in mirrored]
     delta = frame.delta

@@ -106,12 +106,24 @@ def test_unconverged_run_exits_2(capsys):
 
 @pytest.mark.parametrize("bounds", [
     ["--gamma2", "4", "--t-range", "5", "1"],
-    ["--gamma2", "nan"],
 ])
 def test_eigen_sph_bad_scan_bounds_exit_1(capsys, bounds):
     rc = main(["eigen-sph", "--count", "2"] + bounds)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: scan bounds")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen-sph", "--count", "2", "--gamma2", "nan"],
+    ["scan", "--problem", "sph", "--gamma2", "nan", "--t-range", "0", "1",
+     "--resolution", "3", "--output", "-"],
+], ids=["eigen-sph", "scan"])
+def test_non_finite_sph_problem_exits_1(capsys, argv):
+    # rejected with the problem: no scan runs and no CSV header is written
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "gamma2" in captured.err
+    assert captured.out == ""
 
 
 def test_k_max_below_first_usable_index_exits_1(capsys):

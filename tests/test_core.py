@@ -113,13 +113,13 @@ def test_frame_rejects_dependent_eigenvectors():
                       b1=[1, 2], b2=[2, 4])
 
 
-def test_frame_kernel_rejects_wrong_eigenvector():
+def test_theta_kernel_rejects_wrong_eigenvector():
     sys_ = _sample_system()
     bad = SpectralFrame(alpha0=-0.5, a0=np.array([0.3, 1.0]),  # not an eigvec
                         beta1=-0.5, beta2=0.0,
                         b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
     with pytest.raises(FrameMismatch, match="a0"):
-        core._frame_kernel(sys_, bad)
+        core.theta_kernel(sys_, bad)
 
 
 def test_theta_iterate_checks_a_user_built_frame():
@@ -130,7 +130,7 @@ def test_theta_iterate_checks_a_user_built_frame():
                         b1=np.array([1.0, 0.0]), b2=np.array([2.0, 1.0]))
     with pytest.raises(FrameMismatch, match="a0"):
         theta_iterate(_sample_system(), bad)
-    kernel = core._frame_kernel(_sample_system(), _sample_frame())
+    kernel = core.theta_kernel(_sample_system(), _sample_frame())
     with pytest.raises(TypeError):
         theta_iterate(kernel, _sample_frame())
 
@@ -152,7 +152,7 @@ def test_theta_iterate_checks_the_frame_once(monkeypatch):
 def test_shift_matrices():
     # a side holds A0, A1 + I and C, then R_j / c_j and 1 / c_j per pole
     sys_ = _sample_system()
-    kernel = core._frame_kernel(sys_, _sample_frame())
+    kernel = core.theta_kernel(sys_, _sample_frame())
     eye = np.eye(2)
     R, c = sys_.tail.residues[0], sys_.tail.poles[0]
 
@@ -185,7 +185,7 @@ def test_first_step_matches_hand_derivation():
         frame = SpectralFrame(alpha0=0.0, a0=np.array([-t, 1.0]),
                               beta1=-1.0, beta2=0.0,
                               b1=np.array([1.0, 0.0]), b2=np.array([t, 1.0]))
-        kernel = core._frame_kernel(sys_, frame)
+        kernel = core.theta_kernel(sys_, frame)
         k, u, d, sums = frobenius_step(_start(kernel.main, kernel.a0),
                                        kernel.main)
         assert k == 1 and sums == []
@@ -207,7 +207,7 @@ def test_generic_and_rational_drivers_agree():
     """The O(1) geometric accumulators must reproduce the full convolution."""
     sys_r = _sample_system()
     frame = _sample_frame()
-    kernel = core._frame_kernel(sys_r, frame)
+    kernel = core.theta_kernel(sys_r, frame)
     for side, start, reference in zip(
             (kernel.main, kernel.mirror), (kernel.a0, kernel.b2),
             _reference.streams(sys_r, frame)):
@@ -222,7 +222,7 @@ def test_generic_and_rational_drivers_agree():
 def test_prefix_sums_match_frobenius_steps():
     # the library's loops step the kernel generator; frobenius_step must
     # give the same bits one step at a time, and leave its input unchanged
-    kernel = core._frame_kernel(_sample_system(), _sample_frame())
+    kernel = core.theta_kernel(_sample_system(), _sample_frame())
     for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
         state = _start(side, start)
         for step in itertools.islice(core._steps(side, start), 40):
@@ -239,7 +239,7 @@ def test_series_solves_the_ode():
     # carry the extra factor 1/(1-z), hence the beta1+1 exponent elsewhere.)
     sys_ = _sample_system()
     frame = _sample_frame()
-    kernel = core._frame_kernel(sys_, frame)
+    kernel = core.theta_kernel(sys_, frame)
     state = _start(kernel.main, kernel.a0)
     us = [np.array(state[1])]
     for _ in range(60):
@@ -264,9 +264,9 @@ def test_series_solves_the_ode():
 
 
 def test_singular_step_guard():
-    # A0 with eigenvalue exactly 1 makes (A0 - 1*I) singular on step one.
-    zero = np.zeros((2, 2))
-    side = tuple(core._side_of(np.diag([1.0, 0.0]), zero, zero, (), ()))
+    # A0 with eigenvalue exactly 1 makes (A0 - 1*I) singular on step one:
+    # the side of A0 = diag(1, 0), A1 + I = I and C = 0, with no pole
+    side = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     start = (0.0, 1.0)
     with pytest.raises(SingularStep):
         frobenius_step(_start(side, start), side)
@@ -275,7 +275,7 @@ def test_singular_step_guard():
 
 
 def test_frobenius_step_rejects_state_of_other_pole_count():
-    kernel = core._frame_kernel(_sample_system(), _sample_frame())  # 1 pole
+    kernel = core.theta_kernel(_sample_system(), _sample_frame())  # 1 pole
     no_pole = (0, kernel.a0, kernel.a0, [])
     with pytest.raises(ValueError, match="accumulator"):
         frobenius_step(no_pole, kernel.main)
@@ -542,7 +542,7 @@ def _outputs(system, frame, n):
     res = theta_iterate(system, frame, n=n, tol=1e-9, k_max=400)
     out = [res.theta, res.error_bound, res.k_final, res.status,
            res.tau_estimate]
-    kernel = core._frame_kernel(system, frame)
+    kernel = core.theta_kernel(system, frame)
     for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
         out.append(_prefix_sums(side, start, 40))
         state = _start(side, start)
@@ -577,7 +577,7 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
 
     # the fast path must really run on floats when the problem is real
     start = core._unpack(frame.a0.tolist())
-    step = next(core._steps(core._frame_kernel(system, frame).main,
+    step = next(core._steps(core.theta_kernel(system, frame).main,
                             start))[1:]
     if kind != "real":
         assert any(type(v) is complex for v in step)
@@ -648,8 +648,8 @@ def test_closed_form_kernels_equal_the_array_path(family, kind, x, y, im, c,
         closed = [ell._second_components(main.main, main.a0),
                   ell._second_components(main.mirror, main.b2),
                   ell._second_components(hat_main.main, hat_main.a0)]
-        kernel = core._frame_kernel(system, frame)
-        hat_kernel = core._frame_kernel(hat_system, hat_frame)
+        kernel = core.theta_kernel(system, frame)
+        hat_kernel = core.theta_kernel(hat_system, hat_frame)
         arrays = [_prefix_sums(side, start, core._SERIES_TERMS)
                   for side, start in ((kernel.main, kernel.a0),
                                       (kernel.mirror, kernel.b2),
@@ -736,6 +736,35 @@ def test_theta_many_hands_off_to_the_scalar_loop_at_every_point(k_max):
             mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
             many = core.theta_many(kernels, **kw)
         assert [_bits(r) for r in many] == expected
+
+
+def test_theta_kernel_of_a_user_system_runs_as_theta_iterate():
+    # the public way from a caller's system and frame into a batch: each
+    # result is the bits of theta_iterate on the same system and frame,
+    # float kernels in lockstep and a complex one (a pole off the real axis)
+    # on the scalar loop
+    sys_, frame = _sample_system(), _sample_frame()
+    off_axis = TwoPointSystem(sys_.A, sys_.B, RationalTail(
+        sys_.tail.const, (2.5 + 1j,), sys_.tail.residues))
+    sph_problem = sph.SpheroidalProblem(mu=1, gamma2=4.0)
+    cases = [(sys_, frame), (off_axis, frame),
+             (sph.build_system(2.5, sph_problem),
+              sph.spectral_frame(2.5, sph_problem))]
+    for gamma in (4.0, 1 + 0.5j):
+        problem = ell.EllipsoidalProblem(gamma=gamma, c=1.6, rho=1)
+        cases.append((ell.build_system(3.2, -5.0, problem),
+                      ell.spectral_frame(problem,
+                                         ell.entries(3.2, -5.0, problem))))
+    kernels = [core.theta_kernel(s, f) for s, f in cases]
+    assert [core._float_row(k) is None for k in kernels] == [
+        False, True, False, False, True]
+    for kw in (dict(n=5, tol=1e-10), dict(n=2, tol=1e-30, k_max=90)):
+        expected = [_bits(theta_iterate(s, f, **kw)) for s, f in cases]
+        for lockstep_min in (1, core._LOCKSTEP_MIN):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
+                many = core.theta_many(kernels, **kw)
+            assert [_bits(r) for r in many] == expected
 
 
 def test_batch_degeneracy_test_decides_like_math_hypot():

@@ -228,6 +228,10 @@ def test_scan_grid_resolution_validation(table_problem):
         ell.scan_grid(table_problem, (0, 1), (0, 1), 1)
     with pytest.raises(ValueError, match="resolution"):
         ell.scan_grid(table_problem, (0, 1), (0, 1), (5, 1))
+    # a fractional resolution is an error, not a grid of its integer part
+    for resolution in (2.9, (3, 2.5), (3.0, 3)):
+        with pytest.raises(ValueError, match="resolution"):
+            ell.scan_grid(table_problem, (0, 4), (-4, 0), resolution)
 
 
 @pytest.mark.parametrize("kwargs, what", [

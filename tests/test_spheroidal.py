@@ -50,6 +50,11 @@ def prolate():
 def test_problem_validation():
     with pytest.raises(ValueError, match="mu"):
         sph.SpheroidalProblem(mu=-1, gamma2=1.0)
+    # a non-finite mu or gamma2 is a usage error, not a Theta that fails later
+    for mu, gamma2 in ((math.inf, 4.0), (math.nan, 4.0), (0, math.nan),
+                       (0, -math.inf), (0, complex(4.0, math.inf))):
+        with pytest.raises(ValueError, match="must be finite"):
+            sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
     assert sph.SpheroidalProblem(mu=0, gamma2=-4.0).is_real
     assert not sph.SpheroidalProblem(mu=1, gamma2=1j).is_real
 
@@ -79,7 +84,7 @@ def test_reflection_identity_is_exact():
     problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
     sys_ = sph.build_system(1.5, problem)
     frame = sph.spectral_frame(1.5, problem)
-    kernel = core._frame_kernel(sys_, frame)
+    kernel = core.theta_kernel(sys_, frame)
     assert kernel.b2 == (-kernel.a0[0], kernel.a0[1])
     main = core._steps(kernel.main, kernel.a0)
     mirr = core._steps(kernel.mirror, kernel.b2)
@@ -281,7 +286,7 @@ def test_eigenfunction_domain_and_preconditions(prolate):
 
 def _full_build(t, problem):
     """All _SERIES_TERMS coefficients e2^T d_k / 2^k from the array path."""
-    kernel = core._frame_kernel(sph.build_system(t, problem),
+    kernel = core.theta_kernel(sph.build_system(t, problem),
                                 sph.spectral_frame(t, problem))
     steps = itertools.islice(core._steps(kernel.main, kernel.a0),
                              _SERIES_TERMS - 1)

@@ -76,30 +76,25 @@ def secant(f, t0: float, t1: float, opts: SolverOptions | None = None) -> float:
 def bracket_scan(f, lo: float, hi: float, step: float) -> list[tuple[float, float]]:
     """Sample f on [lo, hi] with the given step; return sign-change intervals.
 
-    The intervals of `_scan_brackets`, which also raises ValueError, before
-    any call to f, for bounds or a step it cannot walk; a single warning
-    reports how many NaN samples were skipped.
+    The intervals of `_scan_brackets` over `_grid` (lo, hi, step), which
+    raises ValueError, before any call to f, for bounds or a step it cannot
+    walk; a single warning reports how many NaN samples were skipped.
     """
     skipped: list[float] = []
-    brackets = list(_scan_brackets(f, lo, hi, step, skipped))
+    brackets = list(_scan_brackets(f, _grid(lo, hi, step), skipped))
     if skipped:
         warnings.warn(f"bracket_scan: skipped {len(skipped)} NaN samples",
                       RuntimeWarning, stacklevel=2)
     return brackets
 
 
-def _scan_brackets(f, lo: float, hi: float, step: float,
-                   skipped: list[float]):
-    """Generator of the sign-change intervals of f sampled at lo, lo + step,
-    ... (by ``t += step``) and hi, each yielded once the sample that closes
-    it is evaluated.
+def _grid(lo: float, hi: float, step: float):
+    """Generator of the scan points lo, lo + step, ... (by ``t += step``)
+    and hi.
 
-    An exactly zero sample is one crossing, paired with the next finite
-    sample (or (t, t) when it is the last), and sign tracking restarts after
-    it.  NaN samples are skipped and their t appended to ``skipped``.
-    Raises ValueError before any call to f unless lo <= hi are finite and
-    step is finite and above half an ulp of max(|lo|, |hi|), below which
-    ``t += step`` would stall.
+    Raises ValueError, before the first point, unless lo <= hi are finite
+    and step is finite and above half an ulp of max(|lo|, |hi|), below
+    which ``t += step`` would stall.
     """
     lo, hi = float(lo), float(hi)
     if not -math.inf < lo <= hi < math.inf:     # also false for NaN
@@ -109,19 +104,27 @@ def _scan_brackets(f, lo: float, hi: float, step: float,
     if not math.ulp(m) / 2 < step < math.inf:  # also false for NaN
         raise ValueError(f"step must be finite and above half an ulp of "
                          f"max(|lo|, |hi|) = {m}, got {step}")
+    t = lo
+    while t <= hi + 1e-12 * max(1.0, abs(hi)):
+        yield min(t, hi)
+        if t >= hi:     # the slack can exceed the step: take hi once
+            return
+        t += step
+    yield hi
 
-    def points():
-        t = lo
-        while t <= hi + 1e-12 * max(1.0, abs(hi)):
-            yield min(t, hi)
-            if t >= hi:     # the slack can exceed the step: take hi once
-                return
-            t += step
-        yield hi
 
+def _scan_brackets(f, points, skipped: list[float]):
+    """Generator of the sign-change intervals of f sampled at the
+    increasing ``points``, each yielded once the sample that closes it is
+    evaluated.
+
+    An exactly zero sample is one crossing, paired with the next finite
+    sample (or (t, t) when it is the last), and sign tracking restarts after
+    it.  NaN samples are skipped and their t appended to ``skipped``.
+    """
     prev_t = prev_f = None
     zero_t = None
-    for t in points():
+    for t in points:
         ft = f(t)
         if not np.isfinite(ft):
             skipped.append(t)

@@ -38,7 +38,7 @@ from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
 # that the tracer restores what it patched
 from .core import frobenius_step  # noqa: F401
 from .errors import ParityAmbiguous, ScanExhausted
-from .rootfind import SolverOptions, _scan_brackets, secant
+from .rootfind import SolverOptions, _grid, _scan_brackets, secant
 
 __all__ = [
     "SpheroidalProblem",
@@ -154,16 +154,21 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     the target.  NaN scan samples are skipped; one RuntimeWarning says how
     many were evaluated.
 
-    t_scan_range defaults to [-2|gamma2|-2, upper], upper = lower +
-    max(8, 2*count).  While the scanned range [lo, hi] ends with fewer than
-    count sign changes, hi moves to hi + (hi - lo), doubling the span: at
-    most 64 times for the default range, once for an explicit one.  If sign
-    changes are still missing, or they polish to fewer than count distinct
-    roots, ScanExhausted is raised.  ValueError is raised before any Theta
-    evaluation for a problem that is not real (the scan and the secant see
-    only Re Theta over real t), count not an integer >= 1, tol not > 0 (or
-    NaN) or an explicit range that is not finite with lo <= hi, and by the
-    first one for a bad n or k_max (see `theta_iterate`).
+    t_scan_range defaults to [lo, hi] = [-2|gamma2|-2, lo + max(8,
+    2*count)].  While the scanned range ends with fewer than count sign
+    changes, hi moves to hi + (hi - lo), doubling the span: at most 64
+    times for the default range, once for an explicit one.  Each segment is
+    walked from its left end by t += step, and each end is sampled once.
+    The default scan starts at the walk's last point <= -max(gamma2, 0) - 2
+    and steps over the points below it unevaluated: by the Rayleigh
+    quotient, lam >= mu(mu+1) - max(gamma2, 0), so no root t lies below
+    -max(gamma2, 0).  If sign changes are still missing, or they polish to
+    fewer than count distinct roots, ScanExhausted is raised.  ValueError
+    is raised before any Theta evaluation for a problem that is not real
+    (the scan and the secant see only Re Theta over real t), count not an
+    integer >= 1, tol not > 0 (or NaN) or an explicit range that is not
+    finite with lo <= hi, and by the first one for a bad n or k_max (see
+    `theta_iterate`).
     """
     if not problem.is_real:
         raise ValueError("eigenvalues are computed for real problems only")
@@ -189,24 +194,44 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
         lo = -2.0 * abs(complex(problem.gamma2)) - 2.0
         hi = lo + max(8.0, 2.0 * count)
         extensions = 64
+        floor = -max(complex(problem.gamma2).real, 0.0) - 2.0
     else:
         lo, hi = float(t_scan_range[0]), float(t_scan_range[1])
         extensions = 1
+        floor = lo
     roots: list[float] = []
     found = 0
     skipped: list[float] = []
-    start = lo
-    for extension in range(extensions + 1):
-        if extension:
+
+    def walk():
+        # the doubled segments, each end sampled once
+        nonlocal hi
+        yield from _grid(lo, hi, _SCAN_STEP)
+        for _ in range(extensions):
+            if found >= count:
+                return
             start, hi = hi, hi + (hi - lo)
-        for a, b in _scan_brackets(f_scan, start, hi, _SCAN_STEP, skipped):
-            found += 1
-            r = secant(f, a, b, opts)
-            if not any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
-                roots.append(float(r))
-            if len(roots) == count:
+            yield from itertools.islice(_grid(start, hi, _SCAN_STEP), 1, None)
+
+    def points():
+        # the walk from its last point <= floor; the points below it are
+        # stepped over unevaluated
+        steps = walk()
+        start = next(steps)
+        for t in steps:
+            if t > floor:
+                steps = itertools.chain([t], steps)
                 break
-        if found >= count:
+            start = t
+        yield start
+        yield from steps
+
+    for a, b in _scan_brackets(f_scan, points(), skipped):
+        found += 1
+        r = secant(f, a, b, opts)
+        if not any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
+            roots.append(float(r))
+        if len(roots) == count:
             break
     if skipped:
         warnings.warn(f"eigenvalues: skipped {len(skipped)} NaN scan samples",

@@ -57,11 +57,14 @@ real entries give a Theta whose imaginary part is exactly 0, by
 construction and unchecked.
 
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
-that loop, with the mirrored prefix sums straight from the kernel.  Spheroidal
-eigenfunctions step it only as far as a sum reads; ellipsoidal ones take
-`_SERIES_TERMS` steps of their kernels' sides.  `frobenius_step` is one
-step of the kernel on a side, as a function of its state; the library's
-loops step the kernel directly.
+that loop, with the mirrored prefix sums straight from the kernel.
+Eigenfunctions of both families sum series of terms of the prefix sums' second
+components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
+steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time,
+keeps the terms, and resumes from the recurrence state it left.  Only the
+map from d_k to a term is the family's own.  `frobenius_step` is one step of
+the kernel on a side, as a function of its state; the library's loops step
+the kernel directly.
 
 Only this module knows how a side is laid out.  One builder, `_kernel_of`,
 forms the description from the numbers of A, B, the tail and the frame:
@@ -90,6 +93,7 @@ import cmath
 import itertools
 import math
 import numbers
+import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -120,8 +124,11 @@ _DEGENERATE_TOL = 1e-12
 #: relative eigen-residual allowed when a frame is matched against a system
 _FRAME_RESIDUAL_TOL = 1e-10
 
-#: length of the eigenfunctions' coefficient sequences (spheroidal: the cap)
+#: length of the eigenfunctions' coefficient sequences (`_Series`)
 _SERIES_TERMS = 2000
+
+#: terms a `_Series` computes at a time, when a read passes the known ones
+_CHUNK = 32
 
 
 def _c2vector(x) -> np.ndarray:
@@ -501,6 +508,85 @@ def _power_sum(coefs, x):
     if not cmath.isfinite(total):
         raise NoConvergence(f"power series at x = {x} sums to {total}")
     return total
+
+
+class _Series:
+    """The terms k < `_SERIES_TERMS` of an eigenfunction series, computed as
+    they are read.
+
+    The series on a side of a `ThetaKernel` from u_0 = d_0 = ``start`` has
+    the terms ``term(d1, k)``: ``term`` maps the second components d1 of
+    the prefix sums d_k, d_{k+1}, ... (a complex128 array) to their terms
+    (a float64 or complex128 array).  A read past the known terms computes
+    the next `_CHUNK` of them, resuming the recurrence from the state it
+    left: k, u_k, d_k and the per-pole sums, plain scalars as in
+    `frobenius_step`, so a series pickles and copies.  The terms are kept
+    in one array, and the state is dropped once all are known.
+
+    Iteration yields the terms in order, the same at every pass; ``len``
+    is `_SERIES_TERMS`, an integer index reads one term, and
+    ``np.asarray`` gives a copy of all of them.
+    """
+
+    def __init__(self, side: tuple, start: Sequence, term):
+        self._side = side
+        self._term = term
+        self._state = (0, start, start,
+                       [list(start) for _ in range(12, len(side), 5)])
+        self._terms = None
+        self._known = 0
+
+    def _compute(self, stop: int) -> None:
+        """Compute the terms below ``stop`` that are not known yet, whole
+        `_CHUNK`s at a time."""
+        while self._known < stop:
+            known = self._known
+            end = min(known + _CHUNK, _SERIES_TERMS)
+            k, u, d, sums = self._state
+            sums = [list(s) for s in sums]  # the state stays as it was on error
+            d1 = [] if known else [d[1]]
+            steps = _rational_steps(self._side, k, u, d, sums)
+            for k, u0, u1, d0, last in itertools.islice(steps,
+                                                        end - known - len(d1)):
+                d1.append(last)
+            terms = self._term(np.array(d1, dtype=complex), known)
+            if self._terms is None:
+                self._terms = np.zeros(_SERIES_TERMS, terms.dtype)
+            self._terms[known:end] = terms
+            self._known = end
+            self._state = (None if end == _SERIES_TERMS
+                           else (k, (u0, u1), (d0, last), sums))
+
+    def _read(self, k: int, stop: int):
+        """Terms k..stop-1, computed if need be.
+
+        Float terms come as a list of Python floats, which sum faster.
+        Complex ones come as an array, whose items are numpy scalars:
+        CPython's abs of a complex raises OverflowError where |z| overflows,
+        and at a NaN part when a stale errno (such as numpy's underflow in
+        `_compute` leaves behind) reads as overflow; numpy's gives inf and
+        NaN.
+        """
+        self._compute(stop)
+        terms = self._terms[k:stop]
+        return terms.tolist() if terms.dtype == float else terms
+
+    def __iter__(self):
+        for k in range(0, _SERIES_TERMS, _CHUNK):
+            yield from self._read(k, min(k + _CHUNK, _SERIES_TERMS))
+
+    def __len__(self) -> int:
+        return _SERIES_TERMS
+
+    def __getitem__(self, k):
+        k = range(_SERIES_TERMS)[operator.index(k)]
+        return self._read(k, k + 1)[0]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the array of a series is always a copy")
+        self._compute(_SERIES_TERMS)
+        return np.array(self._terms, dtype=dtype)
 
 
 # --------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _kernel_of, _power_sum, _steps,
-                   theta_iterate, theta_many)
+from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
+                   _kernel_of, _power_sum, _Series, theta_iterate, theta_many)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
@@ -432,9 +431,12 @@ class EllipsoidalEigenfunction:
 
     Attributes
     ----------
-    coef0, coef1, coef2 : float ndarray
-        Series coefficients of S0, S1, S2 (prefix sums of the second
-        recurrence component).
+    coef0, coef1, coef2 : core._Series
+        Series coefficients of S0, S1, S2 (real parts of the prefix sums
+        of the second recurrence component), 2000 each.  A sequence of
+        floats: the terms are computed as they are read and kept, so an
+        evaluation steps the recurrence only as far as its sum reads.
+        ``np.asarray(fn.coef0)`` gives all 2000 as a float ndarray.
     C0, C1, C2 : float
         Matching constants; C1 = 1 until normalized.
     rho, sigma, tau : int
@@ -445,9 +447,9 @@ class EllipsoidalEigenfunction:
         The spectral parameters and coefficient the series were built from.
     """
 
-    coef0: np.ndarray
-    coef1: np.ndarray
-    coef2: np.ndarray
+    coef0: _Series
+    coef1: _Series
+    coef2: _Series
     C0: float
     C1: float
     C2: float
@@ -466,7 +468,7 @@ class EllipsoidalEigenfunction:
 
     # -- raw pieces (no matching constants) --------------------------------
 
-    def _outer_piece(self, x: float, coef: np.ndarray, bit: int) -> float:
+    def _outer_piece(self, x: float, coef: _Series, bit: int) -> float:
         """|x|**(-bit/2) |1-x|**((1+sigma)/2) * sum_k coef[k] x**k."""
         if x == 0.0:
             return coef[0] if bit == 0 else 0.0
@@ -510,21 +512,18 @@ class EllipsoidalEigenfunction:
         return self.C2 * self.piece2(z)
 
 
-def _second_components(side: tuple, start: tuple) -> np.ndarray:
-    """Real parts of the prefix-sum second components <d_k, e2>, k <
-    _SERIES_TERMS, of the series on a kernel side from ``start``."""
-    steps = itertools.islice(_steps(side, start), _SERIES_TERMS - 1)
-    return np.fromiter(
-        itertools.chain((start[1],), (d1 for _, _, _, _, d1 in steps)),
-        dtype=complex, count=_SERIES_TERMS).real.copy()
+def _real_parts(d1: np.ndarray, k: int) -> np.ndarray:
+    """The series terms Re <d_k, e2> from d1 = <d_k, e2>, <d_{k+1}, e2>, ..."""
+    return d1.real
 
 
 def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction:
     """Build the matched piecewise eigenfunction for an eigenpair.
 
     ``pair`` is an `EigenPair` or a plain (lam, mu) tuple whose residuals
-    max(|Theta|, |Theta-hat|) must not exceed 1e-6 (checked).  Each of the
-    three local series keeps its first 2000 coefficients.  Matching uses
+    max(|Theta|, |Theta-hat|) must not exceed 1e-6 (checked at tol 1e-8, on
+    the kernels the series are stepped from).  Each of the three local
+    series has 2000 coefficients, computed as they are read.  Matching uses
     C1 = 1 and fixes C0 at z = 1/2 (or 1 - r1/2 when the default lies outside
     a convergence disk) and C2 at z = (1+c)/2 (or 1 + r1/2), with r1 =
     min(1, c-1).
@@ -544,20 +543,19 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
     else:
         lam, mu = float(pair[0]), float(pair[1])
 
-    res_t = theta(lam, mu, problem, tol=1e-8)
-    res_h = theta_hat(lam, mu, problem, tol=1e-8)
-    worst = max(abs(res_t.theta), abs(res_h.theta))
+    kernel = _kernel(lam, mu, problem)
+    hat = _hat_kernel(lam, mu, problem)
+    worst = max(abs(theta_iterate(kern, None, tol=1e-8).theta)
+                for kern in (kernel, hat))
     if not worst <= 1e-6:
         raise ValueError(
             f"(lam, mu) = ({lam}, {mu}) is not an eigenpair: residual "
             f"{worst:.2e} > 1e-6")
 
-    kernel = _kernel(lam, mu, problem)
-    hat = _hat_kernel(lam, mu, problem)
     fn = EllipsoidalEigenfunction(
-        coef0=_second_components(kernel.main, kernel.a0),
-        coef1=_second_components(kernel.mirror, kernel.b2),
-        coef2=_second_components(hat.main, hat.a0), C0=1.0, C1=1.0, C2=1.0,
+        coef0=_Series(kernel.main, kernel.a0, _real_parts),
+        coef1=_Series(kernel.mirror, kernel.b2, _real_parts),
+        coef2=_Series(hat.main, hat.a0, _real_parts), C0=1.0, C1=1.0, C2=1.0,
         rho=problem.rho, sigma=problem.sigma, tau=problem.tau, c=problem.c,
         lam=lam, mu=mu, gamma=float(problem.gamma.real
                                     if isinstance(problem.gamma, complex)

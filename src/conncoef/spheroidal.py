@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SERIES_TERMS, SpectralFrame, ThetaKernel, ThetaResult,
-                   TwoPointSystem, _kernel_of, _power_sum, _steps,
-                   _unpack, theta_iterate)
+from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
+                   _kernel_of, _power_sum, _Series, _unpack, theta_iterate)
 # re-exported: perfbench/test_perfbench.py reads sph.frobenius_step to check
 # that the tracer restores what it patched
 from .core import frobenius_step  # noqa: F401
@@ -247,7 +246,7 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     mu = complex(problem.mu)
     out = []
     for i, r in enumerate(roots):
-        parity, _ = _parity_probe(_Coefficients(r, problem), mu)
+        parity, _ = _parity_probe(_coefficients(r, problem), mu)
         res = abs(evaluated[r].theta)
         lam = (r + mu * (mu + 1)).real
         out.append(SpheroidalEigenvalue(index=i, t_root=r, lam=lam,
@@ -273,47 +272,30 @@ class SpheroidalEigenfunction:
     parity_deviation: float
 
 
-#: coefficients computed at a time when a sum reads past the known ones
-_CHUNK = 32
+def _halved(d1: np.ndarray, k: int) -> np.ndarray:
+    """The series terms e2^T d_k / 2^k from d1 = e2^T d_k, d_{k+1}, ...
 
-
-class _Coefficients:
-    """Series coefficients e2^T d_k / 2^k, k < _SERIES_TERMS, of the
-    bounded solution, computed as the sums read them.
-
-    d_k comes from the kernel (`_kernel`), with no system or frame
-    arrays.  Every iteration yields the same terms; the ones computed
-    are kept for the next, and more are computed `_CHUNK` at a time.  Each
-    is a complex128 d_k[1] times 2**-k in a numpy array product, as in an
-    array of all _SERIES_TERMS of them: a scalar product can differ from
-    it in the sign of a zero that underflows.
+    A complex128 array product, as in an array of all the terms: a scalar
+    product can differ from it in the sign of a zero that underflows.
     """
-
-    def __init__(self, t, problem: SpheroidalProblem):
-        kernel = _kernel(t, problem)
-        self._d1 = itertools.chain(
-            kernel.a0[1:], (d1 for *_, d1 in _steps(kernel.main, kernel.a0)))
-        self._terms: list[np.complex128] = []
-
-    def __iter__(self):
-        terms = self._terms
-        for k in range(_SERIES_TERMS):
-            if k == len(terms):
-                stop = min(k + _CHUNK, _SERIES_TERMS)
-                d1 = np.fromiter(itertools.islice(self._d1, stop - k),
-                                 dtype=complex, count=stop - k)
-                terms.extend(d1 * np.ldexp(1.0, -np.arange(k, stop)))
-            yield terms[k]
+    return d1 * np.ldexp(1.0, -np.arange(k, k + len(d1)))
 
 
-def _w_direct(coefs: _Coefficients, mu: complex, x: float) -> complex:
+def _coefficients(t, problem: SpheroidalProblem) -> _Series:
+    """The coefficients of the bounded solution's series, from the kernel
+    (`_kernel`) with no system or frame arrays, computed as sums read them."""
+    kernel = _kernel(t, problem)
+    return _Series(kernel.main, kernel.a0, _halved)
+
+
+def _w_direct(coefs: _Series, mu: complex, x: float) -> complex:
     if not -1 < x < 1:
         raise ValueError(f"x = {x} outside (-1, 1)")
     pref = ((1 + x) / (1 - x)) ** (mu / 2)
     return pref * _power_sum(coefs, 1.0 + x)
 
 
-def _parity_probe(coefs: _Coefficients, mu: complex) -> tuple[int, float]:
+def _parity_probe(coefs: _Series, mu: complex) -> tuple[int, float]:
     """Parity Omega and relative deviation, probing x0 = 0.3 then 0.55."""
     for x0 in (0.3, 0.55):
         wp = _w_direct(coefs, mu, x0)
@@ -351,7 +333,7 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         raise ValueError("all samples must lie strictly inside (-1, 1)")
 
     mu = complex(problem.mu)
-    coefs = _Coefficients(eig.t_root, problem)
+    coefs = _coefficients(eig.t_root, problem)
     parity, deviation = _parity_probe(coefs, mu)
 
     vals = np.empty(len(x), dtype=complex)

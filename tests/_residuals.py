@@ -15,6 +15,7 @@ from numpy.polynomial import polynomial as P
 
 def _series3(coefs, x):
     """S, S', S'' of sum c_k x^k using the full coefficient array."""
+    coefs = np.asarray(coefs)
     c1 = P.polyder(coefs)
     c2 = P.polyder(c1)
     return P.polyval(x, coefs), P.polyval(x, c1), P.polyval(x, c2)

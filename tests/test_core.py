@@ -645,9 +645,10 @@ def test_closed_form_kernels_equal_the_array_path(family, kind, x, y, im, c,
         # the eigenfunction series: closed-form sides against the arrays
         main, hat_main = ell._kernel(*params, problem), ell._hat_kernel(
             *params, problem)
-        closed = [ell._second_components(main.main, main.a0),
-                  ell._second_components(main.mirror, main.b2),
-                  ell._second_components(hat_main.main, hat_main.a0)]
+        closed = [np.asarray(core._Series(side, start, ell._real_parts))
+                  for side, start in ((main.main, main.a0),
+                                      (main.mirror, main.b2),
+                                      (hat_main.main, hat_main.a0))]
         kernel = core.theta_kernel(system, frame)
         hat_kernel = core.theta_kernel(hat_system, hat_frame)
         arrays = [_prefix_sums(side, start, core._SERIES_TERMS)

@@ -6,12 +6,16 @@ gamma = 0 configuration; the theta anchor value comes from the acceptance
 reference for (3.2, -5) at gamma = 4, c = 1.6.
 """
 
+import copy
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef.core import ThetaResult, theta_iterate
 from conncoef.errors import ConsistencyError, InvalidExponent, NoConvergence
@@ -470,6 +474,55 @@ def test_eigenfunction_preconditions(table_problem, eigenfunction_325):
         fn(fn.c + 0.1)
     with pytest.raises(ValueError, match="domain"):
         fn(math.nan)
+
+
+def test_eigenfunction_pickles_and_copies(table_problem):
+    # copies made while the series are partly read (after matching) and
+    # once they are read in full evaluate as the original, bit for bit
+    pair = ell.solve_pair(0.26, -0.45, table_problem,
+                          opts=SolverOptions(tol_residual=1e-10))
+    fn = ell.eigenfunction(pair, table_problem)
+    zs = np.linspace(0.0, fn.c, 37)
+    partial = [pickle.loads(pickle.dumps(fn)), copy.deepcopy(fn)]
+    want = fn(zs).tobytes()
+    for other in partial:
+        assert other(zs).tobytes() == want
+    fi = ell.normalize(fn, mode="integral")
+    for other in (pickle.loads(pickle.dumps(fi)), copy.deepcopy(fi)):
+        assert other(zs).tobytes() == fi(zs).tobytes()
+        for name in ("coef0", "coef1", "coef2"):
+            assert (np.asarray(getattr(other, name)).tobytes()
+                    == np.asarray(getattr(fi, name)).tobytes())
+
+
+@pytest.mark.parametrize("bits, seed", [((0, 0, 1), (0.25, -0.5)),
+                                        ((1, 0, 0), (2.42, -3.0)),
+                                        ((1, 1, 1), (2.71, -3.0))])
+def test_eigenfunction_series_are_computed_as_read(bits, seed):
+    rho, sigma, tau = bits
+    prob = ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, rho=rho, sigma=sigma,
+                                  tau=tau)
+    pair = ell.solve_pair(*seed, prob, opts=SolverOptions(tol_residual=1e-8))
+    fn = ell.normalize(ell.eigenfunction(pair, prob), mode="integral")
+    series = (fn.coef0, fn.coef1, fn.coef2)
+    # matching and the integral read a few dozen terms of each series
+    assert all(s._known < core._SERIES_TERMS for s in series)
+    kernel = ell._kernel(pair.lam, pair.mu, prob)
+    hat = ell._hat_kernel(pair.lam, pair.mu, prob)
+    picks = [0, 1, 31, 32, 33, 1000, -1]
+    for s, (side, start) in zip(series, ((kernel.main, kernel.a0),
+                                         (kernel.mirror, kernel.b2),
+                                         (hat.main, hat.a0))):
+        steps = itertools.islice(core._steps(side, start),
+                                 core._SERIES_TERMS - 1)
+        full = np.array([start[1], *(d1 for *_, d1 in steps)],
+                        dtype=complex).real
+        assert len(s) == len(full)
+        assert np.array([s[k] for k in picks]).tobytes() == \
+            full[picks].tobytes()
+        assert np.asarray(s).tobytes() == full.tobytes()
+        with pytest.raises(IndexError):
+            s[len(full)]
 
 
 def test_normalize_sup(eigenfunction_325):

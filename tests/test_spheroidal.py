@@ -329,14 +329,14 @@ def test_on_demand_coefficients_equal_the_full_build(kind, mu, gamma2, t, im,
     t = complex(t, im) if kind == "complex t" else t
     problem = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
     reference = _full_build(t, problem)
-    coefs = sph._Coefficients(t, problem)
+    coefs = sph._coefficients(t, problem)
     # sums over a fresh sequence, then over the terms it has kept, read the
     # same bits as over the full array
     for x in xs:
         want = _exact([_power_sum(reference, x)])
-        assert _exact([_power_sum(sph._Coefficients(t, problem), x)]) == want
+        assert _exact([_power_sum(sph._coefficients(t, problem), x)]) == want
         assert _exact([_power_sum(coefs, x)]) == want
-    assert len(coefs._terms) < _SERIES_TERMS
+    assert coefs._known < _SERIES_TERMS
     # element by element, up to the cap and no further
     for _ in range(2):
         terms = itertools.islice(coefs, _SERIES_TERMS + 1)
@@ -355,7 +355,7 @@ def test_on_demand_coefficients_stop_at_the_cap(mu, gamma2, t, x):
     lazy, full = [0], [0]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NoConvergence, match="sums to"):
-            _power_sum(_counted(sph._Coefficients(t, problem), lazy), x)
+            _power_sum(_counted(sph._coefficients(t, problem), lazy), x)
         with pytest.raises(NoConvergence, match="sums to"):
             _power_sum(_counted(_full_build(t, problem), full), x)
     assert lazy == full
@@ -473,7 +473,7 @@ def _eager_eigenvalues(problem, count, t_scan_range=None, samples=None):
     mu = complex(problem.mu)
     out = []
     for i, r in enumerate(roots):
-        parity, _ = sph._parity_probe(sph._Coefficients(r, problem), mu)
+        parity, _ = sph._parity_probe(sph._coefficients(r, problem), mu)
         lam = r + mu * (mu + 1)
         if problem.is_real:
             lam = lam.real

@@ -74,7 +74,8 @@ EIGENPAIRS = {
 # --------------------------------------------------------------------------
 
 def _enc(obj) -> str:
-    """Exact text form of a result: floats by repr, arrays by their bytes."""
+    """Exact text form of a result: floats by repr, arrays and other
+    objects with ``__array__`` by the bytes of their array."""
     if isinstance(obj, np.ndarray):
         if obj.dtype == object:
             return f"array{obj.shape}{_enc(obj.tolist())}"
@@ -82,6 +83,9 @@ def _enc(obj) -> str:
         return f"array[{obj.dtype}]{obj.shape}:{digest}"
     if isinstance(obj, np.generic):
         return _enc(obj.item())
+    if hasattr(obj, "__array__"):
+        # an array-like, such as an eigenfunction's series: by its array
+        return _enc(np.asarray(obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         inner = ",".join(f"{f.name}={_enc(getattr(obj, f.name))}"
                          for f in dataclasses.fields(obj))

@@ -57,7 +57,18 @@ real entries give a Theta whose imaginary part is exactly 0, by
 construction and unchecked.
 
 The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
-that loop, with the mirrored prefix sums straight from the kernel.
+that loop, with the mirrored prefix sums straight from the kernel, for the
+first `_HEAD` steps.  Most series stop by then.  A longer one whose scalars
+are all floats goes on in float64 chunks (`_tail`): the kernel still steps
+the main series one scalar step at a time, but p_k, nu_k, Theta_k, the
+bound and the stop rule, which need only k, the mirrored sums and the
+frame besides d_k, are formed for a whole chunk of k at once, one numpy
+operation per scalar operation of the loop, in the same order.  IEEE
+arithmetic on float64 arrays is the scalar float arithmetic, so the bits
+agree; steps past the stop are computed and dropped.  A series with a
+complex scalar stays on the scalar loop, since numpy's complex division is
+not CPython's.
+
 Eigenfunctions of both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
 steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time,
@@ -81,10 +92,9 @@ same operations give the same bits.
 what `theta_iterate` returns for each: those whose scalars are all floats
 advance in lockstep, one numpy operation per scalar operation of the loop,
 in the same order; a description leaves the arrays when its iteration
-stops, and the last few finish on the scalar loop from the state they
-reached.  IEEE arithmetic on float64 arrays is the scalar float arithmetic,
-so the bits agree; numpy's complex division is not CPython's, so a
-description holding a complex scalar runs the scalar loop on its own.
+stops, and the last few finish on the loop of `theta_iterate` (head and
+tail) from the state they reached.  A description holding a complex scalar
+runs the scalar loop on its own.
 """
 
 from __future__ import annotations
@@ -664,7 +674,11 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     the formulas of the module docstring; a k with
     |det(b1, p_k)| <= 1e-12 * ||b1|| * ||p_k|| has no usable weight vector
     and is skipped.  ``theta`` and ``tau_estimate`` are returned as
-    complex.
+    complex.  When every scalar is a float, the steps past the first 512
+    form Theta_k and the stop rule in float64 chunks of 128 to 1024 steps,
+    one numpy operation per scalar operation in the same order, so the
+    result keeps every bit; a series with a complex scalar runs on the
+    scalar loop throughout (numpy's complex division is not CPython's).
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -726,9 +740,8 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     if not all(cmath.isfinite(t0) and cmath.isfinite(t1)
                for _, t0, t1 in accel):
         raise ValueError(_MIRROR_NOT_FINITE)
-    steps = itertools.islice(_steps(main, [a00, a01]), k_max)
-    return _theta_loop(steps, accel, b1, (b20, b21), delta, n, tol, k_max,
-                       k_start)
+    return _theta_loop(_steps(main, [a00, a01]), 0, accel, b1, (b20, b21),
+                       delta, n, tol, k_max, k_start, kernel)
 
 
 #: the state of `_theta_loop` before its first step: Theta_{k-1} (None after
@@ -738,47 +751,157 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
 _FRESH = (None, complex("nan"), math.inf, 0, None, False)
 
 
-def _theta_loop(steps, accel, b1, b2, delta, n: int, tol, k_max: int,
-                k_start: int, state=_FRESH) -> ThetaResult:
+#: steps a float run takes on the scalar loop before its float64 tail
+_HEAD = 512
+
+#: fewest and most steps of one chunk of the float64 tail
+_TAIL_MIN, _TAIL_MAX = 128, 1024
+
+
+def _theta_loop(steps, k: int, accel, b1, b2, delta, n: int, tol, k_max: int,
+                k_start: int, kernel=None, state=_FRESH) -> ThetaResult:
     """The Theta loop of `theta_iterate` over the main series ``steps``.
 
+    ``steps`` is the kernel's generator of the main series after step k;
     ``accel`` holds (m + delta, d~_{m+1}) per order m < n; ``state`` is the
-    loop's state after the steps before ``steps`` (see `_FRESH`), so that a
-    run of `_lockstep` can end here, bit for bit.
+    loop's state after step k (see `_FRESH`), so that a run of `_lockstep`
+    can end here, bit for bit.  The steps through `_HEAD` (or k_start - 1,
+    if later) run here.  A run that goes on past them continues in `_tail`
+    if every scalar of its ``kernel`` is a float, or if ``kernel`` is None,
+    as for a run of `_lockstep`; any other run stays here to the end.  The
+    check comes only then, so a run that stops in the head never pays it.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     (b10, b11), (b20, b21) = b1, b2
     b1_norm = math.hypot(abs(b10), abs(b11))
     denom = delta.real + n + 1
-    for k, _, _, d0, d1 in steps:
-        if k < k_start:
-            continue
-        p0, p1 = b20, b21
-        prod = 1.0
-        for m_delta, t0, t1 in accel:
-            prod *= m_delta / (m_delta - k)
-            p0 += prod * t0
-            p1 += prod * t1
-        # nu = J p / <J p, b1>, unless b1 and p are too close to parallel
-        norm = b10 * p1 - b11 * p0
-        if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(abs(p0),
-                                                               abs(p1)):
-            # k < k1: no usable weight vector yet; step on
-            prev_theta = None
-            continue
-        seen_valid = True
-        theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
-        if prev_theta is not None:
-            dtheta = theta - prev_theta
-            bound = k * abs(dtheta) / denom
-            # values at or below tol never break the non-increasing run
-            calm = calm + 1 if bound <= raw_bound or bound <= tol else 1
-            raw_bound = bound
-            last_pair = (k, dtheta)
-            if bound <= tol and calm >= _MONOTONE_STEPS:
-                return _converged(theta, bound, k, n, last_pair, delta)
-        prev_theta = theta
+    end = min(max(_HEAD, k_start - 1, k), k_max)
+    while True:
+        for k, _, _, d0, d1 in itertools.islice(steps, end - k):
+            if k < k_start:
+                continue
+            p0, p1 = b20, b21
+            prod = 1.0
+            for m_delta, t0, t1 in accel:
+                prod *= m_delta / (m_delta - k)
+                p0 += prod * t0
+                p1 += prod * t1
+            # nu = J p / <J p, b1>, unless b1 and p are too close to parallel
+            norm = b10 * p1 - b11 * p0
+            if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(
+                    abs(p0), abs(p1)):
+                # k < k1: no usable weight vector yet; step on
+                prev_theta = None
+                continue
+            seen_valid = True
+            theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
+            if prev_theta is not None:
+                dtheta = theta - prev_theta
+                bound = k * abs(dtheta) / denom
+                # values at or below tol never break the non-increasing run
+                calm = calm + 1 if bound <= raw_bound or bound <= tol else 1
+                raw_bound = bound
+                last_pair = (k, dtheta)
+                if bound <= tol and calm >= _MONOTONE_STEPS:
+                    return _converged(theta, bound, k, n, last_pair, delta)
+            prev_theta = theta
+        if end == k_max or kernel is None or _float_row(kernel) is not None:
+            break
+        end = k_max         # a complex scalar: the rest on this loop
 
+    state = (prev_theta, theta, raw_bound, calm, last_pair, seen_valid)
+    if end < k_max:
+        return _tail(steps, end, accel, b1, b2, b1_norm, delta, n, tol, k_max,
+                     state)
+    return _spent(state, n, k_max, delta)
+
+
+def _tail(steps, k: int, accel, b1, b2, b1_norm, delta, n: int, tol,
+          k_max: int, state) -> ThetaResult:
+    """`_theta_loop` of a float run from step k on, in float64 chunks.
+
+    Each chunk takes the next steps of the kernel, as many as the bound
+    needs to meet tol if it falls like k**-(Re(delta)+n+1) (`_tail_len`),
+    and forms Theta_k, the bounds, the non-increasing run and the first
+    stop over all of them at once: one numpy operation per scalar
+    operation of the loop, in the same order (`_theta_k`), so IEEE
+    arithmetic gives the loop's bits.  Steps past the stop are dropped,
+    and so is an error that one of them raises; an error before the stop
+    is raised as the loop raises it.
+    """
+    prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
+    b20, b21 = b2
+    denom = delta.real + n + 1
+    with np.errstate(all="ignore"):
+        while k < k_max:
+            d0, d1, error = [], [], None
+            try:
+                for _, _, _, x0, x1 in itertools.islice(
+                        steps, min(_tail_len(k, raw_bound, tol, denom),
+                                   k_max - k)):
+                    d0.append(x0)
+                    d1.append(x1)
+            except (ConncoefError, ArithmeticError) as exc:
+                error = exc
+            m = len(d0)
+            if m:
+                ks = np.arange(k + 1, k + m + 1, dtype=float)
+                theta_k, valid = _theta_k(
+                    ks, np.array(d0), np.array(d1), accel, b1,
+                    (np.full(m, b20), np.full(m, b21)), np.full(m, b1_norm))
+                # the steps that record a bound: valid, after a valid step
+                rec = np.flatnonzero(valid & np.append(prev_theta is not None,
+                                                       valid[:-1]))
+                dtheta = theta_k[rec] - np.append(
+                    np.nan if prev_theta is None else prev_theta,
+                    theta_k[:-1])[rec]
+                bound = ks[rec] * np.abs(dtheta) / denom
+                # the non-increasing run after each recorded step
+                at = np.arange(len(rec))
+                calm_break = np.maximum.accumulate(np.where(
+                    (bound <= np.append(raw_bound, bound[:-1]))
+                    | (bound <= tol), -1, at))
+                run = np.where(calm_break < 0, calm + 1 + at,
+                               at - calm_break + 1)
+                stops = np.flatnonzero((bound <= tol)
+                                       & (run >= _MONOTONE_STEPS))
+                if len(stops):
+                    j = stops[0]
+                    i = k + 1 + rec[j].item()
+                    return _converged(theta_k[rec[j]].item(), bound[j].item(),
+                                      i, n, (i, dtheta[j].item()), delta)
+                if len(rec):
+                    raw_bound, calm = bound[-1].item(), run[-1].item()
+                    last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
+                if valid.any():
+                    seen_valid = True
+                    theta = theta_k[np.flatnonzero(valid)[-1]].item()
+                prev_theta = theta_k[-1].item() if valid[-1] else None
+            if error is not None:
+                raise error
+            k += m
+    return _spent((prev_theta, theta, raw_bound, calm, last_pair, seen_valid),
+                  n, k_max, delta)
+
+
+def _tail_len(k: int, raw_bound, tol, denom) -> int:
+    """Steps of the next `_tail` chunk after step k: those until a bound
+    falling like k**-denom from ``raw_bound`` meets tol, within
+    [`_TAIL_MIN`, `_TAIL_MAX`]."""
+    if raw_bound <= tol:
+        return _TAIL_MIN
+    if not (tol > 0 and raw_bound < math.inf):
+        return _TAIL_MAX
+    try:
+        steps = k * ((raw_bound / tol) ** (1 / denom) - 1)
+    except OverflowError:       # denom < 1 and a bound far above tol
+        return _TAIL_MAX
+    return int(min(max(steps, _TAIL_MIN), _TAIL_MAX))
+
+
+def _spent(state, n: int, k_max: int, delta) -> ThetaResult:
+    """The result of a run that took all k_max steps without a stop."""
+    _, theta, raw_bound, _, last_pair, seen_valid = state
     if not seen_valid:
         return ThetaResult(theta=complex("nan"), error_bound=math.inf,
                            k_final=k_max, n=n, tau_estimate=complex("nan"),
@@ -827,10 +950,10 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     the scalar loop in the same order on arrays with one entry per kernel,
     so IEEE arithmetic gives the same bits.  Kernels that stop leave the
     arrays, and once fewer than `_LOCKSTEP_MIN` are left, those finish on
-    the scalar loop from the state they reached, since a numpy step then
-    costs more than their scalar steps.  A kernel with a complex scalar runs
-    `theta_iterate` on its own, because numpy's complex division is not
-    CPython's.
+    the loop of `theta_iterate` from the state they reached, since a numpy
+    step then costs more than their own steps.  A kernel with a complex
+    scalar runs `theta_iterate` on its own, because numpy's complex
+    division is not CPython's.
 
     Raises
     ------
@@ -915,6 +1038,26 @@ def _batch_step(k: int, side, state: list):
             np.abs(det) < _SINGULAR_STEP_TOL)
 
 
+def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
+    """Theta_k and the mask of usable weight vectors, on arrays.
+
+    The scalar loop's p_k, nu_k and Theta_k, operation for operation, by
+    broadcasting: `_lockstep` passes one k and a column per kernel for the
+    rest, `_tail` a run of k and one kernel's scalars, but b2 and ||b1|| as
+    arrays of the run's length, since p_k must be an array at n = 0 too
+    and `_degenerate` indexes ||b1||.
+    """
+    (b10, b11), (p0, p1) = b1, b2
+    prod = 1.0
+    for m_delta, t0, t1 in accel:
+        prod = prod * (m_delta / (m_delta - k))
+        p0 = p0 + prod * t0
+        p1 = p1 + prod * t1
+    norm = b10 * p1 - b11 * p0
+    valid = ~_degenerate(norm, b1_norm, p0, p1)
+    return d0 * (p1 / norm) + d1 * (-p0 / norm), valid
+
+
 def _degenerate(norm, b1_norm, p0, p1):
     """The weight-vector degeneracy test of `theta_iterate`, on arrays.
 
@@ -931,10 +1074,12 @@ def _degenerate(norm, b1_norm, p0, p1):
     return out
 
 
-#: fewest kernels a `_lockstep` step runs: one step costs about 100 numpy
-#: calls, near 1.5 us each on small arrays, and a scalar step about 3.5 us
-#: (2-core x86-64, CPython 3.11), so below this many kernels the rest
-#: finish faster on the scalar loop
+#: fewest kernels a `_lockstep` step runs.  One step is about 100 numpy
+#: calls, 90-150 us on small arrays; a step of `_theta_loop` costs 1.8-2.8
+#: us in its scalar head and 1.2-1.3 us in its float64 tail (2-core shared
+#: x86-64 VM, CPython 3.11), so the break-even lies between 30 and 120
+#: kernels.  The value was set when a scalar step cost about 3.5 us and has
+#: not been re-tuned since
 _LOCKSTEP_MIN = 32
 
 
@@ -984,7 +1129,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     done = failed       # stopped, with its result (or None) recorded
 
     def finish(j, k):
-        """Entry j's run, continued from step k on the scalar loop."""
+        """Entry j's run, continued from step k on `_theta_loop`."""
         x = [v[j].item() for v in state]
         a = acc[:, j].tolist()
         steps = _rational_steps(tuple(side[:, j].tolist()), k, x[0:2], x[2:4],
@@ -994,24 +1139,17 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                       raw[j].item(), calm[j].item(),
                       (last_k[j].item(), last_d[j].item())
                       if has_last[j] else None, bool(seen[j]))
-        return _theta_loop(itertools.islice(steps, k_max - k),
-                           list(zip(a[0::3], a[1::3], a[2::3])),
+        return _theta_loop(steps, k, list(zip(a[0::3], a[1::3], a[2::3])),
                            (b10[j].item(), b11[j].item()),
                            (b20[j].item(), b21[j].item()), delta[j].item(),
-                           n, tol, k_max, k_start, loop_state)
+                           n, tol, k_max, k_start, None, loop_state)
 
     for k in range(1, k_max + 1):
         state, stop = _batch_step(k, side, state)
         if k >= k_start:
-            p0, p1 = b20, b21
-            prod = 1.0
-            for m_delta, t0, t1 in zip(acc[0::3], acc[1::3], acc[2::3]):
-                prod = prod * (m_delta / (m_delta - k))
-                p0 = p0 + prod * t0
-                p1 = p1 + prod * t1
-            norm = b10 * p1 - b11 * p0
-            valid = ~_degenerate(norm, b1_norm, p0, p1)
-            theta_k = state[2] * (p1 / norm) + state[3] * (-p0 / norm)
+            theta_k, valid = _theta_k(
+                k, state[2], state[3], zip(acc[0::3], acc[1::3], acc[2::3]),
+                (b10, b11), (b20, b21), b1_norm)
             new = valid & has_prev      # the kernels that record a bound
             dtheta = theta_k - prev
             bound = k * np.abs(dtheta) / denom
@@ -1046,7 +1184,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
             (prev, theta, last_d, raw, calm, last_k, has_prev, seen, has_last,
              done) = (x[keep] for x in (prev, theta, last_d, raw, calm, last_k,
                                         has_prev, seen, has_last, done))
-    # the kernels left finish on the scalar loop from step k (at k = k_max,
+    # the kernels left finish on `_theta_loop` from step k (at k = k_max,
     # with no step to go)
     for j in left.tolist():
         results[cols[j]] = _or_none(finish, j, k)

@@ -8,11 +8,12 @@ and cross-checks against the independent integration oracle in _oracle.py.
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 from conncoef import core
@@ -667,6 +668,13 @@ def _scalar(kernel, **kw):
         return None
 
 
+def _all_scalar(kernel, **kw):
+    """`_scalar` with every step on the scalar loop (no float64 tail)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_HEAD", 10 ** 12)
+        return _scalar(kernel, **kw)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(family=hst.sampled_from(["ell", "sph"]),
@@ -679,10 +687,13 @@ def _scalar(kernel, **kw):
        budget=hst.sampled_from([0, 4, 30, 3000]),
        extra=hst.sampled_from(["none", "complex", "singular main",
                                "singular mirror"]),
-       lockstep_min=hst.sampled_from([1, 8, 12, 24, 64]))
+       lockstep_min=hst.sampled_from([1, 8, 12, 24, 64]),
+       head=hst.sampled_from([0, 1, 7, 512]))
+@example(family="sph", x=4.0, lo=-3.0, span=3.0, c=2.0, bits=(0, 0, 0), n=5,
+         log_tol=-12.0, budget=30, extra="none", lockstep_min=1, head=0)
 def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
                                            log_tol, budget, extra,
-                                           lockstep_min):
+                                           lockstep_min, head):
     axis = np.linspace(lo, lo + span, 4)
     if family == "ell":
         problem = ell.EllipsoidalProblem(gamma=x, c=c, rho=bits[0],
@@ -709,13 +720,15 @@ def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
             mirror=(1.0, *kernels[2].mirror[1:]))
     k_max = core._first_index(n, 0.0, 10 ** 9, kernels[0].delta) + budget
     kw = dict(n=n, tol=10.0 ** log_tol, k_max=k_max)
-    # 1: every kernel stays in the arrays to the end; 64: the arrays hand
-    # every kernel to the scalar loop after the first step; the others hand
-    # off part of the way
+    # 1: every kernel stays in the arrays to the end, and those left at
+    # k_max finish with no step to go; 64: the arrays hand every kernel to
+    # the scalar loop after the first step; the others hand off part of the
+    # way.  A kernel handed off past the head goes on in the float64 tail
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
+        mp.setattr(core, "_HEAD", head)
         many = core.theta_many(iter(kernels), **kw)
-    assert [_bits(r) for r in many] == [_bits(_scalar(k, **kw))
+    assert [_bits(r) for r in many] == [_bits(_all_scalar(k, **kw))
                                         for k in kernels]
     if extra.startswith("singular") and k_max >= 3 and n >= 1:
         assert many[2] is None
@@ -784,3 +797,201 @@ def test_batch_degeneracy_test_decides_like_math_hypot():
             batch = core._degenerate(np.array([norm]), np.array([1.0]),
                                      np.array([a]), np.array([b]))
             assert batch.tolist() == [scalar]
+
+
+# --------------------------------------------------------------------------
+# property: the float64 tail of the Theta loop keeps every bit
+# --------------------------------------------------------------------------
+
+def _outcome(kernel, head, chunk=None, **kw):
+    """The bits of `theta_iterate` with the scalar head ``head`` patched in,
+    and every tail chunk ``chunk`` steps long if it is given, or the type
+    and message of what it raises; no warning may escape."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(core, "_HEAD", head)
+        if chunk is not None:
+            mp.setattr(core, "_TAIL_MIN", chunk)
+            mp.setattr(core, "_TAIL_MAX", chunk)
+        try:
+            return _bits(theta_iterate(kernel, None, **kw))
+        except (ConncoefError, ArithmeticError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+def _singular_at(kernel, k_bad):
+    """A `core._steps` whose main series of ``kernel`` raises SingularStep
+    at step ``k_bad``, with every step before it unchanged."""
+    steps = core._steps
+
+    def patched(side, start):
+        for step in steps(side, start):
+            if side is kernel.main and step[0] == k_bad:
+                raise core._singular_step(k_bad, 0.0)
+            yield step
+    return patched
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=hst.sampled_from(["ell", "sph"]),
+       x=hst.floats(-20.0, 20.0, **_finite),
+       y=hst.floats(-20.0, 20.0, **_finite),
+       c=hst.one_of(hst.floats(1.05, 1.25, exclude_min=True, **_finite),
+                    hst.floats(1.25, 3.0, exclude_max=True, **_finite)),
+       bits=hst.tuples(*[hst.integers(0, 1)] * 3),
+       n=hst.integers(0, 8),
+       tol=hst.one_of(hst.sampled_from([0.0, 1e3]),
+                      hst.floats(-12.0, -3.0, **_finite).map(
+                          lambda e: 10.0 ** e)),
+       head=hst.sampled_from([0, 1, 7, 512]),
+       chunk=hst.sampled_from([None, None, 1, 3]),
+       budget=hst.sampled_from([0, 1, 37, 200, 1500]),
+       extra=hst.sampled_from(["none", "overflow", "singular", "complex"]),
+       offset=hst.sampled_from([-40, -1, 0, 1, 3, 150]))
+def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
+                                           head, chunk, budget, extra,
+                                           offset):
+    # the tail against the all-scalar loop: with c near 1 the ellipsoidal
+    # series run long; tol = 0 never stops, tol = 1e3 stops at the fifth
+    # recorded bound; chunk = 1 or 3 puts a chunk boundary everywhere; a
+    # complex kernel goes on past the head on the scalar loop
+    x = complex(x, 1.5) if extra == "complex" else x
+    if family == "ell":
+        kernel = ell._kernel(y, -y, ell.EllipsoidalProblem(
+            gamma=x, c=c, rho=bits[0], sigma=bits[1], tau=bits[2]))
+    else:
+        kernel = sph._kernel(y, sph.SpheroidalProblem(
+            mu=bits[0] + bits[1] / 2, gamma2=x))
+    assert (core._float_row(kernel) is None) == (extra == "complex")
+    k_start = core._first_index(n, 0.0, 10 ** 9, kernel.delta)
+    hand_off = max(head, k_start - 1)
+    # budget 0: k_max at the head (or at k_start); else inside a chunk
+    kw = dict(n=n, tol=tol, k_max=max(hand_off, k_start) + budget)
+    if extra == "overflow":
+        # one more pole, inside the unit disk: its geometric sum overflows
+        # before step hand_off + 60, and the prefix sums turn inf, then NaN
+        kernel = kernel._replace(main=(*kernel.main, 1.0, 0.0, 0.0, 1.0,
+                                       2.0 ** (1024 / (hand_off + 60))))
+    expected = _outcome(kernel, 10 ** 12, **kw)
+    if extra == "singular":
+        # a singular main step near where the scalar loop stops
+        stop = expected[2] if expected[-1] == "'converged'" else kw["k_max"]
+        k_bad = max(int(stop) + offset, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
+            singular = _outcome(kernel, 10 ** 12, **kw)
+            assert _outcome(kernel, head, chunk, **kw) == singular
+        if k_bad <= min(int(stop), kw["k_max"]):
+            assert singular == ("SingularStep", str(core._singular_step(
+                k_bad, 0.0)))
+        else:
+            assert singular == expected
+        return
+    assert _outcome(kernel, head, chunk, **kw) == expected
+
+
+def _straddling(kernel, k_mid):
+    """``kernel`` with a hand-made mirrored side, b1 = (1, 0) and
+    b2 = (1, 2e-12), so that at order n = 2 the second component of p_k,
+    2e-12 (1 + f1 + f1 f2) + f1 f2 z with f1 f2 ~ delta (1 + delta) / k**2,
+    passes through 0 near k = k_mid: the weight vector is degenerate on a
+    stretch around there and usable before and after it."""
+    eta, delta = 2e-12, kernel.delta
+    z = -eta * k_mid ** 2 / (delta * (1 + delta))
+    # A0 = diag(1/4, 1/2), A1 + I = [[1/2, 0], [z', 0]], C = [[1/8, 0],
+    # [z', 0]]: d~_1 = (., eta) and d~_2 = (., eta + z'/(1/2 - 2))
+    zp = z * (0.5 - 2)
+    mirror = (0.25, 0.0, 0.0, 0.5, 0.5, 0.0, zp, 0.0, 0.125, 0.0, zp, 0.0)
+    return kernel._replace(mirror=mirror, b1=(1.0, 0.0), b2=(1.0, eta))
+
+
+def _degenerate_steps(kernel, n, k_start, k_end):
+    """The k in k_start..k_end - 1 with no usable weight vector, by the
+    independent reference formulas."""
+    prefix = [kernel.b2] + [(d0, d1) for *_, d0, d1 in itertools.islice(
+        core._steps(kernel.mirror, list(kernel.b2)), n)]
+    return [k for k in range(k_start, k_end)
+            if _reference.weight_vector(kernel.b1, _reference.p_vector(
+                kernel.b2, prefix, kernel.delta, k, n)) is None]
+
+
+@pytest.mark.parametrize("head", [0, 1, 7, 512])
+@pytest.mark.parametrize("where", ["across", "after"])
+def test_float_tail_keeps_a_degenerate_stretch(head, where):
+    base = sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+    k_start = core._first_index(2, 0.0, 10 ** 9, base.delta)
+    hand_off = max(head, k_start - 1)
+    if where == "across":
+        kernel = _straddling(base, 0.85 * hand_off if head >= 7 else 2)
+    else:
+        kernel = _straddling(base, 1.3 * hand_off + 10)
+    k_end = 4 * hand_off + 40
+    degenerate = _degenerate_steps(kernel, 2, k_start, k_end)
+    # premise: one stretch of degenerate steps, with usable ones after it;
+    # "across" starts it at or before the hand-off (or, below k_start, at
+    # the tail's first step) and ends it past the hand-off; "after" has it
+    # wholly inside the tail, usable steps on either side
+    assert degenerate[-1] - degenerate[0] + 1 == len(degenerate)
+    assert hand_off < degenerate[-1] < k_end - 1
+    if where == "across":
+        assert degenerate[0] <= max(hand_off, k_start)
+        assert degenerate[0] > k_start or head < 7
+    else:
+        assert degenerate[0] > hand_off + 2
+    # k_max past the stretch, inside it, at its end, one step past its end
+    # and one step past the head; chunks of 1 and 3 steps put a chunk
+    # boundary at every step
+    for tol, k_max in itertools.product(
+            (1e-10, 1e3), (k_end, (degenerate[0] + degenerate[-1]) // 2,
+                           degenerate[-1], degenerate[-1] + 1, hand_off + 1)):
+        kw = dict(n=2, tol=tol, k_max=max(k_max, k_start))
+        expected = _outcome(kernel, 10 ** 12, **kw)
+        for chunk in (None, 1, 3):
+            assert _outcome(kernel, head, chunk, **kw) == expected
+    # b1 = b2 at n = 0: no step has a usable weight vector
+    flat = kernel._replace(b1=kernel.b2)
+    kw = dict(n=0, tol=1e-10, k_max=hand_off + 300)
+    assert _outcome(flat, head, **kw)[-1] == "'frame_degenerate'"
+    assert _outcome(flat, head, **kw) == _outcome(flat, 10 ** 12, **kw)
+
+
+@pytest.mark.parametrize("head", [0, 1, 7])
+def test_float_tail_drops_an_error_past_the_stop(head):
+    # the tail steps the kernel past the stop in whole chunks; an error
+    # there must not surface, and one before the stop must surface at the
+    # same k as on the scalar loop
+    kernel = sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+    kw = dict(n=5, tol=1e-12, k_max=5000)
+    expected = _outcome(kernel, 10 ** 12, **kw)
+    stop = int(expected[2])
+    assert expected[-1] == "'converged'" and stop > 8
+    for k_bad in (stop + 1, stop + 2, stop + 100):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
+            assert _outcome(kernel, head, **kw) == expected
+    for k_bad in (stop, stop - 1, 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
+            assert _outcome(kernel, head, **kw) == (
+                "SingularStep", str(core._singular_step(k_bad, 0.0)))
+    # a true singular step of the kernel: A0 - 40*I is singular
+    resonant = kernel._replace(main=(40.0, *kernel.main[1:]))
+    assert _outcome(resonant, head, **kw) == _outcome(
+        resonant, 10 ** 12, **kw) == ("SingularStep",
+                                      str(core._singular_step(40, 0.0)))
+
+
+def test_float_tail_chunks_follow_the_bound():
+    # a chunk reaches to where a bound falling like k**-denom meets tol,
+    # within the clamps; no finite estimate means the largest chunk
+    assert core._tail_len(512, 1e-12, 1e-10, 6.5) == core._TAIL_MIN
+    assert core._tail_len(512, 1e-8, 1e-10, 6.5) == 512 * (
+        100 ** (1 / 6.5) - 1) // 1
+    assert core._tail_len(512, 1e3, 1e-10, 6.5) == core._TAIL_MAX
+    assert core._tail_len(512, math.inf, 1e-10, 6.5) == core._TAIL_MAX
+    assert core._tail_len(512, math.nan, 1e-10, 6.5) == core._TAIL_MAX
+    assert core._tail_len(512, 1e-8, 0.0, 6.5) == core._TAIL_MAX
+    assert core._tail_len(0, 1e-8, 1e-10, 6.5) == core._TAIL_MIN
+    # Re(delta) + n + 1 < 1 at n = 0: the power overflows
+    assert core._tail_len(512, 1e300, 1e3, 0.5) == core._TAIL_MAX

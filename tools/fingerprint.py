@@ -26,6 +26,11 @@ Usage, from the root of a checkout (it imports that checkout's ``src``)::
 
     python tools/fingerprint.py            # one digest
     python tools/fingerprint.py --records  # one digest per record
+    python tools/fingerprint.py --no-head  # float Theta runs chunked from step 1
+
+``--no-head`` sets `core._HEAD` to 0 in this process, so every Theta run on
+floats forms Theta_k in float64 chunks from its first usable step instead
+of after the scalar head; its digest must equal the default one.
 """
 
 from __future__ import annotations
@@ -406,7 +411,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", action="store_true",
                         help="print one digest per record")
+    parser.add_argument("--no-head", action="store_true",
+                        help="run float Theta series in float64 chunks "
+                             "from the first step (core._HEAD = 0)")
     args = parser.parse_args(argv)
+    if args.no_head:
+        core._HEAD = 0
     total = hashlib.sha256()
     count = 0
     warnings.simplefilter("ignore")

@@ -239,7 +239,8 @@ def theta_hat(lam, mu, problem: EllipsoidalProblem, n: int = 5,
 class EigenPair:
     """A solved (lam, mu) pair with residuals.
 
-    ``iterations`` counts Theta/Theta-hat evaluations spent by the solver.
+    ``iterations`` counts Theta/Theta-hat evaluations spent by the solver;
+    the residuals are those it computed at the returned pair.
     """
 
     lam: float
@@ -279,16 +280,18 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     opts = opts or SolverOptions()
     eval_tol = max(opts.tol_residual / 10.0, 1e-13)
     n_evals = 0
+    evaluated = {}      # F at each point the solver tried, by the bytes of x
 
     def F(x):
         nonlocal n_evals
         n_evals += 2
         th = theta(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max)
         thh = theta_hat(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max)
-        return [th.theta.real, thh.theta.real]
+        f = evaluated[x.tobytes()] = [th.theta.real, thh.theta.real]
+        return f
 
     root = broyden2(F, [seed_lambda, seed_mu], opts)
-    f_final = F(root)
+    f_final = evaluated[root.tobytes()]     # broyden2 returns a point it tried
     return EigenPair(lam=float(root[0]), mu=float(root[1]),
                      residual_theta=abs(f_final[0]),
                      residual_theta_hat=abs(f_final[1]),

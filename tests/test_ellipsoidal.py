@@ -195,6 +195,31 @@ def test_solve_pair_recovers_all_tabled_pairs():
             assert got.iterations >= 4
 
 
+def test_solve_pair_takes_the_residuals_the_solver_computed(
+        table_problem, monkeypatch):
+    # F at the returned pair is not evaluated a second time: it is read
+    # back from the solver's evaluations, so the pair is evaluated once.
+    # theta_hat runs through theta, so `iterations`, two per evaluation of
+    # F, counts every theta call
+    calls = []
+    theta = ell.theta
+
+    def counting(lam, mu, *args, **kwargs):
+        calls.append((float(lam), float(mu)))
+        return theta(lam, mu, *args, **kwargs)
+
+    monkeypatch.setattr(ell, "theta", counting)
+    got = ell.solve_pair(0.3, -0.4, table_problem)
+    assert got.iterations == len(calls)
+    assert calls.count((got.lam, got.mu)) == 1
+    # and the residuals are those of the pair, bit for bit
+    kw = dict(n=5, tol=1e-10, k_max=50_000)
+    assert got.residual_theta == abs(
+        theta(got.lam, got.mu, table_problem, **kw).theta.real)
+    assert got.residual_theta_hat == abs(
+        ell.theta_hat(got.lam, got.mu, table_problem, **kw).theta.real)
+
+
 def test_solve_pair_no_convergence(table_problem):
     with pytest.raises(NoConvergence) as exc:
         ell.solve_pair(7.77, 3.33, table_problem,

@@ -1078,8 +1078,7 @@ def _degenerate(norm, b1_norm, p0, p1):
 #: calls, 90-150 us on small arrays; a step of `_theta_loop` costs 1.8-2.8
 #: us in its scalar head and 1.2-1.3 us in its float64 tail (2-core shared
 #: x86-64 VM, CPython 3.11), so the break-even lies between 30 and 120
-#: kernels.  The value was set when a scalar step cost about 3.5 us and has
-#: not been re-tuned since
+#: kernels; 32 is not tuned to these costs
 _LOCKSTEP_MIN = 32
 
 

@@ -26,7 +26,7 @@ Usage, from the root of a checkout (it imports that checkout's ``src``)::
 
     python tools/fingerprint.py            # one digest
     python tools/fingerprint.py --records  # one digest per record
-    python tools/fingerprint.py --no-head  # float Theta runs chunked from step 1
+    python tools/fingerprint.py --no-head  # float Theta chunked from step 1
 
 ``--no-head`` sets `core._HEAD` to 0 in this process, so every Theta run on
 floats forms Theta_k in float64 chunks from its first usable step instead

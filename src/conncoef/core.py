@@ -56,26 +56,33 @@ differ; comparisons and ``abs`` do not see it.  So a system and frame with
 real entries give a Theta whose imaginary part is exactly 0, by
 construction and unchecked.
 
-The Theta iteration forms p_k, nu_k and Theta_k from the same scalars inside
-that loop, with the mirrored prefix sums straight from the kernel, for the
-first `_HEAD` steps.  Most series stop by then.  A longer one whose scalars
-are all floats goes on in float64 chunks (`_tail`): the kernel still steps
-the main series one scalar step at a time, but p_k, nu_k, Theta_k, the
-bound and the stop rule, which need only k, the mirrored sums and the
-frame besides d_k, are formed for a whole chunk of k at once, one numpy
-operation per scalar operation of the loop, in the same order.  IEEE
-arithmetic on float64 arrays is the scalar float arithmetic, so the bits
-agree; steps past the stop are computed and dropped.  A series with a
-complex scalar stays on the scalar loop, since numpy's complex division is
-not CPython's.
+The kernel comes in two forms with the same operations in the same order:
+a generator that yields after every step (`_rational_steps`), and a loop
+that takes m steps from a state (k, u, d, sums) and appends the prefix sums
+to two lists (`_advance`), written out for sides with no pole (spheroidal)
+and one pole (ellipsoidal).
+
+The Theta iteration forms p_k, nu_k and Theta_k from the same scalars, step
+by step on the generator, with the mirrored prefix sums straight from the
+kernel: the *head*, which most series never leave.  A series whose scalars
+are all floats leaves it after `_HEAD` steps, or sooner, at a checkpoint
+from step `_HEAD_MIN` on, once its bound shows a long series still to go,
+and goes on in float64 chunks (`_tail`): `_advance` steps the main series
+for a whole chunk, then p_k, nu_k, Theta_k, the bound and the stop rule,
+which need only k, the mirrored sums and the frame besides d_k, are formed
+for the chunk at once, one numpy operation per scalar operation of the
+loop, in the same order.  IEEE arithmetic on float64 arrays is the scalar
+float arithmetic, so the bits agree; steps past the stop are computed and
+dropped.  A series with a complex scalar stays on the scalar loop, since
+numpy's complex division is not CPython's.
 
 Eigenfunctions of both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
-steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time,
-keeps the terms, and resumes from the recurrence state it left.  Only the
-map from d_k to a term is the family's own.  `frobenius_step` is one step of
-the kernel on a side, as a function of its state; the library's loops step
-the kernel directly.
+steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time
+(`_advance`), keeps the terms, and resumes from the recurrence state it
+left.  Only the map from d_k to a term is the family's own.
+`frobenius_step` is one step of the kernel on a side, as a function of its
+state; the library's loops run the kernel directly.
 
 Only this module knows how a side is laid out.  One builder, `_kernel_of`,
 forms the description from the numbers of A, B, the tail and the frame:
@@ -456,11 +463,86 @@ def _rational_steps(side: tuple, k: int, u: list, d: list, sums: list):
         yield k, u0, u1, d0, d1
 
 
+def _origin(side: tuple, start: Sequence) -> tuple:
+    """The state (k, u, d, sums) at k = 0 of the series on a side of a
+    `ThetaKernel` from u_0 = d_0 = ``start`` (2 kernel scalars)."""
+    start = tuple(start)
+    return 0, start, start, [list(start) for _ in range(12, len(side), 5)]
+
+
 def _steps(side: tuple, start: Sequence):
-    """Steps 1, 2, ... of the series on a side of a `ThetaKernel` from
-    u_0 = d_0 = ``start`` (2 kernel scalars)."""
-    return _rational_steps(side, 0, start, start,
-                           [list(start) for _ in range(12, len(side), 5)])
+    """Steps 1, 2, ... of the series on a side from u_0 = d_0 = ``start``."""
+    return _rational_steps(side, *_origin(side, start))
+
+
+def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
+    """The state after m more steps of the recurrence kernel on ``side``.
+
+    ``state`` is ``(k, u, d, sums)`` as in `frobenius_step`, and is left
+    unchanged; the new one comes in the same form.  The first and second
+    components of d_{k+1}, ..., d_{k+m} are appended to ``d0s`` and
+    ``d1s``.  The steps are `_rational_steps`', operation for operation,
+    written out for a side with no pole (spheroidal) and with one
+    (ellipsoidal); a side with more poles steps the generator.  A step that
+    raises leaves the lists holding every step before it.
+
+    The written-out loops differ from the generator only where the result
+    cannot: they count k in floats, and add a float 0.0 where the generator
+    adds an int 0 (its empty sum over poles, or the start of its sum over
+    one pole); either operand is converted to the same double, so
+    ``a11 - k`` and ``0 + x`` keep their bits, signs of zero included.
+    """
+    k, (u0, u1), (d0, d1), sums = state
+    if len(side) > 17:
+        sums = [list(s) for s in sums]
+        for k, u0, u1, d0, d1 in itertools.islice(
+                _rational_steps(side, k, (u0, u1), (d0, d1), sums), m):
+            d0s.append(d0)
+            d1s.append(d1)
+        return k, (u0, u1), (d0, d1), sums
+    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
+    a12a21 = a12 * a21
+    tiny = _SINGULAR_STEP_TOL
+    put0, put1 = d0s.append, d1s.append
+    if len(side) == 12:
+        for k in map(float, range(k + 1, k + m + 1)):
+            r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + 0.0
+            r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + 0.0
+            m11 = a11 - k
+            m22 = a22 - k
+            det = m11 * m22 - a12a21
+            if abs(det) < tiny:
+                raise _singular_step(int(k), det)
+            u0 = (m22 * r0 - a12 * r1) / det
+            u1 = (m11 * r1 - a21 * r0) / det
+            d0 += u0
+            d1 += u1
+            put0(d0)
+            put1(d1)
+        return int(k), (u0, u1), (d0, d1), []
+    q11, q12, q21, q22, inv_c = side[12:]
+    (s0, s1), = sums
+    w0 = 0.0 + (q11 * s0 + q12 * s1)
+    w1 = 0.0 + (q21 * s0 + q22 * s1)
+    for k in map(float, range(k + 1, k + m + 1)):
+        r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+        r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+        m11 = a11 - k
+        m22 = a22 - k
+        det = m11 * m22 - a12a21
+        if abs(det) < tiny:
+            raise _singular_step(int(k), det)
+        u0 = (m22 * r0 - a12 * r1) / det
+        u1 = (m11 * r1 - a21 * r0) / det
+        s0 = s0 * inv_c + u0
+        s1 = s1 * inv_c + u1
+        w0 = 0.0 + (q11 * s0 + q12 * s1)
+        w1 = 0.0 + (q21 * s0 + q22 * s1)
+        d0 += u0
+        d1 += u1
+        put0(d0)
+        put1(d1)
+    return int(k), (u0, u1), (d0, d1), [[s0, s1]]
 
 
 def frobenius_step(state: tuple, side: tuple) -> tuple:
@@ -478,7 +560,8 @@ def frobenius_step(state: tuple, side: tuple) -> tuple:
         d_k = d_{k-1} + u_k,
 
     and leaves the given state unchanged.  The library never calls it: its
-    loops step the kernel (`_rational_steps`) directly.
+    loops run the kernel directly, one step at a time in a short Theta
+    series and in whole chunks of steps elsewhere.
 
     Raises
     ------
@@ -487,12 +570,9 @@ def frobenius_step(state: tuple, side: tuple) -> tuple:
     ValueError
         If the state does not hold one accumulator per pole of the side.
     """
-    k, u, d, sums = state
-    if len(sums) != (len(side) - 12) // 5:
+    if len(state[3]) != (len(side) - 12) // 5:
         raise ValueError("state needs one tail accumulator per pole")
-    sums = [list(s) for s in sums]
-    k, u0, u1, d0, d1 = next(_rational_steps(side, k, u, d, sums))
-    return k, (u0, u1), (d0, d1), sums
+    return _advance(side, state, 1, [], [])
 
 
 def _power_sum(coefs, x):
@@ -541,8 +621,7 @@ class _Series:
     def __init__(self, side: tuple, start: Sequence, term):
         self._side = side
         self._term = term
-        self._state = (0, start, start,
-                       [list(start) for _ in range(12, len(side), 5)])
+        self._state = _origin(side, start)
         self._terms = None
         self._known = 0
 
@@ -552,20 +631,15 @@ class _Series:
         while self._known < stop:
             known = self._known
             end = min(known + _CHUNK, _SERIES_TERMS)
-            k, u, d, sums = self._state
-            sums = [list(s) for s in sums]  # the state stays as it was on error
-            d1 = [] if known else [d[1]]
-            steps = _rational_steps(self._side, k, u, d, sums)
-            for k, u0, u1, d0, last in itertools.islice(steps,
-                                                        end - known - len(d1)):
-                d1.append(last)
+            d1 = [] if known else [self._state[2][1]]
+            state = _advance(self._side, self._state, end - known - len(d1),
+                             [], d1)
             terms = self._term(np.array(d1, dtype=complex), known)
             if self._terms is None:
                 self._terms = np.zeros(_SERIES_TERMS, terms.dtype)
             self._terms[known:end] = terms
             self._known = end
-            self._state = (None if end == _SERIES_TERMS
-                           else (k, (u0, u1), (d0, last), sums))
+            self._state = None if end == _SERIES_TERMS else state
 
     def _read(self, k: int, stop: int):
         """Terms k..stop-1, computed if need be.
@@ -674,11 +748,13 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     the formulas of the module docstring; a k with
     |det(b1, p_k)| <= 1e-12 * ||b1|| * ||p_k|| has no usable weight vector
     and is skipped.  ``theta`` and ``tau_estimate`` are returned as
-    complex.  When every scalar is a float, the steps past the first 512
-    form Theta_k and the stop rule in float64 chunks of 128 to 1024 steps,
-    one numpy operation per scalar operation in the same order, so the
-    result keeps every bit; a series with a complex scalar runs on the
-    scalar loop throughout (numpy's complex division is not CPython's).
+    complex.  When every scalar is a float, the steps past the first 512,
+    or past a checkpoint from step 64 on, once every 32 steps, where the
+    bound shows at least 256 more steps to go, step the kernel and form
+    Theta_k and the stop rule in float64 chunks of 128 to 1024 steps, one
+    numpy operation per scalar operation in the same order, so the result
+    keeps every bit; a series with a complex scalar runs on the scalar loop
+    throughout (numpy's complex division is not CPython's).
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -731,17 +807,16 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         k_start = _first_index(n, tol, k_max, frame.delta)
         kernel = theta_kernel(system, frame)        # the one frame check
 
-    main, mirror, (a00, a01), b1, (b20, b21), delta = kernel
+    main, mirror, a0, b1, b2, delta = kernel
     # p_k = b2 + sum_l (prod_{m<l} (m+delta)/(m+delta-k)) d~_l, with the
     # mirrored prefix sums d~_1..d~_n straight from the kernel
-    mirrored = itertools.islice(_steps(mirror, [b20, b21]), n)
-    accel = [(m + delta, t0, t1)
-             for m, (_, _, _, t0, t1) in enumerate(mirrored)]
-    if not all(cmath.isfinite(t0) and cmath.isfinite(t1)
-               for _, t0, t1 in accel):
+    t0s, t1s = [], []
+    _advance(mirror, _origin(mirror, b2), n, t0s, t1s)
+    if not all(map(cmath.isfinite, t0s + t1s)):
         raise ValueError(_MIRROR_NOT_FINITE)
-    return _theta_loop(_steps(main, [a00, a01]), 0, accel, b1, (b20, b21),
-                       delta, n, tol, k_max, k_start, kernel)
+    accel = [(m + delta, t0, t1) for m, (t0, t1) in enumerate(zip(t0s, t1s))]
+    return _theta_loop(main, _origin(main, a0), accel, b1, b2, delta, n, tol,
+                       k_max, k_start, kernel)
 
 
 #: the state of `_theta_loop` before its first step: Theta_{k-1} (None after
@@ -751,33 +826,47 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
 _FRESH = (None, complex("nan"), math.inf, 0, None, False)
 
 
-#: steps a float run takes on the scalar loop before its float64 tail
+#: steps a float run takes on the scalar loop before its float64 tail,
+#: unless the bound shows a long series sooner (`_HEAD_MIN`)
 _HEAD = 512
+
+#: from this step on, once every `_HEAD_EVERY` steps, the scalar head of a
+#: float run hands off to its tail early where `_tail_len` predicts at least
+#: two of the shortest tail chunks still to go
+_HEAD_MIN, _HEAD_EVERY = 64, 32
 
 #: fewest and most steps of one chunk of the float64 tail
 _TAIL_MIN, _TAIL_MAX = 128, 1024
 
 
-def _theta_loop(steps, k: int, accel, b1, b2, delta, n: int, tol, k_max: int,
-                k_start: int, kernel=None, state=_FRESH) -> ThetaResult:
-    """The Theta loop of `theta_iterate` over the main series ``steps``.
+def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
+                k_max: int, k_start: int, kernel=None,
+                state=_FRESH) -> ThetaResult:
+    """The Theta loop of `theta_iterate` over the main series on ``side``.
 
-    ``steps`` is the kernel's generator of the main series after step k;
-    ``accel`` holds (m + delta, d~_{m+1}) per order m < n; ``state`` is the
-    loop's state after step k (see `_FRESH`), so that a run of `_lockstep`
-    can end here, bit for bit.  The steps through `_HEAD` (or k_start - 1,
-    if later) run here.  A run that goes on past them continues in `_tail`
-    if every scalar of its ``kernel`` is a float, or if ``kernel`` is None,
-    as for a run of `_lockstep`; any other run stays here to the end.  The
-    check comes only then, so a run that stops in the head never pays it.
+    ``series`` is the series' state (k, u, d, sums) after step k, as in
+    `frobenius_step`; ``accel`` holds (m + delta, d~_{m+1}) per order
+    m < n; ``state`` is the loop's state after step k (see `_FRESH`), so
+    that a run of `_lockstep` can end here, bit for bit.  The steps through
+    `_HEAD` (or k_start - 1, if later) run here, one at a time, unless the
+    bound at a checkpoint (`_HEAD_MIN`) shows a long series first.  A run
+    that goes on past them continues in `_tail` if every scalar of its
+    ``kernel`` is a float, or if ``kernel`` is None, as for a run of
+    `_lockstep`; any other run stays here to the end.  The check comes only
+    then, so a run that stops in the head never pays it.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     (b10, b11), (b20, b21) = b1, b2
     b1_norm = math.hypot(abs(b10), abs(b11))
     denom = delta.real + n + 1
+    k, (u0, u1), (d0, d1), sums = series
+    sums = [list(s) for s in sums]
+    steps = _rational_steps(side, k, (u0, u1), (d0, d1), sums)
     end = min(max(_HEAD, k_start - 1, k), k_max)
+    check = max(_HEAD_MIN, k + _HEAD_EVERY)
+    to_tail = None      # whether the run may go on in `_tail`, once asked
     while True:
-        for k, _, _, d0, d1 in itertools.islice(steps, end - k):
+        for k, u0, u1, d0, d1 in itertools.islice(steps, min(end, check) - k):
             if k < k_start:
                 continue
             p0, p1 = b20, b21
@@ -805,22 +894,31 @@ def _theta_loop(steps, k: int, accel, b1, b2, delta, n: int, tol, k_max: int,
                 if bound <= tol and calm >= _MONOTONE_STEPS:
                     return _converged(theta, bound, k, n, last_pair, delta)
             prev_theta = theta
-        if end == k_max or kernel is None or _float_row(kernel) is not None:
+        if k < end:         # a checkpoint
+            check += _HEAD_EVERY
+            if k < k_start or _tail_len(k, raw_bound, tol,
+                                        denom) < 2 * _TAIL_MIN:
+                continue
+        elif end == k_max:
             break
-        end = k_max         # a complex scalar: the rest on this loop
+        if to_tail is None:
+            to_tail = kernel is None or _float_row(kernel) is not None
+        if to_tail:
+            return _tail(side, (k, (u0, u1), (d0, d1), sums), accel, b1, b2,
+                         b1_norm, delta, n, tol, k_max,
+                         (prev_theta, theta, raw_bound, calm, last_pair,
+                          seen_valid))
+        end, check = k_max, math.inf    # a complex scalar: the rest here
+    return _spent((prev_theta, theta, raw_bound, calm, last_pair, seen_valid),
+                  n, k_max, delta)
 
-    state = (prev_theta, theta, raw_bound, calm, last_pair, seen_valid)
-    if end < k_max:
-        return _tail(steps, end, accel, b1, b2, b1_norm, delta, n, tol, k_max,
-                     state)
-    return _spent(state, n, k_max, delta)
 
+def _tail(side: tuple, series: tuple, accel, b1, b2, b1_norm, delta, n: int,
+          tol, k_max: int, state) -> ThetaResult:
+    """`_theta_loop` of a float run from the series state ``series`` on, in
+    float64 chunks.
 
-def _tail(steps, k: int, accel, b1, b2, b1_norm, delta, n: int, tol,
-          k_max: int, state) -> ThetaResult:
-    """`_theta_loop` of a float run from step k on, in float64 chunks.
-
-    Each chunk takes the next steps of the kernel, as many as the bound
+    Each chunk steps the kernel (`_advance`) as many steps as the bound
     needs to meet tol if it falls like k**-(Re(delta)+n+1) (`_tail_len`),
     and forms Theta_k, the bounds, the non-increasing run and the first
     stop over all of them at once: one numpy operation per scalar
@@ -832,15 +930,15 @@ def _tail(steps, k: int, accel, b1, b2, b1_norm, delta, n: int, tol,
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     b20, b21 = b2
     denom = delta.real + n + 1
+    k = series[0]
+    floor = False
     with np.errstate(all="ignore"):
         while k < k_max:
             d0, d1, error = [], [], None
             try:
-                for _, _, _, x0, x1 in itertools.islice(
-                        steps, min(_tail_len(k, raw_bound, tol, denom),
-                                   k_max - k)):
-                    d0.append(x0)
-                    d1.append(x1)
+                series = _advance(side, series, min(
+                    _tail_len(k, raw_bound, tol, denom, floor), k_max - k),
+                    d0, d1)
             except (ConncoefError, ArithmeticError) as exc:
                 error = exc
             m = len(d0)
@@ -870,6 +968,7 @@ def _tail(steps, k: int, accel, b1, b2, b1_norm, delta, n: int, tol,
                     i = k + 1 + rec[j].item()
                     return _converged(theta_k[rec[j]].item(), bound[j].item(),
                                       i, n, (i, dtheta[j].item()), delta)
+                floor = bool((bound <= tol).any())
                 if len(rec):
                     raw_bound, calm = bound[-1].item(), run[-1].item()
                     last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
@@ -884,19 +983,32 @@ def _tail(steps, k: int, accel, b1, b2, b1_norm, delta, n: int, tol,
                   n, k_max, delta)
 
 
-def _tail_len(k: int, raw_bound, tol, denom) -> int:
+def _tail_len(k: int, raw_bound, tol, denom, floor=False) -> int:
     """Steps of the next `_tail` chunk after step k: those until a bound
     falling like k**-denom from ``raw_bound`` meets tol, within
-    [`_TAIL_MIN`, `_TAIL_MAX`]."""
+    [`_TAIL_MIN`, `_TAIL_MAX`].
+
+    ``floor`` says that the chunk just done recorded a bound at or below
+    tol without a stop: the run has reached its roundoff floor, where
+    Theta_k repeats or moves by an ulp, or is a few steps from its stop;
+    either way the decay does not tell when the run stops.  A chunk of
+    ``steps`` is then cut to sqrt(2 * `_TAIL_MIN` * steps): the length that
+    weighs one more chunk, whose numpy calls cost about `_TAIL_MIN` steps,
+    against the half chunk that a chunk overshoots the stop by on average.
+    """
     if raw_bound <= tol:
         return _TAIL_MIN
     if not (tol > 0 and raw_bound < math.inf):
-        return _TAIL_MAX
-    try:
-        steps = k * ((raw_bound / tol) ** (1 / denom) - 1)
-    except OverflowError:       # denom < 1 and a bound far above tol
-        return _TAIL_MAX
-    return int(min(max(steps, _TAIL_MIN), _TAIL_MAX))
+        steps = _TAIL_MAX
+    else:
+        try:
+            steps = min(max(k * ((raw_bound / tol) ** (1 / denom) - 1),
+                            _TAIL_MIN), _TAIL_MAX)
+        except OverflowError:       # denom < 1 and a bound far above tol
+            steps = _TAIL_MAX
+    if floor:
+        steps = min(steps, math.sqrt(2 * _TAIL_MIN * steps))
+    return int(steps)
 
 
 def _spent(state, n: int, k_max: int, delta) -> ThetaResult:
@@ -1075,10 +1187,11 @@ def _degenerate(norm, b1_norm, p0, p1):
 
 
 #: fewest kernels a `_lockstep` step runs.  One step is about 100 numpy
-#: calls, 90-150 us on small arrays; a step of `_theta_loop` costs 1.8-2.8
-#: us in its scalar head and 1.2-1.3 us in its float64 tail (2-core shared
-#: x86-64 VM, CPython 3.11), so the break-even lies between 30 and 120
-#: kernels; 32 is not tuned to these costs
+#: calls, 90-150 us on small arrays; a step of `_theta_loop` costs 2.0-2.9
+#: us in its scalar head and 0.8-1.1 us in its float64 tail, of which
+#: 0.6-0.8 us is the recurrence (2-core shared x86-64 VM, CPython 3.11),
+#: so the break-even lies between 30 and 190 kernels; 32 is not tuned to
+#: these costs
 _LOCKSTEP_MIN = 32
 
 
@@ -1131,14 +1244,14 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
         """Entry j's run, continued from step k on `_theta_loop`."""
         x = [v[j].item() for v in state]
         a = acc[:, j].tolist()
-        steps = _rational_steps(tuple(side[:, j].tolist()), k, x[0:2], x[2:4],
-                                [x[i:i + 2] for i in range(6, len(x), 2)])
+        series = (k, x[0:2], x[2:4], [x[i:i + 2] for i in range(6, len(x), 2)])
         loop_state = (prev[j].item() if has_prev[j] else None,
                       theta[j].item() if seen[j] else complex("nan"),
                       raw[j].item(), calm[j].item(),
                       (last_k[j].item(), last_d[j].item())
                       if has_last[j] else None, bool(seen[j]))
-        return _theta_loop(steps, k, list(zip(a[0::3], a[1::3], a[2::3])),
+        return _theta_loop(tuple(side[:, j].tolist()), series,
+                           list(zip(a[0::3], a[1::3], a[2::3])),
                            (b10[j].item(), b11[j].item()),
                            (b20[j].item(), b21[j].item()), delta[j].item(),
                            n, tol, k_max, k_start, None, loop_state)

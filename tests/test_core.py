@@ -6,6 +6,7 @@ Expected values fall into three classes: exact hand-derived arithmetic
 and cross-checks against the independent integration oracle in _oracle.py.
 """
 
+import cmath
 import itertools
 import math
 import warnings
@@ -465,6 +466,118 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
 
 
 # --------------------------------------------------------------------------
+# property: the chunked kernel keeps the generator's every bit
+# --------------------------------------------------------------------------
+
+def _generator_run(side, state, m):
+    """The generator's steps after ``state``, up to m of them, as the states
+    (k, u, d, sums) after each, and the message of the SingularStep that
+    ends them early, if one does."""
+    k, u, d, sums = state
+    sums = [list(s) for s in sums]
+    out = []
+    try:
+        for k, u0, u1, d0, d1 in itertools.islice(
+                core._rational_steps(side, k, u, d, sums), m):
+            out.append((k, (u0, u1), (d0, d1), [list(s) for s in sums]))
+    except SingularStep as exc:
+        return out, str(exc)
+    return out, None
+
+
+_POLE = hst.tuples(*[hst.floats(-5.0, 5.0, **_finite)] * 4,
+                   hst.floats(-0.95, 0.95, **_finite))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=hst.sampled_from(["ell", "sph"]),
+       complex_side=hst.booleans(),
+       x=hst.floats(-20.0, 20.0, **_finite),
+       y=hst.floats(-20.0, 20.0, **_finite),
+       c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
+       poles=hst.sampled_from([0, 1, 3]),
+       drawn=hst.lists(_POLE, min_size=3, max_size=3),
+       overflow=hst.booleans(),
+       zeros=hst.lists(hst.integers(0, 11), max_size=4),
+       start=hst.sampled_from(["a0", (-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0)]),
+       chunks=hst.lists(hst.sampled_from([1, 2, 33]), min_size=1, max_size=6),
+       singular=hst.sampled_from([None, "first", "middle", "last"]))
+@example(family="sph", complex_side=False, x=4.0, y=1.5, c=2.0, poles=0,
+         drawn=[(0.0, 0.0, 0.0, 0.0, 0.0)] * 3, overflow=False, zeros=[],
+         start="a0", chunks=[33, 33, 33], singular="middle")
+def test_chunked_kernel_equals_the_generator(family, complex_side, x, y, c,
+                                             poles, drawn, overflow, zeros,
+                                             start, chunks, singular):
+    # `_advance` against `_rational_steps`, bit for bit, signs of zero
+    # included (repr): the written-out loops for 0 and 1 pole, the
+    # generator's fallback for 2 to 4, on float and complex sides, in
+    # chunks of 1, 2 and 33 steps resumed from the state each returns
+    x = complex(x, 1.5) if complex_side else x
+    if family == "ell":
+        kernel = ell._kernel(y, -y, ell.EllipsoidalProblem(gamma=x, c=c))
+    else:
+        kernel = sph._kernel(y, sph.SpheroidalProblem(mu=0, gamma2=x))
+    side = list(kernel.main[:12])
+    for i in zeros:
+        side[i] = -0.0
+    own = [kernel.main[12:17]] if family == "ell" else []
+    for pole in (own + drawn)[:poles]:
+        side += pole
+    if overflow:
+        # a pole inside the unit disk: its geometric sum overflows near
+        # step 40, and the sums turn inf, then NaN
+        side += (1.0, 0.0, 0.0, 1.0, 2.0 ** (1024 / 40))
+    if singular is not None:
+        # A0 - k_bad*I singular at a chosen step of the last chunk
+        offset = {"first": 1, "middle": chunks[-1] // 2 + 1,
+                  "last": chunks[-1]}[singular]
+        side[0], side[1] = float(sum(chunks[:-1]) + offset), 0.0
+    side = tuple(side)
+    assert (len(side) - 12) // 5 == poles + overflow
+    state = core._origin(side, kernel.a0 if start == "a0" else start)
+    expected, error = _generator_run(side, state, sum(chunks))
+    d0s, d1s, raised = [], [], None
+    for m in chunks:
+        before = repr(state)
+        try:
+            new = core._advance(side, state, m, d0s, d1s)
+        except SingularStep as exc:
+            raised = str(exc)
+            break
+        assert repr(state) == before        # the given state is kept
+        assert repr(new) == repr(expected[new[0] - 1])
+        state = new
+    # on a singular step, the lists hold every step before it
+    assert raised == error
+    assert singular is None or raised is not None
+    assert repr((d0s, d1s)) == repr(([d[0] for _, _, d, _ in expected],
+                                      [d[1] for _, _, d, _ in expected]))
+    if overflow and start == "a0" and len(d0s) >= 60:
+        # premise: the run went through inf to NaN
+        assert any(map(cmath.isnan, expected[-1][3][-1]))
+
+
+@pytest.mark.parametrize("poles", [0, 1])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_chunked_kernel_keeps_the_signs_of_zero(poles, kind):
+    # from d_0 = (-0, -0) every term is a zero whose sign rests on the
+    # generator's "+ w" with w = 0 + (R / c) s: with A0 = diag(1/2, 1/4),
+    # A1 + I = I and C = -I, r = -0 + w must read +0, so u_k and d_k stay -0
+    side = (0.5, 0.0, 0.0, 0.25, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0,
+            *(1.0, 0.0, 0.0, 1.0, 0.5)[:5 * poles])
+    side = tuple(map(kind, side))
+    state = core._origin(side, (kind(-0.0), kind(-0.0)))
+    expected, _ = _generator_run(side, state, 3)
+    d0s, d1s = [], []
+    for m in (1, 2):
+        state = core._advance(side, state, m, d0s, d1s)
+        assert repr(state) == repr(expected[state[0] - 1])
+    assert repr(d0s) == repr([d[0] for _, _, d, _ in expected])
+    assert math.copysign(1.0, complex(d0s[-1]).real) == -1.0
+
+
+# --------------------------------------------------------------------------
 # the kernel rerun in 50-digit arithmetic
 # --------------------------------------------------------------------------
 
@@ -668,10 +781,17 @@ def _scalar(kernel, **kw):
         return None
 
 
+def _no_tail(mp):
+    """Patch the head so that every step runs on the scalar loop: no float64
+    tail, at the end of the head nor at a checkpoint in it."""
+    mp.setattr(core, "_HEAD", 10 ** 12)
+    mp.setattr(core, "_HEAD_MIN", 10 ** 12)
+
+
 def _all_scalar(kernel, **kw):
     """`_scalar` with every step on the scalar loop (no float64 tail)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_HEAD", 10 ** 12)
+        _no_tail(mp)
         return _scalar(kernel, **kw)
 
 
@@ -803,13 +923,21 @@ def test_batch_degeneracy_test_decides_like_math_hypot():
 # property: the float64 tail of the Theta loop keeps every bit
 # --------------------------------------------------------------------------
 
-def _outcome(kernel, head, chunk=None, **kw):
-    """The bits of `theta_iterate` with the scalar head ``head`` patched in,
-    and every tail chunk ``chunk`` steps long if it is given, or the type
-    and message of what it raises; no warning may escape."""
+def _outcome(kernel, head, chunk=None, every=None, **kw):
+    """The bits of `theta_iterate` with the scalar head ``head`` patched in
+    (None: every step on the scalar loop), a checkpoint of the head at
+    every ``every``-th step from step 1 on if it is given, and every tail
+    chunk ``chunk`` steps long if it is given, or the type and message of
+    what it raises; no warning may escape."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(core, "_HEAD", head)
+        if head is None:
+            _no_tail(mp)
+        else:
+            mp.setattr(core, "_HEAD", head)
+        if every is not None:
+            mp.setattr(core, "_HEAD_MIN", 1)
+            mp.setattr(core, "_HEAD_EVERY", every)
         if chunk is not None:
             mp.setattr(core, "_TAIL_MIN", chunk)
             mp.setattr(core, "_TAIL_MAX", chunk)
@@ -819,17 +947,27 @@ def _outcome(kernel, head, chunk=None, **kw):
             return type(exc).__name__, str(exc)
 
 
-def _singular_at(kernel, k_bad):
-    """A `core._steps` whose main series of ``kernel`` raises SingularStep
-    at step ``k_bad``, with every step before it unchanged."""
-    steps = core._steps
+def _singular_at(mp, kernel, k_bad):
+    """Patch the kernel so that the main series of ``kernel`` raises
+    SingularStep at step ``k_bad``, with every step before it unchanged:
+    both the generator the scalar head steps and the chunked kernel the
+    tail steps."""
+    rational_steps, advance = core._rational_steps, core._advance
 
-    def patched(side, start):
-        for step in steps(side, start):
+    def steps(side, k, u, d, sums):
+        for step in rational_steps(side, k, u, d, sums):
             if side is kernel.main and step[0] == k_bad:
                 raise core._singular_step(k_bad, 0.0)
             yield step
-    return patched
+
+    def chunk(side, state, m, d0s, d1s):
+        if side is kernel.main and state[0] < k_bad <= state[0] + m:
+            advance(side, state, k_bad - 1 - state[0], d0s, d1s)
+            raise core._singular_step(k_bad, 0.0)
+        return advance(side, state, m, d0s, d1s)
+
+    mp.setattr(core, "_rational_steps", steps)
+    mp.setattr(core, "_advance", chunk)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -848,14 +986,17 @@ def _singular_at(kernel, k_bad):
        chunk=hst.sampled_from([None, None, 1, 3]),
        budget=hst.sampled_from([0, 1, 37, 200, 1500]),
        extra=hst.sampled_from(["none", "overflow", "singular", "complex"]),
-       offset=hst.sampled_from([-40, -1, 0, 1, 3, 150]))
+       offset=hst.sampled_from([-40, -1, 0, 1, 3, 150]),
+       every=hst.sampled_from([None, None, 1, 5]))
 def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
                                            head, chunk, budget, extra,
-                                           offset):
+                                           offset, every):
     # the tail against the all-scalar loop: with c near 1 the ellipsoidal
     # series run long; tol = 0 never stops, tol = 1e3 stops at the fifth
-    # recorded bound; chunk = 1 or 3 puts a chunk boundary everywhere; a
-    # complex kernel goes on past the head on the scalar loop
+    # recorded bound; chunk = 1 or 3 puts a chunk boundary everywhere;
+    # every = 1 or 5 lets the head hand off early at any step, or any fifth
+    # one, where the bound shows a long series; a complex kernel goes on
+    # past the head on the scalar loop
     x = complex(x, 1.5) if extra == "complex" else x
     if family == "ell":
         kernel = ell._kernel(y, -y, ell.EllipsoidalProblem(
@@ -873,22 +1014,22 @@ def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
         # before step hand_off + 60, and the prefix sums turn inf, then NaN
         kernel = kernel._replace(main=(*kernel.main, 1.0, 0.0, 0.0, 1.0,
                                        2.0 ** (1024 / (hand_off + 60))))
-    expected = _outcome(kernel, 10 ** 12, **kw)
+    expected = _outcome(kernel, None, **kw)
     if extra == "singular":
         # a singular main step near where the scalar loop stops
         stop = expected[2] if expected[-1] == "'converged'" else kw["k_max"]
         k_bad = max(int(stop) + offset, 1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
-            singular = _outcome(kernel, 10 ** 12, **kw)
-            assert _outcome(kernel, head, chunk, **kw) == singular
+            _singular_at(mp, kernel, k_bad)
+            singular = _outcome(kernel, None, **kw)
+            assert _outcome(kernel, head, chunk, every, **kw) == singular
         if k_bad <= min(int(stop), kw["k_max"]):
             assert singular == ("SingularStep", str(core._singular_step(
                 k_bad, 0.0)))
         else:
             assert singular == expected
         return
-    assert _outcome(kernel, head, chunk, **kw) == expected
+    assert _outcome(kernel, head, chunk, every, **kw) == expected
 
 
 def _straddling(kernel, k_mid):
@@ -946,14 +1087,14 @@ def test_float_tail_keeps_a_degenerate_stretch(head, where):
             (1e-10, 1e3), (k_end, (degenerate[0] + degenerate[-1]) // 2,
                            degenerate[-1], degenerate[-1] + 1, hand_off + 1)):
         kw = dict(n=2, tol=tol, k_max=max(k_max, k_start))
-        expected = _outcome(kernel, 10 ** 12, **kw)
+        expected = _outcome(kernel, None, **kw)
         for chunk in (None, 1, 3):
             assert _outcome(kernel, head, chunk, **kw) == expected
     # b1 = b2 at n = 0: no step has a usable weight vector
     flat = kernel._replace(b1=kernel.b2)
     kw = dict(n=0, tol=1e-10, k_max=hand_off + 300)
     assert _outcome(flat, head, **kw)[-1] == "'frame_degenerate'"
-    assert _outcome(flat, head, **kw) == _outcome(flat, 10 ** 12, **kw)
+    assert _outcome(flat, head, **kw) == _outcome(flat, None, **kw)
 
 
 @pytest.mark.parametrize("head", [0, 1, 7])
@@ -963,23 +1104,57 @@ def test_float_tail_drops_an_error_past_the_stop(head):
     # same k as on the scalar loop
     kernel = sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
     kw = dict(n=5, tol=1e-12, k_max=5000)
-    expected = _outcome(kernel, 10 ** 12, **kw)
+    expected = _outcome(kernel, None, **kw)
     stop = int(expected[2])
     assert expected[-1] == "'converged'" and stop > 8
     for k_bad in (stop + 1, stop + 2, stop + 100):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
+            _singular_at(mp, kernel, k_bad)
             assert _outcome(kernel, head, **kw) == expected
     for k_bad in (stop, stop - 1, 9):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_steps", _singular_at(kernel, k_bad))
+            _singular_at(mp, kernel, k_bad)
             assert _outcome(kernel, head, **kw) == (
                 "SingularStep", str(core._singular_step(k_bad, 0.0)))
     # a true singular step of the kernel: A0 - 40*I is singular
     resonant = kernel._replace(main=(40.0, *kernel.main[1:]))
     assert _outcome(resonant, head, **kw) == _outcome(
-        resonant, 10 ** 12, **kw) == ("SingularStep",
+        resonant, None, **kw) == ("SingularStep",
                                       str(core._singular_step(40, 0.0)))
+
+
+def test_head_hands_off_where_the_bound_shows_a_long_series(monkeypatch):
+    # the wave row k^2 = 0.9 (c = 1/0.9) runs ~22000 steps: its float run
+    # leaves the head at the first checkpoint, its complex twin asks once
+    # whether it is float and stays on the scalar loop; a short series never
+    # asks
+    tail, float_row = core._tail, core._float_row
+    seen = []
+
+    def spy_tail(side, series, *rest):
+        seen.append(series[0])
+        return tail(side, series, *rest)
+
+    def spy_float_row(kernel):
+        seen.append("float?")
+        return float_row(kernel)
+
+    monkeypatch.setattr(core, "_tail", spy_tail)
+    monkeypatch.setattr(core, "_float_row", spy_float_row)
+    c = 1 / 0.9
+    for gamma, want in ((25 / 4, ["float?", core._HEAD_MIN]),
+                        (25 / 4 + 0.5j, ["float?"])):
+        kernel = ell._kernel(141.0901 * c / 4, -482.5134 * c / 4,
+                             ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1,
+                                                    sigma=0, tau=1))
+        seen.clear()
+        got = _bits(theta_iterate(kernel, None))
+        assert seen == want
+        assert got == _bits(_all_scalar(kernel)) and int(got[2]) > 20000
+    seen.clear()
+    short = theta_iterate(sph._kernel(1.5, sph.SpheroidalProblem(
+        mu=0, gamma2=4.0)), None, tol=1e-14)
+    assert seen == [] and short.k_final > core._HEAD_MIN + core._HEAD_EVERY
 
 
 def test_float_tail_chunks_follow_the_bound():
@@ -995,3 +1170,12 @@ def test_float_tail_chunks_follow_the_bound():
     assert core._tail_len(0, 1e-8, 1e-10, 6.5) == core._TAIL_MIN
     # Re(delta) + n + 1 < 1 at n = 0: the power overflows
     assert core._tail_len(512, 1e300, 1e3, 0.5) == core._TAIL_MAX
+    # at the roundoff floor a chunk is cut to sqrt(2 * _TAIL_MIN * steps),
+    # never below _TAIL_MIN nor above the length the bound gives
+    floor = dict(floor=True)
+    assert core._tail_len(512, 1e3, 1e-10, 6.5, **floor) == int(math.sqrt(
+        2 * core._TAIL_MIN * core._TAIL_MAX))
+    assert core._tail_len(512, 1e-8, 1e-10, 6.5, **floor) == int(math.sqrt(
+        2 * core._TAIL_MIN * (512 * (100 ** (1 / 6.5) - 1))))
+    assert core._tail_len(512, 1e-12, 1e-10, 6.5, **floor) == core._TAIL_MIN
+    assert core._tail_len(0, 1e-8, 1e-10, 6.5, **floor) == core._TAIL_MIN

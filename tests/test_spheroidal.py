@@ -366,14 +366,21 @@ def test_spectrum_and_eigenfunctions_run_no_full_series(monkeypatch):
     # the parity probes and the eigenfunctions sum a few dozen terms; no
     # series may be stepped to the end of the 2000-term sequence
     deepest = [0]
-    rational_steps = core._rational_steps
+    rational_steps, advance = core._rational_steps, core._advance
 
     def tracked(side, k, u, d, sums):
         for step in rational_steps(side, k, u, d, sums):
             deepest[0] = max(deepest[0], step[0])
             yield step
 
+    def tracked_chunk(side, state, m, d0s, d1s):
+        state = advance(side, state, m, d0s, d1s)
+        deepest[0] = max(deepest[0], state[0])
+        return state
+
+    # the Theta head steps the generator, `_Series` the chunked kernel
     monkeypatch.setattr(core, "_rational_steps", tracked)
+    monkeypatch.setattr(core, "_advance", tracked_chunk)
     problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
     eigs = sph.eigenvalues(problem, 8)
     xs = np.linspace(-0.95, 0.95, 39)

@@ -27,10 +27,14 @@ Usage, from the root of a checkout (it imports that checkout's ``src``)::
     python tools/fingerprint.py            # one digest
     python tools/fingerprint.py --records  # one digest per record
     python tools/fingerprint.py --no-head  # float Theta chunked from step 1
+    python tools/fingerprint.py --no-tail  # every Theta on the scalar loop
 
 ``--no-head`` sets `core._HEAD` to 0 in this process, so every Theta run on
 floats forms Theta_k in float64 chunks from its first usable step instead
-of after the scalar head; its digest must equal the default one.
+of after the scalar head.  ``--no-tail`` sets `core._HEAD` and
+`core._HEAD_MIN` to infinity, so every Theta run stays on the scalar loop
+to its end and never reaches the float64 tail.  Both digests must equal the
+default one.
 """
 
 from __future__ import annotations
@@ -411,12 +415,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", action="store_true",
                         help="print one digest per record")
-    parser.add_argument("--no-head", action="store_true",
-                        help="run float Theta series in float64 chunks "
-                             "from the first step (core._HEAD = 0)")
+    path = parser.add_mutually_exclusive_group()
+    path.add_argument("--no-head", action="store_true",
+                      help="run float Theta series in float64 chunks "
+                           "from the first step (core._HEAD = 0)")
+    path.add_argument("--no-tail", action="store_true",
+                      help="run every Theta series on the scalar loop "
+                           "(core._HEAD = core._HEAD_MIN = inf)")
     args = parser.parse_args(argv)
     if args.no_head:
         core._HEAD = 0
+    if args.no_tail:
+        core._HEAD = core._HEAD_MIN = float("inf")
     total = hashlib.sha256()
     count = 0
     warnings.simplefilter("ignore")

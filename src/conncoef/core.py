@@ -845,26 +845,25 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
     """The Theta loop of `theta_iterate` over the main series on ``side``.
 
     ``series`` is the series' state (k, u, d, sums) after step k, as in
-    `frobenius_step`; ``accel`` holds (m + delta, d~_{m+1}) per order
-    m < n; ``state`` is the loop's state after step k (see `_FRESH`), so
-    that a run of `_lockstep` can end here, bit for bit.  The steps through
-    `_HEAD` (or k_start - 1, if later) run here, one at a time, unless the
-    bound at a checkpoint (`_HEAD_MIN`) shows a long series first.  A run
-    that goes on past them continues in `_tail` if every scalar of its
-    ``kernel`` is a float, or if ``kernel`` is None, as for a run of
-    `_lockstep`; any other run stays here to the end.  The check comes only
-    then, so a run that stops in the head never pays it.
+    `frobenius_step`, whose sums the loop advances in place; ``accel`` holds
+    (m + delta, d~_{m+1}) per order m < n; ``state`` is the loop's state
+    after step k (see `_FRESH`), so that a run of `_lockstep` can end here,
+    bit for bit.  The steps through `_HEAD` (or k_start - 1, if later) run
+    here, one at a time, unless the bound at a checkpoint (`_HEAD_MIN`)
+    shows a long series first.  A run that goes on past them continues in
+    `_tail` if every scalar of its ``kernel`` is a float, or if ``kernel``
+    is None, as for a run of `_lockstep`; any other run stays here to the
+    end.  The check comes only then, so a run that stops in the head never
+    pays it, and a run asks it once at most.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     (b10, b11), (b20, b21) = b1, b2
     b1_norm = math.hypot(abs(b10), abs(b11))
     denom = delta.real + n + 1
     k, (u0, u1), (d0, d1), sums = series
-    sums = [list(s) for s in sums]
     steps = _rational_steps(side, k, (u0, u1), (d0, d1), sums)
     end = min(max(_HEAD, k_start - 1, k), k_max)
     check = max(_HEAD_MIN, k + _HEAD_EVERY)
-    to_tail = None      # whether the run may go on in `_tail`, once asked
     while True:
         for k, u0, u1, d0, d1 in itertools.islice(steps, min(end, check) - k):
             if k < k_start:
@@ -901,9 +900,7 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 continue
         elif end == k_max:
             break
-        if to_tail is None:
-            to_tail = kernel is None or _float_row(kernel) is not None
-        if to_tail:
+        if kernel is None or _float_row(kernel) is not None:
             return _tail(side, (k, (u0, u1), (d0, d1), sums), accel, b1, b2,
                          b1_norm, delta, n, tol, k_max,
                          (prev_theta, theta, raw_bound, calm, last_pair,

@@ -239,7 +239,9 @@ def cmd_scan(args) -> int:
             r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol,
                             k_max=args.k_max)
             return [_fmt(t), _fmt(r.theta.real)]
-        _write_csv(args.output, ["t", "theta"], map(row, ts))
+        # every row before the output opens, so that a bad tol or k_max
+        # leaves no header behind
+        _write_csv(args.output, ["t", "theta"], [row(t) for t in ts])
         n_seeds = None
     wall = time.perf_counter() - t0
     if args.output != "-":
@@ -314,12 +316,14 @@ def cmd_eigenfunction(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, n_default: int = 5,
-                tol_default: float = 1e-10) -> None:
-    p.add_argument("--n", type=int, default=n_default,
+def _add_common(p: argparse.ArgumentParser,
+                tol_default: float | None = 1e-10) -> None:
+    """--n, --k-max and, unless ``tol_default`` is None, --tol."""
+    p.add_argument("--n", type=int, default=5,
                    help="acceleration order (default %(default)s)")
-    p.add_argument("--tol", type=float, default=tol_default,
-                   help="tolerance (default %(default)s)")
+    if tol_default is not None:
+        p.add_argument("--tol", type=float, default=tol_default,
+                       help="tolerance (default %(default)s)")
     p.add_argument("--k-max", type=int, default=10 ** 6, dest="k_max",
                    help="series step budget (default %(default)s)")
 
@@ -416,7 +420,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=401)
     p.add_argument("--normalize", choices=("none", "sup", "integral"),
                    default="none")
-    _add_common(p)
+    # the pair's polish and the spectrum keep their own tolerances
+    _add_common(p, tol_default=None)
     p.add_argument("--output", required=True,
                    help="output CSV path ('-' for stdout)")
     p.set_defaults(func=cmd_eigenfunction)

@@ -148,18 +148,13 @@ _SERIES_TERMS = 2000
 _CHUNK = 32
 
 
-def _c2vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=complex).reshape(2)
-    if not all(map(cmath.isfinite, v.tolist())):
-        raise ValueError("C2 vector has non-finite components")
-    return v
-
-
-def _c2matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=complex).reshape(2, 2)
-    if not all(map(cmath.isfinite, m.ravel().tolist())):
-        raise ValueError("C2 matrix has non-finite entries")
-    return m
+def _finite(x, shape) -> np.ndarray:
+    """x as a complex array of ``shape``, every entry finite."""
+    a = np.asarray(x, dtype=complex).reshape(shape)
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
+        raise ValueError(f"C2 {'vector' if a.ndim == 1 else 'matrix'} has "
+                         "non-finite entries")
+    return a
 
 
 def _unpack(values) -> list:
@@ -197,9 +192,9 @@ class RationalTail:
     residues: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "const", _c2matrix(self.const))
+        object.__setattr__(self, "const", _finite(self.const, (2, 2)))
         poles = tuple(complex(c) for c in self.poles)
-        residues = tuple(_c2matrix(r) for r in self.residues)
+        residues = tuple(_finite(r, (2, 2)) for r in self.residues)
         if len(poles) != len(residues):
             raise ValueError("need one residue matrix per pole")
         for c in poles:
@@ -231,8 +226,8 @@ class TwoPointSystem:
     tail: RationalTail
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _c2matrix(self.A))
-        object.__setattr__(self, "B", _c2matrix(self.B))
+        object.__setattr__(self, "A", _finite(self.A, (2, 2)))
+        object.__setattr__(self, "B", _finite(self.B, (2, 2)))
 
     @classmethod
     def from_rational(cls, A, B, const, poles=(), residues=()) -> "TwoPointSystem":
@@ -268,7 +263,7 @@ class SpectralFrame:
         object.__setattr__(self, "beta1", complex(self.beta1))
         object.__setattr__(self, "beta2", complex(self.beta2))
         for name in ("a0", "b1", "b2"):
-            object.__setattr__(self, name, _c2vector(getattr(self, name)))
+            object.__setattr__(self, name, _finite(getattr(self, name), 2))
         _check_exponents(self.delta, self.b1.tolist(), self.b2.tolist())
 
     @property
@@ -951,21 +946,20 @@ def _tail(side: tuple, series: tuple, accel, b1, b2, b1_norm, delta, n: int,
                     np.nan if prev_theta is None else prev_theta,
                     theta_k[:-1])[rec]
                 bound = ks[rec] * np.abs(dtheta) / denom
-                # the non-increasing run after each recorded step
+                low = bound <= tol
+                # the non-increasing run after each recorded step: 1 at a
+                # step that breaks it, and up from calm until one does
                 at = np.arange(len(rec))
-                calm_break = np.maximum.accumulate(np.where(
-                    (bound <= np.append(raw_bound, bound[:-1]))
-                    | (bound <= tol), -1, at))
-                run = np.where(calm_break < 0, calm + 1 + at,
-                               at - calm_break + 1)
-                stops = np.flatnonzero((bound <= tol)
-                                       & (run >= _MONOTONE_STEPS))
+                run = at + 1 - np.maximum.accumulate(np.where(
+                    low | (bound <= np.append(raw_bound, bound[:-1])),
+                    -calm, at))
+                stops = np.flatnonzero(low & (run >= _MONOTONE_STEPS))
                 if len(stops):
                     j = stops[0]
                     i = k + 1 + rec[j].item()
                     return _converged(theta_k[rec[j]].item(), bound[j].item(),
                                       i, n, (i, dtheta[j].item()), delta)
-                floor = bool((bound <= tol).any())
+                floor = bool(low.any())
                 if len(rec):
                     raw_bound, calm = bound[-1].item(), run[-1].item()
                     last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
@@ -1234,7 +1228,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     prev = theta = last_d = np.full(len(cols), np.nan)
     raw = np.full(len(cols), np.inf)
     calm = last_k = np.zeros(len(cols), dtype=int)
-    has_prev = seen = has_last = np.zeros(len(cols), dtype=bool)
+    has_prev = seen = np.zeros(len(cols), dtype=bool)
     done = failed       # stopped, with its result (or None) recorded
 
     def finish(j, k):
@@ -1246,7 +1240,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                       theta[j].item() if seen[j] else complex("nan"),
                       raw[j].item(), calm[j].item(),
                       (last_k[j].item(), last_d[j].item())
-                      if has_last[j] else None, bool(seen[j]))
+                      if last_k[j] > 0 else None, bool(seen[j]))
         return _theta_loop(tuple(side[:, j].tolist()), series,
                            list(zip(a[0::3], a[1::3], a[2::3])),
                            (b10[j].item(), b11[j].item()),
@@ -1267,7 +1261,6 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
             raw = np.where(new, bound, raw)
             last_k = np.where(new, k, last_k)
             last_d = np.where(new, dtheta, last_d)
-            has_last = has_last | new
             theta = np.where(valid, theta_k, theta)
             seen = seen | valid
             prev, has_prev = theta_k, valid
@@ -1290,9 +1283,9 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
             side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), \
                 acc = split(consts)
             state = [x[keep] for x in state]
-            (prev, theta, last_d, raw, calm, last_k, has_prev, seen, has_last,
+            (prev, theta, last_d, raw, calm, last_k, has_prev, seen,
              done) = (x[keep] for x in (prev, theta, last_d, raw, calm, last_k,
-                                        has_prev, seen, has_last, done))
+                                        has_prev, seen, done))
     # the kernels left finish on `_theta_loop` from step k (at k = k_max,
     # with no step to go)
     for j in left.tolist():

@@ -289,8 +289,6 @@ def _coefficients(t, problem: SpheroidalProblem) -> _Series:
 
 
 def _w_direct(coefs: _Series, mu: complex, x: float) -> complex:
-    if not -1 < x < 1:
-        raise ValueError(f"x = {x} outside (-1, 1)")
     pref = ((1 + x) / (1 - x)) ** (mu / 2)
     return pref * _power_sum(coefs, 1.0 + x)
 

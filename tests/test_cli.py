@@ -24,6 +24,10 @@ C_TABLE = "1.7142857142857142"  # 12/7
 THETA_ARGS = ["theta-ell", "--lambda", "3.2", "--mu", "-5",
               "--gamma", "4", "--c", "1.6", "--rho", "1", "--sigma", "0"]
 
+#: a spheroidal scan, less its output path
+SPH_SCAN = ["scan", "--problem", "sph", "--gamma2", "4", "--t-range", "0",
+            "1", "--resolution", "3", "--output"]
+
 
 # --------------------------------------------------------------------------
 # exit codes
@@ -44,6 +48,32 @@ def test_unknown_flag_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(THETA_ARGS + ["--bogus"])
     assert exc.value.code == 1
+
+
+def test_eigenfunction_takes_no_tol():
+    # the pair's polish and the spectrum keep their own tolerances, so a
+    # --tol here would be read by nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["eigenfunction", "--problem", "sph", "--gamma2", "4",
+              "--tol", "1e-8", "--output", "-"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["scan", "--problem", "ell", "--gamma", "4", "--c", "1.6",
+      "--lambda-range", "0", "1"], "--lambda-range and --mu-range"),
+    (["scan", "--problem", "sph", "--t-range", "0", "1"], "--gamma2"),
+    (["scan", "--problem", "sph", "--gamma2", "4"], "--t-range"),
+    (["eigenfunction", "--problem", "ell", "--abramov", "--k2", "0.5",
+      "--omega2", "1", "--H", "404.5725"], "--H and --L"),
+    (["eigenfunction", "--problem", "sph"], "--gamma2"),
+], ids=["ell-scan-ranges", "sph-scan-gamma2", "sph-scan-t-range",
+        "wave-eigenfunction-H-L", "sph-eigenfunction-gamma2"])
+def test_missing_problem_flag_exits_1(argv, what, capsys):
+    assert main(argv + ["--output", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and what in captured.err
+    assert captured.out == ""
 
 
 def test_incomplete_problem_flags_exit_1(capsys):
@@ -126,11 +156,18 @@ def test_non_finite_sph_problem_exits_1(capsys, argv):
     assert captured.out == ""
 
 
-def test_k_max_below_first_usable_index_exits_1(capsys):
+def test_k_max_below_first_usable_index_exits_1(tmp_path, capsys):
     rc = main(["theta-ell", "--lambda", "3.2", "--mu", "-5", "--gamma", "4",
                "--c", "1.6", "--k-max", "3"])
     assert rc == 1
     assert "first usable index" in capsys.readouterr().err
+    # a spheroidal scan writes no CSV header, to stdout or to a file
+    out = tmp_path / "x.csv"
+    for path in ("-", str(out)):
+        assert main(SPH_SCAN + [path, "--k-max", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "first usable index" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -149,13 +186,19 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     ["eigen-sph", "--gamma2", "4", "--count", "2"],
     ["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
      "--seed", "0.26", "-0.45"],
+    SPH_SCAN + ["-"],
+    SPH_SCAN + ["FILE"],
 ])
-def test_nan_tolerance_exits_1(argv, capsys):
-    # checked before any work: a NaN tol used to run every step budget
+def test_nan_tolerance_exits_1(argv, tmp_path, capsys):
+    # checked before any work: a NaN tol used to run every step budget,
+    # and a spheroidal scan used to write its CSV header first
+    out = tmp_path / "x.csv"
+    argv = [str(out) if a == "FILE" else a for a in argv]
     assert main(argv + ["--tol", "nan"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "tol" in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,6 +458,21 @@ def test_eigenfunction_ell_csv(tmp_path, capsys):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 51
     assert list(rows[0]) == ["z", "w"]
+
+
+def test_eigenfunction_ell_wave_numbers_equal_the_lambda_mu_form(capsys):
+    # --abramov with --k2, --omega2, --H and --L starts the polish from the
+    # (lambda, mu) that ell.from_abramov maps them to
+    gamma, c, lam, mu = ell.from_abramov(0.5, 1.0, 404.5725, 254.1495)
+    argv = ["eigenfunction", "--problem", "ell", "--rho", "1", "--tau", "1",
+            "--normalize", "sup", "--samples", "11", "--output", "-"]
+    assert main(argv + ["--abramov", "--k2", "0.5", "--omega2", "1",
+                        "--H", "404.5725", "--L", "254.1495"]) == 0
+    wave = capsys.readouterr().out
+    assert len(wave.splitlines()) == 12
+    assert main(argv + ["--gamma", repr(gamma), "--c", repr(c),
+                        "--lambda", repr(lam), "--mu", repr(mu)]) == 0
+    assert capsys.readouterr().out == wave
 
 
 def test_eigenfunction_sph_csv(tmp_path, capsys):

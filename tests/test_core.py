@@ -83,6 +83,22 @@ def test_rational_tail_requires_matching_residues():
         RationalTail(const=np.zeros((2, 2)), poles=(2.0,), residues=())
 
 
+@pytest.mark.parametrize("make, what", [
+    (lambda: RationalTail(const=[[0, 0], [np.nan, 0]], poles=(),
+                          residues=()), "matrix"),
+    (lambda: RationalTail(const=np.zeros((2, 2)), poles=(2.0,),
+                          residues=([[np.inf, 0], [0, 0]],)), "matrix"),
+    (lambda: TwoPointSystem(A=[[0, 0], [0, complex(0, np.inf)]],
+                            B=np.zeros((2, 2)),
+                            tail=RationalTail(np.zeros((2, 2)), (), ())),
+     "matrix"),
+    (lambda: replace(_sample_frame(), b2=[2.0, np.nan]), "vector"),
+], ids=["tail-const", "tail-residue", "system-A", "frame-b2"])
+def test_non_finite_entries_are_rejected(make, what):
+    with pytest.raises(ValueError, match=f"C2 {what} has non-finite entries"):
+        make()
+
+
 def test_rational_tail_coefficient_streams():
     # G(z) = C + R/(z - c) = C - (R/c) * sum (z/c)^k  at z = 0
     #      = C + R/(1 - c) * sum ((1-z)/(1-c))^k      around z = 1
@@ -296,6 +312,13 @@ def test_power_sum_raises_on_an_overflowing_series(c):
     assert abs(core._power_sum([c] * 2000, 0.5) - 2 * c) <= 1e-11
 
 
+def test_series_array_is_always_a_copy():
+    coefs = sph._coefficients(2.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+    with pytest.raises(ValueError, match="always a copy"):
+        np.asarray(coefs, copy=False)
+    assert np.asarray(coefs).tolist() == list(coefs)
+
+
 # --------------------------------------------------------------------------
 # acceleration vectors of the reference (`_reference`), which the Theta loop
 # is checked against
@@ -427,6 +450,25 @@ def test_theta_iterate_rejects_k_max_below_first_usable_index():
         theta_iterate(_sample_system(), frame, n=5, k_max=4)
     res = theta_iterate(_sample_system(), frame, n=5, k_max=5)
     assert res.status == "k_max_reached" and res.k_final == 5
+
+
+def _inf_mirror(kernel):
+    """``kernel`` with an infinite C entry on its mirrored side, so that
+    d~_1 is not finite."""
+    return kernel._replace(mirror=(*kernel.mirror[:8], math.inf,
+                                   *kernel.mirror[9:]))
+
+
+@pytest.mark.parametrize("gamma2", [4.0, 4 + 1.5j])
+def test_non_finite_mirrored_sums_raise(gamma2):
+    # the scalar loop, and theta_many's arrays (float) or the scalar loop
+    # (complex): a ValueError, not a None per node
+    kernel = _inf_mirror(sph._kernel(2.5, sph.SpheroidalProblem(
+        mu=0, gamma2=gamma2)))
+    with pytest.raises(ValueError, match="not finite"):
+        theta_iterate(kernel, None)
+    with pytest.raises(ValueError, match="not finite"):
+        core.theta_many([kernel] * 3)
 
 
 # --------------------------------------------------------------------------
@@ -873,6 +915,23 @@ def test_theta_many_hands_off_to_the_scalar_loop_at_every_point(k_max):
             mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
             many = core.theta_many(kernels, **kw)
         assert [_bits(r) for r in many] == expected
+
+
+@pytest.mark.parametrize("gamma2", [4.0, 4 + 1.5j])
+def test_theta_many_gives_none_for_a_kernel_that_raises(gamma2):
+    # kernel 5 meets a singular step at k = 10 (A0 - 10 I): a float kernel
+    # after the arrays hand it off at k = 1, a complex one on the scalar
+    # loop; either way its entry is None and the others keep their bits
+    problem = sph.SpheroidalProblem(mu=0, gamma2=gamma2)
+    kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 8)]
+    kernels[5] = kernels[5]._replace(main=(10.0, *kernels[5].main[1:]))
+    with pytest.raises(SingularStep):
+        theta_iterate(kernels[5], None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_LOCKSTEP_MIN", len(kernels) + 1)
+        many = core.theta_many(kernels)
+    assert many[5] is None
+    assert [_bits(r) for r in many] == [_bits(_scalar(k)) for k in kernels]
 
 
 def test_theta_kernel_of_a_user_system_runs_as_theta_iterate():

@@ -291,6 +291,8 @@ def cmd_eigenfunction(args) -> int:
         if args.normalize not in ("none", "sup"):
             raise ValueError("spheroidal eigenfunctions support "
                              "--normalize none|sup")
+        if args.index < 0:
+            raise ValueError(f"--index must be >= 0, got {args.index}")
         problem = sph.SpheroidalProblem(mu=args.mu, gamma2=args.gamma2)
         eigs = sph.eigenvalues(problem, args.index + 1, n=args.n,
                                k_max=args.k_max)

@@ -1089,10 +1089,7 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
                                              k_start)):
                 out[i] = res
     for i, kernel in alone:
-        try:
-            out[i] = theta_iterate(kernel, None, n=n, tol=tol, k_max=k_max)
-        except (ConncoefError, ArithmeticError):
-            pass
+        out[i] = _or_none(theta_iterate, kernel, None, n, tol, k_max)
     return out
 
 

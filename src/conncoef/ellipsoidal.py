@@ -28,13 +28,13 @@ singular points and acts on the entries as
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
                    _kernel_of, _power_sum, _Series, theta_iterate, theta_many)
@@ -598,6 +598,15 @@ def _match_constant(ref_piece, new_piece, candidates) -> float:
 # normalization
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], computed once per n: numpy's `leggauss` costs 1-3 ms."""
+    t, wgt = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = wgt.flags.writeable = False
+    return t, wgt
+
+
 def _weighted_moments(fn: EllipsoidalEigenfunction, interval: str,
                       n_nodes: int) -> tuple[float, float]:
     """(m0, m1) with m_p = integral of z^p w(z)^2 / sqrt(|phi(z)|) dz.
@@ -607,7 +616,7 @@ def _weighted_moments(fn: EllipsoidalEigenfunction, interval: str,
     distance-to-far-singular-point factor stays smooth.
     """
     c = fn.c
-    t, wgt = roots_legendre(n_nodes)
+    t, wgt = _legendre_rule(n_nodes)
     th = (t + 1) * (math.pi / 4)        # map to (0, pi/2)
     wgt = wgt * (math.pi / 4)
     s2 = np.sin(th) ** 2
@@ -643,7 +652,8 @@ def normalize(fn: EllipsoidalEigenfunction,
     becomes 1 (phi(z) = z(1-z)(c-z)).  The integral scales with the 4th
     power of w, so the factor applied is I**(-1/4).  64-point tensor
     Gauss-Legendre after a sin^2 substitution per axis, with a 128-point
-    refinement check.
+    refinement check; the rules come from numpy's
+    `numpy.polynomial.legendre.leggauss`, computed once per process.
 
     Raises
     ------

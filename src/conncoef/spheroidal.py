@@ -327,7 +327,7 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
         raise ValueError(
             f"residual {eig.residual:.2e} > 1e-8; refine the eigenvalue first")
     x = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    if np.any(x <= -1) or np.any(x >= 1):
+    if not np.all((-1 < x) & (x < 1)):
         raise ValueError("all samples must lie strictly inside (-1, 1)")
 
     mu = complex(problem.mu)

@@ -126,6 +126,27 @@ def test_sph_integral_normalization_rejected_before_solve(monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("index", ["-1", "-3"])
+def test_negative_eigenfunction_index_exits_1_before_solve(index, monkeypatch,
+                                                           capsys):
+    # the spectrum solve once took --index + 1 as its count and reported
+    # "count must be an integer >= 1", an option this command does not take
+    calls = []
+
+    def eigenvalues(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("the eigenvalue solve must not run")
+
+    monkeypatch.setattr(sph, "eigenvalues", eigenvalues)
+    rc = main(["eigenfunction", "--problem", "sph", "--gamma2", "4",
+               "--index", index, "--output", "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--index" in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_unconverged_run_exits_2(capsys):
     rc = main(THETA_ARGS + ["--k-max", "40", "--json"])
     payload = json.loads(capsys.readouterr().out)

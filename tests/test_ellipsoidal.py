@@ -10,6 +10,8 @@ import copy
 import itertools
 import math
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -578,6 +580,54 @@ def test_normalize_integral_against_quadrature(eigenfunction_325):
     Q0 = moment(1.0, c, 0, lambda z: np.sqrt(z))
     Q1 = moment(1.0, c, 1, lambda z: np.sqrt(z))
     assert abs(P0 * Q1 - P1 * Q0 - 1.0) <= 2e-5
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    t, wgt = ell._legendre_rule(n)
+    assert len(t) == len(wgt) == n
+    assert not (t.flags.writeable or wgt.flags.writeable)
+    assert abs(np.sum(wgt) - 2.0) <= 2e-14
+    # x^(2n-2) puts its mass on the end weights, whose relative error
+    # against a 40-digit rule is up to 1.3e-12 (n = 64) and 1.4e-11
+    # (n = 128); a correctly rounded rule would reach 5e-15
+    exact = 2.0 / (2 * n - 1)
+    assert abs(np.sum(wgt * t ** (2 * n - 2)) - exact) <= 2e-11 * exact
+
+
+def test_integral_normalization_computes_each_rule_once(eigenfunction_325,
+                                                        monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    ell._legendre_rule.cache_clear()
+    _, fn = eigenfunction_325
+    first = ell.normalize(fn, mode="integral")
+    again = ell.normalize(fn, mode="integral")
+    assert sorted(calls) == [64, 128]
+    assert again.C1 == first.C1
+
+
+def test_import_and_integral_normalization_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import conncoef, conncoef.cli\n"
+        "from conncoef import ellipsoidal as ell\n"
+        "prob = ell.EllipsoidalProblem(gamma=0.0, c=12 / 7, rho=0, sigma=0,"
+        " tau=1)\n"
+        "pair = ell.solve_pair(0.26, -0.45, prob)\n"
+        "ell.normalize(ell.eigenfunction(pair, prob), mode='integral')\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("row", [(0.9, 25.0, 141.0901, 482.5134),

@@ -280,6 +280,22 @@ def test_eigenfunction_domain_and_preconditions(prolate):
         sph.eigenfunction(stale, problem, [0.5])
 
 
+@pytest.mark.parametrize("xs", [[math.nan], [0.2, math.nan]],
+                         ids=["nan", "inside-then-nan"])
+def test_eigenfunction_rejects_nan_samples_before_any_series(
+        prolate, monkeypatch, xs):
+    # NaN fails every comparison, so a check that looked for samples at or
+    # beyond +-1 let it through to a 2000-term sum and a NoConvergence
+    problem, eigs = prolate
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no series may run for a NaN sample")
+
+    monkeypatch.setattr(sph, "_coefficients", fail)
+    with pytest.raises(ValueError, match="inside"):
+        sph.eigenfunction(eigs[0], problem, xs)
+
+
 # --------------------------------------------------------------------------
 # the coefficient sequence, computed as the sums read it
 # --------------------------------------------------------------------------

@@ -135,11 +135,13 @@ def cmd_eigen_ellipsoidal(args) -> int:
             k_max=args.k_max).seeds
 
     pairs: list[ell.EigenPair] = []
+    failure = None
     for s in seeds:
         try:
             pair = ell.solve_pair(s[0], s[1], problem, opts=opts, n=args.n,
                                   k_max=args.k_max)
-        except ConncoefError:
+        except ConncoefError as exc:
+            failure = exc   # raised below if no seed gives a pair
             continue
         if any(abs(pair.lam - q.lam) <= 1e-6 * (1 + abs(pair.lam))
                and abs(pair.mu - q.mu) <= 1e-6 * (1 + abs(pair.mu))
@@ -147,6 +149,8 @@ def cmd_eigen_ellipsoidal(args) -> int:
             continue
         pairs.append(pair)
     if not pairs:
+        if failure is not None:
+            raise failure
         print("no seeds found", file=sys.stderr)
         return 3
     pairs.sort(key=lambda p: (p.lam, p.mu))
@@ -293,7 +297,8 @@ def cmd_eigenfunction(args) -> int:
                              "--normalize none|sup")
         if args.index < 0:
             raise ValueError(f"--index must be >= 0, got {args.index}")
-        problem = sph.SpheroidalProblem(mu=args.mu, gamma2=args.gamma2)
+        problem = sph.SpheroidalProblem(
+            mu=0.0 if args.mu is None else args.mu, gamma2=args.gamma2)
         eigs = sph.eigenvalues(problem, args.index + 1, n=args.n,
                                k_max=args.k_max)
         eig = eigs[args.index]
@@ -391,8 +396,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, required=True)
     _add_ranges(p, "--t-range")
     _add_common(p, tol_default=1e-9)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eigen_spheroidal)
 
     p = sub.add_parser("scan", help="theta samples on a grid or line")
@@ -412,8 +418,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--problem", choices=("ell", "sph"), required=True)
     _add_ell_problem(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=0.0,
-                   help="ellipsoidal: seed mu; spheroidal: order mu")
+    p.add_argument("--mu", type=float, default=None,
+                   help="ellipsoidal: seed mu; spheroidal: order mu "
+                        "(default 0)")
     p.add_argument("--H", type=float, default=None)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)

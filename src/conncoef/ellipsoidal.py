@@ -327,9 +327,9 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
 
     resolution may be an integer (both axes) or a pair (n_lambda, n_mu),
     each an integer >= 2.  Every node's values are those of `theta` and
-    `theta_hat`, bit for bit, but the grid runs them as two `theta_many`
-    batches: first Theta at every node, then Theta-hat at the nodes where
-    Theta ran.  Node failures (`ConncoefError` or `ArithmeticError`, in a
+    `theta_hat`, bit for bit, but the grid runs them as one `theta_many`
+    batch: Theta then Theta-hat at each node whose set-up ran, in node
+    order.  Node failures (`ConncoefError` or `ArithmeticError`, in a
     node's set-up or its series) are recorded in the grid status and the
     values set to NaN; any other error propagates.  The modest k_max
     default keeps nodes far from any eigencurve cheap; only sign changes
@@ -359,28 +359,24 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     thh = np.full((res_l, res_m), np.nan)
     status = np.full((res_l, res_m), "error", dtype=object)
 
-    def batch(make, nodes) -> dict:
-        """{node: (Theta.real, converged)} where set-up and series ran."""
-        ran = []
+    ran = []
 
-        def kernels():
-            for i, j in nodes:
-                try:
-                    kernel = make(lambdas[i], mus[j], problem)
-                except (ConncoefError, ArithmeticError):
-                    continue  # node failure stays local
-                ran.append((i, j))
-                yield kernel
-        results = theta_many(kernels(), n=n, tol=tol, k_max=k_max)
-        return {node: (r.theta.real, r.status == "converged")
-                for node, r in zip(ran, results) if r is not None}
+    def kernels():
+        for i, j in itertools.product(range(res_l), range(res_m)):
+            try:
+                pair = [make(lambdas[i], mus[j], problem)
+                        for make in (_kernel, _hat_kernel)]
+            except (ConncoefError, ArithmeticError):
+                continue  # node failure stays local
+            ran.append((i, j))
+            yield from pair
 
-    first = batch(_kernel, itertools.product(range(res_l), range(res_m)))
-    for node, (value, converged) in batch(_hat_kernel, first).items():
-        th[node], first_converged = first[node]
-        thh[node] = value
-        both = first_converged and converged
-        status[node] = "converged" if both else "k_max_reached"
+    results = theta_many(kernels(), n=n, tol=tol, k_max=k_max)
+    for node, r, rh in zip(ran, results[0::2], results[1::2]):
+        if r is not None and rh is not None:
+            th[node], thh[node] = r.theta.real, rh.theta.real
+            both = r.status == rh.status == "converged"
+            status[node] = "converged" if both else "k_max_reached"
     seeds = _seed_cells(lambdas, mus, th, thh)
     return ThetaGrid(lambdas=lambdas, mus=mus, theta=th, theta_hat=thh,
                      status=status, seeds=seeds)

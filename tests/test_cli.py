@@ -10,13 +10,14 @@ import json
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
 from conncoef import ellipsoidal as ell
 from conncoef import spheroidal as sph
 from conncoef.cli import main
-from conncoef.errors import ScanExhausted
+from conncoef.errors import NoConvergence, ScanExhausted, SingularJacobian
 from conncoef.rootfind import SolverOptions
 
 C_TABLE = "1.7142857142857142"  # 12/7
@@ -294,6 +295,61 @@ def test_seedless_scan_exits_3(capsys):
                "--resolution", "3"])
     assert rc == 3
     assert "no seeds found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [["--seed", "-200", "-300",
+                                   "--seed", "-200", "250"], []])
+def test_eigen_ell_exits_2_when_every_solve_fails(seed, monkeypatch, capsys):
+    # every seed's solve once failed silently into "no seeds found", exit 3
+    errors = iter([SingularJacobian("stub: singular at the first seed"),
+                   NoConvergence("stub: no convergence at the last seed")])
+
+    def solve_pair(*args, **kwargs):
+        raise next(errors)
+
+    def scan_grid(*args, **kwargs):
+        return SimpleNamespace(seeds=[(0.1, -0.2), (0.3, -0.4)])
+
+    monkeypatch.setattr(ell, "solve_pair", solve_pair)
+    monkeypatch.setattr(ell, "scan_grid", scan_grid)
+    rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+               "--json"] + seed)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stub: no convergence at the last seed\n"
+
+
+def test_eigenfunction_ell_without_mu_exits_1_before_solve(monkeypatch,
+                                                            capsys):
+    # --mu once defaulted to the spheroidal order 0, so the ellipsoidal
+    # path seeded mu = 0 without a word
+    def fail(*args, **kwargs):
+        raise AssertionError("no pair may be solved without --mu")
+
+    monkeypatch.setattr(ell, "solve_pair", fail)
+    rc = main(["eigenfunction", "--problem", "ell", "--gamma", "0", "--c",
+               C_TABLE, "--tau", "1", "--lambda", "0.26", "--samples", "2",
+               "--output", "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--mu" in captured.err
+
+
+def test_eigen_sph_csv_and_json_exit_1_before_solve(monkeypatch, capsys):
+    # --csv once won and --json was dropped without a word
+    def fail(*args, **kwargs):
+        raise AssertionError("no spectrum may run for conflicting formats")
+
+    monkeypatch.setattr(sph, "eigenvalues", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen-sph", "--gamma2", "4", "--count", "2", "--csv",
+              "--json"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --csv" in captured.err
 
 
 # --------------------------------------------------------------------------

@@ -254,6 +254,71 @@ def test_scan_grid_reports_k_max_reached_nodes(table_problem):
                 assert values[i, j] == res.theta.real
 
 
+#: a 5 x 4 grid at gamma = 4, c = 1.6, bits (1, 0, 1) whose nodes, at
+#: k_max = 60, hold every mix of converged and k_max_reached Theta, Theta-hat
+MIXED_SCAN = ((-2.0, 6.0), (-8.0, 2.0), (5, 4))
+
+
+@pytest.fixture(scope="module")
+def mixed_problem():
+    return ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1, sigma=0, tau=1)
+
+
+def test_scan_grid_nodes_equal_theta_and_theta_hat_bit_for_bit(mixed_problem):
+    grid = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    mixes = set()
+    for i, lam in enumerate(grid.lambdas):
+        for j, mu in enumerate(grid.mus):
+            res = ell.theta(lam, mu, mixed_problem, tol=1e-8, k_max=60)
+            hat = ell.theta_hat(lam, mu, mixed_problem, tol=1e-8, k_max=60)
+            assert repr(float(grid.theta[i, j])) == repr(res.theta.real)
+            assert repr(float(grid.theta_hat[i, j])) == repr(hat.theta.real)
+            both = res.status == hat.status == "converged"
+            assert grid.status[i, j] == ("converged" if both
+                                         else "k_max_reached")
+            mixes.add((res.status, hat.status))
+    assert len(mixes) == 4
+
+
+def test_scan_grid_runs_one_batch_of_alternating_kernels(monkeypatch,
+                                                         mixed_problem):
+    # the node whose Theta-hat set-up fails drops out of the batch whole
+    # and reads "error" with NaN in both grids; every other node keeps its
+    # values bit for bit
+    plain = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    failed = (2, 1)
+    bad = (plain.lambdas[failed[0]], plain.mus[failed[1]])
+    hat_kernel, theta_many = ell._hat_kernel, ell.theta_many
+    calls = []
+
+    def hat_or_fail(lam, mu, problem):
+        if (lam, mu) == bad:
+            raise ConsistencyError("synthetic failed set-up")
+        return hat_kernel(lam, mu, problem)
+
+    def spy(kernels, **kwargs):
+        calls.append(list(kernels))
+        return theta_many(calls[-1], **kwargs)
+
+    monkeypatch.setattr(ell, "_hat_kernel", hat_or_fail)
+    monkeypatch.setattr(ell, "theta_many", spy)
+    grid = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    ran = [(lam, mu) for lam in plain.lambdas for mu in plain.mus
+           if (lam, mu) != bad]
+    assert calls == [[kernel for lam, mu in ran
+                      for kernel in (ell._kernel(lam, mu, mixed_problem),
+                                     hat_kernel(lam, mu, mixed_problem))]]
+    assert grid.status[failed] == "error"
+    assert np.isnan(grid.theta[failed]) and np.isnan(grid.theta_hat[failed])
+    kept = np.ones(grid.status.shape, dtype=bool)
+    kept[failed] = False
+    assert (grid.status[kept] == plain.status[kept]).all()
+    assert "error" not in plain.status
+    for values, expected in ((grid.theta, plain.theta),
+                             (grid.theta_hat, plain.theta_hat)):
+        assert values[kept].tobytes() == expected[kept].tobytes()
+
+
 def test_scan_grid_resolution_validation(table_problem):
     with pytest.raises(ValueError, match="resolution"):
         ell.scan_grid(table_problem, (0, 1), (0, 1), 1)

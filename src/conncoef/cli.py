@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
 def cmd_theta_ellipsoidal(args) -> int:
     t0 = time.perf_counter()
     problem = ell.EllipsoidalProblem(gamma=args.gamma, c=args.c,
-                                     rho=args.rho, sigma=args.sigma)
+                                     rho=args.rho, sigma=args.sigma,
+                                     tau=args.tau)
     res = ell.theta(args.lam, args.mu, problem, n=args.n, tol=args.tol,
                     k_max=args.k_max)
     wall = time.perf_counter() - t0
@@ -88,7 +89,7 @@ def cmd_theta_ellipsoidal(args) -> int:
         for key, val in (("lambda", args.lam), ("mu", args.mu),
                          ("gamma", args.gamma), ("c", args.c),
                          ("rho", args.rho), ("sigma", args.sigma),
-                         ("n", args.n), ("tol", args.tol)):
+                         ("tau", args.tau), ("n", args.n), ("tol", args.tol)):
             print(f"  {key} = {val}")
         print(f"theta = {_fmt(res.theta.real)}  (k = {res.k_final})\n"
               f"status = {res.status}\n"
@@ -370,6 +371,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--rho", type=int, default=0, choices=(0, 1))
     p.add_argument("--sigma", type=int, default=0, choices=(0, 1))
+    p.add_argument("--tau", type=int, default=0, choices=(0, 1))
     _add_common(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theta_ellipsoidal)
@@ -384,7 +386,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--resolution", type=int, default=None)
     # residuals of steep problems bottom out near |dTheta/dlam| * ulp(lam):
     # near 1e-2 for the k^2 = 0.9, omega^2 = 25 wave row, where the solver
-    # stops on its step tolerance instead; 1e-8 is ~1e-12 in (lam, mu)
+    # stops at the evaluation floor instead; 1e-8 is ~1e-12 in (lam, mu)
     _add_common(p, tol_default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eigen_ellipsoidal)

@@ -260,13 +260,15 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     For steep problems (large |lam|, |mu|) the achievable residual bottoms
     out near |dTheta/dlam| * ulp(lam), which can lie far above any useful
     target: at the wave row k^2 = 0.9, omega^2 = 25, H = 141.0901 it is
-    near 1e-2 (|dTheta/dlam| ~ 2e12).  There the solver stops once its
-    quasi-Newton step is below 1e-13 * (1 + |x|), and the returned
-    residuals show the floor.  ``k_max`` caps the series length per
-    evaluation; at wild trial points the absolute tolerance may be
-    unreachable (the noise floor of the sum scales with |Theta|), and a
-    capped partial sum is plenty for the solver's descent decisions.  Near
-    a root a few hundred terms suffice.
+    near 1e-2 (|dTheta/dlam| ~ 2e12), and the evaluation noise of Theta
+    keeps |Theta| near 0.3 or above.  There the solver stops once no
+    halving of a quasi-Newton step below 1e-8 * (1 + |x|) lowers the
+    residual (30 evaluations on that row), and the returned residuals show
+    the floor.  ``k_max`` caps the series length per evaluation; at wild
+    trial points the absolute tolerance may be unreachable (the noise
+    floor of the sum scales with |Theta|), and a capped partial sum is
+    plenty for the solver's descent decisions.  Near a root a few hundred
+    terms suffice.
 
     Raises
     ------

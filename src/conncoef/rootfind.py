@@ -15,6 +15,9 @@ __all__ = ["SolverOptions", "secant", "bracket_scan", "broyden2"]
 
 #: the solvers also stop once a step is below _TOL_STEP * (1 + |x|)
 _TOL_STEP = 1e-13
+#: broyden2 stops once no halving of a step below _TOL_FLOOR * (1 + |x|)
+#: lowers the residual: F is then at its evaluation floor
+_TOL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -22,8 +25,8 @@ class SolverOptions:
     """Shared solver knobs; the one check of the solvers' tolerances.
 
     tol_residual: stop when |f| (max-norm for systems) drops below this.
-    max_iter: iteration budget.  ValueError unless tol_residual > 0 (not
-    NaN) and max_iter is an integer >= 1.
+    max_iter: iteration budget.  ValueError unless 0 < tol_residual < inf
+    (not NaN) and max_iter is an integer >= 1.
 
     `broyden2` always backtracks by step halving on a residual increase.
     """
@@ -32,8 +35,8 @@ class SolverOptions:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol_residual > 0:       # also true for NaN
-            raise ValueError("tol_residual must be > 0")
+        if not 0 < self.tol_residual < math.inf:    # also true for NaN
+            raise ValueError("tol_residual must be finite and > 0")
         if not (isinstance(self.max_iter, numbers.Integral)
                 and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got "
@@ -155,7 +158,10 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
 
     Returns the first iterate with residual <= opts.tol_residual, or the
     best iterate once the quasi-Newton step dx satisfies
-    |dx_i| <= 1e-13 * (1 + |x_i|) in both components.  A difference
+    |dx_i| <= 1e-13 * (1 + |x_i|) in both components, or once a step with
+    |dx_i| <= 1e-8 * (1 + |x_i|) lowers the residual neither in full nor
+    after any of its halvings: F is then at its evaluation floor, since
+    along a fair Newton direction a smooth F would descend.  A difference
     Jacobian counts as singular when |det J| <= 1e-14 * max|J_ij|^2.  Raises
     ValueError if F is not finite (or raises it) at the seed,
     SingularJacobian if J is singular there, and
@@ -224,7 +230,10 @@ def broyden2(F, seed, opts: SolverOptions | None = None) -> np.ndarray:
             fn = _eval(xn)
         if fn is None:
             break
-        if np.max(np.abs(fn)) >= res and not fresh_jacobian:
+        uphill = np.max(np.abs(fn)) >= res
+        if uphill and np.all(np.abs(dx) <= _TOL_FLOOR * (1.0 + np.abs(x))):
+            return best_x   # a smooth F descends along so short a step
+        if uphill and not fresh_jacobian:
             # stale quasi-Newton model: retry the step from a fresh
             # finite-difference Jacobian before accepting an uphill move
             try:

@@ -165,7 +165,7 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     fewer than count distinct roots, ScanExhausted is raised.  ValueError
     is raised before any Theta evaluation for a problem that is not real
     (the scan and the secant see only Re Theta over real t), count not an
-    integer >= 1, tol not > 0 (or NaN) or an explicit range that is not
+    integer >= 1, tol not finite and > 0 or an explicit range that is not
     finite with lo <= hi, and by the first one for a bad n or k_max (see
     `theta_iterate`).
     """

@@ -224,6 +224,27 @@ def test_nan_tolerance_exits_1(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eigen-sph", "--gamma2", "4", "--count", "3"],
+    ["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+     "--seed", "0.2", "-0.4"],
+])
+def test_infinite_tolerance_exits_1_before_any_solve(argv, monkeypatch,
+                                                     capsys):
+    # --tol inf once passed the scan points, or the seed itself, off as
+    # eigenvalues and exited 0
+    def fail(*args, **kwargs):
+        raise AssertionError("no solve may run for an infinite --tol")
+
+    monkeypatch.setattr(sph, "theta_t", fail)
+    monkeypatch.setattr(ell, "solve_pair", fail)
+    monkeypatch.setattr(ell, "scan_grid", fail)
+    assert main(argv + ["--tol", "inf", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "tol" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["eigenfunction", "--problem", "sph", "--gamma2", "4",
      "--samples", "0"],
     ["eigenfunction", "--problem", "sph", "--gamma2", "4",
@@ -366,6 +387,19 @@ def test_theta_ell_json_payload(capsys):
     assert payload["status"] == "converged"
     assert payload["n"] == 5
     assert 124 <= payload["k"] <= 184
+
+
+def test_theta_ell_tau_equals_the_library(capsys):
+    # theta-ell once took no --tau, so no tau = 1 problem could be checked
+    assert main(["theta-ell", "--lambda", "0.25", "--mu", "-0.5", "--gamma",
+                 "0", "--c", C_TABLE, "--tau", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    res = ell.theta(0.25, -0.5, ell.EllipsoidalProblem(
+        gamma=0.0, c=12.0 / 7.0, tau=1))
+    assert (payload["theta_re"], payload["theta_im"]) == (res.theta.real,
+                                                          res.theta.imag)
+    assert (payload["k"], payload["error_bound"], payload["status"]) == (
+        res.k_final, res.error_bound, res.status)
 
 
 def test_theta_ell_human_output(capsys):

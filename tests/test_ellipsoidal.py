@@ -700,7 +700,8 @@ def test_import_and_integral_normalization_load_no_scipy():
 def test_steep_wave_rows_converge_from_nearby_seeds(row):
     # At these rows |dTheta/dlam| ~ 1e12, so the residual floor
     # |dTheta/dlam| * ulp(lam) lies above the 1e-8 target and the solver
-    # must stop on its step tolerance, whatever the last bit of the seed.
+    # must stop on its step tolerance or at the evaluation floor, whatever
+    # the last bit of the seed.
     k2, omega2, H, L = row
     gamma, c, lam0, mu0 = ell.from_abramov(k2, omega2, H, L)
     prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
@@ -710,6 +711,19 @@ def test_steep_wave_rows_converge_from_nearby_seeds(row):
         _, _, H_out, L_out = ell.to_abramov(gamma, c, pair.lam, pair.mu)
         assert abs(H_out - H) <= 5e-5
         assert abs(L_out - L) <= 5e-5
+
+
+def test_steep_wave_row_stops_at_the_evaluation_floor():
+    # Broyden reaches this row's best residual (|Theta| ~ 0.29) within a
+    # few evaluations; the floor stop returns it after 30 Theta and
+    # Theta-hat evaluations, where the 1e-13 step rule alone took 86
+    gamma, c, lam0, mu0 = ell.from_abramov(0.9, 25.0, 141.0901, 482.5134)
+    prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    pair = ell.solve_pair(lam0, mu0, prob,
+                          opts=SolverOptions(tol_residual=1e-8))
+    assert repr(pair.lam) == "39.19169908537159"
+    assert repr(pair.mu) == "-134.03148863662102"
+    assert pair.iterations == 30
 
 
 def test_wave_number_case_end_to_end():

@@ -1,5 +1,6 @@
 """Tests for the scalar/2-d root-finding helpers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,12 @@ def test_options_validation():
 def test_options_reject_nan_tolerance():
     with pytest.raises(ValueError):
         SolverOptions(tol_residual=float("nan"))
+
+
+def test_options_reject_infinite_tolerance():
+    # every residual met tol inf, so unsolved points passed for roots
+    with pytest.raises(ValueError, match="tol_residual"):
+        SolverOptions(tol_residual=float("inf"))
 
 
 @pytest.mark.parametrize("max_iter", [2.5, float("nan"), float("inf"), "50"])
@@ -229,3 +236,46 @@ def test_broyden2_stops_on_step_below_residual_floor():
     root = broyden2(F, r + [1e-9, -2e-9], opts)
     assert np.all(np.abs(root - r) <= 2 * ulp)
     assert np.max(np.abs(F(root))) > opts.tol_residual
+
+
+def _noisy_steep(calls):
+    # J (x - r) with |J| ~ 1e10, plus noise of amplitude 10 in F_0 drawn
+    # from a hash of the bits of x: the residual cannot drop below ~1, and
+    # every point gives the same value on every call
+    r = np.array([39.19, -134.03])
+    J = np.array([[1e10, -1e10], [1.0, 1.0]])
+
+    def F(v):
+        v = np.asarray(v, dtype=float)
+        u = int.from_bytes(hashlib.sha256(v.tobytes()).digest()[:8], "little")
+        f = J @ (v - r)
+        f[0] += 10.0 * (2.0 * u / 2.0 ** 64 - 1.0)
+        calls.append((v.copy(), float(np.max(np.abs(f)))))
+        return f
+    return F
+
+
+@pytest.mark.parametrize("seed, evals", [((39.2, -134.0), 14),
+                                         ((40.0, -130.0), 15)],
+                         ids=["near", "far"])
+def test_broyden2_stops_at_the_evaluation_floor(seed, evals):
+    # No halving of a quasi-Newton step below 1e-8 * (1 + |x|) lowers the
+    # residual, so F is at its noise floor and the best iterate is
+    # returned.  Without the floor stop the solver wandered on to its
+    # 1e-13 step rule and returned the same point after 25 and 26
+    # evaluations.
+    calls = []
+    opts = SolverOptions(tol_residual=1e-8)
+    root = broyden2(_noisy_steep(calls), seed, opts)
+    residual = [res for x, res in calls if np.array_equal(x, root)]
+    assert residual and residual[0] > opts.tol_residual
+    assert residual[0] == min(res for _, res in calls)
+    assert len(calls) <= evals
+
+
+def test_broyden2_floor_stop_keeps_raising_without_a_root():
+    # x0^2 + 1 > 0: the steps never shrink to the floor-stop length, and
+    # the solver must still give up with NoConvergence
+    with pytest.raises(NoConvergence) as exc:
+        broyden2(lambda x: [x[0] ** 2 + 1.0, x[1]], (0.5, 0.5))
+    assert exc.value.residual >= 1.0

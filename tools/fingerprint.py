@@ -10,8 +10,9 @@ every record.  The records cover
 * eigenfunctions: `sph.eigenfunction` values and parities, and
   `ell.eigenfunction` series, matching constants, values and both
   normalizations;
-* eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and one
-  wave-number row, and a `scan_grid`;
+* eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and two
+  wave-number rows (one stops at the floor of its Theta evaluations), and
+  a `scan_grid`;
 * root finders: every point `secant` and `broyden2` evaluate, the returned
   root and the attached best iterate on failure;
 * the CLI: exit code, stdout, stderr and the file written, for each
@@ -204,6 +205,13 @@ def _eigenpair_records():
     p = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
     yield ("ell.solve_pair/wave(0.5,1,404.5725,254.1495)",
            lambda: ell.solve_pair(lam, mu, p))
+    # the steep row, whose residual floor lies above the target: Broyden
+    # stops at the evaluation floor
+    gamma, c, lam9, mu9 = ell.from_abramov(0.9, 25.0, 141.0901, 482.5134)
+    p9 = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    yield ("ell.solve_pair/wave(0.9,25,141.0901,482.5134)",
+           lambda: ell.solve_pair(lam9, mu9, p9,
+                                  opts=SolverOptions(tol_residual=1e-8)))
 
 
 def _ell_eigenfunction_records():

@@ -3,8 +3,9 @@
 Two checkouts that print the same digest give bit-identical results on
 every record.  The records cover
 
-* Theta: `core.theta_iterate` at orders 2..8, `ell.theta`, `ell.theta_hat`
-  and `sph.theta_t` on parameter lattices, real and complex;
+* Theta: `core.theta_iterate` at orders 2..8 and on systems with two
+  poles, `ell.theta`, `ell.theta_hat` and `sph.theta_t` on parameter
+  lattices, real and complex;
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
   the default and with explicit scan ranges;
 * eigenfunctions: `sph.eigenfunction` values and parities, and
@@ -132,6 +133,25 @@ def _theta_iterate_records():
                lambda n=n: core.theta_iterate(sys_r, frame, n=n, tol=1e-10))
     yield ("theta_iterate/k_max=40",
            lambda: core.theta_iterate(sys_r, frame, n=2, tol=1e-30, k_max=40))
+    # two poles, the kernel's general branch: real, complex (a pole off the
+    # real axis), and real with a pole near the unit circle, whose series
+    # runs past step 512
+    A = np.array([[-0.5, 2.0], [0.0, 0.0]])
+    B = np.array([[-0.5, 1.0], [0.0, 0.0]])
+    const = np.array([[0.0, 0.0], [-0.3, 0.0]])
+    residues = (np.array([[-0.5, 0.7], [0.0, 0.0]]),
+                np.array([[0.2, -0.4], [0.6, 0.1]]))
+    eigen = core.SpectralFrame(alpha0=-0.5, a0=np.array([1.0, 0.0]),
+                               beta1=-0.5, beta2=0.0, b1=np.array([1.0, 0.0]),
+                               b2=np.array([2.0, 1.0]))
+    for name, poles, tol in (("real", (2.5, -3.0), 1e-12),
+                             ("complex", (2.5, 1.5 + 1j), 1e-12),
+                             ("long", (1.02, -3.0), 1e-10)):
+        system = core.TwoPointSystem.from_rational(A, B, const, poles,
+                                                   residues)
+        yield (f"theta_iterate/two_poles/{name}",
+               lambda system=system, tol=tol: core.theta_iterate(
+                   system, eigen, n=5, tol=tol))
 
 
 def _ell_theta_records():

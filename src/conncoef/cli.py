@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ellipsoidal as ell
 from . import spheroidal as sph
-from .errors import ConncoefError
+from .errors import ConncoefError, NoConvergence
 from .rootfind import SolverOptions
 
 __all__ = ["main"]
@@ -281,7 +281,10 @@ def cmd_eigenfunction(args) -> int:
         pair = ell.solve_pair(lam0, mu0, problem,
                               opts=SolverOptions(tol_residual=1e-8), n=args.n,
                               k_max=args.k_max)
-        fn = ell.eigenfunction(pair, problem)
+        try:
+            fn = ell.eigenfunction(pair, problem)
+        except ValueError as exc:   # the polish left the residual too high
+            raise NoConvergence(str(exc)) from exc
         if args.normalize != "none":
             fn = ell.normalize(fn, mode=args.normalize)
         zs = problem.c * np.arange(1, args.samples + 1) / (args.samples + 1)
@@ -304,7 +307,10 @@ def cmd_eigenfunction(args) -> int:
                                k_max=args.k_max)
         eig = eigs[args.index]
         xs = -1.0 + 2.0 * np.arange(1, args.samples + 1) / (args.samples + 1)
-        fn = sph.eigenfunction(eig, problem, xs)
+        try:
+            fn = sph.eigenfunction(eig, problem, xs)
+        except ValueError as exc:   # the scan left the residual too high
+            raise NoConvergence(str(exc)) from exc
         vals = np.asarray(fn.values, dtype=float)
         if args.normalize == "sup":
             vals = vals / np.max(np.abs(vals))

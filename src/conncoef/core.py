@@ -44,9 +44,9 @@ valid for every eps > 0 once k is large enough; see `theta_iterate`.
 Every series runs on one scalar recurrence kernel, which reads one plain
 description of the problem, a `ThetaKernel`: Python scalars for the entries
 of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per pole, for the main and
-the mirrored series, plus a0, b1, b2 and delta.  A single loop advances u_k,
-d_k and the geometric sums s_k^(j) with no array allocation per step.  A
-value whose imaginary part is exactly 0 is unpacked as a float, any other as
+the mirrored series, plus a0, b1, b2 and delta.  One loop, `_advance`,
+advances u_k, d_k and the geometric sums s_k^(j) m steps at a time, with
+no array allocation per step.  A value whose imaginary part is exactly 0 is unpacked as a float, any other as
 a complex (`_unpack`), so real problems run on float arithmetic.  This keeps
 the bits: CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on
 operands with imaginary part 0 give the real part that float arithmetic
@@ -56,25 +56,19 @@ differ; comparisons and ``abs`` do not see it.  So a system and frame with
 real entries give a Theta whose imaginary part is exactly 0, by
 construction and unchecked.
 
-The kernel comes in two forms with the same operations in the same order:
-a generator that yields after every step (`_rational_steps`), and a loop
-that takes m steps from a state (k, u, d, sums) and appends the prefix sums
-to two lists (`_advance`), written out for sides with no pole (spheroidal)
-and one pole (ellipsoidal).
-
-The Theta iteration forms p_k, nu_k and Theta_k from the same scalars, step
-by step on the generator, with the mirrored prefix sums straight from the
-kernel: the *head*, which most series never leave.  A series whose scalars
-are all floats leaves it after `_HEAD` steps, or sooner, at a checkpoint
-from step `_HEAD_MIN` on, once its bound shows a long series still to go,
-and goes on in float64 chunks (`_tail`): `_advance` steps the main series
-for a whole chunk, then p_k, nu_k, Theta_k, the bound and the stop rule,
-which need only k, the mirrored sums and the frame besides d_k, are formed
-for the chunk at once, one numpy operation per scalar operation of the
-loop, in the same order.  IEEE arithmetic on float64 arrays is the scalar
-float arithmetic, so the bits agree; steps past the stop are computed and
-dropped.  A series with a complex scalar stays on the scalar loop, since
-numpy's complex division is not CPython's.
+The Theta iteration steps the main series in blocks and reads each block
+in one of two ways, with the mirrored prefix sums straight from the
+kernel.  The *head*, which most series never leave, forms p_k, nu_k and
+Theta_k from the same scalars step by step.  A series whose scalars are
+all floats leaves it after `_HEAD` steps, or sooner once its bound shows a
+long series still to go, and reads the rest in float64 chunks: p_k, nu_k,
+Theta_k, the bound and the stop rule, which need only k, the mirrored sums
+and the frame besides d_k, are formed for the chunk at once, one numpy
+operation per scalar operation of the head, in the same order.  IEEE
+arithmetic on float64 arrays is the scalar float arithmetic, so the bits
+agree; steps past the stop are computed and dropped.  A series with a
+complex scalar stays in the head, since numpy's complex division is not
+CPython's.
 
 Eigenfunctions of both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
@@ -101,13 +95,12 @@ advance in lockstep, one numpy operation per scalar operation of the loop,
 in the same order; a description leaves the arrays when its iteration
 stops, and the last few finish on the loop of `theta_iterate` (head and
 tail) from the state they reached.  A description holding a complex scalar
-runs the scalar loop on its own.
+runs `theta_iterate` on its own.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 import operator
@@ -416,48 +409,6 @@ def _singular_step(k: int, det: complex) -> SingularStep:
     return SingularStep(f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
 
 
-def _rational_steps(side: tuple, k: int, u: list, d: list, sums: list):
-    """The scalar recurrence kernel.
-
-    Starts from u_k = ``u`` and d_k = ``d`` (pairs of scalars) and yields
-    ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
-    one [s0, s1] list per pole and is advanced in place.  All of them are
-    kernel scalars (see `_unpack`), like the side's, so a real problem
-    steps on floats and yields floats.  Raises SingularStep at the first k
-    with |det(A0 - k*I)| < 1e-30.
-    """
-    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
-    a12a21 = a12 * a21
-    # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
-    poles = [(*side[j:j + 5], s) for j, s in zip(range(12, len(side), 5),
-                                                  sums)]
-    u0, u1 = u
-    d0, d1 = d
-    # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
-    w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
-    w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
-    while True:
-        k += 1
-        r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
-        r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
-        m11 = a11 - k
-        m22 = a22 - k
-        det = m11 * m22 - a12a21
-        if abs(det) < _SINGULAR_STEP_TOL:
-            raise _singular_step(k, det)
-        u0 = (m22 * r0 - a12 * r1) / det
-        u1 = (m11 * r1 - a21 * r0) / det
-        w0 = w1 = 0
-        for q11, q12, q21, q22, inv_c, s in poles:
-            s0 = s[0] = s[0] * inv_c + u0
-            s1 = s[1] = s[1] * inv_c + u1
-            w0 += q11 * s0 + q12 * s1
-            w1 += q21 * s0 + q22 * s1
-        d0 += u0
-        d1 += u1
-        yield k, u0, u1, d0, d1
-
-
 def _origin(side: tuple, start: Sequence) -> tuple:
     """The state (k, u, d, sums) at k = 0 of the series on a side of a
     `ThetaKernel` from u_0 = d_0 = ``start`` (2 kernel scalars)."""
@@ -465,36 +416,25 @@ def _origin(side: tuple, start: Sequence) -> tuple:
     return 0, start, start, [list(start) for _ in range(12, len(side), 5)]
 
 
-def _steps(side: tuple, start: Sequence):
-    """Steps 1, 2, ... of the series on a side from u_0 = d_0 = ``start``."""
-    return _rational_steps(side, *_origin(side, start))
-
-
 def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
     """The state after m more steps of the recurrence kernel on ``side``.
 
     ``state`` is ``(k, u, d, sums)`` as in `frobenius_step`, and is left
-    unchanged; the new one comes in the same form.  The first and second
-    components of d_{k+1}, ..., d_{k+m} are appended to ``d0s`` and
-    ``d1s``.  The steps are `_rational_steps`', operation for operation,
-    written out for a side with no pole (spheroidal) and with one
-    (ellipsoidal); a side with more poles steps the generator.  A step that
-    raises leaves the lists holding every step before it.
+    unchanged; the new one is returned in the same form.  The first and
+    second components of d_{k+1}, ..., d_{k+m} are appended to ``d0s`` and
+    ``d1s``.  All values are kernel scalars (see `_unpack`), like the
+    side's, so a real problem steps on floats.  Raises SingularStep at the
+    first k with |det(A0 - k*I)| < 1e-30; a step that raises leaves the
+    lists holding every step before it.
 
-    The written-out loops differ from the generator only where the result
-    cannot: they count k in floats, and add a float 0.0 where the generator
-    adds an int 0 (its empty sum over poles, or the start of its sum over
-    one pole); either operand is converted to the same double, so
+    The loop is written out for a side with no pole (spheroidal) and with
+    one (ellipsoidal), apart from the general loop of any other side.  The
+    written-out loops differ from it only where the result cannot: they count k in floats, and add a float 0.0
+    where it adds an int 0 (its empty sum over poles, or the start of its
+    sum over one pole); either operand is converted to the same double, so
     ``a11 - k`` and ``0 + x`` keep their bits, signs of zero included.
     """
     k, (u0, u1), (d0, d1), sums = state
-    if len(side) > 17:
-        sums = [list(s) for s in sums]
-        for k, u0, u1, d0, d1 in itertools.islice(
-                _rational_steps(side, k, (u0, u1), (d0, d1), sums), m):
-            d0s.append(d0)
-            d1s.append(d1)
-        return k, (u0, u1), (d0, d1), sums
     a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
     a12a21 = a12 * a21
     tiny = _SINGULAR_STEP_TOL
@@ -515,29 +455,58 @@ def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
             put0(d0)
             put1(d1)
         return int(k), (u0, u1), (d0, d1), []
-    q11, q12, q21, q22, inv_c = side[12:]
-    (s0, s1), = sums
-    w0 = 0.0 + (q11 * s0 + q12 * s1)
-    w1 = 0.0 + (q21 * s0 + q22 * s1)
-    for k in map(float, range(k + 1, k + m + 1)):
+    if len(side) == 17:
+        q11, q12, q21, q22, inv_c = side[12:]
+        (s0, s1), = sums
+        w0 = 0.0 + (q11 * s0 + q12 * s1)
+        w1 = 0.0 + (q21 * s0 + q22 * s1)
+        for k in map(float, range(k + 1, k + m + 1)):
+            r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+            r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+            m11 = a11 - k
+            m22 = a22 - k
+            det = m11 * m22 - a12a21
+            if abs(det) < tiny:
+                raise _singular_step(int(k), det)
+            u0 = (m22 * r0 - a12 * r1) / det
+            u1 = (m11 * r1 - a21 * r0) / det
+            s0 = s0 * inv_c + u0
+            s1 = s1 * inv_c + u1
+            w0 = 0.0 + (q11 * s0 + q12 * s1)
+            w1 = 0.0 + (q21 * s0 + q22 * s1)
+            d0 += u0
+            d1 += u1
+            put0(d0)
+            put1(d1)
+        return int(k), (u0, u1), (d0, d1), [[s0, s1]]
+    sums = [list(s) for s in sums]
+    # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
+    poles = [(*side[j:j + 5], s) for j, s in zip(range(12, len(side), 5),
+                                                  sums)]
+    # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
+    w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
+    w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
+    for k in range(k + 1, k + m + 1):
         r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
         r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
         m11 = a11 - k
         m22 = a22 - k
         det = m11 * m22 - a12a21
         if abs(det) < tiny:
-            raise _singular_step(int(k), det)
+            raise _singular_step(k, det)
         u0 = (m22 * r0 - a12 * r1) / det
         u1 = (m11 * r1 - a21 * r0) / det
-        s0 = s0 * inv_c + u0
-        s1 = s1 * inv_c + u1
-        w0 = 0.0 + (q11 * s0 + q12 * s1)
-        w1 = 0.0 + (q21 * s0 + q22 * s1)
+        w0 = w1 = 0
+        for q11, q12, q21, q22, inv_c, s in poles:
+            s0 = s[0] = s[0] * inv_c + u0
+            s1 = s[1] = s[1] * inv_c + u1
+            w0 += q11 * s0 + q12 * s1
+            w1 += q21 * s0 + q22 * s1
         d0 += u0
         d1 += u1
         put0(d0)
         put1(d1)
-    return int(k), (u0, u1), (d0, d1), [[s0, s1]]
+    return k, (u0, u1), (d0, d1), sums
 
 
 def frobenius_step(state: tuple, side: tuple) -> tuple:
@@ -555,8 +524,7 @@ def frobenius_step(state: tuple, side: tuple) -> tuple:
         d_k = d_{k-1} + u_k,
 
     and leaves the given state unchanged.  The library never calls it: its
-    loops run the kernel directly, one step at a time in a short Theta
-    series and in whole chunks of steps elsewhere.
+    loops run the kernel directly, in blocks of steps (`_advance`).
 
     Raises
     ------
@@ -714,14 +682,15 @@ def _first_index(n, tol, k_max, delta) -> int:
     """The one check of n, tol and k_max; returns the first usable index.
 
     k_start is the first k > Re(delta) + n - 1, where no denominator
-    m + delta - k of p_k vanishes, and at least 1.  ``tol >= 0`` is False
-    for NaN.
+    m + delta - k of p_k vanishes, and at least 1; with ``delta`` None it is
+    1, the least for any delta.  ``tol >= 0`` is False for NaN.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not (isinstance(tol, numbers.Real) and tol >= 0):
         raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
-    k_start = max(math.floor(delta.real + n - 1) + 1, 1)
+    k_start = 1 if delta is None else max(math.floor(delta.real + n - 1) + 1,
+                                          1)
     if not (isinstance(k_max, numbers.Integral) and k_max >= k_start):
         raise ValueError(f"k_max must be an integer >= the first usable index "
                          f"k = {k_start} at order n = {n}, got {k_max!r}")
@@ -734,9 +703,9 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
 
     Runs the mirrored recurrence (the ``mirror`` side of the `ThetaKernel`)
     for the first n prefix sums d~_1..d~_n, then advances the main
-    recurrence, forming p_k, nu_k and Theta_k at each step from the first
-    usable index k_start = max(floor(Re(delta) + n - 1) + 1, 1) on, once
-    the frame is nondegenerate.  This is one loop of plain scalar
+    recurrence in blocks of 16 steps, forming p_k, nu_k and Theta_k at each
+    step from the first usable index k_start = max(floor(Re(delta) + n - 1)
+    + 1, 1) on, once the frame is nondegenerate.  Each step is plain scalar
     arithmetic on the kernel's description: every scalar with imaginary
     part exactly 0 is a float, all others complex, which gives the bits of
     all-complex arithmetic (see the module docstring).  p_k and nu_k are
@@ -744,12 +713,11 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     |det(b1, p_k)| <= 1e-12 * ||b1|| * ||p_k|| has no usable weight vector
     and is skipped.  ``theta`` and ``tau_estimate`` are returned as
     complex.  When every scalar is a float, the steps past the first 512,
-    or past a checkpoint from step 64 on, once every 32 steps, where the
-    bound shows at least 256 more steps to go, step the kernel and form
-    Theta_k and the stop rule in float64 chunks of 128 to 1024 steps, one
-    numpy operation per scalar operation in the same order, so the result
-    keeps every bit; a series with a complex scalar runs on the scalar loop
-    throughout (numpy's complex division is not CPython's).
+    or past a block end from step 64 on where the bound shows at least 256
+    more steps to go, form Theta_k and the stop rule in float64 chunks of
+    128 to 1024 steps, one numpy operation per scalar operation in the same
+    order, so the result keeps every bit; a series with a complex scalar
+    runs on scalars throughout (numpy's complex division is not CPython's).
     Stops at the first k where
 
         k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
@@ -821,14 +789,14 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
 _FRESH = (None, complex("nan"), math.inf, 0, None, False)
 
 
-#: steps a float run takes on the scalar loop before its float64 tail,
+#: steps a float run takes in the scalar head before its float64 tail,
 #: unless the bound shows a long series sooner (`_HEAD_MIN`)
 _HEAD = 512
 
-#: from this step on, once every `_HEAD_EVERY` steps, the scalar head of a
-#: float run hands off to its tail early where `_tail_len` predicts at least
-#: two of the shortest tail chunks still to go
-_HEAD_MIN, _HEAD_EVERY = 64, 32
+#: the head reads `_HEAD_EVERY` steps at a time; from step `_HEAD_MIN` on,
+#: a block end where `_tail_len` predicts at least two of the shortest tail
+#: chunks still to go ends a float run's head early
+_HEAD_MIN, _HEAD_EVERY = 64, 16
 
 #: fewest and most steps of one chunk of the float64 tail
 _TAIL_MIN, _TAIL_MAX = 128, 1024
@@ -840,142 +808,140 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
     """The Theta loop of `theta_iterate` over the main series on ``side``.
 
     ``series`` is the series' state (k, u, d, sums) after step k, as in
-    `frobenius_step`, whose sums the loop advances in place; ``accel`` holds
-    (m + delta, d~_{m+1}) per order m < n; ``state`` is the loop's state
-    after step k (see `_FRESH`), so that a run of `_lockstep` can end here,
-    bit for bit.  The steps through `_HEAD` (or k_start - 1, if later) run
-    here, one at a time, unless the bound at a checkpoint (`_HEAD_MIN`)
-    shows a long series first.  A run that goes on past them continues in
-    `_tail` if every scalar of its ``kernel`` is a float, or if ``kernel``
-    is None, as for a run of `_lockstep`; any other run stays here to the
-    end.  The check comes only then, so a run that stops in the head never
-    pays it, and a run asks it once at most.
+    `frobenius_step`; ``accel`` holds (m + delta, d~_{m+1}) per order m < n;
+    ``state`` is the loop's state after step k (see `_FRESH`), so that a
+    run of `_lockstep` can end here, bit for bit.
+
+    Each block of steps is stepped (`_advance`), then read.  The head reads
+    `_HEAD_EVERY` steps at a time in scalars, through step `_HEAD` (or
+    k_start - 1, if later), or to a block end from `_HEAD_MIN` on where
+    `_tail_len` shows a long series still to go.  The rest is read in
+    float64 chunks (`_tail_block`) if every scalar of ``kernel`` is a
+    float, or if ``kernel`` is None, as for a run of `_lockstep`, and in
+    the head otherwise; that check comes at most once, and never in a run
+    that stops in the head.  An error that `_advance` raises in a block is
+    dropped when the stop comes earlier in the block, and raised otherwise.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     (b10, b11), (b20, b21) = b1, b2
     b1_norm = math.hypot(abs(b10), abs(b11))
     denom = delta.real + n + 1
-    k, (u0, u1), (d0, d1), sums = series
-    steps = _rational_steps(side, k, (u0, u1), (d0, d1), sums)
-    end = min(max(_HEAD, k_start - 1, k), k_max)
-    check = max(_HEAD_MIN, k + _HEAD_EVERY)
-    while True:
-        for k, u0, u1, d0, d1 in itertools.islice(steps, min(end, check) - k):
-            if k < k_start:
-                continue
-            p0, p1 = b20, b21
-            prod = 1.0
-            for m_delta, t0, t1 in accel:
-                prod *= m_delta / (m_delta - k)
-                p0 += prod * t0
-                p1 += prod * t1
-            # nu = J p / <J p, b1>, unless b1 and p are too close to parallel
-            norm = b10 * p1 - b11 * p0
-            if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(
-                    abs(p0), abs(p1)):
-                # k < k1: no usable weight vector yet; step on
-                prev_theta = None
-                continue
-            seen_valid = True
-            theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
-            if prev_theta is not None:
-                dtheta = theta - prev_theta
-                bound = k * abs(dtheta) / denom
-                # values at or below tol never break the non-increasing run
-                calm = calm + 1 if bound <= raw_bound or bound <= tol else 1
-                raw_bound = bound
-                last_pair = (k, dtheta)
-                if bound <= tol and calm >= _MONOTONE_STEPS:
-                    return _converged(theta, bound, k, n, last_pair, delta)
-            prev_theta = theta
-        if k < end:         # a checkpoint
-            check += _HEAD_EVERY
-            if k < k_start or _tail_len(k, raw_bound, tol,
-                                        denom) < 2 * _TAIL_MIN:
-                continue
-        elif end == k_max:
-            break
-        if kernel is None or _float_row(kernel) is not None:
-            return _tail(side, (k, (u0, u1), (d0, d1), sums), accel, b1, b2,
-                         b1_norm, delta, n, tol, k_max,
-                         (prev_theta, theta, raw_bound, calm, last_pair,
-                          seen_valid))
-        end, check = k_max, math.inf    # a complex scalar: the rest here
+    k = series[0]
+    end = min(max(_HEAD, k_start - 1, k), k_max)     # the head's last step
+    early = max(_HEAD_MIN, k_start)         # the first early hand-off
+    head, floor = True, False
+    while k < k_max:
+        if head and (k == end or k >= early and _tail_len(
+                k, raw_bound, tol, denom) >= 2 * _TAIL_MIN):
+            if kernel is None or _float_row(kernel) is not None:
+                head = False
+            else:       # a complex scalar: the rest in the head
+                end, early = k_max, math.inf
+        if head:
+            m = min(_HEAD_EVERY, end - k)
+        else:
+            m = min(_tail_len(k, raw_bound, tol, denom, floor), k_max - k)
+        d0s, d1s, error = [], [], None
+        try:
+            series = _advance(side, series, m, d0s, d1s)
+        except (ConncoefError, ArithmeticError) as exc:
+            error = exc
+        if head:
+            for k, d0, d1 in zip(range(k + 1, k + m + 1), d0s, d1s):
+                if k < k_start:
+                    continue
+                p0, p1 = b20, b21
+                prod = 1.0
+                for m_delta, t0, t1 in accel:
+                    prod *= m_delta / (m_delta - k)
+                    p0 += prod * t0
+                    p1 += prod * t1
+                # nu = J p / <J p, b1>, unless b1 and p are nearly parallel
+                norm = b10 * p1 - b11 * p0
+                if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(
+                        abs(p0), abs(p1)):
+                    # k < k1: no usable weight vector yet; step on
+                    prev_theta = None
+                    continue
+                seen_valid = True
+                theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
+                if prev_theta is not None:
+                    dtheta = theta - prev_theta
+                    bound = k * abs(dtheta) / denom
+                    # a value at or below tol never breaks the run
+                    calm = (calm + 1 if bound <= raw_bound or bound <= tol
+                            else 1)
+                    raw_bound = bound
+                    last_pair = (k, dtheta)
+                    if bound <= tol and calm >= _MONOTONE_STEPS:
+                        return _converged(theta, bound, k, n, last_pair, delta)
+                prev_theta = theta
+        elif d0s:
+            stop, run, floor = _tail_block(
+                k, d0s, d1s, accel, b1, b2, b1_norm, delta, n, tol,
+                (prev_theta, theta, raw_bound, calm, last_pair, seen_valid))
+            if stop is not None:
+                return stop
+            prev_theta, theta, raw_bound, calm, last_pair, seen_valid = run
+        if error is not None:
+            raise error
+        k = series[0]
     return _spent((prev_theta, theta, raw_bound, calm, last_pair, seen_valid),
                   n, k_max, delta)
 
 
-def _tail(side: tuple, series: tuple, accel, b1, b2, b1_norm, delta, n: int,
-          tol, k_max: int, state) -> ThetaResult:
-    """`_theta_loop` of a float run from the series state ``series`` on, in
-    float64 chunks.
+def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
+                state):
+    """Read steps k + 1, ..., k + len(d0) of `_theta_loop` on float64 arrays.
 
-    Each chunk steps the kernel (`_advance`) as many steps as the bound
-    needs to meet tol if it falls like k**-(Re(delta)+n+1) (`_tail_len`),
-    and forms Theta_k, the bounds, the non-increasing run and the first
-    stop over all of them at once: one numpy operation per scalar
-    operation of the loop, in the same order (`_theta_k`), so IEEE
-    arithmetic gives the loop's bits.  Steps past the stop are dropped,
-    and so is an error that one of them raises; an error before the stop
-    is raised as the loop raises it.
+    ``d0`` and ``d1`` are the prefix sums' components there, ``state`` the
+    loop's state after step k (see `_FRESH`).  Theta_k, the bounds, the
+    non-increasing run and the first stop are formed at once, one numpy
+    operation per scalar operation of the head, in the same order
+    (`_theta_k`), so IEEE arithmetic gives the head's bits.  Returns the
+    `ThetaResult` of the stop or None, the state after the block, and
+    whether the block recorded a bound at or below tol.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     b20, b21 = b2
     denom = delta.real + n + 1
-    k = series[0]
-    floor = False
+    m = len(d0)
     with np.errstate(all="ignore"):
-        while k < k_max:
-            d0, d1, error = [], [], None
-            try:
-                series = _advance(side, series, min(
-                    _tail_len(k, raw_bound, tol, denom, floor), k_max - k),
-                    d0, d1)
-            except (ConncoefError, ArithmeticError) as exc:
-                error = exc
-            m = len(d0)
-            if m:
-                ks = np.arange(k + 1, k + m + 1, dtype=float)
-                theta_k, valid = _theta_k(
-                    ks, np.array(d0), np.array(d1), accel, b1,
-                    (np.full(m, b20), np.full(m, b21)), np.full(m, b1_norm))
-                # the steps that record a bound: valid, after a valid step
-                rec = np.flatnonzero(valid & np.append(prev_theta is not None,
-                                                       valid[:-1]))
-                dtheta = theta_k[rec] - np.append(
-                    np.nan if prev_theta is None else prev_theta,
-                    theta_k[:-1])[rec]
-                bound = ks[rec] * np.abs(dtheta) / denom
-                low = bound <= tol
-                # the non-increasing run after each recorded step: 1 at a
-                # step that breaks it, and up from calm until one does
-                at = np.arange(len(rec))
-                run = at + 1 - np.maximum.accumulate(np.where(
-                    low | (bound <= np.append(raw_bound, bound[:-1])),
-                    -calm, at))
-                stops = np.flatnonzero(low & (run >= _MONOTONE_STEPS))
-                if len(stops):
-                    j = stops[0]
-                    i = k + 1 + rec[j].item()
-                    return _converged(theta_k[rec[j]].item(), bound[j].item(),
-                                      i, n, (i, dtheta[j].item()), delta)
-                floor = bool(low.any())
-                if len(rec):
-                    raw_bound, calm = bound[-1].item(), run[-1].item()
-                    last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
-                if valid.any():
-                    seen_valid = True
-                    theta = theta_k[np.flatnonzero(valid)[-1]].item()
-                prev_theta = theta_k[-1].item() if valid[-1] else None
-            if error is not None:
-                raise error
-            k += m
-    return _spent((prev_theta, theta, raw_bound, calm, last_pair, seen_valid),
-                  n, k_max, delta)
+        ks = np.arange(k + 1, k + m + 1, dtype=float)
+        theta_k, valid = _theta_k(
+            ks, np.array(d0), np.array(d1), accel, b1,
+            (np.full(m, b20), np.full(m, b21)), np.full(m, b1_norm))
+        # the steps that record a bound: valid, after a valid step
+        rec = np.flatnonzero(valid & np.append(prev_theta is not None,
+                                               valid[:-1]))
+        dtheta = theta_k[rec] - np.append(
+            np.nan if prev_theta is None else prev_theta, theta_k[:-1])[rec]
+        bound = ks[rec] * np.abs(dtheta) / denom
+        low = bound <= tol
+        # the non-increasing run after each recorded step: 1 at a step that
+        # breaks it, and up from calm until one does
+        at = np.arange(len(rec))
+        run = at + 1 - np.maximum.accumulate(np.where(
+            low | (bound <= np.append(raw_bound, bound[:-1])), -calm, at))
+        stops = np.flatnonzero(low & (run >= _MONOTONE_STEPS))
+    if len(stops):
+        j = stops[0]
+        i = k + 1 + rec[j].item()
+        return _converged(theta_k[rec[j]].item(), bound[j].item(), i, n,
+                          (i, dtheta[j].item()), delta), state, True
+    if len(rec):
+        raw_bound, calm = bound[-1].item(), run[-1].item()
+        last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
+    if valid.any():
+        seen_valid = True
+        theta = theta_k[np.flatnonzero(valid)[-1]].item()
+    prev_theta = theta_k[-1].item() if valid[-1] else None
+    return None, (prev_theta, theta, raw_bound, calm, last_pair,
+                  seen_valid), bool(low.any())
 
 
 def _tail_len(k: int, raw_bound, tol, denom, floor=False) -> int:
-    """Steps of the next `_tail` chunk after step k: those until a bound
+    """Steps of the next tail chunk after step k: those until a bound
     falling like k**-denom from ``raw_bound`` meets tol, within
     [`_TAIL_MIN`, `_TAIL_MAX`].
 
@@ -1062,8 +1028,10 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     ------
     ValueError
         As `theta_iterate`: before any series work for a bad n, tol or
-        k_max, and if some kernel's d~_0..d~_n are not finite.
+        k_max (an empty batch included), and if some kernel's d~_0..d~_n
+        are not finite.
     """
+    _first_index(n, tol, k_max, None)      # before the batch is read
     out = []
     groups = {}         # (k_start, side lengths) -> (positions, scalars)
     alone = []
@@ -1112,7 +1080,8 @@ def _batch_start(side, x0, x1) -> list:
 
 
 def _batch_step(k: int, side, state: list):
-    """One `_rational_steps` step on arrays, operation for operation.
+    """One step of `_advance`'s general loop on arrays, operation for
+    operation.
 
     ``side`` holds one row per scalar of a side (see `ThetaKernel`),
     ``state`` the arrays u0, u1, d0, d1, w0, w1 and s0, s1 per pole.
@@ -1143,9 +1112,9 @@ def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
 
     The scalar loop's p_k, nu_k and Theta_k, operation for operation, by
     broadcasting: `_lockstep` passes one k and a column per kernel for the
-    rest, `_tail` a run of k and one kernel's scalars, but b2 and ||b1|| as
-    arrays of the run's length, since p_k must be an array at n = 0 too
-    and `_degenerate` indexes ||b1||.
+    rest, `_tail_block` a run of k and one kernel's scalars, but b2 and
+    ||b1|| as arrays of the run's length, since p_k must be an array at
+    n = 0 too and `_degenerate` indexes ||b1||.
     """
     (b10, b11), (p0, p1) = b1, b2
     prod = 1.0

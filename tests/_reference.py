@@ -15,11 +15,71 @@ u_0..u_{k-1}, and forms
 
 on numpy arrays.  It shares no code with the library, so that the kernel
 and the Theta loop can be checked against it.
+
+It also holds the rational kernel as a generator that yields after every
+step (`rational_steps`): the same operations in the same order as the
+library's chunked kernel, `core._advance`, so that it checks that kernel
+bit for bit, and plain scalar arithmetic, so that it runs unchanged on
+`mpmath` numbers.
 """
 
 import math
 
 import numpy as np
+
+from conncoef.errors import SingularStep
+
+#: determinant threshold below which a recurrence step counts as singular
+_SINGULAR_STEP_TOL = 1e-30
+
+
+def rational_steps(side, k, u, d, sums):
+    """The scalar recurrence kernel on a side of a `ThetaKernel`.
+
+    Starts from u_k = ``u`` and d_k = ``d`` (pairs of scalars) and yields
+    ``(k, u0, u1, d0, d1)`` after every step, without end.  ``sums`` holds
+    one [s0, s1] list per pole and is advanced in place.  Raises
+    SingularStep at the first k with |det(A0 - k*I)| < 1e-30.
+    """
+    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
+    a12a21 = a12 * a21
+    # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
+    poles = [(*side[j:j + 5], s) for j, s in zip(range(12, len(side), 5),
+                                                  sums)]
+    u0, u1 = u
+    d0, d1 = d
+    # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
+    w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
+    w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
+    while True:
+        k += 1
+        r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+        r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+        m11 = a11 - k
+        m22 = a22 - k
+        det = m11 * m22 - a12a21
+        if abs(det) < _SINGULAR_STEP_TOL:
+            raise SingularStep(
+                f"A0 - {k}*I is singular (|det| = {abs(det):.3e})")
+        u0 = (m22 * r0 - a12 * r1) / det
+        u1 = (m11 * r1 - a21 * r0) / det
+        w0 = w1 = 0
+        for q11, q12, q21, q22, inv_c, s in poles:
+            s0 = s[0] = s[0] * inv_c + u0
+            s1 = s[1] = s[1] * inv_c + u1
+            w0 += q11 * s0 + q12 * s1
+            w1 += q21 * s0 + q22 * s1
+        d0 += u0
+        d1 += u1
+        yield k, u0, u1, d0, d1
+
+
+def steps(side, start):
+    """Steps 1, 2, ... of `rational_steps` on a side from
+    u_0 = d_0 = ``start``."""
+    start = tuple(start)
+    return rational_steps(side, 0, start, start,
+                          [list(start) for _ in range(12, len(side), 5)])
 
 
 def coeff_at_zero(tail, k):

@@ -223,13 +223,14 @@ def _theta_sequence(system, frame, n, k_hi):
     # the series from the kernel's sides (the O(k^2) reference convolution
     # is too slow for k_hi = 8000), p_k and nu_k from the reference formulas
     kernel = core.theta_kernel(system, frame)
-    mirrored = itertools.islice(core._steps(kernel.mirror, kernel.b2), n)
+    mirrored = itertools.islice(_reference.steps(kernel.mirror, kernel.b2),
+                                n)
     prefix = [kernel.b2] + [(d0, d1) for *_, d0, d1 in mirrored]
     delta = frame.delta
     k_start = max(int(np.floor(delta.real + n - 1)) + 1, 1)
     ks, thetas = [], []
     for k, _, _, d0, d1 in itertools.islice(
-            core._steps(kernel.main, kernel.a0), k_hi):
+            _reference.steps(kernel.main, kernel.a0), k_hi):
         if k < k_start:
             continue
         p = _reference.p_vector(frame.b2, prefix, delta, k, n)

@@ -341,6 +341,32 @@ def test_eigen_ell_exits_2_when_every_solve_fails(seed, monkeypatch, capsys):
     assert captured.err == "error: stub: no convergence at the last seed\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--problem", "sph", "--gamma2", "100", "--index", "0"],
+    ["--problem", "ell", "--abramov", "--k2", "0.9", "--omega2", "25",
+     "--rho", "1", "--tau", "1", "--H", "141.0901", "--L", "482.5134"]])
+def test_eigenfunction_exits_2_when_its_own_polish_fails(argv, monkeypatch,
+                                                         capsys):
+    # the input is valid, but the spectrum or the pair the command polished
+    # itself keeps a residual the eigenfunction refuses: a computation that
+    # did not converge.  The solvers are stubbed to return such results
+    def eigenvalues(problem, count, **kw):
+        return [sph.SpheroidalEigenvalue(index=0, t_root=1.5, lam=1.5,
+                                         parity=1, residual=5.26e-6)]
+
+    def solve_pair(lam, mu, problem, **kw):
+        return ell.EigenPair(lam=lam + 1.0, mu=mu, residual_theta=0.287,
+                             residual_theta_hat=0.1, iterations=30)
+
+    monkeypatch.setattr(sph, "eigenvalues", eigenvalues)
+    monkeypatch.setattr(ell, "solve_pair", solve_pair)
+    assert main(["eigenfunction", *argv, "--samples", "3",
+                 "--output", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eigenfunction_ell_without_mu_exits_1_before_solve(monkeypatch,
                                                             capsys):
     # --mu once defaulted to the spheroidal order 0, so the ellipsoidal

@@ -60,8 +60,8 @@ def _start(side, v):
 
 def _prefix_sums(side, start, n_terms):
     """d_0..d_{n_terms-1} of the series on ``side`` from ``start``, stepped
-    by the kernel, as a complex array of shape (n_terms, 2)."""
-    steps = itertools.islice(core._steps(side, start), n_terms - 1)
+    by the reference kernel, as a complex array of shape (n_terms, 2)."""
+    steps = itertools.islice(_reference.steps(side, start), n_terms - 1)
     return np.array([start, *((d0, d1) for *_, d0, d1 in steps)],
                     dtype=complex)
 
@@ -238,12 +238,12 @@ def test_generic_and_rational_drivers_agree():
 
 
 def test_prefix_sums_match_frobenius_steps():
-    # the library's loops step the kernel generator; frobenius_step must
-    # give the same bits one step at a time, and leave its input unchanged
+    # frobenius_step must give the reference generator's bits one step at a
+    # time, and leave its input unchanged
     kernel = core.theta_kernel(_sample_system(), _sample_frame())
     for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
         state = _start(side, start)
-        for step in itertools.islice(core._steps(side, start), 40):
+        for step in itertools.islice(_reference.steps(side, start), 40):
             before = repr(state)
             new = frobenius_step(state, side)
             assert repr(state) == before
@@ -289,7 +289,7 @@ def test_singular_step_guard():
     with pytest.raises(SingularStep):
         frobenius_step(_start(side, start), side)
     with pytest.raises(SingularStep):
-        next(core._steps(side, start))
+        next(_reference.steps(side, start))
 
 
 def test_frobenius_step_rejects_state_of_other_pole_count():
@@ -512,7 +512,8 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
 # --------------------------------------------------------------------------
 
 def _generator_run(side, state, m):
-    """The generator's steps after ``state``, up to m of them, as the states
+    """The reference generator's steps after ``state``, up to m of them, as
+    the states
     (k, u, d, sums) after each, and the message of the SingularStep that
     ends them early, if one does."""
     k, u, d, sums = state
@@ -520,7 +521,7 @@ def _generator_run(side, state, m):
     out = []
     try:
         for k, u0, u1, d0, d1 in itertools.islice(
-                core._rational_steps(side, k, u, d, sums), m):
+                _reference.rational_steps(side, k, u, d, sums), m):
             out.append((k, (u0, u1), (d0, d1), [list(s) for s in sums]))
     except SingularStep as exc:
         return out, str(exc)
@@ -554,9 +555,9 @@ _POLE = hst.tuples(*[hst.floats(-5.0, 5.0, **_finite)] * 4,
 def test_chunked_kernel_equals_the_generator(family, complex_side, x, y, c,
                                              poles, drawn, overflow, zeros,
                                              start, chunks, singular):
-    # `_advance` against `_rational_steps`, bit for bit, signs of zero
-    # included (repr): the written-out loops for 0 and 1 pole, the
-    # generator's fallback for 2 to 4, on float and complex sides, in
+    # `_advance` against the reference generator, bit for bit, signs of
+    # zero included (repr): the written-out loops for 0 and 1 pole, the
+    # general loop for 2 to 4, on float and complex sides, in
     # chunks of 1, 2 and 33 steps resumed from the state each returns
     x = complex(x, 1.5) if complex_side else x
     if family == "ell":
@@ -637,24 +638,27 @@ def test_chunked_kernel_keeps_the_signs_of_zero(poles, kind):
         mu=0, gamma2=-100.0)), id="oblate"),
 ])
 def test_kernel_agrees_with_a_50_digit_rerun(kernel):
-    # The kernel is plain scalar arithmetic, so it runs unchanged on mpmath
-    # numbers: the same sides, read exactly, stepped at 50 digits, form an
-    # oracle that shares no rounding with the float run.  In the oblate
-    # case the prefix sums peak near 6e10 at k = 20 and fall to 5e-4 by
-    # k = 300, so the error is measured against the largest |d_l| so far.
+    # The kernel is plain scalar arithmetic, so its reference generator runs
+    # unchanged on mpmath numbers: the same sides, read exactly, stepped at
+    # 50 digits, form an oracle that shares no rounding with the library's
+    # float run.  In the oblate case the prefix sums peak near 6e10 at
+    # k = 20 and fall to 5e-4 by k = 300, so the error is measured against
+    # the largest |d_l| so far.
     mpmath = pytest.importorskip("mpmath")
     for side, start in ((kernel.main, kernel.a0), (kernel.mirror, kernel.b2)):
-        floats = itertools.islice(core._steps(side, start), 300)
+        d0s, d1s = [], []
+        core._advance(side, core._origin(side, start), 300, d0s, d1s)
         with mpmath.workdps(50):
-            exact = itertools.islice(core._steps(
+            exact = itertools.islice(_reference.steps(
                 tuple(map(mpmath.mpc, side)), list(map(mpmath.mpc, start))),
                 300)
             peak = max(map(abs, start))
-            for f, x in zip(floats, exact, strict=True):
-                assert f[0] == x[0]
+            for k, (f0, f1, x) in enumerate(zip(d0s, d1s, exact,
+                                                strict=True), start=1):
+                assert x[0] == k
                 peak = max(peak, abs(x[3]), abs(x[4]))
-                err = max(abs(f[3] - x[3]), abs(f[4] - x[4]))
-                assert err <= 1e-13 * peak, f"k={f[0]}: {float(err / peak)}"
+                err = max(abs(f0 - x[3]), abs(f1 - x[4]))
+                assert err <= 1e-13 * peak, f"k={k}: {float(err / peak)}"
 
 
 # --------------------------------------------------------------------------
@@ -736,8 +740,9 @@ def test_exact_real_unpacking_keeps_every_value(family, kind, x, y, im, c,
 
     # the fast path must really run on floats when the problem is real
     start = core._unpack(frame.a0.tolist())
-    step = next(core._steps(core.theta_kernel(system, frame).main,
-                            start))[1:]
+    main = core.theta_kernel(system, frame).main
+    _, u, d, _ = frobenius_step(_start(main, start), main)
+    step = (*u, *d)
     if kind != "real":
         assert any(type(v) is complex for v in step)
         return
@@ -934,6 +939,23 @@ def test_theta_many_gives_none_for_a_kernel_that_raises(gamma2):
     assert [_bits(r) for r in many] == [_bits(_scalar(k)) for k in kernels]
 
 
+@pytest.mark.parametrize("kw", [
+    dict(n=-1, tol=float("nan"), k_max=0), dict(n=2.5), dict(tol=-1.0),
+    dict(tol=float("nan")), dict(k_max=0), dict(k_max=1.5)])
+def test_theta_many_checks_its_input_before_reading_the_batch(kw):
+    # an empty batch raises as a one-kernel batch does, and no batch is
+    # read before the check
+    kernel = sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+
+    def unread():
+        raise AssertionError("the batch was read")
+        yield
+
+    for batch in ([], [kernel], unread()):
+        with pytest.raises(ValueError):
+            core.theta_many(batch, **kw)
+
+
 def test_theta_kernel_of_a_user_system_runs_as_theta_iterate():
     # the public way from a caller's system and frame into a batch: each
     # result is the bits of theta_iterate on the same system and frame,
@@ -1012,15 +1034,8 @@ def _outcome(kernel, head, chunk=None, every=None, **kw):
 def _singular_at(mp, kernel, k_bad):
     """Patch the kernel so that the main series of ``kernel`` raises
     SingularStep at step ``k_bad``, with every step before it unchanged:
-    both the generator the scalar head steps and the chunked kernel the
-    tail steps."""
-    rational_steps, advance = core._rational_steps, core._advance
-
-    def steps(side, k, u, d, sums):
-        for step in rational_steps(side, k, u, d, sums):
-            if side is kernel.main and step[0] == k_bad:
-                raise core._singular_step(k_bad, 0.0)
-            yield step
+    the chunked kernel that the head and the tail both step."""
+    advance = core._advance
 
     def chunk(side, state, m, d0s, d1s):
         if side is kernel.main and state[0] < k_bad <= state[0] + m:
@@ -1028,7 +1043,6 @@ def _singular_at(mp, kernel, k_bad):
             raise core._singular_step(k_bad, 0.0)
         return advance(side, state, m, d0s, d1s)
 
-    mp.setattr(core, "_rational_steps", steps)
     mp.setattr(core, "_advance", chunk)
 
 
@@ -1113,7 +1127,7 @@ def _degenerate_steps(kernel, n, k_start, k_end):
     """The k in k_start..k_end - 1 with no usable weight vector, by the
     independent reference formulas."""
     prefix = [kernel.b2] + [(d0, d1) for *_, d0, d1 in itertools.islice(
-        core._steps(kernel.mirror, list(kernel.b2)), n)]
+        _reference.steps(kernel.mirror, kernel.b2), n)]
     return [k for k in range(k_start, k_end)
             if _reference.weight_vector(kernel.b1, _reference.p_vector(
                 kernel.b2, prefix, kernel.delta, k, n)) is None]
@@ -1185,38 +1199,61 @@ def test_float_tail_drops_an_error_past_the_stop(head):
                                       str(core._singular_step(40, 0.0)))
 
 
+def test_head_drops_an_error_past_the_stop_in_its_block():
+    # the head, too, steps the kernel a block at a time and past the stop;
+    # an error 1 to 15 steps after the stop, in the stop's block or the
+    # next, must not surface, and one 3 steps before it must
+    kernel = sph._kernel(1.5, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+    kw = dict(n=5, tol=1e-10)
+    expected = _bits(theta_iterate(kernel, None, **kw))
+    stop = int(expected[2])
+    # premise: the run stops in the head, before its first checkpoint
+    assert expected[-1] == "'converged'" and 8 < stop < core._HEAD_MIN
+    for k_bad in range(stop + 1, stop + 16):
+        with pytest.MonkeyPatch.context() as mp:
+            _singular_at(mp, kernel, k_bad)
+            assert _bits(theta_iterate(kernel, None, **kw)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        _singular_at(mp, kernel, stop - 3)
+        with pytest.raises(SingularStep) as exc:
+            theta_iterate(kernel, None, **kw)
+    assert str(exc.value) == str(core._singular_step(stop - 3, 0.0))
+
+
 def test_head_hands_off_where_the_bound_shows_a_long_series(monkeypatch):
     # the wave row k^2 = 0.9 (c = 1/0.9) runs ~22000 steps: its float run
-    # leaves the head at the first checkpoint, its complex twin asks once
-    # whether it is float and stays on the scalar loop; a short series never
-    # asks
-    tail, float_row = core._tail, core._float_row
-    seen = []
+    # leaves the head at the first checkpoint, where its first tail block
+    # starts; its complex twin asks once whether it is float and stays in
+    # the head; a short series never asks
+    tail_block, float_row = core._tail_block, core._float_row
+    seen, starts = [], []
 
-    def spy_tail(side, series, *rest):
-        seen.append(series[0])
-        return tail(side, series, *rest)
+    def spy_tail_block(k, *rest):
+        starts.append(k)
+        return tail_block(k, *rest)
 
     def spy_float_row(kernel):
         seen.append("float?")
         return float_row(kernel)
 
-    monkeypatch.setattr(core, "_tail", spy_tail)
+    monkeypatch.setattr(core, "_tail_block", spy_tail_block)
     monkeypatch.setattr(core, "_float_row", spy_float_row)
     c = 1 / 0.9
-    for gamma, want in ((25 / 4, ["float?", core._HEAD_MIN]),
-                        (25 / 4 + 0.5j, ["float?"])):
+    for gamma, first in ((25 / 4, [core._HEAD_MIN]), (25 / 4 + 0.5j, [])):
         kernel = ell._kernel(141.0901 * c / 4, -482.5134 * c / 4,
                              ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1,
                                                     sigma=0, tau=1))
         seen.clear()
+        starts.clear()
         got = _bits(theta_iterate(kernel, None))
-        assert seen == want
+        assert seen == ["float?"] and starts[:1] == first
         assert got == _bits(_all_scalar(kernel)) and int(got[2]) > 20000
     seen.clear()
+    starts.clear()
     short = theta_iterate(sph._kernel(1.5, sph.SpheroidalProblem(
         mu=0, gamma2=4.0)), None, tol=1e-14)
-    assert seen == [] and short.k_final > core._HEAD_MIN + core._HEAD_EVERY
+    assert seen == starts == [] and \
+        short.k_final > core._HEAD_MIN + core._HEAD_EVERY
 
 
 def test_float_tail_chunks_follow_the_bound():

@@ -23,6 +23,7 @@ from conncoef.core import ThetaResult, theta_iterate
 from conncoef.errors import ConsistencyError, InvalidExponent, NoConvergence
 from conncoef.rootfind import SolverOptions
 
+import _reference
 from _oracle import theta_oracle
 from _residuals import eigenfunction_ode_residual
 
@@ -605,7 +606,7 @@ def test_eigenfunction_series_are_computed_as_read(bits, seed):
     for s, (side, start) in zip(series, ((kernel.main, kernel.a0),
                                          (kernel.mirror, kernel.b2),
                                          (hat.main, hat.a0))):
-        steps = itertools.islice(core._steps(side, start),
+        steps = itertools.islice(_reference.steps(side, start),
                                  core._SERIES_TERMS - 1)
         full = np.array([start[1], *(d1 for *_, d1 in steps)],
                         dtype=complex).real

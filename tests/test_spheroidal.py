@@ -20,6 +20,7 @@ from conncoef.core import _SERIES_TERMS, _power_sum, theta_iterate
 from conncoef.errors import NoConvergence, ScanExhausted
 from conncoef.rootfind import SolverOptions, bracket_scan, secant
 
+import _reference
 from _oracle import theta_oracle
 
 # lowest eight eigenvalues of the prolate problem mu=0, gamma^2=4
@@ -86,8 +87,8 @@ def test_reflection_identity_is_exact():
     frame = sph.spectral_frame(1.5, problem)
     kernel = core.theta_kernel(sys_, frame)
     assert kernel.b2 == (-kernel.a0[0], kernel.a0[1])
-    main = core._steps(kernel.main, kernel.a0)
-    mirr = core._steps(kernel.mirror, kernel.b2)
+    main = _reference.steps(kernel.main, kernel.a0)
+    mirr = _reference.steps(kernel.mirror, kernel.b2)
     for _, (_, _, _, m0, m1), (_, _, _, t0, t1) in zip(range(39), main,
                                                        mirr):
         assert (t0, t1) == (-m0, m1)
@@ -304,7 +305,7 @@ def _full_build(t, problem):
     """All _SERIES_TERMS coefficients e2^T d_k / 2^k from the array path."""
     kernel = core.theta_kernel(sph.build_system(t, problem),
                                 sph.spectral_frame(t, problem))
-    steps = itertools.islice(core._steps(kernel.main, kernel.a0),
+    steps = itertools.islice(_reference.steps(kernel.main, kernel.a0),
                              _SERIES_TERMS - 1)
     d1 = np.fromiter(itertools.chain([kernel.a0[1]],
                                      (d1 for *_, d1 in steps)),
@@ -382,20 +383,14 @@ def test_spectrum_and_eigenfunctions_run_no_full_series(monkeypatch):
     # the parity probes and the eigenfunctions sum a few dozen terms; no
     # series may be stepped to the end of the 2000-term sequence
     deepest = [0]
-    rational_steps, advance = core._rational_steps, core._advance
-
-    def tracked(side, k, u, d, sums):
-        for step in rational_steps(side, k, u, d, sums):
-            deepest[0] = max(deepest[0], step[0])
-            yield step
+    advance = core._advance
 
     def tracked_chunk(side, state, m, d0s, d1s):
         state = advance(side, state, m, d0s, d1s)
         deepest[0] = max(deepest[0], state[0])
         return state
 
-    # the Theta head steps the generator, `_Series` the chunked kernel
-    monkeypatch.setattr(core, "_rational_steps", tracked)
+    # the Theta loop and `_Series` both step the chunked kernel
     monkeypatch.setattr(core, "_advance", tracked_chunk)
     problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
     eigs = sph.eigenvalues(problem, 8)

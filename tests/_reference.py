@@ -13,8 +13,8 @@ u_0..u_{k-1}, and forms
     nu_k  = J p_k / <J p_k, b1>,          J = [[0,1],[-1,0]],
     Theta_k = <d_k, nu_k>
 
-on numpy arrays.  It shares no code with the library, so that the kernel
-and the Theta loop can be checked against it.
+on numpy arrays.  It shares no arithmetic with the library, so that the
+kernel and the Theta loop can be checked against it.
 
 It also holds the rational kernel as a generator that yields after every
 step (`rational_steps`): the same operations in the same order as the

@@ -513,9 +513,8 @@ def test_rational_kernel_agrees_with_generic_streams(gamma_re, gamma_im, lam,
 
 def _generator_run(side, state, m):
     """The reference generator's steps after ``state``, up to m of them, as
-    the states
-    (k, u, d, sums) after each, and the message of the SingularStep that
-    ends them early, if one does."""
+    the states (k, u, d, sums) after each, and the message of the
+    SingularStep that ends them early, if one does."""
     k, u, d, sums = state
     sums = [list(s) for s in sums]
     out = []

@@ -4,10 +4,12 @@ Two checkouts that print the same digest give bit-identical results on
 every record.  The records cover
 
 * Theta: `core.theta_iterate` at orders 2..8 and on systems with two
-  poles, `ell.theta`, `ell.theta_hat` and `sph.theta_t` on parameter
-  lattices, real and complex;
+  poles, one `core.theta_many` batch of two-pole kernels, `ell.theta`,
+  `ell.theta_hat` and `sph.theta_t` on parameter lattices, real and
+  complex;
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
-  the default and with explicit scan ranges;
+  the default and with explicit scan ranges, and with gamma2 off the
+  scan's grid;
 * eigenfunctions: `sph.eigenfunction` values and parities, and
   `ell.eigenfunction` series, matching constants, values and both
   normalizations;
@@ -153,6 +155,19 @@ def _theta_iterate_records():
                lambda system=system, tol=tol: core.theta_iterate(
                    system, eigen, n=5, tol=tol))
 
+    # one batch of float kernels on the general branch: both pole pairs,
+    # over a range of A's a12 (the frame's eigenvectors do not move)
+    def batch():
+        kernels = []
+        for poles in ((2.5, -3.0), (2.5, 1.02)):
+            for a12 in np.linspace(0.5, 4.0, 20):
+                system = core.TwoPointSystem.from_rational(
+                    np.array([[-0.5, a12], [0.0, 0.0]]), B, const, poles,
+                    residues)
+                kernels.append(core.theta_kernel(system, eigen))
+        return core.theta_many(kernels, n=5, tol=1e-10)
+    yield "theta_many/two_poles", batch
+
 
 def _ell_theta_records():
     points = [(-1.0, -2.0), (0.5, 0.25), (3.2, -5.0)]
@@ -194,6 +209,9 @@ def _spectrum_records():
         ("explicit", (0, 4.0), 2, (-4.0, 2.0)),
         ("extended", (0, 4.0), 2, (-4.0, -1.0)),
         ("exhausted", (0, 4.0), 3, (-4.0, -3.0)),
+        # gamma2 off the scan's 0.5 grid
+        ("offgrid(0,4.1)", (0, 4.1), 4, None),
+        ("offgrid(1,9.3)", (1, 9.3), 3, None),
     ]
     for name, (mu, gamma2), count, t_range in cases:
         p = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)

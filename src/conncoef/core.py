@@ -1069,26 +1069,24 @@ def _float_row(kernel: ThetaKernel) -> list | None:
     return row if set(map(type, row)) == {float} else None
 
 
-def _batch_start(side, x0, x1) -> list:
-    """State u_0 = d_0 = s_0^(j) = (x0, x1) of `_batch_step` on ``side``."""
-    w0 = w1 = np.zeros(len(x0))
-    for j in range(12, len(side), 5):
-        q11, q12, q21, q22, _ = side[j:j + 5]
-        w0 = w0 + (q11 * x0 + q12 * x1)
-        w1 = w1 + (q21 * x0 + q22 * x1)
-    return [x0, x1, x0, x1, w0, w1] + [x0, x1] * ((len(side) - 12) // 5)
-
-
 def _batch_step(k: int, side, state: list):
     """One step of `_advance`'s general loop on arrays, operation for
     operation.
 
     ``side`` holds one row per scalar of a side (see `ThetaKernel`),
-    ``state`` the arrays u0, u1, d0, d1, w0, w1 and s0, s1 per pole.
-    Returns the new state and the mask of singular steps.
+    ``state`` the arrays u0, u1, d0, d1 and s0, s1 per pole; the series
+    from (x0, x1) starts at ``[x0, x1] * (2 + poles)``.  The state's
+    arrays are replaced in place by the new ones, and the mask of singular
+    steps is returned.
     """
     a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
-    u0, u1, d0, d1, w0, w1, *sums = state
+    u0, u1, d0, d1 = state[0], state[1], state[2], state[3]
+    poles = range(12, len(side), 5), range(4, len(state), 2)
+    w0 = w1 = np.zeros(len(u0))
+    for j, i in zip(*poles):
+        q11, q12, q21, q22, _ = side[j:j + 5]
+        w0 = w0 + (q11 * state[i] + q12 * state[i + 1])
+        w1 = w1 + (q21 * state[i] + q22 * state[i + 1])
     r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
     r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
     m11 = a11 - k
@@ -1096,15 +1094,12 @@ def _batch_step(k: int, side, state: list):
     det = m11 * m22 - a12 * a21
     u0 = (m22 * r0 - a12 * r1) / det
     u1 = (m11 * r1 - a21 * r0) / det
-    w0 = w1 = np.zeros(len(det))
-    for i, j in enumerate(range(12, len(side), 5)):
-        q11, q12, q21, q22, inv_c = side[j:j + 5]
-        s0 = sums[2 * i] = sums[2 * i] * inv_c + u0
-        s1 = sums[2 * i + 1] = sums[2 * i + 1] * inv_c + u1
-        w0 = w0 + (q11 * s0 + q12 * s1)
-        w1 = w1 + (q21 * s0 + q22 * s1)
-    return ([u0, u1, d0 + u0, d1 + u1, w0, w1, *sums],
-            np.abs(det) < _SINGULAR_STEP_TOL)
+    state[0], state[1], state[2], state[3] = u0, u1, d0 + u0, d1 + u1
+    for j, i in zip(*poles):
+        inv_c = side[j + 4]
+        state[i] = state[i] * inv_c + u0
+        state[i + 1] = state[i + 1] * inv_c + u1
+    return np.abs(det) < _SINGULAR_STEP_TOL
 
 
 def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
@@ -1166,12 +1161,11 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     a00, a01, b10, b11, b20, b21, delta = table[-7:]
 
     # the mirrored prefix sums d~_1..d~_n; a singular step fails its kernel
-    state = _batch_start(mirror, b20, b21)
+    state = [b20, b21] * (2 + (len(mirror) - 12) // 5)
     failed = np.zeros(table.shape[1], dtype=bool)
     accel = []
     for k in range(1, n + 1):
-        state, singular = _batch_step(k, mirror, state)
-        failed |= singular
+        failed |= _batch_step(k, mirror, state)
         accel += [(k - 1) + delta, state[2], state[3]]
     if not all(np.isfinite(t[~failed]).all()
                for t in accel[1::3] + accel[2::3]):
@@ -1189,7 +1183,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
 
     side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), acc = split(
         consts)
-    state = _batch_start(side, a00, a01)
+    state = [a00, a01] * (2 + (len(side) - 12) // 5)
     cols = np.arange(len(failed))       # the table column of each entry
     prev = theta = last_d = np.full(len(cols), np.nan)
     raw = np.full(len(cols), np.inf)
@@ -1201,7 +1195,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
         """Entry j's run, continued from step k on `_theta_loop`."""
         x = [v[j].item() for v in state]
         a = acc[:, j].tolist()
-        series = (k, x[0:2], x[2:4], [x[i:i + 2] for i in range(6, len(x), 2)])
+        series = (k, x[0:2], x[2:4], [x[i:i + 2] for i in range(4, len(x), 2)])
         loop_state = (prev[j].item() if has_prev[j] else None,
                       theta[j].item() if seen[j] else complex("nan"),
                       raw[j].item(), calm[j].item(),
@@ -1214,7 +1208,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                            n, tol, k_max, k_start, None, loop_state)
 
     for k in range(1, k_max + 1):
-        state, stop = _batch_step(k, side, state)
+        stop = _batch_step(k, side, state)
         if k >= k_start:
             theta_k, valid = _theta_k(
                 k, state[2], state[3], zip(acc[0::3], acc[1::3], acc[2::3]),

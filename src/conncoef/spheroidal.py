@@ -153,16 +153,15 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     the target.  NaN scan samples are skipped; one RuntimeWarning says how
     many were evaluated.
 
-    t_scan_range defaults to [lo, hi] = [-2|gamma2|-2, lo + max(8,
-    2*count)].  While the scanned range ends with fewer than count sign
-    changes, hi moves to hi + (hi - lo), doubling the span: at most 64
-    times for the default range, once for an explicit one.  Each segment is
-    walked from its left end by t += step, and each end is sampled once.
-    The default scan starts at the walk's last point <= -max(gamma2, 0) - 2
-    and steps over the points below it unevaluated: by the Rayleigh
-    quotient, lam >= mu(mu+1) - max(gamma2, 0), so no root t lies below
-    -max(gamma2, 0).  If sign changes are still missing, or they polish to
-    fewer than count distinct roots, ScanExhausted is raised.  ValueError
+    t_scan_range defaults to [lo, hi] = [-max(gamma2, 0) - 2, lo + max(8,
+    2*count)]: by the Rayleigh quotient, lam >= mu(mu+1) - max(gamma2, 0),
+    so no root t lies below -max(gamma2, 0).  While the scanned range ends
+    with fewer than count sign changes, hi moves to hi + (hi - lo),
+    doubling the span: at most 64 times for the default range, once for an
+    explicit one.  Each segment is walked from its left end by t += step,
+    and each end is sampled once.  If sign changes are still missing, or
+    they polish to fewer than count distinct roots, ScanExhausted is
+    raised.  ValueError
     is raised before any Theta evaluation for a problem that is not real
     (the scan and the secant see only Re Theta over real t), count not an
     integer >= 1, tol not finite and > 0 or an explicit range that is not
@@ -190,14 +189,12 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
         return theta_t(t, problem, n=n, tol=scan_tol, k_max=k_max).theta.real
 
     if t_scan_range is None:
-        lo = -2.0 * abs(complex(problem.gamma2)) - 2.0
+        lo = -max(complex(problem.gamma2).real, 0.0) - 2.0
         hi = lo + max(8.0, 2.0 * count)
         extensions = 64
-        floor = -max(complex(problem.gamma2).real, 0.0) - 2.0
     else:
         lo, hi = float(t_scan_range[0]), float(t_scan_range[1])
         extensions = 1
-        floor = lo
     roots: list[float] = []
     found = 0
     skipped: list[float] = []
@@ -212,20 +209,7 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
             start, hi = hi, hi + (hi - lo)
             yield from itertools.islice(_grid(start, hi, _SCAN_STEP), 1, None)
 
-    def points():
-        # the walk from its last point <= floor; the points below it are
-        # stepped over unevaluated
-        steps = walk()
-        start = next(steps)
-        for t in steps:
-            if t > floor:
-                steps = itertools.chain([t], steps)
-                break
-            start = t
-        yield start
-        yield from steps
-
-    for a, b in _scan_brackets(f_scan, points(), skipped):
+    for a, b in _scan_brackets(f_scan, walk(), skipped):
         found += 1
         r = secant(f, a, b, opts)
         if not any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):

@@ -457,6 +457,41 @@ def test_eigen_ell_seeds_json(capsys):
     assert pairs[0]["residual_theta"] <= 1e-8
 
 
+def test_eigen_ell_drops_a_pair_an_earlier_seed_found(capsys):
+    # both seeds polish to the table pair (0.25, -0.5) at the command's
+    # default tol 1e-8; the second pair is within 1e-6 of the first, so
+    # only the first is printed
+    problem = ell.EllipsoidalProblem(gamma=0.0, c=float(C_TABLE), tau=1)
+    opts = SolverOptions(tol_residual=1e-8)
+    first, second = (ell.solve_pair(*seed, problem, opts=opts)
+                     for seed in ((0.26, -0.45), (0.25, -0.5)))
+    assert abs(second.lam - first.lam) <= 1e-6
+    assert abs(second.mu - first.mu) <= 1e-6
+    rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
+               "--seed", "0.26", "-0.45", "--seed", "0.25", "-0.5",
+               "--json"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == [{
+        "lambda": first.lam, "mu": first.mu,
+        "residual_theta": first.residual_theta,
+        "residual_theta_hat": first.residual_theta_hat,
+        "iterations": first.iterations}]
+    assert repr(first.lam) == "0.2499999998921532"
+
+
+def test_eigen_ell_abramov_without_k2_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(ell, "solve_pair", lambda *a, **kw: pytest.fail(
+        "solve_pair ran"))
+    rc = main(["eigen-ell", "--abramov", "--omega2", "1", "--rho", "1",
+               "--tau", "1", "--seed", "1", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --abramov needs --k2 and --omega2\n"
+    assert captured.out == ""
+
+
 def test_eigen_ell_abramov_fields(capsys):
     rc = main(["eigen-ell", "--abramov", "--k2", "0.5", "--omega2", "1",
                "--rho", "1", "--tau", "1",

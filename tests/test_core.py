@@ -846,7 +846,7 @@ def _all_scalar(kernel, **kw):
 
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(family=hst.sampled_from(["ell", "sph"]),
+@given(family=hst.sampled_from(["ell", "sph", "two poles"]),
        x=hst.floats(-20.0, 20.0, **_finite),
        lo=hst.floats(-20.0, 0.0, **_finite),
        span=hst.floats(0.5, 20.0, **_finite),
@@ -860,6 +860,9 @@ def _all_scalar(kernel, **kw):
        head=hst.sampled_from([0, 1, 7, 512]))
 @example(family="sph", x=4.0, lo=-3.0, span=3.0, c=2.0, bits=(0, 0, 0), n=5,
          log_tol=-12.0, budget=30, extra="none", lockstep_min=1, head=0)
+@example(family="two poles", x=4.0, lo=-3.0, span=3.0, c=1.5, bits=(0, 0, 0),
+         n=5, log_tol=-8.0, budget=3000, extra="complex", lockstep_min=8,
+         head=512)
 def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
                                            log_tol, budget, extra,
                                            lockstep_min, head):
@@ -871,12 +874,25 @@ def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
                    for make in (ell._kernel, ell._hat_kernel)]
         odd = ell._kernel(axis[1], -axis[2],
                           replace(problem, gamma=complex(x, 1.5)))
-    else:
+    elif family == "sph":
         problem = sph.SpheroidalProblem(mu=bits[0] + bits[1] / 2, gamma2=x)
         kernels = [sph._kernel(float(t), problem)
                    for t in np.linspace(lo, lo + 4 * span, 16)]
         odd = sph._kernel(axis[1], sph.SpheroidalProblem(
             mu=problem.mu, gamma2=complex(x, 1.5)))
+    else:
+        # the kernel's general branch: poles c and -3 over a range of A's
+        # a12, which moves no eigenvector of the frame; the twin's second
+        # pole lies off the real axis
+        def two_poles(a12, pole=-3.0):
+            return core._kernel_of(
+                (-0.5, a12, 0.0, 0.0), (-0.5, 1.0, 0.0, 0.0),
+                (0.0, 0.0, x / 20, 0.0), (c, pole),
+                ((-0.5, 0.7, 0.0, 0.0), (0.2, -0.4, 0.6, 0.1)),
+                -0.5, (1.0, 0.0), -0.5, 0.0, (1.0, 0.0), (2.0, 1.0))
+        kernels = [two_poles(float(a12))
+                   for a12 in np.linspace(lo, lo + 4 * span, 16)]
+        odd = two_poles(float(axis[1]), complex(-3.0, 1.5))
     # the scalar fallback, or a node whose step k = 3 (main series) or
     # k = 1 (mirrored series) is singular
     if extra == "complex":

@@ -457,7 +457,7 @@ def _eager_eigenvalues(problem, count, t_scan_range=None, samples=None):
         return sph.theta_t(t, problem, tol=scan_tol).theta.real
 
     if t_scan_range is None:
-        lo = -2.0 * abs(complex(problem.gamma2)) - 2.0
+        lo = -max(complex(problem.gamma2).real, 0.0) - 2.0
         hi = lo + max(8.0, 2.0 * count)
         extensions = 64
     else:
@@ -508,8 +508,7 @@ _SPECTRA = [
     ((0, 4.0), 2, (-4.0, -1.0)), ((0, 4.0), 3, (-4.0, -3.0)),
     ((0, 16.0), 8, None), ((0, -4.0), 6, None), ((2, -9.0), 5, None),
     ((0, 0.0), 8, None), ((1, 4.0), 6, None),
-    # gamma2 not a multiple of 0.25, so t += step rounds; the first segment
-    # of (1, 9.3) lies wholly below the scan's start
+    # gamma2 not a multiple of 0.25, so t += step rounds
     ((0, 4.1), 4, None), ((1, 9.3), 3, None),
 ]
 
@@ -546,12 +545,9 @@ def test_scan_stops_at_the_sample_closing_the_last_bracket(
 
     monkeypatch.setattr(sph, "theta_t", counting_theta_t)
     sph.eigenvalues(problem, count, t_scan_range=t_range)
-    # the same grid with each segment end once, from the default range's
-    # start, walked up to the closing sample and no further
+    # the same grid with each segment end once, walked up to the closing
+    # sample and no further
     walk = [t for i, t in enumerate(every) if i == 0 or t != every[i - 1]]
-    if t_range is None:
-        floor = -max(problem.gamma2, 0.0) - 2.0
-        walk = walk[max(i for i, t in enumerate(walk) if t <= floor):]
     assert scanned == walk[:walk.index(closing) + 1]
     assert scanned[-1] == closing == max(scanned)
     assert len(scanned) < len(every)
@@ -601,24 +597,13 @@ def test_nan_warning_counts_only_the_samples_evaluated(monkeypatch):
     assert eigs[0].t_root == pytest.approx(4.7)
 
 
-@pytest.mark.parametrize("gamma2", [100.0, 9.3])
-def test_default_scan_starts_at_the_walks_last_point_below_rayleigh(
-        monkeypatch, gamma2):
-    # lam >= mu(mu+1) - max(gamma2, 0), so no root lies below t = -gamma2;
-    # the scan starts at the last point <= -gamma2 - 2 of the doubled walk
-    # from -2|gamma2| - 2, reached by the same t += step
-    walk = []
-    lo = -2.0 * gamma2 - 2.0
-    seg_lo, hi = lo, lo + 8.0
-    while not walk or walk[-1] <= -gamma2 - 2.0:
-        bracket_scan(lambda t: walk.append(t) or 1.0, seg_lo, hi, 0.5)
-        seg_lo, hi = hi, hi + (hi - lo)
-    start = max(t for t in walk if t <= -gamma2 - 2.0)
+@pytest.mark.parametrize("gamma2", [100.0, 9.3, -100.0])
+def test_default_scan_starts_at_the_rayleigh_bound(monkeypatch, gamma2):
+    # lam >= mu(mu+1) - max(gamma2, 0), so no root lies below
+    # t = -max(gamma2, 0); the scan starts 2 below that bound
     scanned = _stubbed_scan(monkeypatch, lambda t: t - 0.25)
     eigs = sph.eigenvalues(sph.SpheroidalProblem(0, gamma2), 1)
-    assert scanned[0] == start
-    if gamma2 == 100.0:
-        assert start == -102.0
+    assert scanned[0] == -max(gamma2, 0.0) - 2.0
     assert eigs[0].t_root == 0.25
 
 

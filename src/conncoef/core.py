@@ -39,7 +39,9 @@ iteration stops on the a posteriori bound
 
     |Theta - Theta_k| <= (1+eps) * k * |Theta_k - Theta_{k-1}| / (Re(delta)+n+1),
 
-valid for every eps > 0 once k is large enough; see `theta_iterate`.
+valid for every eps > 0 once k is large enough; it stops once that bound
+meets tol, or rtol * |Theta_k| when a relative limit is asked for; see
+`theta_iterate`.
 
 Every series runs on one scalar recurrence kernel, which reads one plain
 description of the problem, a `ThetaKernel`: Python scalars for the entries
@@ -650,8 +652,9 @@ class ThetaResult:
         Final Theta_k (the best estimate of Theta).
     error_bound : float
         A posteriori bound 2 * k * |Theta_k - Theta_{k-1}| / (Re(delta)+n+1);
-        at convergence this is <= 2*tol and, on the regression corpus, an
-        upper bound for the true error |Theta - Theta_k|.
+        at convergence this is <= 2 * max(tol, rtol * |Theta_k|) and, on the
+        regression corpus, an upper bound for the true error
+        |Theta - Theta_k|.
     k_final : int
         Terminal series index.
     n : int
@@ -678,17 +681,22 @@ _BOUND_SAFETY = 2.0
 _MONOTONE_STEPS = 5
 
 
-def _first_index(n, tol, k_max, delta) -> int:
-    """The one check of n, tol and k_max; returns the first usable index.
+def _first_index(n, tol, k_max, delta, rtol=0.0) -> int:
+    """The one check of n, tol, rtol and k_max; returns the first usable
+    index.
 
     k_start is the first k > Re(delta) + n - 1, where no denominator
     m + delta - k of p_k vanishes, and at least 1; with ``delta`` None it is
-    1, the least for any delta.  ``tol >= 0`` is False for NaN.
+    1, the least for any delta.  ``tol >= 0`` is False for NaN, and
+    ``0 <= rtol < inf`` for NaN and inf.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if not (isinstance(tol, numbers.Real) and tol >= 0):
         raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
+    if not (isinstance(rtol, numbers.Real) and 0 <= rtol < math.inf):
+        raise ValueError(f"rtol must be a finite real number >= 0, got "
+                         f"{rtol!r}")
     k_start = 1 if delta is None else max(math.floor(delta.real + n - 1) + 1,
                                           1)
     if not (isinstance(k_max, numbers.Integral) and k_max >= k_start):
@@ -698,8 +706,10 @@ def _first_index(n, tol, k_max, delta) -> int:
 
 
 def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
-                  tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
-    """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets tol.
+                  tol: float = 1e-10, k_max: int = 10 ** 6,
+                  rtol: float = 0.0) -> ThetaResult:
+    """Iterate Theta_k = <d_k, nu_k> until the a posteriori bound meets its
+    limit, tol or rtol * |Theta_k|.
 
     Runs the mirrored recurrence (the ``mirror`` side of the `ThetaKernel`)
     for the first n prefix sums d~_1..d~_n, then advances the main
@@ -718,13 +728,15 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     128 to 1024 steps, one numpy operation per scalar operation in the same
     order, so the result keeps every bit; a series with a complex scalar
     runs on scalars throughout (numpy's complex division is not CPython's).
-    Stops at the first k where
+    Stops at the first k where the bound
 
-        k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1) <= tol
+        bound_k = k * |Theta_k - Theta_{k-1}| / (Re(delta) + n + 1)
 
-    and the bound has been non-increasing over the last 5 recorded steps
-    (values at or below tol never break monotonicity: near the roundoff floor
-    of |Theta_k - Theta_{k-1}| the sequence jitters by design).  The reported
+    meets its limit, ``bound_k <= tol``, or ``bound_k <= rtol * |Theta_k|``
+    with rtol > 0 and bound_k (and so Theta_k) finite, and the bound has
+    been non-increasing over the last 5 recorded steps (values that meet
+    the limit never break monotonicity: near the roundoff floor of
+    |Theta_k - Theta_{k-1}| the sequence jitters by design).  The reported
     ``error_bound`` carries a safety factor 2 over the raw bound.
 
     Parameters
@@ -738,10 +750,16 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         hundred steps on the wave-equation systems; n <= 1 may need millions
         of steps (raise k_max accordingly).
     tol : float
-        Target for the raw a posteriori bound.
+        Absolute target for the raw a posteriori bound.
     k_max : int
         Step budget, at least k_start; on exhaustion the best Theta_k and
         bound so far are returned with status ``"k_max_reached"``.
+    rtol : float
+        Relative target: a bound at or below rtol * |Theta_k| also meets
+        the limit.  At large |Theta|, tol can lie below the rounding of
+        Theta_k, and the absolute rule then runs until Theta_k stops
+        changing in floating point; rtol stops it at the digits that
+        |Theta_k| can carry.  The default 0 is the absolute rule alone.
 
     Returns
     -------
@@ -753,8 +771,8 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
     ------
     ValueError
         Before any series work unless n is an integer >= 0, tol a real
-        number >= 0 (not NaN) and k_max an integer >= k_start; and if
-        d~_0..d~_n are not finite.
+        number >= 0 (not NaN), rtol a finite real number >= 0 and k_max an
+        integer >= k_start; and if d~_0..d~_n are not finite.
     FrameMismatch
         If the frame's eigen-residuals against the system exceed 1e-10
         (relative).
@@ -765,9 +783,9 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         if frame is not None:
             raise TypeError("pass frame=None with a ThetaKernel")
         kernel = system
-        k_start = _first_index(n, tol, k_max, kernel.delta)
+        k_start = _first_index(n, tol, k_max, kernel.delta, rtol)
     else:
-        k_start = _first_index(n, tol, k_max, frame.delta)
+        k_start = _first_index(n, tol, k_max, frame.delta, rtol)
         kernel = theta_kernel(system, frame)        # the one frame check
 
     main, mirror, a0, b1, b2, delta = kernel
@@ -779,7 +797,7 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
         raise ValueError(_MIRROR_NOT_FINITE)
     accel = [(m + delta, t0, t1) for m, (t0, t1) in enumerate(zip(t0s, t1s))]
     return _theta_loop(main, _origin(main, a0), accel, b1, b2, delta, n, tol,
-                       k_max, k_start, kernel)
+                       rtol, k_max, k_start, kernel)
 
 
 #: the state of `_theta_loop` before its first step: Theta_{k-1} (None after
@@ -803,7 +821,7 @@ _TAIL_MIN, _TAIL_MAX = 128, 1024
 
 
 def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
-                k_max: int, k_start: int, kernel=None,
+                rtol, k_max: int, k_start: int, kernel=None,
                 state=_FRESH) -> ThetaResult:
     """The Theta loop of `theta_iterate` over the main series on ``side``.
 
@@ -815,7 +833,8 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
     Each block of steps is stepped (`_advance`), then read.  The head reads
     `_HEAD_EVERY` steps at a time in scalars, through step `_HEAD` (or
     k_start - 1, if later), or to a block end from `_HEAD_MIN` on where
-    `_tail_len` shows a long series still to go.  The rest is read in
+    `_tail_len` shows a long series still to go, sized from the limit at
+    the last Theta_k (`_limit`).  The rest is read in
     float64 chunks (`_tail_block`) if every scalar of ``kernel`` is a
     float, or if ``kernel`` is None, as for a run of `_lockstep`, and in
     the head otherwise; that check comes at most once, and never in a run
@@ -831,8 +850,9 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
     early = max(_HEAD_MIN, k_start)         # the first early hand-off
     head, floor = True, False
     while k < k_max:
+        limit = _limit(tol, rtol, theta) if rtol else tol
         if head and (k == end or k >= early and _tail_len(
-                k, raw_bound, tol, denom) >= 2 * _TAIL_MIN):
+                k, raw_bound, limit, denom) >= 2 * _TAIL_MIN):
             if kernel is None or _float_row(kernel) is not None:
                 head = False
             else:       # a complex scalar: the rest in the head
@@ -840,7 +860,7 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
         if head:
             m = min(_HEAD_EVERY, end - k)
         else:
-            m = min(_tail_len(k, raw_bound, tol, denom, floor), k_max - k)
+            m = min(_tail_len(k, raw_bound, limit, denom, floor), k_max - k)
         d0s, d1s, error = [], [], None
         try:
             series = _advance(side, series, m, d0s, d1s)
@@ -868,17 +888,23 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 if prev_theta is not None:
                     dtheta = theta - prev_theta
                     bound = k * abs(dtheta) / denom
-                    # a value at or below tol never breaks the run
-                    calm = (calm + 1 if bound <= raw_bound or bound <= tol
-                            else 1)
-                    raw_bound = bound
                     last_pair = (k, dtheta)
-                    if bound <= tol and calm >= _MONOTONE_STEPS:
-                        return _converged(theta, bound, k, n, last_pair, delta)
+                    # the limit: tol, or rtol * |Theta_k| at a finite bound
+                    # (a finite bound has a finite Theta_k); a value that
+                    # meets it never breaks the run
+                    if bound <= tol or rtol and bound < math.inf and (
+                            bound <= rtol * abs(theta)):
+                        calm += 1
+                        if calm >= _MONOTONE_STEPS:
+                            return _converged(theta, bound, k, n, last_pair,
+                                              delta)
+                    else:
+                        calm = calm + 1 if bound <= raw_bound else 1
+                    raw_bound = bound
                 prev_theta = theta
         elif d0s:
             stop, run, floor = _tail_block(
-                k, d0s, d1s, accel, b1, b2, b1_norm, delta, n, tol,
+                k, d0s, d1s, accel, b1, b2, b1_norm, delta, n, tol, rtol,
                 (prev_theta, theta, raw_bound, calm, last_pair, seen_valid))
             if stop is not None:
                 return stop
@@ -891,7 +917,7 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
 
 
 def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
-                state):
+                rtol, state):
     """Read steps k + 1, ..., k + len(d0) of `_theta_loop` on float64 arrays.
 
     ``d0`` and ``d1`` are the prefix sums' components there, ``state`` the
@@ -900,7 +926,7 @@ def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
     operation per scalar operation of the head, in the same order
     (`_theta_k`), so IEEE arithmetic gives the head's bits.  Returns the
     `ThetaResult` of the stop or None, the state after the block, and
-    whether the block recorded a bound at or below tol.
+    whether the block recorded a bound that met the limit.
     """
     prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
     b20, b21 = b2
@@ -918,6 +944,8 @@ def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
             np.nan if prev_theta is None else prev_theta, theta_k[:-1])[rec]
         bound = ks[rec] * np.abs(dtheta) / denom
         low = bound <= tol
+        if rtol:
+            low |= (bound < np.inf) & (bound <= rtol * np.abs(theta_k[rec]))
         # the non-increasing run after each recorded step: 1 at a step that
         # breaks it, and up from calm until one does
         at = np.arange(len(rec))
@@ -940,32 +968,43 @@ def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
                   seen_valid), bool(low.any())
 
 
-def _tail_len(k: int, raw_bound, tol, denom, floor=False) -> int:
+def _tail_len(k: int, raw_bound, limit, denom, floor=False) -> int:
     """Steps of the next tail chunk after step k: those until a bound
-    falling like k**-denom from ``raw_bound`` meets tol, within
-    [`_TAIL_MIN`, `_TAIL_MAX`].
+    falling like k**-denom from ``raw_bound`` meets ``limit`` (`_limit`),
+    within [`_TAIL_MIN`, `_TAIL_MAX`].
 
-    ``floor`` says that the chunk just done recorded a bound at or below
-    tol without a stop: the run has reached its roundoff floor, where
+    ``floor`` says that the chunk just done recorded a bound that met the
+    limit without a stop: the run has reached its roundoff floor, where
     Theta_k repeats or moves by an ulp, or is a few steps from its stop;
     either way the decay does not tell when the run stops.  A chunk of
     ``steps`` is then cut to sqrt(2 * `_TAIL_MIN` * steps): the length that
     weighs one more chunk, whose numpy calls cost about `_TAIL_MIN` steps,
     against the half chunk that a chunk overshoots the stop by on average.
     """
-    if raw_bound <= tol:
+    if raw_bound <= limit:
         return _TAIL_MIN
-    if not (tol > 0 and raw_bound < math.inf):
+    if not (limit > 0 and raw_bound < math.inf):
         steps = _TAIL_MAX
     else:
         try:
-            steps = min(max(k * ((raw_bound / tol) ** (1 / denom) - 1),
+            steps = min(max(k * ((raw_bound / limit) ** (1 / denom) - 1),
                             _TAIL_MIN), _TAIL_MAX)
-        except OverflowError:       # denom < 1 and a bound far above tol
+        except OverflowError:       # denom < 1 and a bound far above limit
             steps = _TAIL_MAX
     if floor:
         steps = min(steps, math.sqrt(2 * _TAIL_MIN * steps))
     return int(steps)
+
+
+def _limit(tol, rtol, theta) -> float:
+    """The stop rule's limit max(tol, rtol * |theta|) for sizing the tail
+    at the last Theta_k ``theta``; tol where rtol * |theta| is not finite.
+
+    |theta| is math.hypot of its parts: CPython's abs of a complex can
+    raise at a NaN part (see `_Series._read`).
+    """
+    rel = rtol * math.hypot(theta.real, theta.imag)
+    return rel if tol < rel < math.inf else tol
 
 
 def _spent(state, n: int, k_max: int, delta) -> ThetaResult:
@@ -1205,7 +1244,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                            list(zip(a[0::3], a[1::3], a[2::3])),
                            (b10[j].item(), b11[j].item()),
                            (b20[j].item(), b21[j].item()), delta[j].item(),
-                           n, tol, k_max, k_start, None, loop_state)
+                           n, tol, 0.0, k_max, k_start, None, loop_state)
 
     for k in range(1, k_max + 1):
         stop = _batch_step(k, side, state)

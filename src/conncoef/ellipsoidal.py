@@ -207,28 +207,32 @@ def _kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
 
 
 def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
-          k_max: int = 10 ** 6) -> ThetaResult:
+          k_max: int = 10 ** 6, rtol: float = 0.0) -> ThetaResult:
     """Connection coefficient Theta(lam, mu) of the (0, 1) singular pair.
 
     Theta vanishes exactly when the chosen local solution at z=0 connects
     to the subdominant local solution at z=1.  Runs `theta_iterate` on the
     kernel of `build_system` and `spectral_frame` (one pole at c plus a
     constant term), built with no array, so each recurrence step is O(1)
-    work; the values are those of the system and frame, bit for bit.
+    work; the values are those of the system and frame, bit for bit.  The
+    series stops once its bound meets tol or rtol * |Theta_k| (see
+    `theta_iterate`); the default rtol = 0 is the absolute rule alone.
     """
     return theta_iterate(_kernel(lam, mu, problem), None, n=n, tol=tol,
-                         k_max=k_max)
+                         k_max=k_max, rtol=rtol)
 
 
 def theta_hat(lam, mu, problem: EllipsoidalProblem, n: int = 5,
-              tol: float = 1e-10, k_max: int = 10 ** 6) -> ThetaResult:
+              tol: float = 1e-10, k_max: int = 10 ** 6,
+              rtol: float = 0.0) -> ThetaResult:
     """Connection coefficient of the transformed (c, 1) singular pair.
 
     Equals `theta` of the hatted parameters with exponent bits
-    (tau, sigma, rho); see `hat_parameters`.
+    (tau, sigma, rho), at the same n, tol, k_max and rtol; see
+    `hat_parameters`.
     """
     lam_h, mu_h, hat_prob = hat_parameters(lam, mu, problem)
-    return theta(lam_h, mu_h, hat_prob, n=n, tol=tol, k_max=k_max)
+    return theta(lam_h, mu_h, hat_prob, n=n, tol=tol, k_max=k_max, rtol=rtol)
 
 
 # --------------------------------------------------------------------------
@@ -250,13 +254,33 @@ class EigenPair:
     iterations: int
 
 
+#: relative tolerance of `solve_pair`'s Theta evaluations.  F's relative
+#: error enters the solver only at this level.  An error of 1e-8 * |F|
+#: moves an entry of the difference Jacobian (step h = 1e-6 * (1 + |x|))
+#: by 1e-8 * |F| / h, which is 1e-2 * |F| / (|J| * (1 + |x|)) of the entry:
+#: one percent of the Newton step |F| / |J| measured against 1 + |x|, far
+#: less from a seed near its root.  Broyden's residual comparisons decide
+#: alike unless two trial points' |F| agree to 1e-8.  At a root the solver
+#: reaches, |Theta| <= tol_residual, and 1e-8 * |Theta| lies far below the
+#: absolute evaluation tolerance tol_residual / 10, so the absolute rule
+#: stops those calls and the returned residuals keep their meaning.  Far
+#: from one, at |Theta| ~ 1e7 on the steep wave rows, the absolute
+#: tolerance lies below the rounding of Theta, and the absolute rule alone
+#: runs ~22 000 steps until Theta_k stops changing.
+_EVAL_RTOL = 1e-8
+
+
 def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
                opts: SolverOptions | None = None, n: int = 5,
                k_max: int = 50_000) -> EigenPair:
     """Solve Theta = Theta-hat = 0 by Broyden iteration from the seed.
 
-    Theta evaluations run at tolerance opts.tol_residual / 10 so that
-    evaluation noise stays below the residual target (default 1e-9).
+    Theta evaluations stop once their bound meets the absolute tolerance
+    max(opts.tol_residual / 10, 1e-13), so that evaluation noise stays
+    below the residual target (default 1e-9), or the relative one
+    1e-8 * |Theta| (`_EVAL_RTOL`), which binds only where |Theta| exceeds
+    1e8 times the absolute one: far from a root, or at a residual floor
+    such as the one below.
     For steep problems (large |lam|, |mu|) the achievable residual bottoms
     out near |dTheta/dlam| * ulp(lam), which can lie far above any useful
     target: at the wave row k^2 = 0.9, omega^2 = 25, H = 141.0901 it is
@@ -287,8 +311,10 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     def F(x):
         nonlocal n_evals
         n_evals += 2
-        th = theta(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max)
-        thh = theta_hat(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max)
+        th = theta(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max,
+                   rtol=_EVAL_RTOL)
+        thh = theta_hat(x[0], x[1], problem, n=n, tol=eval_tol, k_max=k_max,
+                        rtol=_EVAL_RTOL)
         f = evaluated[x.tobytes()] = [th.theta.real, thh.theta.real]
         return f
 

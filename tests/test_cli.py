@@ -478,7 +478,7 @@ def test_eigen_ell_drops_a_pair_an_earlier_seed_found(capsys):
         "residual_theta": first.residual_theta,
         "residual_theta_hat": first.residual_theta_hat,
         "iterations": first.iterations}]
-    assert repr(first.lam) == "0.2499999998921532"
+    assert repr(first.lam) == "0.24999999989215324"
 
 
 def test_eigen_ell_abramov_without_k2_exits_1(monkeypatch, capsys):

@@ -433,12 +433,66 @@ def test_theta_iterate_rejects_negative_tol():
     ({"n": 2.5}, "n must be"),
     ({"k_max": 2.5}, "k_max"),
     ({"k_max": 12.5}, "k_max"),
+    ({"rtol": float("nan")}, "rtol"),
+    ({"rtol": -1.0}, "rtol"),
+    ({"rtol": math.inf}, "rtol"),
+    ({"rtol": "1e-8"}, "rtol"),
 ])
-def test_theta_iterate_rejects_bad_arguments(kwargs, what):
+def test_theta_iterate_rejects_bad_arguments(kwargs, what, monkeypatch):
     # each bad argument is a ValueError naming it, raised before any step
-    # (a NaN tol would otherwise run the whole step budget)
-    with pytest.raises(ValueError, match=what):
-        theta_iterate(_sample_system(), _sample_frame(), **kwargs)
+    # (a NaN tol would otherwise run the whole step budget), from a system
+    # and frame, a kernel, `ell.theta` and `ell.theta_hat`
+    def no_step(*args):
+        raise AssertionError("a series was stepped")
+
+    monkeypatch.setattr(core, "_advance", no_step)
+    problem = ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1)
+    calls = [lambda: theta_iterate(_sample_system(), _sample_frame(),
+                                   **kwargs),
+             lambda: theta_iterate(ell._kernel(3.2, -5.0, problem), None,
+                                   **kwargs),
+             lambda: ell.theta(3.2, -5.0, problem, **kwargs),
+             lambda: ell.theta_hat(3.2, -5.0, problem, **kwargs)]
+    for call in calls:
+        with pytest.raises(ValueError, match=what):
+            call()
+
+
+def _overflowing_theta():
+    """A kernel whose Theta_k overflows, +inf and -inf in turn, from finite
+    prefix sums: with A0 = 1e6 I and A1 + I = -2e6 I, d_k is about
+    (-1)**k d_0 with d_0 = (1e250, 0), and at n = 0 with b1 = (1e-100, 0)
+    and b2 = (0, 1), Theta_k = <d_k, e1> / 1e-100 overflows.  Each recorded
+    bound k |Theta_k - Theta_{k-1}| / (delta + 1) is inf, as is
+    rtol * |Theta_k|."""
+    main = (1e6, 0.0, 0.0, 1e6, -2e6, 0.0, 0.0, -2e6, 0.0, 0.0, 0.0, 0.0)
+    mirror = (0.5, 0.0, 0.0, 0.25, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    return core.ThetaKernel(main=main, mirror=mirror, a0=(1e250, 0.0),
+                            b1=(1e-100, 0.0), b2=(0.0, 1.0), delta=0.5)
+
+
+@pytest.mark.parametrize("head", [0, 512, None])
+@pytest.mark.parametrize("rtol", [1e-8, 0.5])
+def test_an_overflowing_theta_never_converges_at_rtol(head, rtol):
+    # the relative limit holds only at a finite bound: inf <= rtol * inf
+    # must not count, in the scalar head (512, None) or the float64 tail (0)
+    with pytest.MonkeyPatch.context() as mp:
+        if head is None:
+            _no_tail(mp)
+        else:
+            mp.setattr(core, "_HEAD", head)
+        for k_max in (40, 2000):
+            res = theta_iterate(_overflowing_theta(), None, n=0, tol=1e-10,
+                                rtol=rtol, k_max=k_max)
+            assert res.status == "k_max_reached"
+            assert math.isinf(res.theta.real)
+            # and a series whose prefix sums overflow, then turn NaN
+            kernel = ell._kernel(3.0, -3.0, ell.EllipsoidalProblem(
+                gamma=2.0, c=1.6, rho=1))
+            kernel = kernel._replace(main=(*kernel.main, 1.0, 0.0, 0.0, 1.0,
+                                           2.0 ** (1024 / 100)))
+            res = theta_iterate(kernel, None, tol=0.0, rtol=rtol, k_max=k_max)
+            assert res.status == "k_max_reached"
 
 
 def test_theta_iterate_rejects_k_max_below_first_usable_index():
@@ -1087,7 +1141,9 @@ def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
     # recorded bound; chunk = 1 or 3 puts a chunk boundary everywhere;
     # every = 1 or 5 lets the head hand off early at any step, or any fifth
     # one, where the bound shows a long series; a complex kernel goes on
-    # past the head on the scalar loop
+    # past the head on the scalar loop.  Each case runs with the absolute
+    # limit alone (rtol = 0) and with the relative one (rtol = 1e-8), which
+    # decides where tol is 0 or below 1e-8 |Theta|
     x = complex(x, 1.5) if extra == "complex" else x
     if family == "ell":
         kernel = ell._kernel(y, -y, ell.EllipsoidalProblem(
@@ -1098,15 +1154,19 @@ def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
     assert (core._float_row(kernel) is None) == (extra == "complex")
     k_start = core._first_index(n, 0.0, 10 ** 9, kernel.delta)
     hand_off = max(head, k_start - 1)
-    # budget 0: k_max at the head (or at k_start); else inside a chunk
-    kw = dict(n=n, tol=tol, k_max=max(hand_off, k_start) + budget)
     if extra == "overflow":
         # one more pole, inside the unit disk: its geometric sum overflows
         # before step hand_off + 60, and the prefix sums turn inf, then NaN
         kernel = kernel._replace(main=(*kernel.main, 1.0, 0.0, 0.0, 1.0,
                                        2.0 ** (1024 / (hand_off + 60))))
-    expected = _outcome(kernel, None, **kw)
-    if extra == "singular":
+    for rtol in (0.0, 1e-8):
+        # budget 0: k_max at the head (or at k_start); else inside a chunk
+        kw = dict(n=n, tol=tol, k_max=max(hand_off, k_start) + budget,
+                  rtol=rtol)
+        expected = _outcome(kernel, None, **kw)
+        if extra != "singular":
+            assert _outcome(kernel, head, chunk, every, **kw) == expected
+            continue
         # a singular main step near where the scalar loop stops
         stop = expected[2] if expected[-1] == "'converged'" else kw["k_max"]
         k_bad = max(int(stop) + offset, 1)
@@ -1119,8 +1179,6 @@ def test_float_tail_equals_the_scalar_loop(family, x, y, c, bits, n, tol,
                 k_bad, 0.0)))
         else:
             assert singular == expected
-        return
-    assert _outcome(kernel, head, chunk, every, **kw) == expected
 
 
 def _straddling(kernel, k_mid):

@@ -215,8 +215,9 @@ def test_solve_pair_takes_the_residuals_the_solver_computed(
     got = ell.solve_pair(0.3, -0.4, table_problem)
     assert got.iterations == len(calls)
     assert calls.count((got.lam, got.mu)) == 1
-    # and the residuals are those of the pair, bit for bit
-    kw = dict(n=5, tol=1e-10, k_max=50_000)
+    # and the residuals are those of the pair, bit for bit, at the
+    # solver's tolerances
+    kw = dict(n=5, tol=1e-10, k_max=50_000, rtol=ell._EVAL_RTOL)
     assert got.residual_theta == abs(
         theta(got.lam, got.mu, table_problem, **kw).theta.real)
     assert got.residual_theta_hat == abs(
@@ -712,6 +713,26 @@ def test_steep_wave_rows_converge_from_nearby_seeds(row):
         _, _, H_out, L_out = ell.to_abramov(gamma, c, pair.lam, pair.mu)
         assert abs(H_out - H) <= 5e-5
         assert abs(L_out - L) <= 5e-5
+
+
+@pytest.mark.parametrize("row", [(0.9, 25.0, 141.0901, 482.5134),
+                                 (0.9, 1.0, 137.6824, 456.4856)])
+def test_relative_limit_certifies_the_steep_seed(row):
+    # |Theta| ~ 1e7 at these seeds, so solve_pair's absolute eval tol 1e-9
+    # lies below ulp(|Theta|) ~ 1.9e-9: the absolute rule alone runs ~22 000
+    # steps, until Theta_k stops changing, and reports error_bound = 0 for
+    # a true error of ~4e-6.  The relative limit 1e-8 |Theta| stops the
+    # series where its bound still holds: against a cross-order reference
+    # (n = 12, tol 1e-14, whose own gap to n = 9 is ~3e-7)
+    gamma, c, lam0, mu0 = ell.from_abramov(*row)
+    prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    ref = ell.theta(lam0, mu0, prob, n=12, tol=1e-14)
+    absolute = ell.theta(lam0, mu0, prob, tol=1e-9)
+    got = ell.theta(lam0, mu0, prob, tol=1e-9, rtol=1e-8)
+    assert got.status == "converged"
+    assert 0 < got.error_bound <= 2e-8 * abs(got.theta)
+    assert abs(got.theta - ref.theta) <= got.error_bound
+    assert 2 * got.k_final < absolute.k_final
 
 
 def test_steep_wave_row_stops_at_the_evaluation_floor():

@@ -607,11 +607,25 @@ def test_default_scan_starts_at_the_rayleigh_bound(monkeypatch, gamma2):
     assert eigs[0].t_root == 0.25
 
 
-def test_zero_at_a_segment_end_is_one_root():
-    # gamma2 = 0: Theta vanishes exactly at t = N(N+1); t = 30 is the end
-    # of the second segment [14, 30]
+def test_zero_at_a_segment_end_is_one_root(monkeypatch):
+    # gamma2 = 0: Theta vanishes exactly at t = N(N+1).  With count 11 the
+    # scan walks [-2, 20], then [20, 42], [42, 86] and [86, 174]; the roots
+    # t = 20 and t = 42 are segment ends, each sampled once
+    segments = []
+    grid = sph._grid
+
+    def spy(lo, hi, step):
+        segments.append((lo, hi))
+        return grid(lo, hi, step)
+
+    monkeypatch.setattr(sph, "_grid", spy)
     eigs = sph.eigenvalues(sph.SpheroidalProblem(0, 0.0), 11)
-    assert [e.t_root for e in eigs] == [n * (n + 1.0) for n in range(11)]
+    roots = [n * (n + 1.0) for n in range(11)]
+    assert [e.t_root for e in eigs] == roots
+    assert segments == [(-2.0, 20.0), (20.0, 42.0), (42.0, 86.0),
+                        (86.0, 174.0)]
+    ends = {t for segment in segments for t in segment}
+    assert sorted(ends.intersection(roots)) == [20.0, 42.0]
 
 
 def test_nan_at_a_segment_end_keeps_the_sign_change(monkeypatch):

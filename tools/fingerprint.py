@@ -6,7 +6,8 @@ every record.  The records cover
 * Theta: `core.theta_iterate` at orders 2..8 and on systems with two
   poles, one `core.theta_many` batch of two-pole kernels, `ell.theta`,
   `ell.theta_hat` and `sph.theta_t` on parameter lattices, real and
-  complex;
+  complex, and `ell.theta` with a relative limit (rtol > 0) where it
+  binds and where it does not;
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
   the default and with explicit scan ranges, and with gamma2 off the
   scan's grid;
@@ -185,6 +186,20 @@ def _ell_theta_records():
                         yield (f"ell.theta_hat/{tag}",
                                lambda p=p, lam=lam, mu=mu:
                                ell.theta_hat(lam, mu, p))
+    # the relative limit: at the steep wave row's seed, |Theta| ~ 1e7 and
+    # rtol * |Theta| binds, in the float64 tail (the scalar loop with
+    # --no-tail); at a table root it does not bind, and the result must be
+    # that of the absolute limit alone
+    gamma, c, lam9, mu9 = ell.from_abramov(0.9, 25.0, 141.0901, 482.5134)
+    p9 = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    yield ("ell.theta/wave(0.9,25,141.0901,482.5134)/rtol=1e-8",
+           lambda: ell.theta(lam9, mu9, p9, tol=1e-9, rtol=1e-8))
+    p = ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, tau=1)
+
+    def root():
+        rel = ell.theta(0.25, -0.5, p, rtol=1e-8)
+        return rel, _enc(rel) == _enc(ell.theta(0.25, -0.5, p))
+    yield "ell.theta/(0, 0, 1)/0.25,-0.5/rtol=1e-8", root
 
 
 def _sph_theta_records():

@@ -4,7 +4,9 @@ Two checkouts that print the same digest give bit-identical results on
 every record.  The records cover
 
 * Theta: `core.theta_iterate` at orders 2..8 and on systems with two
-  poles, one `core.theta_many` batch of two-pole kernels, `ell.theta`,
+  poles, one `core.theta_many` batch of two-pole kernels, the singular
+  step of a resonant two-pole system in `theta_iterate` (at step 3 and
+  at step 700) and in a batch, `ell.theta`,
   `ell.theta_hat` and `sph.theta_t` on parameter lattices, real and
   complex, and `ell.theta` with a relative limit (rtol > 0) where it
   binds and where it does not;
@@ -158,7 +160,7 @@ def _theta_iterate_records():
 
     # one batch of float kernels on the general branch: both pole pairs,
     # over a range of A's a12 (the frame's eigenvectors do not move)
-    def batch():
+    def regular():
         kernels = []
         for poles in ((2.5, -3.0), (2.5, 1.02)):
             for a12 in np.linspace(0.5, 4.0, 20):
@@ -166,8 +168,26 @@ def _theta_iterate_records():
                     np.array([[-0.5, a12], [0.0, 0.0]]), B, const, poles,
                     residues)
                 kernels.append(core.theta_kernel(system, eigen))
-        return core.theta_many(kernels, n=5, tol=1e-10)
-    yield "theta_many/two_poles", batch
+        return kernels
+    yield ("theta_many/two_poles",
+           lambda: core.theta_many(regular(), n=5, tol=1e-10))
+
+    # the general branch's singular step: A0 - k_bad*I is singular, and at
+    # tol = 0 no stop comes first.  At k_bad = 700 the failing block is read
+    # in the float64 tail (from the first usable step with --no-head, in the
+    # scalar loop with --no-tail); in a batch, that kernel gives None
+    def resonant(k_bad):
+        return core.TwoPointSystem.from_rational(
+            np.array([[-0.5, 2.0], [0.0, k_bad - 0.5]]), B, const,
+            (2.5, -3.0), residues)
+    for k_bad in (3, 700):
+        yield (f"theta_iterate/two_poles/singular@{k_bad}",
+               lambda k_bad=k_bad: core.theta_iterate(
+                   resonant(k_bad), eigen, n=5, tol=0.0))
+    yield ("theta_many/two_poles/singular@700",
+           lambda: core.theta_many(
+               [core.theta_kernel(resonant(700), eigen), *regular()], n=5,
+               tol=1e-10))
 
 
 def _ell_theta_records():

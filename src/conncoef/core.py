@@ -46,17 +46,20 @@ meets tol, or rtol * |Theta_k| when a relative limit is asked for; see
 Every series runs on one scalar recurrence kernel, which reads one plain
 description of the problem, a `ThetaKernel`: Python scalars for the entries
 of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per pole, for the main and
-the mirrored series, plus a0, b1, b2 and delta.  One loop, `_advance`,
-advances u_k, d_k and the geometric sums s_k^(j) m steps at a time, with
-no array allocation per step.  A value whose imaginary part is exactly 0 is unpacked as a float, any other as
-a complex (`_unpack`), so real problems run on float arithmetic.  This keeps
-the bits: CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on
-operands with imaginary part 0 give the real part that float arithmetic
-gives, as long as nothing overflows, and a float met by a complex is
-promoted to ``complex(x, 0.0)``.  Only the sign of an exact zero can
-differ; comparisons and ``abs`` do not see it.  So a system and frame with
-real entries give a Theta whose imaginary part is exactly 0, by
-construction and unchecked.
+the mirrored series, plus a0, b1, b2 and delta.  One function, `_advance`,
+advances u_k, d_k and the geometric sums s_k^(j) m steps at a time: in a
+loop written out for a side with no pole and for one with one pole, with
+no allocation per step, and for any other side by the one general step,
+`_step`, which also runs a batch on numpy columns.  A value whose
+imaginary part is exactly 0 is unpacked as a float, any other as a complex
+(`_unpack`), so real problems run on float arithmetic.  This keeps the
+bits: CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands
+with imaginary part 0 give the real part that float arithmetic gives, as
+long as nothing overflows, and a float met by a complex is promoted to
+``complex(x, 0.0)``.  Only the sign of an exact zero can differ;
+comparisons and ``abs`` do not see it.  So a system and frame with real
+entries give a Theta whose imaginary part is exactly 0, by construction
+and unchecked.
 
 The Theta iteration steps the main series in blocks and reads each block
 in one of two ways, with the mirrored prefix sums straight from the
@@ -93,11 +96,12 @@ same operations give the same bits.
 
 `theta_many` runs many descriptions as one batch and returns, bit for bit,
 what `theta_iterate` returns for each: those whose scalars are all floats
-advance in lockstep, one numpy operation per scalar operation of the loop,
-in the same order; a description leaves the arrays when its iteration
-stops, and the last few finish on the loop of `theta_iterate` (head and
-tail) from the state they reached.  A description holding a complex scalar
-runs `theta_iterate` on its own.
+advance in lockstep, through `_step` on numpy columns and one numpy
+operation per scalar operation of the Theta loop, in the same order; a
+description leaves the arrays when its iteration stops, and the last few
+finish on the loop of `theta_iterate` (head and tail) from the state they
+reached.  A description holding a complex scalar runs `theta_iterate` on
+its own.
 """
 
 from __future__ import annotations
@@ -418,6 +422,40 @@ def _origin(side: tuple, start: Sequence) -> tuple:
     return 0, start, start, [list(start) for _ in range(12, len(side), 5)]
 
 
+def _step(k: int, side, state: list):
+    """Step k of the recurrence kernel on a side with any number of poles,
+    on Python scalars or on numpy columns, one entry per kernel.
+
+    ``side`` holds a side's scalars (see `ThetaKernel`), or a row per
+    scalar; ``state`` is the flat list u0, u1, d0, d1 and s0, s1 per pole
+    after step k - 1, ``[x0, x1] * (2 + poles)`` for the series from
+    (x0, x1).  Its entries are replaced, never added to in place, and
+    det(A0 - k*I) is returned for the caller to judge; on scalars, an exact
+    zero raises ZeroDivisionError.
+    """
+    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
+    u0, u1, d0, d1 = state[:4]
+    poles = range(12, len(side), 5), range(4, len(state), 2)
+    w0 = w1 = 0         # w = sum_j (R_j / c_j) s^(j), formed at entry
+    for j, i in zip(*poles):
+        q11, q12, q21, q22, _ = side[j:j + 5]
+        w0 = w0 + (q11 * state[i] + q12 * state[i + 1])
+        w1 = w1 + (q21 * state[i] + q22 * state[i + 1])
+    r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
+    r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
+    m11 = a11 - k
+    m22 = a22 - k
+    det = m11 * m22 - a12 * a21
+    u0 = (m22 * r0 - a12 * r1) / det
+    u1 = (m11 * r1 - a21 * r0) / det
+    state[0], state[1], state[2], state[3] = u0, u1, d0 + u0, d1 + u1
+    for j, i in zip(*poles):
+        inv_c = side[j + 4]
+        state[i] = state[i] * inv_c + u0
+        state[i + 1] = state[i + 1] * inv_c + u1
+    return det
+
+
 def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
     """The state after m more steps of the recurrence kernel on ``side``.
 
@@ -430,11 +468,14 @@ def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
     lists holding every step before it.
 
     The loop is written out for a side with no pole (spheroidal) and with
-    one (ellipsoidal), apart from the general loop of any other side.  The
-    written-out loops differ from it only where the result cannot: they count k in floats, and add a float 0.0
-    where it adds an int 0 (its empty sum over poles, or the start of its
-    sum over one pole); either operand is converted to the same double, so
+    one (ellipsoidal); any other side steps through `_step`, the general
+    step, on a flat state.  The written-out loops differ from it only where
+    the result cannot: they count k in floats, and add a float 0.0 where it
+    adds an int 0 (its empty sum over poles, or the start of its sum over
+    one pole); either operand is converted to the same double, so
     ``a11 - k`` and ``0 + x`` keep their bits, signs of zero included.
+    `_step` divides before the check: a det that is an exact zero raises
+    ZeroDivisionError there, read as det = 0.
     """
     k, (u0, u1), (d0, d1), sums = state
     a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
@@ -481,34 +522,18 @@ def _advance(side: tuple, state: tuple, m: int, d0s: list, d1s: list):
             put0(d0)
             put1(d1)
         return int(k), (u0, u1), (d0, d1), [[s0, s1]]
-    sums = [list(s) for s in sums]
-    # per pole: the entries of R_j / c_j, 1 / c_j and the accumulator s^(j)
-    poles = [(*side[j:j + 5], s) for j, s in zip(range(12, len(side), 5),
-                                                  sums)]
-    # w = sum_j (R_j / c_j) s^(j), carried from each step into the next
-    w0 = sum(q11 * s[0] + q12 * s[1] for q11, q12, _, _, _, s in poles)
-    w1 = sum(q21 * s[0] + q22 * s[1] for _, _, q21, q22, _, s in poles)
+    flat = [u0, u1, d0, d1, *(x for s in sums for x in s)]
     for k in range(k + 1, k + m + 1):
-        r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
-        r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
-        m11 = a11 - k
-        m22 = a22 - k
-        det = m11 * m22 - a12a21
+        try:
+            det = _step(k, side, flat)
+        except ZeroDivisionError:       # det is an exact zero
+            det = 0
         if abs(det) < tiny:
             raise _singular_step(k, det)
-        u0 = (m22 * r0 - a12 * r1) / det
-        u1 = (m11 * r1 - a21 * r0) / det
-        w0 = w1 = 0
-        for q11, q12, q21, q22, inv_c, s in poles:
-            s0 = s[0] = s[0] * inv_c + u0
-            s1 = s[1] = s[1] * inv_c + u1
-            w0 += q11 * s0 + q12 * s1
-            w1 += q21 * s0 + q22 * s1
-        d0 += u0
-        d1 += u1
-        put0(d0)
-        put1(d1)
-    return k, (u0, u1), (d0, d1), sums
+        put0(flat[2])
+        put1(flat[3])
+    return k, (flat[0], flat[1]), (flat[2], flat[3]), [
+        flat[i:i + 2] for i in range(4, len(flat), 2)]
 
 
 def frobenius_step(state: tuple, side: tuple) -> tuple:
@@ -1056,12 +1081,13 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     Kernels whose scalars are all floats advance together, grouped by first
     usable index and side lengths: one numpy loop runs the operations of
     the scalar loop in the same order on arrays with one entry per kernel,
-    so IEEE arithmetic gives the same bits.  Kernels that stop leave the
-    arrays, and once fewer than `_LOCKSTEP_MIN` are left, those finish on
-    the loop of `theta_iterate` from the state they reached, since a numpy
-    step then costs more than their own steps.  A kernel with a complex
-    scalar runs `theta_iterate` on its own, because numpy's complex
-    division is not CPython's.
+    so IEEE arithmetic gives the same bits.  Its recurrence step is
+    `_step`, the step that `_advance` runs on a side with two or more
+    poles.  Kernels that stop leave the arrays, and once fewer than
+    `_LOCKSTEP_MIN` are left, those finish on the loop of `theta_iterate`
+    from the state they reached, since a numpy step then costs more than
+    their own steps.  A kernel with a complex scalar runs `theta_iterate`
+    on its own, because numpy's complex division is not CPython's.
 
     Raises
     ------
@@ -1106,39 +1132,6 @@ def _float_row(kernel: ThetaKernel) -> list | None:
     main, mirror, a0, b1, b2, delta = kernel
     row = [*main, *mirror, *a0, *b1, *b2, delta]
     return row if set(map(type, row)) == {float} else None
-
-
-def _batch_step(k: int, side, state: list):
-    """One step of `_advance`'s general loop on arrays, operation for
-    operation.
-
-    ``side`` holds one row per scalar of a side (see `ThetaKernel`),
-    ``state`` the arrays u0, u1, d0, d1 and s0, s1 per pole; the series
-    from (x0, x1) starts at ``[x0, x1] * (2 + poles)``.  The state's
-    arrays are replaced in place by the new ones, and the mask of singular
-    steps is returned.
-    """
-    a11, a12, a21, a22, e11, e12, e21, e22, c11, c12, c21, c22 = side[:12]
-    u0, u1, d0, d1 = state[0], state[1], state[2], state[3]
-    poles = range(12, len(side), 5), range(4, len(state), 2)
-    w0 = w1 = np.zeros(len(u0))
-    for j, i in zip(*poles):
-        q11, q12, q21, q22, _ = side[j:j + 5]
-        w0 = w0 + (q11 * state[i] + q12 * state[i + 1])
-        w1 = w1 + (q21 * state[i] + q22 * state[i + 1])
-    r0 = e11 * d0 + e12 * d1 - (c11 * u0 + c12 * u1) + w0
-    r1 = e21 * d0 + e22 * d1 - (c21 * u0 + c22 * u1) + w1
-    m11 = a11 - k
-    m22 = a22 - k
-    det = m11 * m22 - a12 * a21
-    u0 = (m22 * r0 - a12 * r1) / det
-    u1 = (m11 * r1 - a21 * r0) / det
-    state[0], state[1], state[2], state[3] = u0, u1, d0 + u0, d1 + u1
-    for j, i in zip(*poles):
-        inv_c = side[j + 4]
-        state[i] = state[i] * inv_c + u0
-        state[i + 1] = state[i + 1] * inv_c + u1
-    return np.abs(det) < _SINGULAR_STEP_TOL
 
 
 def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
@@ -1192,8 +1185,10 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     ``table`` has one row per scalar in `_float_row`'s order, with the main
     side in its first ``m`` rows, and one column per kernel; ``k_start`` is
     the kernels' first usable index.  Every array operation is the scalar
-    loop's operation, in the same order.  Returns a `ThetaResult`, or None
-    for a raised `ConncoefError` or `ArithmeticError`, per column.
+    loop's operation, in the same order: each recurrence step is `_step`,
+    whose det gives the mask of singular steps, |det| < 1e-30.  Returns a
+    `ThetaResult`, or None for a raised `ConncoefError` or
+    `ArithmeticError`, per column.
     """
     results = [None] * table.shape[1]
     mirror = table[m:-7]
@@ -1204,7 +1199,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     failed = np.zeros(table.shape[1], dtype=bool)
     accel = []
     for k in range(1, n + 1):
-        failed |= _batch_step(k, mirror, state)
+        failed |= np.abs(_step(k, mirror, state)) < _SINGULAR_STEP_TOL
         accel += [(k - 1) + delta, state[2], state[3]]
     if not all(np.isfinite(t[~failed]).all()
                for t in accel[1::3] + accel[2::3]):
@@ -1247,7 +1242,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
                            n, tol, 0.0, k_max, k_start, None, loop_state)
 
     for k in range(1, k_max + 1):
-        stop = _batch_step(k, side, state)
+        stop = np.abs(_step(k, side, state)) < _SINGULAR_STEP_TOL
         if k >= k_start:
             theta_k, valid = _theta_k(
                 k, state[2], state[3], zip(acc[0::3], acc[1::3], acc[2::3]),

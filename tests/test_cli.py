@@ -572,6 +572,18 @@ def test_typed_library_error_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_theta_ell_with_overflowing_entries_exits_2(capsys):
+    # lambda + mu overflows, so the entry-sum identity fails: a
+    # ConsistencyError, not a usage error
+    rc = main(["theta-ell", "--lambda", "1e308", "--mu", "1e308",
+               "--gamma", "0", "--c", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: entry sum (nan+0j) differs from "
+                            "c*gamma = 0.0\n")
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------------
 # file outputs
 # --------------------------------------------------------------------------

@@ -592,26 +592,38 @@ _POLE = hst.tuples(*[hst.floats(-5.0, 5.0, **_finite)] * 4,
        x=hst.floats(-20.0, 20.0, **_finite),
        y=hst.floats(-20.0, 20.0, **_finite),
        c=hst.floats(1.05, 3.0, exclude_min=True, exclude_max=True, **_finite),
-       poles=hst.sampled_from([0, 1, 3]),
+       poles=hst.sampled_from([0, 1, 2, 3]),
        drawn=hst.lists(_POLE, min_size=3, max_size=3),
        overflow=hst.booleans(),
        zeros=hst.lists(hst.integers(0, 11), max_size=4),
        start=hst.sampled_from(["a0", (-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0)]),
        chunks=hst.lists(hst.sampled_from([1, 2, 33]), min_size=1, max_size=6),
-       singular=hst.sampled_from([None, "first", "middle", "last"]))
+       singular=hst.sampled_from([None, "first", "middle", "last", "tiny"]))
 @example(family="sph", complex_side=False, x=4.0, y=1.5, c=2.0, poles=0,
          drawn=[(0.0, 0.0, 0.0, 0.0, 0.0)] * 3, overflow=False, zeros=[],
          start="a0", chunks=[33, 33, 33], singular="middle")
 @example(family="ell", complex_side=False, x=4.0, y=1.5, c=1.6, poles=1,
          drawn=[(0.0, 0.0, 0.0, 0.0, 0.0)] * 3, overflow=True, zeros=[],
          start="a0", chunks=[2, 33, 1, 33], singular=None)
+@example(family="ell", complex_side=True, x=4.0, y=1.5, c=1.6, poles=2,
+         drawn=[(0.5, -1.0, 2.0, 0.25, 0.5)] * 3, overflow=False, zeros=[],
+         start="a0", chunks=[33, 2, 33], singular="middle")
+@example(family="sph", complex_side=False, x=4.0, y=1.5, c=2.0, poles=2,
+         drawn=[(0.5, -1.0, 2.0, 0.25, -0.5)] * 3, overflow=False, zeros=[],
+         start="a0", chunks=[2, 33], singular="tiny")
+@example(family="ell", complex_side=True, x=4.0, y=1.5, c=1.6, poles=2,
+         drawn=[(0.5, -1.0, 2.0, 0.25, -0.5)] * 3, overflow=False, zeros=[],
+         start="a0", chunks=[1, 1, 2], singular="tiny")
 def test_chunked_kernel_equals_the_generator(family, complex_side, x, y, c,
                                              poles, drawn, overflow, zeros,
                                              start, chunks, singular):
     # `_advance` against the reference generator, bit for bit, signs of
     # zero included (repr): the written-out loops for 0 and 1 pole, the
-    # general loop for 2 to 4, on float and complex sides, in
-    # chunks of 1, 2 and 33 steps resumed from the state each returns
+    # general step `_step` for 2 to 4, on float and complex sides, in
+    # chunks of 1, 2 and 33 steps resumed from the state each returns.  A
+    # singular step, where det(A0 - k*I) is an exact zero or, at k = 3
+    # ("tiny"), ulp(3)**2 ~ 2e-31, raises the generator's message, leaves
+    # the lists holding every step before it and keeps the given state
     x = complex(x, 1.5) if complex_side else x
     if family == "ell":
         kernel = ell._kernel(y, -y, ell.EllipsoidalProblem(gamma=x, c=c))
@@ -627,11 +639,17 @@ def test_chunked_kernel_equals_the_generator(family, complex_side, x, y, c,
         # a pole inside the unit disk: its geometric sum overflows near
         # step 20, and the sums turn inf, then NaN
         side += (1.0, 0.0, 0.0, 1.0, 2.0 ** (1024 / 20))
-    if singular is not None:
+    k_bad = None
+    if singular == "tiny":
+        # both diagonal entries of A0 one ulp above 3 and a12 = 0
+        side[0] = side[3] = math.nextafter(3.0, 4.0)
+        side[1], k_bad = 0.0, 3
+    elif singular is not None:
         # A0 - k_bad*I singular at a chosen step of the last chunk
         offset = {"first": 1, "middle": chunks[-1] // 2 + 1,
                   "last": chunks[-1]}[singular]
-        side[0], side[1] = float(sum(chunks[:-1]) + offset), 0.0
+        k_bad = sum(chunks[:-1]) + offset
+        side[0], side[1] = float(k_bad), 0.0
     side = tuple(side)
     assert (len(side) - 12) // 5 == poles + overflow
     state = core._origin(side, kernel.a0 if start == "a0" else start)
@@ -643,13 +661,14 @@ def test_chunked_kernel_equals_the_generator(family, complex_side, x, y, c,
             new = core._advance(side, state, m, d0s, d1s)
         except SingularStep as exc:
             raised = str(exc)
-            break
         assert repr(state) == before        # the given state is kept
+        if raised is not None:
+            break
         assert repr(new) == repr(expected[new[0] - 1])
         state = new
     # on a singular step, the lists hold every step before it
     assert raised == error
-    assert singular is None or raised is not None
+    assert raised is not None or k_bad is None or k_bad > sum(chunks)
     assert repr((d0s, d1s)) == repr(([d[0] for _, _, d, _ in expected],
                                       [d[1] for _, _, d, _ in expected]))
     if overflow and start == "a0" and len(d0s) >= 40:

@@ -10,8 +10,10 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from scipy.integrate import quad
 from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef.core import ThetaResult, theta_iterate
-from conncoef.errors import ConsistencyError, InvalidExponent, NoConvergence
+from conncoef.errors import (ConsistencyError, InvalidExponent, MatchFailure,
+                             NoConvergence, QuadratureNotConverged)
 from conncoef.rootfind import SolverOptions
 
 import _reference
@@ -107,6 +110,20 @@ def test_problem_validation():
             ell.EllipsoidalProblem(gamma=gamma, c=2.0)
     with pytest.raises(ValueError, match="rho"):
         ell.EllipsoidalProblem(gamma=1.0, c=2.0, rho=2)
+
+
+def test_theta_raises_where_the_entry_sum_overflows():
+    # lambda + mu overflows to inf, and the entries sum to NaN
+    prob = ell.EllipsoidalProblem(gamma=0.0, c=2.0)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "entry sum (nan+0j) differs from c*gamma = 0.0")):
+        ell.theta(1e308, 1e308, prob)
+
+
+def test_hat_entries_rejects_c_at_most_one():
+    e = ell.entries(3.2, -5.0, ell.EllipsoidalProblem(gamma=4.0, c=1.6))
+    with pytest.raises(ValueError, match="^c must be > 1$"):
+        ell.hat_entries(e, 1.0)
 
 
 def test_hat_entries_involution():
@@ -617,6 +634,40 @@ def test_eigenfunction_series_are_computed_as_read(bits, seed):
         assert np.asarray(s).tobytes() == full.tobytes()
         with pytest.raises(IndexError):
             s[len(full)]
+
+
+@pytest.mark.parametrize("candidates, ref, new, message", [
+    ([], {}, {}, "no matching abscissa inside both convergence disks"),
+    ([0.5, 0.6], {0.5: 0.0, 0.6: 0.0}, {0.5: 0.0, 0.6: 0.0},
+     "eigenfunction pieces vanish at every matching abscissa"),
+    ([0.5, 0.6], {0.5: 1.0, 0.6: 1e-9}, {0.5: 1e-9, 0.6: 1.0},
+     "pieces have no common nonvanishing matching abscissa"),
+], ids=["no-abscissa", "both-vanish", "no-common"])
+def test_match_constant_failures(candidates, ref, new, message):
+    with pytest.raises(MatchFailure, match=f"^{message}$"):
+        ell._match_constant(ref.get, new.get, candidates)
+
+
+def test_sup_normalize_rejects_the_zero_function(eigenfunction_325):
+    _, fn = eigenfunction_325
+    with pytest.raises(ValueError,
+                       match="^cannot sup-normalize the zero function$"):
+        ell.normalize(replace(fn, C0=0.0, C1=0.0, C2=0.0), "sup")
+
+
+@pytest.mark.parametrize("integrals, message", [
+    ({64: -1.0, 128: 2.0},
+     "weighted integral not positive (64: -1.000e+00, 128: 2.000e+00)"),
+    ({64: 1.0, 128: 2.0},
+     "quadrature refinement moved the integral by 5.00e-01"),
+], ids=["not-positive", "moved"])
+def test_integral_normalize_raises_quadrature_not_converged(
+        eigenfunction_325, monkeypatch, integrals, message):
+    _, fn = eigenfunction_325
+    monkeypatch.setattr(ell, "_norm_integral", lambda fn, n: integrals[n])
+    with pytest.raises(QuadratureNotConverged,
+                       match=f"^{re.escape(message)}$"):
+        ell.normalize(fn, "integral")
 
 
 def test_normalize_sup(eigenfunction_325):

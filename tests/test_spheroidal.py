@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from conncoef import core
 from conncoef import spheroidal as sph
 from conncoef.core import _SERIES_TERMS, _power_sum, theta_iterate
-from conncoef.errors import NoConvergence, ScanExhausted
+from conncoef.errors import NoConvergence, ParityAmbiguous, ScanExhausted
 from conncoef.rootfind import SolverOptions, bracket_scan, secant
 
 import _reference
@@ -279,6 +279,45 @@ def test_eigenfunction_domain_and_preconditions(prolate):
     stale = dataclasses.replace(eigs[0], residual=1.0)
     with pytest.raises(ValueError, match="residual"):
         sph.eigenfunction(stale, problem, [0.5])
+
+
+def test_theta_t_rejects_an_infinite_t():
+    # t enters the kernel's entries, which the kernel builder checks
+    with pytest.raises(ValueError,
+                       match="^Theta kernel has non-finite entries$"):
+        sph.theta_t(math.inf, sph.SpheroidalProblem(mu=0, gamma2=4.0))
+
+
+def _probed(monkeypatch, values):
+    """`sph._w_direct` patched to give values[x], or 1.0 at an x not in
+    ``values``; returns the list of the x it is asked at."""
+    asked = []
+
+    def w_direct(coefs, mu, x):
+        asked.append(x)
+        return values.get(x, 1.0)
+    monkeypatch.setattr(sph, "_w_direct", w_direct)
+    return asked
+
+
+def test_parity_probe_falls_back_to_the_second_abscissa(prolate,
+                                                        monkeypatch):
+    # |w| < 1e-10 at x0 = +-0.3, so x0 = 0.55 decides: w odd there
+    problem, eigs = prolate
+    asked = _probed(monkeypatch, {0.3: 1e-11, -0.3: -1e-11, 0.55: 2.0,
+                                  -0.55: -2.0})
+    fn = sph.eigenfunction(eigs[0], problem, [-0.5])
+    assert asked == [0.3, -0.3, 0.55, -0.55, -0.5]
+    assert (fn.parity, fn.parity_deviation) == (-1, 0.0)
+
+
+def test_parity_probe_raises_where_w_vanishes_at_both(prolate, monkeypatch):
+    problem, eigs = prolate
+    _probed(monkeypatch, {0.3: 0.0, -0.3: 0.0, 0.55: 1e-11, -0.55: 1e-11})
+    with pytest.raises(ParityAmbiguous, match=(
+            r"^w vanishes at both parity probes x0 = 0\.3 and "
+            r"x0 = 0\.55$")):
+        sph.eigenfunction(eigs[0], problem, [-0.5])
 
 
 @pytest.mark.parametrize("xs", [[math.nan], [0.2, math.nan]],

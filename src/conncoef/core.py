@@ -49,8 +49,8 @@ of A0, A1 + I and C and the (R_j / c_j, 1 / c_j) per pole, for the main and
 the mirrored series, plus a0, b1, b2 and delta.  One function, `_advance`,
 advances u_k, d_k and the geometric sums s_k^(j) m steps at a time: in a
 loop written out for a side with no pole and for one with one pole, with
-no allocation per step, and for any other side by the one general step,
-`_step`, which also runs a batch on numpy columns.  A value whose
+no array allocation per step, and for any other side by the one general
+step, `_step`, which also runs a batch on numpy columns.  A value whose
 imaginary part is exactly 0 is unpacked as a float, any other as a complex
 (`_unpack`), so real problems run on float arithmetic.  This keeps the
 bits: CPython's complex ``+``, ``-``, ``*``, ``/`` and ``abs`` on operands

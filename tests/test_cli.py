@@ -573,8 +573,9 @@ def test_typed_library_error_exits_2(capsys):
 
 
 def test_theta_ell_with_overflowing_entries_exits_2(capsys):
-    # lambda + mu overflows, so the entry-sum identity fails: a
-    # ConsistencyError, not a usage error
+    # pins today's behaviour, which CHANGES.md records as a defect (FOUND):
+    # lambda + mu overflows, the entry-sum identity fails on a NaN sum, and
+    # the run exits 2 where bad input should exit 1; a fix updates this test
     rc = main(["theta-ell", "--lambda", "1e308", "--mu", "1e308",
                "--gamma", "0", "--c", "2"])
     captured = capsys.readouterr()

@@ -113,7 +113,9 @@ def test_problem_validation():
 
 
 def test_theta_raises_where_the_entry_sum_overflows():
-    # lambda + mu overflows to inf, and the entries sum to NaN
+    # pins today's behaviour, which CHANGES.md records as a defect (FOUND):
+    # lambda + mu overflows to inf, the entries sum to NaN, and the message
+    # names that NaN sum, not the overflow; a fix updates this test
     prob = ell.EllipsoidalProblem(gamma=0.0, c=2.0)
     with pytest.raises(ConsistencyError, match=re.escape(
             "entry sum (nan+0j) differs from c*gamma = 0.0")):

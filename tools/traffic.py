@@ -1,168 +1,113 @@
-"""The library's statements that one seeded pass of the benchmark never runs.
+"""The library lines that one seeded pass of each benchmark workload never runs.
 
-Builds one pass of each benchmark workload from its seed
-(`perfbench/workloads.py`), runs every operation through the benchmark's
-own `execute` (`perfbench/run.py`) with a line tracer (`sys.settrace`) on
-the files of ``src/conncoef``, and prints, per function of the library, the
-statements that the pass never ran.  A function the pass never called is
-named once, with its count of statements.  Outputs are not checked, and
-the time printed is that of the traced pass.
-
-A statement counts as run when a line event fires on one of its own lines:
-the lines of a simple statement, or the header of a compound one (``if``,
-``for``, ``while``, ``with``, ``except``).  Docstrings, ``try:`` lines and
-``global``/``nonlocal`` declarations have no line event and are not
-counted; neither are statements at module or class level, which run at
-import.
+Builds one pass of each workload of `perfbench/workloads.py` from seed 231,
+runs every operation through the benchmark's own `execute`
+(`perfbench/run.py`) under the standard library's `trace` module, and
+writes its annotated copies of the files of ``src/conncoef`` to
+``build/traffic/<workload>/``, where ``>>>>>>`` marks an executable line
+that never ran.  It prints, per function of the library, the lines that
+the pass never ran; a function the pass never called is named once.
+Module-level lines run at import, before the trace, and are not reported.
+Outputs are not checked, and the time printed is that of the traced pass.
 
 Usage, from the root of a checkout (it imports that checkout's ``src`` and
 ``perfbench``)::
 
-    python tools/traffic.py                               # all workloads
-    python tools/traffic.py --workload theta-points --seed 7
-    python tools/traffic.py --function core._advance      # one function
-
-``--function`` keeps the functions whose qualified name (``module.name``,
-with a class or an enclosing function in between) starts with the given
-text.
+    python tools/traffic.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
+import shutil
 import sys
 import time
+import trace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "conncoef"
+COVERDIR = ROOT / "build" / "traffic"
+SEED = 231
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from run import execute  # noqa: E402
 
-#: statement types with no line event of their own
-_SILENT = (ast.Try, ast.Global, ast.Nonlocal)
 
-
-def _header(node) -> tuple[int, int]:
-    """The lines of a statement that a line event can fire on."""
-    body = getattr(node, "body", None)
-    if isinstance(body, list) and body:     # compound: up to its body
-        return node.lineno, max(node.lineno, body[0].lineno - 1)
-    return node.lineno, node.end_lineno
-
-
-def _is_docstring(node) -> bool:
-    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
-
-
-def functions(path: Path) -> dict[str, list[tuple[int, int, int]]]:
-    """{qualified name: [(line, first, last) per statement]} of a module's
-    functions, in source order; a nested function's statements are its
-    own, and its ``def`` is a statement of the function around it."""
-    found: dict[str, list] = {}
-
-    def scan(stmts, owner, prefix):
-        for node in stmts:
-            if _is_docstring(node):
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if owner is not None:
-                    found[owner].append((node.lineno, *_header(node)))
-                name = f"{prefix}.{node.name}"
-                if isinstance(node, ast.ClassDef):
-                    scan(node.body, None, name)
-                else:
-                    found[name] = []
-                    scan(node.body, name, name)
-                continue
-            if owner is not None and not isinstance(node, _SILENT):
-                found[owner].append((node.lineno, *_header(node)))
-            for field in ("body", "orelse", "finalbody"):
-                scan(getattr(node, field, []), owner, prefix)
-            for handler in getattr(node, "handlers", []):
-                if owner is not None:
-                    found[owner].append((handler.lineno, *_header(handler)))
-                scan(handler.body, owner, prefix)
-
-    scan(ast.parse(path.read_text()).body, None, path.stem)
-    return found
-
-
-def traced_pass(workload: str, seed: int) -> set[tuple[str, int]]:
-    """(file, line) of every line event in the library during one pass."""
-    ops = workloads.make_inputs(workload, seed)
-    prefix = str(PACKAGE)
-    hits: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def call(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
-
+def run_pass(workload: str) -> None:
     outputs = {}
-    sys.settrace(call)
-    try:
-        for op in ops:
-            try:
-                out = execute(op, outputs)
-            except Exception as exc:  # a failed operation is an output
-                out = exc
-            outputs[op.label, op.copy] = out
-    finally:
-        sys.settrace(None)
-    return hits
+    for op in workloads.make_inputs(workload, SEED):
+        try:
+            out = execute(op, outputs)
+        except Exception as exc:  # a failed operation is an output
+            out = exc
+        outputs[op.label, op.copy] = out
 
 
-def report(workload: str, seed: int, only: str | None) -> None:
+def owners(path: Path) -> dict[int, ast.FunctionDef]:
+    """{line: the innermost function whose body holds it}"""
+    owner = {}
+    for node in ast.walk(ast.parse(path.read_text())):   # outer ones first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for line in range(node.body[0].lineno, node.end_lineno + 1):
+                owner[line] = node
+    return owner
+
+
+def report(workload: str) -> None:
+    tracer = trace.Trace(count=1, trace=0,
+                         ignoredirs=[sys.prefix, sys.exec_prefix])
     start = time.perf_counter()
-    hits = traced_pass(workload, seed)
+    tracer.runfunc(run_pass, workload)
     seconds = time.perf_counter() - start
+    counts = {key: n for key, n in tracer.results().counts.items()
+              if key[0].startswith(str(PACKAGE))}
+    coverdir = COVERDIR / workload
+    shutil.rmtree(coverdir, ignore_errors=True)   # no stale module files
+    trace.CoverageResults(counts).write_results(show_missing=True,
+                                                coverdir=str(coverdir))
     lines, never, total, ran = [], [], 0, 0
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
-        events = {line for file, line in hits if file == str(path)}
-        for name, stmts in functions(path).items():
-            if only is not None and not name.startswith(only) or not stmts:
+        cover = coverdir / f"conncoef.{path.stem}.cover"
+        owner = owners(path)
+        if not cover.exists():      # no line of the module ran
+            if owner:
+                never.append(f"every function of {path.stem}")
+            continue
+        missed, hit = {}, {}
+        for number, text in enumerate(cover.read_text().splitlines(), 1):
+            node = owner.get(number)
+            if node is None or not text[:7].strip():   # not executable
                 continue
-            missed = [(line, a, b) for line, a, b in stmts
-                      if not any(k in events for k in range(a, b + 1))]
-            total += len(stmts)
-            ran += len(stmts) - len(missed)
-            if len(missed) == len(stmts):
-                never.append(f"{name} ({len(stmts)})")
-            elif missed:
-                lines.append(f"  {name}: {len(missed)} of {len(stmts)} "
-                             "statements not run")
-                lines += [f"    {line:5d}  {source[line - 1].strip()}"
-                          for line, _, _ in missed]
-    print(f"{workload}, seed {seed}: {ran} of {total} statements run, "
-          f"traced in {seconds:.1f} s")
+            missed.setdefault(node, [])
+            hit.setdefault(node, 0)
+            if text.startswith(">>>>>>"):
+                missed[node].append(f"    {number:5d}  {text[7:].strip()}")
+            else:
+                hit[node] += 1
+        for node, unrun in missed.items():
+            name = f"{path.stem}.{node.name}"
+            total += len(unrun) + hit[node]
+            ran += hit[node]
+            if not hit[node]:
+                never.append(f"{name} ({len(unrun)})")
+            elif unrun:
+                lines.append(f"  {name}: {len(unrun)} of "
+                             f"{len(unrun) + hit[node]} lines not run")
+                lines += unrun
+    print(f"{workload}, seed {SEED}: {ran} of {total} lines run, traced in "
+          f"{seconds:.1f} s; annotated files in "
+          f"{coverdir.relative_to(ROOT)}")
     for line in lines:
         print(line)
     if never:
-        print(f"  never called (statements in brackets): {', '.join(never)}")
+        print(f"  never called (lines in brackets): {', '.join(never)}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append",
-                        choices=workloads.WORKLOADS,
-                        help="a workload to trace (default: all)")
-    parser.add_argument("--seed", type=int, default=231)
-    parser.add_argument("--function", metavar="NAME",
-                        help="only functions whose qualified name starts "
-                             "with NAME")
-    args = parser.parse_args(argv)
-    for workload in args.workload or workloads.WORKLOADS:
-        report(workload, args.seed, args.function)
+def main() -> int:
+    for workload in workloads.WORKLOADS:
+        report(workload)
     return 0
 
 

@@ -13,9 +13,11 @@ every record.  The records cover
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
   the default and with explicit scan ranges, and with gamma2 off the
   scan's grid;
-* eigenfunctions: `sph.eigenfunction` values and parities, and
-  `ell.eigenfunction` series, matching constants, values and both
-  normalizations;
+* eigenfunctions: `sph.eigenfunction` values and parities, real and at
+  complex gamma2 and complex mu, and `ell.eigenfunction` series, matching
+  constants, values (on about 200 points, with the floats where the choice
+  of piece ties) and both normalizations, on the table and on a wave row
+  at c = 1/0.9;
 * eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and two
   wave-number rows (one stops at the floor of its Theta evaluations), and
   a `scan_grid`;
@@ -263,6 +265,28 @@ def _sph_eigenfunction_records():
         for eig in eigs:
             yield (f"sph.eigenfunction/{mu}/{gamma2}/{eig.index}",
                    lambda p=p, eig=eig: sph.eigenfunction(eig, p, xs))
+    # complex terms: a root of Theta off the real axis, found by a secant in
+    # the complex plane
+    for mu, gamma2, t0 in ((0, 4 + 1j, -1 + 0j), (0.5 + 0.5j, 4.0, -1 + 0j)):
+        p = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
+        t = _complex_root(lambda t, p=p: sph.theta_t(t, p).theta, t0,
+                          t0 + 0.1 + 0.1j)
+        eig = sph.SpheroidalEigenvalue(index=0, t_root=t, lam=t + mu * (mu + 1),
+                                       parity=0, residual=0.0)
+        yield (f"sph.eigenfunction/{mu}/{gamma2}/complex",
+               lambda p=p, eig=eig: (eig, sph.eigenfunction(eig, p, xs)))
+
+
+def _complex_root(f, t0, t1):
+    """A root of f by 40 secant steps from t0, t1, or fewer once |f| is at
+    most 1e-12."""
+    f0 = f(t0)
+    for _ in range(40):
+        f1 = f(t1)
+        if abs(f1) <= 1e-12:
+            break
+        t0, t1, f0 = t1, t1 - f1 * (t1 - t0) / (f1 - f0), f1
+    return t1
 
 
 def _eigenpair_records():
@@ -303,6 +327,37 @@ def _ell_eigenfunction_records():
         for mode in ("sup", "integral"):
             yield (f"ell.normalize/{bits}/{mode}",
                    lambda fn=fn, mode=mode: ell.normalize(fn, mode=mode))
+        yield (f"ell.eigenfunction/{bits}/points",
+               lambda fn=fn: fn(_points(fn.c)))
+    # a wave row at c = 1/0.9, where r1 = c - 1 is about 0.11 and the piece-0
+    # series runs to some 600 terms
+    row = (0.9, 1.0, 465.0515, 456.8093)
+    gamma, c, lam, mu = ell.from_abramov(*row)
+    p = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    pair = ell.solve_pair(lam, mu, p, opts=SolverOptions(tol_residual=1e-8))
+    fn = _run(lambda: ell.eigenfunction(pair, p))
+    yield (f"ell.eigenfunction/wave{row}", lambda: fn)
+    if not isinstance(fn, Exception):
+        yield (f"ell.eigenfunction/wave{row}/points", lambda: fn(_points(c)))
+        for mode in ("sup", "integral"):
+            yield (f"ell.normalize/wave{row}/{mode}",
+                   lambda mode=mode: ell.normalize(fn, mode=mode))
+
+
+def _points(c):
+    """About 200 points of [0, c] for an ellipsoidal eigenfunction: a grid,
+    0, 1 and c, and the floats within 4 ulps of the two points where
+    `EllipsoidalEigenfunction.__call__` changes piece, q1 = q0 and q1 = q2,
+    with every float within 300 ulps where that comparison ties exactly."""
+    r1 = min(1.0, c - 1.0)
+    points = [*np.linspace(0.0, c, 181).tolist(), 0.0, 1.0, c]
+    for z0, q in ((1 / (1 + r1), abs),
+                  ((c / (c - 1) + 1 / r1) / (1 / r1 + 1 / (c - 1)),
+                   lambda z: (c - z) / (c - 1))):
+        near = (z0 + np.arange(-300, 301) * np.spacing(z0)).tolist()
+        points += near[296:305]
+        points += [z for z in near if abs(1 - z) / r1 == q(z)]
+    return np.array(points)
 
 
 def _scan_grid_records():

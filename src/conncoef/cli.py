@@ -289,7 +289,7 @@ def cmd_eigenfunction(args) -> int:
             fn = ell.normalize(fn, mode=args.normalize)
         zs = problem.c * np.arange(1, args.samples + 1) / (args.samples + 1)
         _write_csv(args.output, ["z", "w"],
-                   ([_fmt(z), _fmt(fn(float(z)))] for z in zs))
+                   ([_fmt(z), _fmt(w)] for z, w in zip(zs, fn(zs))))
         summary = (f"pair: lambda = {_fmt(pair.lam)}  mu = {_fmt(pair.mu)}  "
                    f"(residuals {pair.residual_theta:.2e}, "
                    f"{pair.residual_theta_hat:.2e})")

@@ -107,6 +107,7 @@ its own.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 import operator
@@ -143,8 +144,13 @@ _FRAME_RESIDUAL_TOL = 1e-10
 #: length of the eigenfunctions' coefficient sequences (`_Series`)
 _SERIES_TERMS = 2000
 
-#: terms a `_Series` computes at a time, when a read passes the known ones
+#: terms a `_Series` computes at a time, when a read passes the known ones,
+#: and `_power_sum` sums at a time
 _CHUNK = 32
+
+#: (im, re) times this are the terms, -(im*0.0) and re*0.0, that the
+#: product of a complex and a float x adds to re*x and im*x (`_power_sum`)
+_NEG_ZERO = np.array([-0.0, 0.0])
 
 
 def _finite(x, shape) -> np.ndarray:
@@ -566,28 +572,97 @@ def frobenius_step(state: tuple, side: tuple) -> tuple:
 
 
 def _power_sum(coefs, x):
-    """sum_k coefs[k] * x**k, truncated adaptively.
+    """sum_k coefs[k] * x**k at each point of x, truncated adaptively.
 
-    Stops once 3 terms in a row are each at most 1e-12 * |running sum|.
-    The sum starts from 0, so real coefficients at real x give a real sum.
-    Raises NoConvergence if the sum is not finite.
+    ``x`` is a float or a float64 array, and the sums come in its shape:
+    float for real coefficients, complex for complex ones.  At each point
+    the sum is, bit for bit, the sequential loop
+
+        total, xk = 0, 1.0
+        for ck in coefs:
+            term = ck * xk;  total += term;  xk *= x
+            stop once 3 terms in a row each have
+                abs(term) <= 1e-12 * max(abs(total), 1e-300)
+
+    run for all points at once.  ``coefs`` is read from one iterator,
+    `_CHUNK` terms at a time, into a points x chunk matrix of the powers
+    (np.multiply.accumulate, sequential products) and of the totals
+    (np.add.accumulate, sequential sums, where np.sum sums pairwise).  A
+    point leaves the arrays at its stop, so a call holds points x `_CHUNK`
+    values however long its series.  A complex term is formed on its real
+    and imaginary planes by the formula of the scalar product of a complex
+    and a float, since numpy's complex array product may fuse operations.
+    Where an imaginary part is not zero, |term| and |total| come from
+    np.hypot, and a comparison within a hair of the threshold is decided on
+    numpy complex scalars, as numpy's abs of a complex array may differ
+    from the scalar abs in the last bit.
+
+    Raises NoConvergence if the sum at some point is not finite: an
+    argument outside the disk of convergence, or a NaN one, which reads
+    every term.
     """
-    total = 0
-    xk = 1.0
-    small = 0
-    for ck in coefs:
-        term = ck * xk
-        total += term
-        xk *= x
-        if abs(term) <= 1e-12 * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    if not cmath.isfinite(total):
-        raise NoConvergence(f"power series at x = {x} sums to {total}")
-    return total
+    xs = np.asarray(x, dtype=float)
+    at = xs.ravel()                     # x of the points still summing
+    live = np.arange(at.size)           # and their places
+    xk, total, tail = 1.0, 0.0, False   # x**k, sum and the last two small
+    planes = 0                          # 1 for real terms, 2 for complex
+    terms = iter(coefs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live) and (chunk := list(itertools.islice(terms, _CHUNK))):
+            if not planes:
+                planes = 1 + isinstance(chunk[0], (complex, np.complexfloating))
+                out = np.empty((at.size, planes))
+            chunk = np.array(chunk, dtype=(float, complex)[planes - 1])
+            m = len(chunk)
+            power = np.empty((len(live), m + 1))
+            power[:, 0] = xk
+            power[:, 1:] = at[:, None]
+            np.multiply.accumulate(power, axis=1, out=power)
+            xk = power[:, m]
+            # per plane, the running total and the terms, then the totals
+            acc = np.empty((2, planes, len(live), m + 1))
+            acc[0, :, :, 0] = total
+            parts = chunk.view(float).reshape(m, planes)
+            np.multiply(parts.T[:, None], power[:, :m], out=acc[0, :, :, 1:])
+            if planes == 2:
+                # re*x - im*0.0 and re*0.0 + im*x
+                acc[0, :, :, 1:] += (parts[:, ::-1] * _NEG_ZERO).T[:, None]
+            np.add.accumulate(acc[0], axis=2, out=acc[1])
+            body = acc[..., 1:]
+            cplx = planes == 2 and acc[:, 1].any()
+            size, scale = (np.hypot(body[:, 0], body[:, 1]) if cplx
+                           else np.abs(body[:, 0]))
+            limit = 1e-12 * np.maximum(scale, 1e-300)
+            small = size <= limit
+            if cplx:
+                hair = np.abs(size - limit) <= 1e-14 * limit + 1e-320
+                for i, j in zip(*np.nonzero(hair)) if hair.any() else ():
+                    t, s = (np.complex128(complex(*v[:, i, j])) for v in body)
+                    small[i, j] = abs(t) <= 1e-12 * max(abs(s), 1e-300)
+            seq = np.empty((len(live), m + 2), bool)
+            seq[:, :2] = tail
+            seq[:, 2:] = small
+            three = seq[:, :-2] & seq[:, 1:-1] & seq[:, 2:]
+            total, tail = acc[1, :, :, m], seq[:, -2:]
+            stops = three.any(axis=1)
+            if stops.any():
+                first = three.argmax(axis=1)[stops] + 1
+                out[live[stops]] = acc[1][:, stops, first].T
+                if stops.all():
+                    break
+                keep = ~stops
+                live, at, xk = live[keep], at[keep], xk[keep]
+                total, tail = total[:, keep], tail[keep]
+        else:                           # the points left read every term
+            if not planes:              # no term, or no point
+                return np.zeros(xs.shape)[()]
+            out[live] = total.T
+    value = out[:, 0] if planes == 1 else out.view(complex)[:, 0]
+    if not np.isfinite(value).all():
+        i = np.flatnonzero(~np.isfinite(value))[0]
+        raise NoConvergence(f"power series at x = {xs.flat[i].item()} sums "
+                            f"to {value[i].item()}")
+    return value.reshape(xs.shape)[()]
 
 
 class _Series:
@@ -603,9 +678,9 @@ class _Series:
     `frobenius_step`, so a series pickles and copies.  The terms are kept
     in one array, and the state is dropped once all are known.
 
-    Iteration yields the terms in order, the same at every pass; ``len``
-    is `_SERIES_TERMS`, an integer index reads one term, and
-    ``np.asarray`` gives a copy of all of them.
+    Iteration yields the terms in order, as Python floats or complex
+    numbers, the same at every pass; ``len`` is `_SERIES_TERMS`, an integer
+    index reads one term, and ``np.asarray`` gives a copy of all of them.
     """
 
     def __init__(self, side: tuple, start: Sequence, term):
@@ -631,30 +706,23 @@ class _Series:
             self._known = end
             self._state = None if end == _SERIES_TERMS else state
 
-    def _read(self, k: int, stop: int):
-        """Terms k..stop-1, computed if need be.
-
-        Float terms come as a list of Python floats, which sum faster.
-        Complex ones come as an array, whose items are numpy scalars:
-        CPython's abs of a complex raises OverflowError where |z| overflows,
-        and at a NaN part when a stale errno (such as numpy's underflow in
-        `_compute` leaves behind) reads as overflow; numpy's gives inf and
-        NaN.
-        """
-        self._compute(stop)
-        terms = self._terms[k:stop]
-        return terms.tolist() if terms.dtype == float else terms
-
     def __iter__(self):
-        for k in range(0, _SERIES_TERMS, _CHUNK):
-            yield from self._read(k, min(k + _CHUNK, _SERIES_TERMS))
+        return itertools.chain.from_iterable(
+            map(self._block, range(0, _SERIES_TERMS, _CHUNK)))
+
+    def _block(self, k: int) -> list:
+        """The `_CHUNK` terms from k on, computed if need be."""
+        stop = min(k + _CHUNK, _SERIES_TERMS)
+        self._compute(stop)
+        return self._terms[k:stop].tolist()
 
     def __len__(self) -> int:
         return _SERIES_TERMS
 
     def __getitem__(self, k):
         k = range(_SERIES_TERMS)[operator.index(k)]
-        return self._read(k, k + 1)[0]
+        self._compute(k + 1)
+        return self._terms[k].item()
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

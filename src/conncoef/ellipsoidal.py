@@ -493,50 +493,86 @@ class EllipsoidalEigenfunction:
         """Convergence radius of the piece-1 series."""
         return min(1.0, self.c - 1.0)
 
-    # -- raw pieces (no matching constants) --------------------------------
+    # -- raw pieces (no matching constants), at a float or an array of z --
 
-    def _outer_piece(self, x: float, coef: _Series, bit: int) -> float:
-        """|x|**(-bit/2) |1-x|**((1+sigma)/2) * sum_k coef[k] x**k."""
-        if x == 0.0:
-            return coef[0] if bit == 0 else 0.0
-        pref = abs(x) ** (-bit / 2) * abs(1 - x) ** ((1 + self.sigma) / 2)
-        return pref * _power_sum(coef, x)
+    def _piece(self, coef: _Series, bit: int, x, a, ea: float, b,
+               eb: float) -> np.ndarray:
+        """|a|**ea |b|**eb * sum_k coef[k] x**k at each point of the float
+        arrays x, a and b, or coef[0] (bit 0) or 0.0 where x == 0.
 
-    def piece0(self, z: float) -> float:
-        return self._outer_piece(z, self.coef0, self.rho)
+        The prefactors are formed on Python floats, with libm's pow (numpy's
+        power is not known to round as it does), and the sums in one call of
+        `_power_sum`.
+        """
+        out = np.zeros(len(x))
+        live = x != 0.0
+        if bit == 0 and not live.all():
+            out[~live] = coef[0]
+        pref = [abs(p) ** ea * abs(q) ** eb
+                for p, q in zip(a[live].tolist(), b[live].tolist())]
+        out[live] = np.array(pref) * _power_sum(coef, x[live])
+        return out
 
-    def piece1(self, z: float) -> float:
-        x = 1.0 - z
-        if x == 0.0:
-            return self.coef1[0] if self.sigma == 0 else 0.0
-        pref = abs(z) ** (-self.rho / 2) * abs(x) ** (-self.sigma / 2)
-        return pref * _power_sum(self.coef1, x)
+    def piece0(self, z):
+        """|z|**(-rho/2) |1-z|**((1+sigma)/2) * S0(z)."""
+        return _on_points(lambda z: self._piece(
+            self.coef0, self.rho, z, z, -self.rho / 2, 1 - z,
+            (1 + self.sigma) / 2), z)
 
-    def piece2(self, z: float) -> float:
-        return self._outer_piece((self.c - z) / (self.c - 1), self.coef2,
-                                 self.tau)
+    def piece1(self, z):
+        """|z|**(-rho/2) |1-z|**(-sigma/2) * S1(1-z)."""
+        def piece(z):
+            x = 1.0 - z
+            return self._piece(self.coef1, self.sigma, x, z, -self.rho / 2,
+                               x, -self.sigma / 2)
+        return _on_points(piece, z)
+
+    def piece2(self, z):
+        """|zh|**(-tau/2) |1-zh|**((1+sigma)/2) * S2(zh), zh = (c-z)/(c-1)."""
+        def piece(z):
+            x = (self.c - z) / (self.c - 1)
+            return self._piece(self.coef2, self.tau, x, x, -self.tau / 2,
+                               1 - x, (1 + self.sigma) / 2)
+        return _on_points(piece, z)
 
     # -- public evaluation --------------------------------------------------
 
     def __call__(self, z):
-        """Evaluate w at z (scalar or array) inside [0, c]."""
-        if np.ndim(z) > 0:
-            return np.array([self(float(zz)) for zz in np.asarray(z).ravel()]
-                            ).reshape(np.shape(z))
-        z = float(z)
-        if not 0 <= z <= self.c:
-            raise ValueError(f"z = {z} outside the domain [0, {self.c}]")
-        r1 = self.radius1
-        if z <= 1.0:
-            q0, q1 = abs(z), abs(1 - z) / r1
-            if q1 < min(q0, 0.95):
-                return self.C1 * self.piece1(z)
-            return self.C0 * self.piece0(z)
-        q2 = (self.c - z) / (self.c - 1)
-        q1 = (z - 1) / r1
-        if q1 < min(q2, 0.95):
-            return self.C1 * self.piece1(z)
-        return self.C2 * self.piece2(z)
+        """Evaluate w at z, a float or an array inside [0, c].
+
+        A point z takes C1 * piece1 where q1 = |1-z|/r1 < min(q, 0.95),
+        with q = z left of 1 and q = (c-z)/(c-1) right of it, and else
+        C0 * piece0 (left) or C2 * piece2 (right).  The pieces are chosen
+        with numpy comparisons, which are the scalar ones, and each piece
+        sums its points in one call of `_power_sum`, so an array of points
+        gives, bit for bit, the values of its points one at a time.  A
+        float z gives a float.
+        """
+        return _on_points(self._values, z)
+
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        outside = ~((0 <= z) & (z <= self.c))
+        if outside.any():
+            raise ValueError(f"z = {float(z[outside][0])} outside the domain "
+                             f"[0, {self.c}]")
+        left = z <= 1.0
+        q1 = np.abs(1 - z) / self.radius1
+        near1 = (q1 < np.where(left, z, (self.c - z) / (self.c - 1))) & (
+            q1 < 0.95)
+        out = np.empty(len(z))
+        for at, C, piece in ((near1, self.C1, self.piece1),
+                             (~near1 & left, self.C0, self.piece0),
+                             (~near1 & ~left, self.C2, self.piece2)):
+            out[at] = C * piece(z[at])
+        return out
+
+
+def _on_points(f, z):
+    """f on the points of z, a float or an array: f maps a 1-d float64 array
+    to an array of its length; a float z gives a float."""
+    zs = np.asarray(z, dtype=float)
+    out = f(zs.ravel())
+    return out.reshape(zs.shape) if zs.ndim else out.item()
 
 
 def _real_parts(d1: np.ndarray, k: int) -> np.ndarray:
@@ -604,15 +640,18 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
 
 
 def _match_constant(ref_piece, new_piece, candidates) -> float:
-    """Constant C with C * new_piece = ref_piece at the first usable abscissa."""
+    """Constant C with C * new_piece = ref_piece at the first usable abscissa.
+
+    Each piece is evaluated on all the candidates in one call."""
     if not candidates:
         raise MatchFailure("no matching abscissa inside both convergence disks")
-    vals = [(z, ref_piece(z), new_piece(z)) for z in candidates]
-    scale = max(max(abs(r), abs(w)) for _, r, w in vals)
+    zs = np.array(candidates)
+    vals = list(zip(ref_piece(zs).tolist(), new_piece(zs).tolist()))
+    scale = max(max(abs(r), abs(w)) for r, w in vals)
     if scale == 0:
         raise MatchFailure("eigenfunction pieces vanish at every matching "
                            "abscissa")
-    for _, r, w in vals:
+    for r, w in vals:
         if abs(r) > 1e-8 * scale and abs(w) > 1e-8 * scale:
             return r / w
     raise MatchFailure("pieces have no common nonvanishing matching abscissa")
@@ -650,7 +689,7 @@ def _weighted_moments(fn: EllipsoidalEigenfunction, interval: str,
     else:                               # (1, c): |phi| = z(z-1)(c-z)
         z = 1 + (c - 1) * s2
         rest = np.sqrt(z)
-    w2 = np.array([fn(float(zz)) ** 2 for zz in z])
+    w2 = np.array([w ** 2 for w in fn(z).tolist()])
     base = 2.0 * w2 / rest
     m0 = float(np.sum(wgt * base))
     m1 = float(np.sum(wgt * base * z))
@@ -687,7 +726,7 @@ def normalize(fn: EllipsoidalEigenfunction,
     """
     if mode == "sup":
         zs = np.linspace(0.0, fn.c, 2003)[1:-1]
-        peak = max(abs(fn(float(z))) for z in zs)
+        peak = max(map(abs, fn(zs).tolist()))
         if peak == 0:
             raise ValueError("cannot sup-normalize the zero function")
         s = 1.0 / peak

@@ -272,16 +272,21 @@ def _coefficients(t, problem: SpheroidalProblem) -> _Series:
     return _Series(kernel.main, kernel.a0, _halved)
 
 
-def _w_direct(coefs: _Series, mu: complex, x: float) -> complex:
-    pref = ((1 + x) / (1 - x)) ** (mu / 2)
-    return pref * _power_sum(coefs, 1.0 + x)
+def _w_direct(coefs: _Series, mu: complex, x: np.ndarray) -> list:
+    """w at each point of the float array x by the direct series, summed in
+    one call of `_power_sum`; the prefactors and their products with the
+    sums are taken on scalars, as numpy's complex array product may fuse
+    operations."""
+    sums = _power_sum(coefs, 1.0 + x)
+    return [((1 + v) / (1 - v)) ** (mu / 2) * s
+            for v, s in zip(x.tolist(), sums)]
 
 
 def _parity_probe(coefs: _Series, mu: complex) -> tuple[int, float]:
-    """Parity Omega and relative deviation, probing x0 = 0.3 then 0.55."""
+    """Parity Omega and relative deviation, probing x0 = 0.3 then 0.55; the
+    pair +-x0 is summed in one call."""
     for x0 in (0.3, 0.55):
-        wp = _w_direct(coefs, mu, x0)
-        wm = _w_direct(coefs, mu, -x0)
+        wp, wm = _w_direct(coefs, mu, np.array([x0, -x0]))
         scale = max(abs(wp), abs(wm))
         if scale < 1e-10:
             continue
@@ -298,10 +303,11 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     """Evaluate the eigenfunction at x_samples (all inside (-1, 1)).
 
     The series (up to 2000 coefficients, computed as the sum reads them) is
-    summed with adaptive truncation, and the parity is probed from the same
-    coefficients; for x > 0 the reflected form Omega * w(-x) is used (its
-    series argument 1-x stays below 1, so it converges geometrically where
-    the direct form would crawl).
+    summed with adaptive truncation at all the samples in one call of
+    `core._power_sum`, and the parity is probed from the same coefficients;
+    for x > 0 the reflected form Omega * w(-x) is used (its series argument
+    1-x stays below 1, so it converges geometrically where the direct form
+    would crawl).
 
     Requires eig.residual <= 1e-8.  Raises ParityAmbiguous if the parity
     probe fails at both x0 = 0.3 and x0 = 0.55.  Values are float for a
@@ -318,12 +324,10 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     coefs = _coefficients(eig.t_root, problem)
     parity, deviation = _parity_probe(coefs, mu)
 
-    vals = np.empty(len(x), dtype=complex)
-    for i, xi in enumerate(x):
-        if xi <= 0:
-            vals[i] = _w_direct(coefs, mu, float(xi))
-        else:
-            vals[i] = parity * _w_direct(coefs, mu, -float(xi))
+    direct = x <= 0
+    w = _w_direct(coefs, mu, np.where(direct, x, -x))
+    vals = np.array([wi if d else parity * wi
+                     for d, wi in zip(direct.tolist(), w)], dtype=complex)
     if problem.is_real:
         vals = vals.real
     return SpheroidalEigenfunction(x=x, values=vals, parity=parity,

@@ -20,14 +20,17 @@ It also holds the rational kernel as a generator that yields after every
 step (`rational_steps`): the same operations in the same order as the
 library's chunked kernel, `core._advance`, so that it checks that kernel
 bit for bit, and plain scalar arithmetic, so that it runs unchanged on
-`mpmath` numbers.
+`mpmath` numbers.  And it holds the scalar power-series loop
+(`power_sum`) that the library's array summer, `core._power_sum`, must
+give bit for bit at every point.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from conncoef.errors import SingularStep
+from conncoef.errors import NoConvergence, SingularStep
 
 #: determinant threshold below which a recurrence step counts as singular
 _SINGULAR_STEP_TOL = 1e-30
@@ -167,3 +170,28 @@ def thetas(system, frame, n):
             nu = weight_vector(frame.b1, p_vector(frame.b2, prefix,
                                                   frame.delta, k, n))
             yield k, None if nu is None else complex(d @ nu)
+
+
+def power_sum(coefs, x):
+    """sum_k coefs[k] * x**k, truncated adaptively, one term at a time.
+
+    Stops once 3 terms in a row are each at most 1e-12 * |running sum|.
+    The sum starts from 0, so real coefficients at real x give a real sum.
+    Raises NoConvergence if the sum is not finite.
+    """
+    total = 0
+    xk = 1.0
+    small = 0
+    for ck in coefs:
+        term = ck * xk
+        total += term
+        xk *= x
+        if abs(term) <= 1e-12 * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    if not cmath.isfinite(total):
+        raise NoConvergence(f"power series at x = {x} sums to {total}")
+    return total

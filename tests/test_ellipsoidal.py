@@ -608,6 +608,51 @@ def test_eigenfunction_pickles_and_copies(table_problem):
                     == np.asarray(getattr(fi, name)).tobytes())
 
 
+def _scalar_w(fn, z):
+    """w(z) one point at a time: the piece choice, prefactors and matching
+    constants of `EllipsoidalEigenfunction.__call__` on Python floats, and
+    the reference scalar loop for the sums."""
+    def piece(coef, bit, x, a, ea, b, eb):
+        if x == 0.0:
+            return float(coef[0]) if bit == 0 else 0.0
+        return (abs(a) ** ea * abs(b) ** eb
+                * _reference.power_sum(np.asarray(coef).tolist(), x))
+    rho, sigma, tau, c = fn.rho, fn.sigma, fn.tau, fn.c
+    r1 = min(1.0, c - 1.0)
+    q1 = abs(1 - z) / r1
+    if q1 < min(z if z <= 1.0 else (c - z) / (c - 1), 0.95):
+        x = 1.0 - z
+        return fn.C1 * piece(fn.coef1, sigma, x, z, -rho / 2, x, -sigma / 2)
+    if z <= 1.0:
+        return fn.C0 * piece(fn.coef0, rho, z, z, -rho / 2, 1 - z,
+                             (1 + sigma) / 2)
+    x = (c - z) / (c - 1)
+    return fn.C2 * piece(fn.coef2, tau, x, x, -tau / 2, 1 - x,
+                         (1 + sigma) / 2)
+
+
+@pytest.mark.parametrize("bits, seed", [((0, 0, 1), (0.25, -0.5)),
+                                        ((1, 1, 1), (2.71, -3.0))])
+def test_eigenfunction_of_an_array_is_its_points_one_at_a_time(bits, seed):
+    # rho = 0 reads coef0[0] at z = 0 and sigma = 1 gives 0.0 at z = 1;
+    # 7/12 is where q1 = q0 ties, and its neighbours straddle the tie
+    rho, sigma, tau = bits
+    prob = ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, rho=rho, sigma=sigma,
+                                  tau=tau)
+    pair = ell.solve_pair(*seed, prob, opts=SolverOptions(tol_residual=1e-8))
+    fn = ell.normalize(ell.eigenfunction(pair, prob), mode="integral")
+    tie = 7.0 / 12.0
+    assert abs(1 - tie) / fn.radius1 == tie
+    zs = np.array([0.0, 1.0, C_TABLE, tie, np.nextafter(tie, 0.0),
+                   np.nextafter(tie, 1.0), 1 + fn.radius1 / 2,
+                   *np.linspace(0.0, C_TABLE, 41)])
+    got = [repr(w) for w in fn(zs).tolist()]
+    assert got == [repr(fn(float(z))) for z in zs]
+    assert got == [repr(_scalar_w(fn, float(z))) for z in zs]
+    assert fn(zs.reshape(2, -1)).shape == (2, len(zs) // 2)
+    assert type(fn(0.5)) is float
+
+
 @pytest.mark.parametrize("bits, seed", [((0, 0, 1), (0.25, -0.5)),
                                         ((1, 0, 0), (2.42, -3.0)),
                                         ((1, 1, 1), (2.71, -3.0))])
@@ -646,8 +691,10 @@ def test_eigenfunction_series_are_computed_as_read(bits, seed):
      "pieces have no common nonvanishing matching abscissa"),
 ], ids=["no-abscissa", "both-vanish", "no-common"])
 def test_match_constant_failures(candidates, ref, new, message):
+    # the pieces are evaluated on all the candidates at once
     with pytest.raises(MatchFailure, match=f"^{message}$"):
-        ell._match_constant(ref.get, new.get, candidates)
+        ell._match_constant(np.vectorize(ref.get, otypes=[float]),
+                            np.vectorize(new.get, otypes=[float]), candidates)
 
 
 def test_sup_normalize_rejects_the_zero_function(eigenfunction_325):

@@ -290,12 +290,13 @@ def test_theta_t_rejects_an_infinite_t():
 
 def _probed(monkeypatch, values):
     """`sph._w_direct` patched to give values[x], or 1.0 at an x not in
-    ``values``; returns the list of the x it is asked at."""
+    ``values``, at each point of its array; returns the list of the x it
+    is asked at."""
     asked = []
 
-    def w_direct(coefs, mu, x):
-        asked.append(x)
-        return values.get(x, 1.0)
+    def w_direct(coefs, mu, xs):
+        asked.extend(xs.tolist())
+        return [values.get(x, 1.0) for x in xs.tolist()]
     monkeypatch.setattr(sph, "_w_direct", w_direct)
     return asked
 
@@ -318,6 +319,33 @@ def test_parity_probe_raises_where_w_vanishes_at_both(prolate, monkeypatch):
             r"^w vanishes at both parity probes x0 = 0\.3 and "
             r"x0 = 0\.55$")):
         sph.eigenfunction(eigs[0], problem, [-0.5])
+
+
+@pytest.mark.parametrize("case", ["prolate", "complex mu"])
+def test_eigenfunction_values_are_the_scalar_sums(prolate, case):
+    # every sample summed in one call gives, bit for bit, the value that
+    # the reference scalar loop gives at that sample alone
+    if case == "prolate":
+        problem, eigs = prolate
+        eig = eigs[1]
+    else:
+        problem = sph.SpheroidalProblem(mu=0.5 + 0.5j, gamma2=4.0)
+        eig = sph.SpheroidalEigenvalue(index=0, t_root=0.87 + 0.7j,
+                                       lam=0.0, parity=0, residual=0.0)
+    x = np.concatenate([np.linspace(-0.95, 0.95, 39), [0.0, -0.0]])
+    fn = sph.eigenfunction(eig, problem, x)
+    mu = complex(problem.mu)
+    coefs = np.asarray(sph._coefficients(eig.t_root, problem))
+
+    def w(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((1 + v) / (1 - v)) ** (mu / 2) * _reference.power_sum(
+                coefs, 1.0 + v)
+    want = np.array([w(v) if v <= 0 else fn.parity * w(-v)
+                     for v in x.tolist()], dtype=complex)
+    if problem.is_real:
+        want = want.real
+    assert fn.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("xs", [[math.nan], [0.2, math.nan]],

@@ -111,7 +111,7 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     Raises
     ------
     ValueError
-        If lam or mu is not finite.
+        If lam or mu is not finite, or an entry overflows.
     ConsistencyError
         If the identity fails by more than 1e-12 of the largest entry.
     """
@@ -120,6 +120,10 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     if not (cmath.isfinite(complex(lam)) and cmath.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
     e = _entries(lam, mu, g, c)
+    if not all(map(cmath.isfinite, (e.a12, e.b12, e.r12))):
+        raise ValueError(f"system entries overflow at (lam, mu) = ({lam}, "
+                         f"{mu}): a12 = {e.a12}, b12 = {e.b12}, "
+                         f"r12 = {e.r12}")
     total = e.a12 + e.b12 + e.r12
     scale = max(abs(e.a12), abs(e.b12), abs(e.r12), 1.0)
     if not abs(total - c * g) <= 1e-12 * scale:
@@ -358,8 +362,9 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     `theta_hat`, bit for bit, but the grid runs them as one `theta_many`
     batch: Theta then Theta-hat at each node whose set-up ran, in node
     order.  Node failures (`ConncoefError` or `ArithmeticError`, in a
-    node's set-up or its series) are recorded in the grid status and the
-    values set to NaN; any other error propagates.  The modest k_max
+    node's set-up or its series, and the ValueError of a node whose system
+    entries overflow) are recorded in the grid status and the values set
+    to NaN; any other error propagates.  The modest k_max
     default keeps nodes far from any eigencurve cheap; only sign changes
     matter for seeding.
 
@@ -394,7 +399,7 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
             try:
                 pair = [make(lambdas[i], mus[j], problem)
                         for make in (_kernel, _hat_kernel)]
-            except (ConncoefError, ArithmeticError):
+            except (ConncoefError, ArithmeticError, ValueError):
                 continue  # node failure stays local
             ran.append((i, j))
             yield from pair

@@ -572,16 +572,15 @@ def test_typed_library_error_exits_2(capsys):
     assert captured.out == ""
 
 
-def test_theta_ell_with_overflowing_entries_exits_2(capsys):
-    # pins today's behaviour, which CHANGES.md records as a defect (FOUND):
-    # lambda + mu overflows, the entry-sum identity fails on a NaN sum, and
-    # the run exits 2 where bad input should exit 1; a fix updates this test
+def test_theta_ell_with_overflowing_entries_exits_1(capsys):
+    # lambda + mu overflows: bad input, which exits 1 and names the overflow
     rc = main(["theta-ell", "--lambda", "1e308", "--mu", "1e308",
                "--gamma", "0", "--c", "2"])
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err == ("error: entry sum (nan+0j) differs from "
-                            "c*gamma = 0.0\n")
+    assert rc == 1
+    assert captured.err == ("error: system entries overflow at (lam, mu) = "
+                            "(1e+308, 1e+308): a12 = (1e+308+0j), b12 = -inf, "
+                            "r12 = inf\n")
     assert captured.out == ""
 
 

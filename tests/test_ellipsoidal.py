@@ -113,13 +113,26 @@ def test_problem_validation():
 
 
 def test_theta_raises_where_the_entry_sum_overflows():
-    # pins today's behaviour, which CHANGES.md records as a defect (FOUND):
-    # lambda + mu overflows to inf, the entries sum to NaN, and the message
-    # names that NaN sum, not the overflow; a fix updates this test
+    # lambda + mu overflows to inf: the entries are checked before their
+    # sum, which would be NaN, and the error is bad input, named as such
     prob = ell.EllipsoidalProblem(gamma=0.0, c=2.0)
-    with pytest.raises(ConsistencyError, match=re.escape(
-            "entry sum (nan+0j) differs from c*gamma = 0.0")):
+    with pytest.raises(ValueError, match=re.escape(
+            "system entries overflow at (lam, mu) = (1e+308, 1e+308): "
+            "a12 = (1e+308+0j), b12 = -inf, r12 = inf")):
         ell.theta(1e308, 1e308, prob)
+
+
+def test_scan_grid_records_nodes_whose_entries_overflow_as_errors():
+    # the top row's nodes overflow, the bottom row's do not
+    prob = ell.EllipsoidalProblem(gamma=0.0, c=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = ell.scan_grid(prob, (0.0, 1e308), (0.0, 1e308), (2, 2))
+        with pytest.raises(ValueError, match="system entries overflow"):
+            ell.theta(1e308, 1e308, prob)
+    assert grid.status.tolist() == [["converged", "error"],
+                                    ["error", "error"]]
+    assert np.isnan(grid.theta[1]).all() and np.isnan(grid.theta_hat[1]).all()
+    assert np.isfinite(grid.theta[0, 0])
 
 
 def test_hat_entries_rejects_c_at_most_one():

@@ -568,7 +568,8 @@ class EllipsoidalEigenfunction:
         for at, C, piece in ((near1, self.C1, self.piece1),
                              (~near1 & left, self.C0, self.piece0),
                              (~near1 & ~left, self.C2, self.piece2)):
-            out[at] = C * piece(z[at])
+            if at.any():
+                out[at] = C * piece(z[at])
         return out
 
 

@@ -79,7 +79,10 @@ Eigenfunctions of both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
 steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time
 (`_advance`), keeps the terms, and resumes from the recurrence state it
-left.  Only the map from d_k to a term is the family's own.
+left.  Only the map from d_k to a term is the family's own.  One summer,
+`_power_sum`, sums such a series at all the points of an array at once,
+`_CHUNK` terms at a time, and gives at each point the bits of the scalar
+loop that sums one term after another.
 `frobenius_step` is one step of the kernel on a side, as a function of its
 state; the library's loops run the kernel directly.
 

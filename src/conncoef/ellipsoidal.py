@@ -459,7 +459,9 @@ class EllipsoidalEigenfunction:
     real-valued on its interval; the matching constants C0, C1, C2 glue the
     pieces so values agree on overlaps.  (Squares of w, which drive the
     normalization integral, are insensitive to the sign convention that links
-    the two sides of the singular point z=1.)
+    the two sides of the singular point z=1.)  The function and its pieces
+    take a float or an array of z; an array sums each piece's points in one
+    call of `core._power_sum`.
 
     Attributes
     ----------
@@ -722,7 +724,10 @@ def normalize(fn: EllipsoidalEigenfunction,
     power of w, so the factor applied is I**(-1/4).  64-point tensor
     Gauss-Legendre after a sin^2 substitution per axis, with a 128-point
     refinement check; the rules come from numpy's
-    `numpy.polynomial.legendre.leggauss`, computed once per process.
+    `numpy.polynomial.legendre.leggauss`, computed once per process.  Both
+    modes evaluate w on all the points of a sample, or of a rule on one
+    interval, in one call, whose values are those of the points one at a
+    time.
 
     Raises
     ------

@@ -650,17 +650,20 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
 def _match_constant(ref_piece, new_piece, candidates) -> float:
     """Constant C with C * new_piece = ref_piece at the first usable abscissa.
 
-    Each piece is evaluated on all the candidates in one call."""
+    Each piece is evaluated on all the candidates in one call.  An abscissa
+    is usable where each piece exceeds 1e-8 times its own largest value at
+    the candidates: the two pieces carry unrelated normalizations, so one
+    may be far below the other everywhere without vanishing anywhere."""
     if not candidates:
         raise MatchFailure("no matching abscissa inside both convergence disks")
     zs = np.array(candidates)
-    vals = list(zip(ref_piece(zs).tolist(), new_piece(zs).tolist()))
-    scale = max(max(abs(r), abs(w)) for r, w in vals)
-    if scale == 0:
+    refs, news = ref_piece(zs).tolist(), new_piece(zs).tolist()
+    ref_scale, new_scale = max(map(abs, refs)), max(map(abs, news))
+    if max(ref_scale, new_scale) == 0:
         raise MatchFailure("eigenfunction pieces vanish at every matching "
                            "abscissa")
-    for r, w in vals:
-        if abs(r) > 1e-8 * scale and abs(w) > 1e-8 * scale:
+    for r, w in zip(refs, news):
+        if abs(r) > 1e-8 * ref_scale and abs(w) > 1e-8 * new_scale:
             return r / w
     raise MatchFailure("pieces have no common nonvanishing matching abscissa")
 

@@ -710,6 +710,22 @@ def test_match_constant_failures(candidates, ref, new, message):
                             np.vectorize(new.get, otypes=[float]), candidates)
 
 
+def test_match_constant_measures_each_piece_on_its_own_scale():
+    # at this wave row piece 0 reads 7e-10 to 1.5e-8 at the C0 candidates
+    # and piece 1 reads 1.5e4 to 5.8e5: neither vanishes, so the pieces
+    # match, and the eigenfunction builds and normalizes both ways.  The
+    # C2 match holds at a second common abscissa too
+    gamma, c, lam, mu = ell.from_abramov(0.9, 1.0, 137.6824, 456.4856)
+    prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    pair = ell.solve_pair(lam, mu, prob, opts=SolverOptions(tol_residual=1e-8))
+    fn = ell.eigenfunction(pair, prob)
+    assert 1e13 < fn.C0 < 1e15
+    z = 1 + fn.radius1 / 3          # after the first candidate, (1 + c) / 2
+    assert fn.C2 * fn.piece2(z) == pytest.approx(fn.piece1(z), rel=1e-8)
+    for mode in ("sup", "integral"):
+        assert math.isfinite(ell.normalize(fn, mode=mode).C1)
+
+
 def test_sup_normalize_rejects_the_zero_function(eigenfunction_325):
     _, fn = eigenfunction_325
     with pytest.raises(ValueError,

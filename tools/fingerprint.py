@@ -16,8 +16,8 @@ every record.  The records cover
 * eigenfunctions: `sph.eigenfunction` values and parities, real and at
   complex gamma2 and complex mu, and `ell.eigenfunction` series, matching
   constants, values (on about 200 points, with the floats where the choice
-  of piece ties) and both normalizations, on the table and on a wave row
-  at c = 1/0.9;
+  of piece ties) and both normalizations, on the table and on two wave
+  rows at c = 1/0.9;
 * eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and two
   wave-number rows (one stops at the floor of its Theta evaluations), and
   a `scan_grid`;
@@ -329,19 +329,24 @@ def _ell_eigenfunction_records():
                    lambda fn=fn, mode=mode: ell.normalize(fn, mode=mode))
         yield (f"ell.eigenfunction/{bits}/points",
                lambda fn=fn: fn(_points(fn.c)))
-    # a wave row at c = 1/0.9, where r1 = c - 1 is about 0.11 and the piece-0
-    # series runs to some 600 terms
-    row = (0.9, 1.0, 465.0515, 456.8093)
-    gamma, c, lam, mu = ell.from_abramov(*row)
-    p = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
-    pair = ell.solve_pair(lam, mu, p, opts=SolverOptions(tol_residual=1e-8))
-    fn = _run(lambda: ell.eigenfunction(pair, p))
-    yield (f"ell.eigenfunction/wave{row}", lambda: fn)
-    if not isinstance(fn, Exception):
-        yield (f"ell.eigenfunction/wave{row}/points", lambda: fn(_points(c)))
+    # two wave rows at c = 1/0.9, where r1 = c - 1 is about 0.11 and the
+    # piece-0 series runs to some 600 terms; at the second, piece 0 is some
+    # 1e-13 of piece 1 at the matching abscissas
+    for row in ((0.9, 1.0, 465.0515, 456.8093),
+                (0.9, 1.0, 137.6824, 456.4856)):
+        gamma, c, lam, mu = ell.from_abramov(*row)
+        p = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+        pair = ell.solve_pair(lam, mu, p,
+                              opts=SolverOptions(tol_residual=1e-8))
+        fn = _run(lambda p=p, pair=pair: ell.eigenfunction(pair, p))
+        yield (f"ell.eigenfunction/wave{row}", lambda fn=fn: fn)
+        if isinstance(fn, Exception):
+            continue
+        yield (f"ell.eigenfunction/wave{row}/points",
+               lambda fn=fn, c=c: fn(_points(c)))
         for mode in ("sup", "integral"):
             yield (f"ell.normalize/wave{row}/{mode}",
-                   lambda mode=mode: ell.normalize(fn, mode=mode))
+                   lambda fn=fn, mode=mode: ell.normalize(fn, mode=mode))
 
 
 def _points(c):

@@ -66,14 +66,15 @@ in one of two ways, with the mirrored prefix sums straight from the
 kernel.  The *head*, which most series never leave, forms p_k, nu_k and
 Theta_k from the same scalars step by step.  A series whose scalars are
 all floats leaves it after `_HEAD` steps, or sooner once its bound shows a
-long series still to go, and reads the rest in float64 chunks: p_k, nu_k,
-Theta_k, the bound and the stop rule, which need only k, the mirrored sums
-and the frame besides d_k, are formed for the chunk at once, one numpy
-operation per scalar operation of the head, in the same order.  IEEE
-arithmetic on float64 arrays is the scalar float arithmetic, so the bits
-agree; steps past the stop are computed and dropped.  A series with a
-complex scalar stays in the head, since numpy's complex division is not
-CPython's.
+long series still to go, and reads the rest in float64 chunks with
+`_read`, the one numpy reader, which reads `theta_many`'s batches too:
+p_k, nu_k, Theta_k, the bound and the stop rule, which need only k, the
+mirrored sums and the frame besides d_k, are formed for a block of steps
+at once, one numpy operation per scalar operation of the head, in the
+same order.  IEEE arithmetic on float64 arrays is the scalar float
+arithmetic, so the bits agree; steps past the stop are computed and
+dropped.  A series with a complex scalar stays in the head, since numpy's
+complex division is not CPython's.
 
 Eigenfunctions of both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
@@ -99,12 +100,11 @@ same operations give the same bits.
 
 `theta_many` runs many descriptions as one batch and returns, bit for bit,
 what `theta_iterate` returns for each: those whose scalars are all floats
-advance in lockstep, through `_step` on numpy columns and one numpy
-operation per scalar operation of the Theta loop, in the same order; a
-description leaves the arrays when its iteration stops, and the last few
-finish on the loop of `theta_iterate` (head and tail) from the state they
-reached.  A description holding a complex scalar runs `theta_iterate` on
-its own.
+advance in lockstep on numpy columns, stepped through `_step` and read by
+`_read` a block of `_HEAD_EVERY` steps at a time; a description leaves
+the arrays when its iteration stops, and the last few finish on the loop
+of `theta_iterate` (head and tail) from the state they reached.  A
+description holding a complex scalar runs `theta_iterate` on its own.
 """
 
 from __future__ import annotations
@@ -896,20 +896,20 @@ def theta_iterate(system: TwoPointSystem, frame: SpectralFrame, n: int = 5,
                        rtol, k_max, k_start, kernel)
 
 
-#: the state of `_theta_loop` before its first step: Theta_{k-1} (None after
-#: a skipped index), the last Theta_k, the latest recorded bound, the
-#: trailing recorded bounds with no increase, the last (k, dTheta), and
-#: whether some k had a valid weight vector
-_FRESH = (None, complex("nan"), math.inf, 0, None, False)
+#: the state of the Theta loop before its first step: the last usable
+#: Theta_k, whether step k was usable, whether some step was, the latest
+#: recorded bound, the trailing recorded bounds with no increase, and the k
+#: (0: none) and dTheta of the latest recorded bound
+_FRESH = (math.nan, False, False, math.inf, 0, 0, math.nan)
 
 
 #: steps a float run takes in the scalar head before its float64 tail,
 #: unless the bound shows a long series sooner (`_HEAD_MIN`)
 _HEAD = 512
 
-#: the head reads `_HEAD_EVERY` steps at a time; from step `_HEAD_MIN` on,
-#: a block end where `_tail_len` predicts at least two of the shortest tail
-#: chunks still to go ends a float run's head early
+#: the head reads `_HEAD_EVERY` steps at a time, as `_lockstep` does; from
+#: step `_HEAD_MIN` on, a block end where `_tail_len` predicts at least two
+#: of the shortest tail chunks still to go ends a float run's head early
 _HEAD_MIN, _HEAD_EVERY = 64, 16
 
 #: fewest and most steps of one chunk of the float64 tail
@@ -930,14 +930,14 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
     `_HEAD_EVERY` steps at a time in scalars, through step `_HEAD` (or
     k_start - 1, if later), or to a block end from `_HEAD_MIN` on where
     `_tail_len` shows a long series still to go, sized from the limit at
-    the last Theta_k (`_limit`).  The rest is read in
-    float64 chunks (`_tail_block`) if every scalar of ``kernel`` is a
-    float, or if ``kernel`` is None, as for a run of `_lockstep`, and in
-    the head otherwise; that check comes at most once, and never in a run
-    that stops in the head.  An error that `_advance` raises in a block is
-    dropped when the stop comes earlier in the block, and raised otherwise.
+    the last Theta_k (`_limit`).  The rest is read in float64 chunks
+    (`_read`) if every scalar of ``kernel`` is a float, or if ``kernel`` is
+    None, as for a run of `_lockstep`, and in the head otherwise; that
+    check comes at most once, and never in a run that stops in the head.
+    An error that `_advance` raises in a block is dropped when the stop
+    comes earlier in the block, and raised otherwise.
     """
-    prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
+    theta, has_prev, seen, raw_bound, calm, last_k, last_d = state
     (b10, b11), (b20, b21) = b1, b2
     b1_norm = math.hypot(abs(b10), abs(b11))
     denom = delta.real + n + 1
@@ -951,6 +951,10 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 k, raw_bound, limit, denom) >= 2 * _TAIL_MIN):
             if kernel is None or _float_row(kernel) is not None:
                 head = False
+                columns = (np.array([a[0] for a in accel]).reshape(n, 1),
+                           [a[1] for a in accel], [a[2] for a in accel])
+                state = [np.array([x]) for x in (
+                    theta, has_prev, seen, raw_bound, calm, last_k, last_d)]
             else:       # a complex scalar: the rest in the head
                 end, early = k_max, math.inf
         if head:
@@ -977,91 +981,101 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 if abs(norm) <= _DEGENERATE_TOL * b1_norm * math.hypot(
                         abs(p0), abs(p1)):
                     # k < k1: no usable weight vector yet; step on
-                    prev_theta = None
+                    has_prev = False
                     continue
-                seen_valid = True
-                theta = d0 * (p1 / norm) + d1 * (-p0 / norm)
-                if prev_theta is not None:
-                    dtheta = theta - prev_theta
+                seen = True
+                theta_k = d0 * (p1 / norm) + d1 * (-p0 / norm)
+                if has_prev:
+                    dtheta = theta_k - theta
                     bound = k * abs(dtheta) / denom
-                    last_pair = (k, dtheta)
+                    last_k, last_d = k, dtheta
                     # the limit: tol, or rtol * |Theta_k| at a finite bound
                     # (a finite bound has a finite Theta_k); a value that
                     # meets it never breaks the run
                     if bound <= tol or rtol and bound < math.inf and (
-                            bound <= rtol * abs(theta)):
+                            bound <= rtol * abs(theta_k)):
                         calm += 1
                         if calm >= _MONOTONE_STEPS:
-                            return _converged(theta, bound, k, n, last_pair,
+                            return _converged(theta_k, bound, k, dtheta, n,
                                               delta)
                     else:
                         calm = calm + 1 if bound <= raw_bound else 1
                     raw_bound = bound
-                prev_theta = theta
+                theta, has_prev = theta_k, True
         elif d0s:
-            stop, run, floor = _tail_block(
-                k, d0s, d1s, accel, b1, b2, b1_norm, delta, n, tol, rtol,
-                (prev_theta, theta, raw_bound, calm, last_pair, seen_valid))
-            if stop is not None:
-                return stop
-            prev_theta, theta, raw_bound, calm, last_pair, seen_valid = run
+            stopped, floor, state = _read(
+                k, np.array(d0s), np.array(d1s), columns, b1, b2, b1_norm,
+                denom, tol, rtol, state)
+            theta, has_prev, seen, raw_bound, calm, last_k, last_d = (
+                x.item() for x in state)
+            if stopped:
+                return _converged(theta, raw_bound, last_k, last_d, n, delta)
         if error is not None:
             raise error
         k = series[0]
-    return _spent((prev_theta, theta, raw_bound, calm, last_pair, seen_valid),
-                  n, k_max, delta)
+    return _spent(theta, seen, raw_bound, last_k, last_d, n, k_max, delta)
 
 
-def _tail_block(k: int, d0, d1, accel, b1, b2, b1_norm, delta, n: int, tol,
-                rtol, state):
-    """Read steps k + 1, ..., k + len(d0) of `_theta_loop` on float64 arrays.
+def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
+    """Read steps k + 1, ..., k + m of the Theta loop on float64 arrays.
 
-    ``d0`` and ``d1`` are the prefix sums' components there, ``state`` the
-    loop's state after step k (see `_FRESH`).  Theta_k, the bounds, the
-    non-increasing run and the first stop are formed at once, one numpy
-    operation per scalar operation of the head, in the same order
-    (`_theta_k`), so IEEE arithmetic gives the head's bits.  Returns the
-    `ThetaResult` of the stop or None, the state after the block, and
-    whether the block recorded a bound that met the limit.
+    Steps run along the last axis of ``d0`` and ``d1``, the prefix sums'
+    components, and series along the axes before it: the float64 tail
+    reads one series with scalars for the rest, `_lockstep` many with a
+    (kernels, 1) column per scalar (``accel`` as `_theta_k` takes it).
+    ``state`` is the loop's state after step k (see `_FRESH`), each entry
+    with a last axis of length 1.  Theta_k, the bounds, the non-increasing
+    run and the first stop are formed one numpy operation per operation of
+    the head, in the same order, so IEEE arithmetic gives the head's bits.
+    Returns, per series, whether it stopped, whether it recorded a bound
+    that met the limit, and its state after the block, or at its stop:
+    Theta, the raw bound, k_final and dTheta there.
     """
-    prev_theta, theta, raw_bound, calm, last_pair, seen_valid = state
-    b20, b21 = b2
-    denom = delta.real + n + 1
-    m = len(d0)
+    theta, has_prev, seen, raw, calm, last_k, last_d = state
+    m = d0.shape[-1]
     with np.errstate(all="ignore"):
         ks = np.arange(k + 1, k + m + 1, dtype=float)
-        theta_k, valid = _theta_k(
-            ks, np.array(d0), np.array(d1), accel, b1,
-            (np.full(m, b20), np.full(m, b21)), np.full(m, b1_norm))
-        # the steps that record a bound: valid, after a valid step
-        rec = np.flatnonzero(valid & np.append(prev_theta is not None,
-                                               valid[:-1]))
-        dtheta = theta_k[rec] - np.append(
-            np.nan if prev_theta is None else prev_theta, theta_k[:-1])[rec]
-        bound = ks[rec] * np.abs(dtheta) / denom
+        theta_k, valid = _theta_k(ks, d0, d1, accel, b1, b2, b1_norm)
+        # along the last axis, position 0 holds the state's value and
+        # position i + 1 that of step k + 1 + i; ``origin`` is the flat
+        # index of each series' position 0
+        thetas = np.concatenate((theta, theta_k), axis=-1)
+        origin = np.arange(0, thetas.size, m + 1).reshape(theta.shape)
+        # the steps that record a bound: usable, after a usable step
+        rec = valid & np.concatenate((has_prev, valid[..., :-1]), axis=-1)
+        dtheta = theta_k - thetas[..., :-1]
+        bound = ks * np.abs(dtheta) / denom
         low = bound <= tol
         if rtol:
-            low |= (bound < np.inf) & (bound <= rtol * np.abs(theta_k[rec]))
+            low |= (bound < np.inf) & (bound <= rtol * np.abs(theta_k))
+        low &= rec
+        # the latest recorded position up to each step, and its bound
+        latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
+        bounds = np.concatenate((raw, bound), axis=-1)
+        held = bounds.take(origin + latest)
         # the non-increasing run after each recorded step: 1 at a step that
-        # breaks it, and up from calm until one does
-        at = np.arange(len(rec))
-        run = at + 1 - np.maximum.accumulate(np.where(
-            low | (bound <= np.append(raw_bound, bound[:-1])), -calm, at))
-        stops = np.flatnonzero(low & (run >= _MONOTONE_STEPS))
-    if len(stops):
-        j = stops[0]
-        i = k + 1 + rec[j].item()
-        return _converged(theta_k[rec[j]].item(), bound[j].item(), i, n,
-                          (i, dtheta[j].item()), delta), state, True
-    if len(rec):
-        raw_bound, calm = bound[-1].item(), run[-1].item()
-        last_pair = (k + 1 + rec[-1].item(), dtheta[-1].item())
-    if valid.any():
-        seen_valid = True
-        theta = theta_k[np.flatnonzero(valid)[-1]].item()
-    prev_theta = theta_k[-1].item() if valid[-1] else None
-    return None, (prev_theta, theta, raw_bound, calm, last_pair,
-                  seen_valid), bool(low.any())
+        # breaks it against the bound recorded before it, and up from calm
+        # until one does
+        count = rec.cumsum(axis=-1)
+        breaks = rec & ~(low | (bound <= np.concatenate(
+            (raw, held[..., :-1]), axis=-1)))
+        run = count - np.maximum.accumulate(
+            np.where(breaks, count - 1, -calm), axis=-1)
+        stop = low & (run >= _MONOTONE_STEPS)
+        # the first stop, else the latest recorded and usable steps
+        stopped = stop.any(axis=-1, keepdims=True)
+        pos = np.where(stopped, stop.argmax(axis=-1, keepdims=True) + 1,
+                       latest[..., -1:])
+        at = origin + pos
+        # the latest position with a usable Theta, the state's one included
+        usable = np.concatenate((seen, valid), axis=-1)
+        last = origin + m - usable[..., ::-1].argmax(axis=-1, keepdims=True)
+        seen = usable.take(last)
+        return stopped, low.any(axis=-1), (
+            np.where(seen, thetas.take(np.where(stopped, at, last)), theta),
+            valid[..., -1:], seen, bounds.take(at), run[..., -1:],
+            np.where(pos > 0, k + pos, last_k),
+            np.concatenate((last_d, dtheta), axis=-1).take(at))
 
 
 def _tail_len(k: int, raw_bound, limit, denom, floor=False) -> int:
@@ -1096,42 +1110,42 @@ def _limit(tol, rtol, theta) -> float:
     """The stop rule's limit max(tol, rtol * |theta|) for sizing the tail
     at the last Theta_k ``theta``; tol where rtol * |theta| is not finite.
 
-    |theta| is math.hypot of its parts: CPython's abs of a complex can
-    raise at a NaN part (see `_Series._read`).
+    |theta| is math.hypot of its parts: CPython's abs of a complex raises
+    OverflowError where |theta| overflows, and at a NaN part when a stale
+    errno reads as overflow.
     """
     rel = rtol * math.hypot(theta.real, theta.imag)
     return rel if tol < rel < math.inf else tol
 
 
-def _spent(state, n: int, k_max: int, delta) -> ThetaResult:
+def _spent(theta, seen, raw_bound, last_k, last_d, n: int, k_max: int,
+           delta) -> ThetaResult:
     """The result of a run that took all k_max steps without a stop."""
-    _, theta, raw_bound, _, last_pair, seen_valid = state
-    if not seen_valid:
+    if not seen:
         return ThetaResult(theta=complex("nan"), error_bound=math.inf,
                            k_final=k_max, n=n, tau_estimate=complex("nan"),
                            status="frame_degenerate")
     bound = _BOUND_SAFETY * raw_bound if math.isfinite(raw_bound) else math.inf
     return ThetaResult(theta=complex(theta), error_bound=bound,
                        k_final=k_max, n=n,
-                       tau_estimate=_tau(last_pair, delta, n),
+                       tau_estimate=_tau(last_k, last_d, delta, n),
                        status="k_max_reached")
 
 
 _MIRROR_NOT_FINITE = "mirrored prefix sums d~_0..d~_n are not finite"
 
 
-def _converged(theta, bound, k, n, last_pair, delta) -> ThetaResult:
+def _converged(theta, bound, k, dtheta, n, delta) -> ThetaResult:
     """The result of a run that met its stop rule at step k."""
     return ThetaResult(theta=complex(theta), error_bound=_BOUND_SAFETY * bound,
-                       k_final=k, n=n, tau_estimate=_tau(last_pair, delta, n),
+                       k_final=k, n=n, tau_estimate=_tau(k, dtheta, delta, n),
                        status="converged")
 
 
-def _tau(last_pair, delta: complex, n: int) -> complex:
-    """tau estimate k**(delta+n+2) * dTheta, principal branch."""
-    if last_pair is None:
+def _tau(k: int, dtheta, delta: complex, n: int) -> complex:
+    """tau estimate k**(delta+n+2) * dTheta, principal branch (k = 0: none)."""
+    if not k:
         return complex("nan")
-    k, dtheta = last_pair
     return cmath.exp((delta + n + 2) * math.log(k)) * dtheta
 
 
@@ -1152,13 +1166,14 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     Kernels whose scalars are all floats advance together, grouped by first
     usable index and side lengths: one numpy loop runs the operations of
     the scalar loop in the same order on arrays with one entry per kernel,
-    so IEEE arithmetic gives the same bits.  Its recurrence step is
-    `_step`, the step that `_advance` runs on a side with two or more
-    poles.  Kernels that stop leave the arrays, and once fewer than
-    `_LOCKSTEP_MIN` are left, those finish on the loop of `theta_iterate`
-    from the state they reached, since a numpy step then costs more than
-    their own steps.  A kernel with a complex scalar runs `theta_iterate`
-    on its own, because numpy's complex division is not CPython's.
+    so IEEE arithmetic gives the same bits: `_step`, the step of
+    `_advance` on a side with two or more poles, and `_read`, the reader of
+    the float64 tail, `_HEAD_EVERY` steps at a time.  Kernels that stop
+    leave the arrays, and once fewer than `_LOCKSTEP_MIN` are left, those
+    finish on the loop of `theta_iterate` from the state they reached,
+    since a numpy step then costs more than their own steps.  A kernel with
+    a complex scalar runs `theta_iterate` on its own, because numpy's
+    complex division is not CPython's.
 
     Raises
     ------
@@ -1208,18 +1223,21 @@ def _float_row(kernel: ThetaKernel) -> list | None:
 def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
     """Theta_k and the mask of usable weight vectors, on arrays.
 
-    The scalar loop's p_k, nu_k and Theta_k, operation for operation, by
-    broadcasting: `_lockstep` passes one k and a column per kernel for the
-    rest, `_tail_block` a run of k and one kernel's scalars, but b2 and
-    ||b1|| as arrays of the run's length, since p_k must be an array at
-    n = 0 too and `_degenerate` indexes ||b1||.
+    The head's p_k, nu_k and Theta_k, operation for operation, broadcast
+    against the steps ``k`` on the last axis of ``d0`` and ``d1`` (see
+    `_read`).  ``accel`` is (m + delta, d~0, d~1) for the orders m < n: an
+    array of shape (n, 1) or (n, kernels, 1), whose ratios to m + delta - k
+    are formed at once, and two sequences of scalars or columns.
     """
+    m_delta, t0s, t1s = accel
     (b10, b11), (p0, p1) = b1, b2
     prod = 1.0
-    for m_delta, t0, t1 in accel:
-        prod = prod * (m_delta / (m_delta - k))
+    for ratio, t0, t1 in zip(m_delta / (m_delta - k), t0s, t1s):
+        prod = prod * ratio
         p0 = p0 + prod * t0
         p1 = p1 + prod * t1
+    if not len(m_delta):        # p_k = b2 at every step
+        p0, p1 = np.full(d0.shape, p0), np.full(d0.shape, p1)
     norm = b10 * p1 - b11 * p0
     valid = ~_degenerate(norm, b1_norm, p0, p1)
     return d0 * (p1 / norm) + d1 * (-p0 / norm), valid
@@ -1228,24 +1246,24 @@ def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
 def _degenerate(norm, b1_norm, p0, p1):
     """The weight-vector degeneracy test of `theta_iterate`, on arrays.
 
-    np.hypot and math.hypot may differ in the last bit, so every node the
+    np.hypot and math.hypot may differ in the last bit, so every entry the
     arrays find degenerate, or within a hair of it, is decided by
     math.hypot on its scalars, as the scalar loop decides it.
     """
     lhs = np.abs(norm)
-    rhs = _DEGENERATE_TOL * b1_norm * np.hypot(p0, p1)
-    out = np.zeros(len(lhs), dtype=bool)
-    for j in np.flatnonzero(lhs <= rhs * (1 + 1e-14)).tolist():
-        out[j] = lhs[j] <= _DEGENERATE_TOL * b1_norm[j] * math.hypot(
-            abs(p0[j]), abs(p1[j]))
+    out = lhs <= np.hypot(p0, p1) * (_DEGENERATE_TOL * (1 + 1e-14) * b1_norm)
+    for j in zip(*np.nonzero(out)):
+        out[j] = lhs[j] <= _DEGENERATE_TOL * np.broadcast_to(
+            b1_norm, out.shape)[j] * math.hypot(abs(p0[j]), abs(p1[j]))
     return out
 
 
-#: fewest kernels a `_lockstep` step runs.  One step is about 100 numpy
-#: calls, 90-150 us on small arrays; a step of `_theta_loop` costs 2.0-2.9
+#: fewest kernels a `_lockstep` block runs.  A step of a block is one
+#: `_step`, about 25 numpy calls, and 1/16 of a block read (`_read`), some
+#: 60 calls: 30-45 us on small arrays; a step of `_theta_loop` costs 2.0-2.9
 #: us in its scalar head and 0.8-1.1 us in its float64 tail, of which
 #: 0.6-0.8 us is the recurrence (2-core shared x86-64 VM, CPython 3.11),
-#: so the break-even lies between 30 and 190 kernels; 32 is not tuned to
+#: so the break-even lies between 10 and 60 kernels; 32 is not tuned to
 #: these costs
 _LOCKSTEP_MIN = 32
 
@@ -1255,9 +1273,11 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
 
     ``table`` has one row per scalar in `_float_row`'s order, with the main
     side in its first ``m`` rows, and one column per kernel; ``k_start`` is
-    the kernels' first usable index.  Every array operation is the scalar
-    loop's operation, in the same order: each recurrence step is `_step`,
-    whose det gives the mask of singular steps, |det| < 1e-30.  Returns a
+    the kernels' first usable index.  The columns step through `_step`,
+    whose det gives the mask of singular steps, |det| < 1e-30, and `_read`
+    reads them `_HEAD_EVERY` steps at a time: the scalar loop's operations
+    in the same order.  As in `_theta_loop`, a singular step at or before
+    a kernel's stop fails it, and one after its stop is dropped.  Returns a
     `ThetaResult`, or None for a raised `ConncoefError` or
     `ArithmeticError`, per column.
     """
@@ -1267,94 +1287,71 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
 
     # the mirrored prefix sums d~_1..d~_n; a singular step fails its kernel
     state = [b20, b21] * (2 + (len(mirror) - 12) // 5)
-    failed = np.zeros(table.shape[1], dtype=bool)
+    done = np.zeros(table.shape[1], dtype=bool)   # with its result recorded
     accel = []
     for k in range(1, n + 1):
-        failed |= np.abs(_step(k, mirror, state)) < _SINGULAR_STEP_TOL
+        done |= np.abs(_step(k, mirror, state)) < _SINGULAR_STEP_TOL
         accel += [(k - 1) + delta, state[2], state[3]]
-    if not all(np.isfinite(t[~failed]).all()
-               for t in accel[1::3] + accel[2::3]):
+    if not all(np.isfinite(x[~done]).all() for x in accel[1::3] + accel[2::3]):
         raise ValueError(_MIRROR_NOT_FINITE)
 
     # the main series; every per-kernel constant sits in one table, so that
     # one index drops the kernels that stopped
     b1_norm = [math.hypot(abs(x), abs(y))
                for x, y in zip(b10.tolist(), b11.tolist())]
-    consts = np.vstack([table[:m], a00, a01, b10, b11, b20, b21, b1_norm,
-                        delta, delta + n + 1, *accel])
-
-    def split(consts):
-        return consts[:m], consts[m:m + 9], consts[m + 9:]
-
-    side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), acc = split(
-        consts)
-    state = [a00, a01] * (2 + (len(side) - 12) // 5)
-    cols = np.arange(len(failed))       # the table column of each entry
-    prev = theta = last_d = np.full(len(cols), np.nan)
-    raw = np.full(len(cols), np.inf)
-    calm = last_k = np.zeros(len(cols), dtype=int)
-    has_prev = seen = np.zeros(len(cols), dtype=bool)
-    done = failed       # stopped, with its result (or None) recorded
-
-    def finish(j, k):
-        """Entry j's run, continued from step k on `_theta_loop`."""
-        x = [v[j].item() for v in state]
-        a = acc[:, j].tolist()
-        series = (k, x[0:2], x[2:4], [x[i:i + 2] for i in range(4, len(x), 2)])
-        loop_state = (prev[j].item() if has_prev[j] else None,
-                      theta[j].item() if seen[j] else complex("nan"),
-                      raw[j].item(), calm[j].item(),
-                      (last_k[j].item(), last_d[j].item())
-                      if last_k[j] > 0 else None, bool(seen[j]))
-        return _theta_loop(tuple(side[:, j].tolist()), series,
-                           list(zip(a[0::3], a[1::3], a[2::3])),
-                           (b10[j].item(), b11[j].item()),
-                           (b20[j].item(), b21[j].item()), delta[j].item(),
-                           n, tol, 0.0, k_max, k_start, None, loop_state)
-
-    for k in range(1, k_max + 1):
-        stop = np.abs(_step(k, side, state)) < _SINGULAR_STEP_TOL
-        if k >= k_start:
-            theta_k, valid = _theta_k(
-                k, state[2], state[3], zip(acc[0::3], acc[1::3], acc[2::3]),
-                (b10, b11), (b20, b21), b1_norm)
-            new = valid & has_prev      # the kernels that record a bound
-            dtheta = theta_k - prev
-            bound = k * np.abs(dtheta) / denom
-            calm = np.where(new, np.where((bound <= raw) | (bound <= tol),
-                                          calm + 1, 1), calm)
-            raw = np.where(new, bound, raw)
-            last_k = np.where(new, k, last_k)
-            last_d = np.where(new, dtheta, last_d)
-            theta = np.where(valid, theta_k, theta)
-            seen = seen | valid
-            prev, has_prev = theta_k, valid
-            conv = (new & (bound <= tol) & (calm >= _MONOTONE_STEPS)
-                    & ~(stop | done))
-            for j in np.flatnonzero(conv).tolist():
-                results[cols[j]] = _or_none(
-                    _converged, theta_k[j].item(), bound[j].item(), k, n,
-                    (k, dtheta[j].item()), delta[j].item())
-            stop = stop | conv
-        done = done | stop
+    consts = np.vstack([table[:m], b10, b11, b20, b21, b1_norm, delta,
+                        delta + n + 1, *accel])
+    state = [a00, a01] * (2 + (m - 12) // 5)
+    loop = tuple(np.full((len(done), 1), x) for x in _FRESH)
+    place = np.arange(len(done))        # the table column of each entry
+    k = 0
+    while True:
+        # the main side's rows, then a (kernels, 1) column per constant
+        side, cols = consts[:m], consts[m:, :, None]
+        accel = cols[7::3], cols[8::3], cols[9::3]
         left = np.flatnonzero(~done)
         if len(left) < _LOCKSTEP_MIN or k == k_max:
             break
+        # the steps before k_start record no bound: one block, unread
+        steps = (k_start - 1 - k if k < k_start - 1
+                 else min(_HEAD_EVERY, k_max - k))
+        d0s, d1s, dets = [], [], []
+        for k in range(k + 1, k + steps + 1):
+            dets.append(_step(k, side, state))
+            d0s.append(state[2])
+            d1s.append(state[3])
+        singular = np.abs(np.array(dets)).T < _SINGULAR_STEP_TOL
+        if k >= k_start:
+            stopped, _, loop = _read(
+                k - steps, np.array(d0s).T, np.array(d1s).T, accel, cols[0:2],
+                cols[2:4], cols[4], cols[6], tol, 0.0, loop)
+            theta, _, _, bound, _, last_k, last_d = loop
+            # a stop before the kernel's first singular step stands
+            first = np.where(singular.any(axis=1), singular.argmax(axis=1),
+                             steps)
+            for j in np.flatnonzero(stopped[:, 0] & ~done & (
+                    last_k[:, 0] - (k - steps) <= first)).tolist():
+                results[place[j]] = _or_none(
+                    _converged, theta[j].item(), bound[j].item(),
+                    last_k[j].item(), last_d[j].item(), n, cols[5, j].item())
+                done[j] = True
+        done |= singular.any(axis=1)
         # stopped kernels step on until a quarter of the arrays is spent
-        if 4 * (len(done) - len(left)) >= len(done):
+        if 4 * done.sum() >= len(done):
             keep = ~done
-            cols = cols[keep]
-            consts = consts[:, keep]
-            side, (a00, a01, b10, b11, b20, b21, b1_norm, delta, denom), \
-                acc = split(consts)
+            place, consts, done = place[keep], consts[:, keep], done[keep]
             state = [x[keep] for x in state]
-            (prev, theta, last_d, raw, calm, last_k, has_prev, seen,
-             done) = (x[keep] for x in (prev, theta, last_d, raw, calm, last_k,
-                                        has_prev, seen, done))
+            loop = tuple(x[keep] for x in loop)
+
     # the kernels left finish on `_theta_loop` from step k (at k = k_max,
     # with no step to go)
     for j in left.tolist():
-        results[cols[j]] = _or_none(finish, j, k)
+        x, c = [v[j].item() for v in state], cols[:, j, 0].tolist()
+        results[place[j]] = _or_none(
+            _theta_loop, tuple(side[:, j].tolist()),
+            (k, x[0:2], x[2:4], [x[i:i + 2] for i in range(4, len(x), 2)]),
+            list(zip(c[7::3], c[8::3], c[9::3])), c[0:2], c[2:4], c[5], n,
+            tol, 0.0, k_max, k_start, None, tuple(v[j].item() for v in loop))
     return results
 
 

@@ -1082,8 +1082,9 @@ def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
     kw = dict(n=n, tol=10.0 ** log_tol, k_max=k_max)
     # 1: every kernel stays in the arrays to the end, and those left at
     # k_max finish with no step to go; 64: the arrays hand every kernel to
-    # the scalar loop after the first step; the others hand off part of the
-    # way.  A kernel handed off past the head goes on in the float64 tail
+    # the scalar loop at step k_start - 1, before their first read; the
+    # others hand off part of the way, at the end of a block.  A kernel
+    # handed off past the head goes on in the float64 tail
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
         mp.setattr(core, "_HEAD", head)
@@ -1115,8 +1116,9 @@ def test_theta_many_hands_off_to_the_scalar_loop_at_every_point(k_max):
 @pytest.mark.parametrize("gamma2", [4.0, 4 + 1.5j])
 def test_theta_many_gives_none_for_a_kernel_that_raises(gamma2):
     # kernel 5 meets a singular step at k = 10 (A0 - 10 I): a float kernel
-    # after the arrays hand it off at k = 1, a complex one on the scalar
-    # loop; either way its entry is None and the others keep their bits
+    # after the arrays hand it off at k_start - 1 = 5, a complex one on the
+    # scalar loop; either way its entry is None and the others keep their
+    # bits
     problem = sph.SpheroidalProblem(mu=0, gamma2=gamma2)
     kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 8)]
     kernels[5] = kernels[5]._replace(main=(10.0, *kernels[5].main[1:]))
@@ -1414,23 +1416,57 @@ def test_head_drops_an_error_past_the_stop_in_its_block():
     assert str(exc.value) == str(core._singular_step(stop - 3, 0.0))
 
 
+def test_lockstep_drops_an_error_past_the_stop_in_its_block(monkeypatch):
+    # the arrays, too, step a block at a time and past a kernel's stop; a
+    # singular step 1 to 15 steps after the stop, in the stop's block or
+    # the next, must not fail the kernel, and one at the stop or 3 steps
+    # before it must; the other kernels keep their bits either way
+    problem = sph.SpheroidalProblem(mu=0, gamma2=4.0)
+    kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 24)]
+    kw = dict(n=5, tol=1e-12)
+    expected = [_bits(_scalar(k, **kw)) for k in kernels]
+    target = kernels[7]
+    stop = int(expected[7][2])
+    assert expected[7][-1] == "'converged'" and stop > 24
+    monkeypatch.setattr(core, "_LOCKSTEP_MIN", 1)
+    assert [_bits(r) for r in core.theta_many(kernels, **kw)] == expected
+    step = core._step
+
+    def singular_at(k_bad):
+        def patched(k, side, state):
+            det = step(k, side, state)
+            if k == k_bad and len(side) == len(target.main):
+                own = np.all([np.asarray(row) == value
+                              for row, value in zip(side, target.main)],
+                             axis=0)
+                det = np.where(own, 0.0, det)
+            return det
+        return patched
+
+    for k_bad in [*range(stop + 1, stop + 16), stop, stop - 3]:
+        monkeypatch.setattr(core, "_step", singular_at(k_bad))
+        many = [_bits(r) for r in core.theta_many(kernels, **kw)]
+        assert many[:7] + many[8:] == expected[:7] + expected[8:]
+        assert many[7] == (expected[7] if k_bad > stop else None)
+
+
 def test_head_hands_off_where_the_bound_shows_a_long_series(monkeypatch):
     # the wave row k^2 = 0.9 (c = 1/0.9) runs ~22000 steps: its float run
     # leaves the head at the first checkpoint, where its first tail block
     # starts; its complex twin asks once whether it is float and stays in
     # the head; a short series never asks
-    tail_block, float_row = core._tail_block, core._float_row
+    read, float_row = core._read, core._float_row
     seen, starts = [], []
 
-    def spy_tail_block(k, *rest):
+    def spy_read(k, *rest):
         starts.append(k)
-        return tail_block(k, *rest)
+        return read(k, *rest)
 
     def spy_float_row(kernel):
         seen.append("float?")
         return float_row(kernel)
 
-    monkeypatch.setattr(core, "_tail_block", spy_tail_block)
+    monkeypatch.setattr(core, "_read", spy_read)
     monkeypatch.setattr(core, "_float_row", spy_float_row)
     c = 1 / 0.9
     for gamma, first in ((25 / 4, [core._HEAD_MIN]), (25 / 4 + 0.5j, [])):

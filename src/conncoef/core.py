@@ -1258,13 +1258,12 @@ def _degenerate(norm, b1_norm, p0, p1):
     return out
 
 
-#: fewest kernels a `_lockstep` block runs.  A step of a block is one
-#: `_step`, about 25 numpy calls, and 1/16 of a block read (`_read`), some
-#: 60 calls: 30-45 us on small arrays; a step of `_theta_loop` costs 2.0-2.9
-#: us in its scalar head and 0.8-1.1 us in its float64 tail, of which
-#: 0.6-0.8 us is the recurrence (2-core shared x86-64 VM, CPython 3.11),
-#: so the break-even lies between 10 and 60 kernels; 32 is not tuned to
-#: these costs
+#: fewest kernels a `_lockstep` block runs.  A lockstep step is one `_step`
+#: and 1/16 of a block read (`_read`): 37-41 us for 16-32 one-pole kernels,
+#: plus about 0.25 us per kernel; a step of `_theta_loop` costs 2.0-2.9 us
+#: in its scalar head and 0.8-1.1 us in its float64 tail (2-core shared
+#: x86-64 VM, CPython 3.11), so the break-even lies between about 15 and
+#: 55 kernels, and 32 stays
 _LOCKSTEP_MIN = 32
 
 
@@ -1312,9 +1311,10 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
         left = np.flatnonzero(~done)
         if len(left) < _LOCKSTEP_MIN or k == k_max:
             break
-        # the steps before k_start record no bound: one block, unread
-        steps = (k_start - 1 - k if k < k_start - 1
-                 else min(_HEAD_EVERY, k_max - k))
+        # the steps before k_start record no bound: the blocks up to step
+        # k_start - 1 are stepped, not read
+        steps = min(_HEAD_EVERY, (k_start - 1 if k < k_start - 1 else k_max)
+                    - k)
         d0s, d1s, dets = [], [], []
         for k in range(k + 1, k + steps + 1):
             dets.append(_step(k, side, state))

@@ -1450,6 +1450,26 @@ def test_lockstep_drops_an_error_past_the_stop_in_its_block(monkeypatch):
         assert many[7] == (expected[7] if k_bad > stop else None)
 
 
+def test_lockstep_reads_from_a_late_first_index(monkeypatch):
+    # at mu = 40 the first usable index is k_start = 46: the arrays step
+    # blocks of at most 16 steps unread up to step 45, and read from there
+    problem = sph.SpheroidalProblem(mu=40, gamma2=4.0)
+    kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 40)]
+    k_start = core._first_index(5, 1e-10, 10 ** 6, kernels[0].delta)
+    assert k_start == 46
+    read, starts = core._read, []
+
+    def spy_read(k, d0, *rest):
+        starts.append((k, d0.shape))
+        return read(k, d0, *rest)
+
+    monkeypatch.setattr(core, "_read", spy_read)
+    monkeypatch.setattr(core, "_LOCKSTEP_MIN", 1)
+    many = core.theta_many(kernels)
+    assert starts[0] == (k_start - 1, (len(kernels), core._HEAD_EVERY))
+    assert [_bits(r) for r in many] == [_bits(_scalar(k)) for k in kernels]
+
+
 def test_head_hands_off_where_the_bound_shows_a_long_series(monkeypatch):
     # the wave row k^2 = 0.9 (c = 1/0.9) runs ~22000 steps: its float run
     # leaves the head at the first checkpoint, where its first tail block

@@ -951,9 +951,9 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 k, raw_bound, limit, denom) >= 2 * _TAIL_MIN):
             if kernel is None or _float_row(kernel) is not None:
                 head = False
-                columns = (np.array([a[0] for a in accel]).reshape(n, 1),
-                           [a[1] for a in accel], [a[2] for a in accel])
-                state = [np.array([x]) for x in (
+                tail_accel = (np.array([a[0] for a in accel]).reshape(n, 1),
+                              [a[1] for a in accel], [a[2] for a in accel])
+                state = [[x] for x in (
                     theta, has_prev, seen, raw_bound, calm, last_k, last_d)]
             else:       # a complex scalar: the rest in the head
                 end, early = k_max, math.inf
@@ -1004,7 +1004,7 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 theta, has_prev = theta_k, True
         elif d0s:
             stopped, floor, state = _read(
-                k, np.array(d0s), np.array(d1s), columns, b1, b2, b1_norm,
+                k, np.array(d0s), np.array(d1s), tail_accel, b1, b2, b1_norm,
                 denom, tol, rtol, state)
             theta, has_prev, seen, raw_bound, calm, last_k, last_d = (
                 x.item() for x in state)
@@ -1024,12 +1024,13 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
     reads one series with scalars for the rest, `_lockstep` many with a
     (kernels, 1) column per scalar (``accel`` as `_theta_k` takes it).
     ``state`` is the loop's state after step k (see `_FRESH`), each entry
-    with a last axis of length 1.  Theta_k, the bounds, the non-increasing
-    run and the first stop are formed one numpy operation per operation of
-    the head, in the same order, so IEEE arithmetic gives the head's bits.
-    Returns, per series, whether it stopped, whether it recorded a bound
-    that met the limit, and its state after the block, or at its stop:
-    Theta, the raw bound, k_final and dTheta there.
+    with a last axis of length 1, such as a one-element list.  Theta_k, the
+    bounds, the non-increasing run and the first stop are formed one numpy
+    operation per operation of the head, in the same order, so IEEE
+    arithmetic gives the head's bits.  Returns, per series, whether it
+    stopped, whether it recorded a bound that met the limit, and its state
+    after the block, or at its stop: Theta, the raw bound, k_final and
+    dTheta there.
     """
     theta, has_prev, seen, raw, calm, last_k, last_d = state
     m = d0.shape[-1]
@@ -1040,7 +1041,7 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         # position i + 1 that of step k + 1 + i; ``origin`` is the flat
         # index of each series' position 0
         thetas = np.concatenate((theta, theta_k), axis=-1)
-        origin = np.arange(0, thetas.size, m + 1).reshape(theta.shape)
+        origin = np.arange(0, thetas.size, m + 1).reshape(np.shape(theta))
         # the steps that record a bound: usable, after a usable step
         rec = valid & np.concatenate((has_prev, valid[..., :-1]), axis=-1)
         dtheta = theta_k - thetas[..., :-1]
@@ -1054,13 +1055,13 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         bounds = np.concatenate((raw, bound), axis=-1)
         held = bounds.take(origin + latest)
         # the non-increasing run after each recorded step: 1 at a step that
-        # breaks it against the bound recorded before it, and up from calm
-        # until one does
+        # breaks it against the bound recorded before it, up from calm until
+        # one does (count - 1 + calm >= 0 grows from break to break)
         count = rec.cumsum(axis=-1)
         breaks = rec & ~(low | (bound <= np.concatenate(
             (raw, held[..., :-1]), axis=-1)))
-        run = count - np.maximum.accumulate(
-            np.where(breaks, count - 1, -calm), axis=-1)
+        run = count + calm - np.maximum.accumulate(
+            breaks * (count - 1 + calm), axis=-1)
         stop = low & (run >= _MONOTONE_STEPS)
         # the first stop, else the latest recorded and usable steps
         stopped = stop.any(axis=-1, keepdims=True)
@@ -1287,11 +1288,12 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     # the mirrored prefix sums d~_1..d~_n; a singular step fails its kernel
     state = [b20, b21] * (2 + (len(mirror) - 12) // 5)
     done = np.zeros(table.shape[1], dtype=bool)   # with its result recorded
-    accel = []
+    orders = []
     for k in range(1, n + 1):
         done |= np.abs(_step(k, mirror, state)) < _SINGULAR_STEP_TOL
-        accel += [(k - 1) + delta, state[2], state[3]]
-    if not all(np.isfinite(x[~done]).all() for x in accel[1::3] + accel[2::3]):
+        orders += [(k - 1) + delta, state[2], state[3]]
+    if not all(np.isfinite(x[~done]).all()
+               for x in orders[1::3] + orders[2::3]):
         raise ValueError(_MIRROR_NOT_FINITE)
 
     # the main series; every per-kernel constant sits in one table, so that
@@ -1299,7 +1301,7 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     b1_norm = [math.hypot(abs(x), abs(y))
                for x, y in zip(b10.tolist(), b11.tolist())]
     consts = np.vstack([table[:m], b10, b11, b20, b21, b1_norm, delta,
-                        delta + n + 1, *accel])
+                        delta + n + 1, *orders])
     state = [a00, a01] * (2 + (m - 12) // 5)
     loop = tuple(np.full((len(done), 1), x) for x in _FRESH)
     place = np.arange(len(done))        # the table column of each entry

@@ -953,7 +953,7 @@ def _theta_loop(side: tuple, series: tuple, accel, b1, b2, delta, n: int, tol,
                 head = False
                 tail_accel = (np.array([a[0] for a in accel]).reshape(n, 1),
                               [a[1] for a in accel], [a[2] for a in accel])
-                state = [[x] for x in (
+                state = [np.array([x]) for x in (
                     theta, has_prev, seen, raw_bound, calm, last_k, last_d)]
             else:       # a complex scalar: the rest in the head
                 end, early = k_max, math.inf
@@ -1022,15 +1022,12 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
     Steps run along the last axis of ``d0`` and ``d1``, the prefix sums'
     components, and series along the axes before it: the float64 tail
     reads one series with scalars for the rest, `_lockstep` many with a
-    (kernels, 1) column per scalar (``accel`` as `_theta_k` takes it).
-    ``state`` is the loop's state after step k (see `_FRESH`), each entry
-    with a last axis of length 1, such as a one-element list.  Theta_k, the
-    bounds, the non-increasing run and the first stop are formed one numpy
-    operation per operation of the head, in the same order, so IEEE
-    arithmetic gives the head's bits.  Returns, per series, whether it
-    stopped, whether it recorded a bound that met the limit, and its state
-    after the block, or at its stop: Theta, the raw bound, k_final and
-    dTheta there.
+    (kernels, 1) column per scalar.  ``state`` is the loop's state after
+    step k (see `_FRESH`), an array of shape (..., 1) per entry.  Every
+    operation is the head's, in the same order, so IEEE arithmetic gives
+    its bits.  Returns, per series, whether it stopped,
+    whether it recorded a bound that met the limit, and its state after
+    the block, or at its stop: Theta, the raw bound, k_final and dTheta.
     """
     theta, has_prev, seen, raw, calm, last_k, last_d = state
     m = d0.shape[-1]
@@ -1041,7 +1038,7 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         # position i + 1 that of step k + 1 + i; ``origin`` is the flat
         # index of each series' position 0
         thetas = np.concatenate((theta, theta_k), axis=-1)
-        origin = np.arange(0, thetas.size, m + 1).reshape(np.shape(theta))
+        origin = np.arange(0, thetas.size, m + 1).reshape(theta.shape)
         # the steps that record a bound: usable, after a usable step
         rec = valid & np.concatenate((has_prev, valid[..., :-1]), axis=-1)
         dtheta = theta_k - thetas[..., :-1]
@@ -1050,23 +1047,28 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         if rtol:
             low |= (bound < np.inf) & (bound <= rtol * np.abs(theta_k))
         low &= rec
-        # the latest recorded position up to each step, and its bound
-        latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
+        # the recorded steps up to each step, the latest recorded position
+        # and the bound recorded before each step: plain positions when
+        # every step records a bound, else a count and a forward fill
         bounds = np.concatenate((raw, bound), axis=-1)
-        held = bounds.take(origin + latest)
+        if rec.all():
+            count, latest, before = np.arange(1, m + 1), m, bounds[..., :-1]
+        else:
+            count = rec.cumsum(axis=-1)
+            latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
+            before = np.concatenate((raw, bounds.take(origin + latest)[
+                ..., :-1]), axis=-1)
+            latest = latest[..., -1:]
         # the non-increasing run after each recorded step: 1 at a step that
-        # breaks it against the bound recorded before it, up from calm until
-        # one does (count - 1 + calm >= 0 grows from break to break)
-        count = rec.cumsum(axis=-1)
-        breaks = rec & ~(low | (bound <= np.concatenate(
-            (raw, held[..., :-1]), axis=-1)))
-        run = count + calm - np.maximum.accumulate(
-            breaks * (count - 1 + calm), axis=-1)
+        # breaks it, and up from calm until one does
+        breaks = rec & ~(low | (bound <= before))
+        run = count - np.maximum.accumulate(
+            np.where(breaks, count - 1, -calm), axis=-1)
         stop = low & (run >= _MONOTONE_STEPS)
         # the first stop, else the latest recorded and usable steps
         stopped = stop.any(axis=-1, keepdims=True)
         pos = np.where(stopped, stop.argmax(axis=-1, keepdims=True) + 1,
-                       latest[..., -1:])
+                       latest)
         at = origin + pos
         # the latest position with a usable Theta, the state's one included
         usable = np.concatenate((seen, valid), axis=-1)
@@ -1225,10 +1227,8 @@ def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
     """Theta_k and the mask of usable weight vectors, on arrays.
 
     The head's p_k, nu_k and Theta_k, operation for operation, broadcast
-    against the steps ``k`` on the last axis of ``d0`` and ``d1`` (see
-    `_read`).  ``accel`` is (m + delta, d~0, d~1) for the orders m < n: an
-    array of shape (n, 1) or (n, kernels, 1), whose ratios to m + delta - k
-    are formed at once, and two sequences of scalars or columns.
+    against the steps ``k`` (see `_read`).  ``accel`` is m + delta for the
+    orders m < n, of shape (n, 1) or (n, kernels, 1), and d~0 and d~1.
     """
     m_delta, t0s, t1s = accel
     (b10, b11), (p0, p1) = b1, b2
@@ -1275,11 +1275,10 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     side in its first ``m`` rows, and one column per kernel; ``k_start`` is
     the kernels' first usable index.  The columns step through `_step`,
     whose det gives the mask of singular steps, |det| < 1e-30, and `_read`
-    reads them `_HEAD_EVERY` steps at a time: the scalar loop's operations
-    in the same order.  As in `_theta_loop`, a singular step at or before
-    a kernel's stop fails it, and one after its stop is dropped.  Returns a
-    `ThetaResult`, or None for a raised `ConncoefError` or
-    `ArithmeticError`, per column.
+    reads them `_HEAD_EVERY` steps at a time.  As in `_theta_loop`, a
+    singular step at or before a kernel's stop fails it, and one after it
+    is dropped.  Returns a `ThetaResult`, or None for a raised
+    `ConncoefError` or `ArithmeticError`, per column.
     """
     results = [None] * table.shape[1]
     mirror = table[m:-7]

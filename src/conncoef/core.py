@@ -1025,9 +1025,9 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
     (kernels, 1) column per scalar.  ``state`` is the loop's state after
     step k (see `_FRESH`), an array of shape (..., 1) per entry.  Every
     operation is the head's, in the same order, so IEEE arithmetic gives
-    its bits.  Returns, per series, whether it stopped,
-    whether it recorded a bound that met the limit, and its state after
-    the block, or at its stop: Theta, the raw bound, k_final and dTheta.
+    its bits.  Returns, per series, whether it stopped, whether it
+    recorded a bound that met the limit, and its state after the block,
+    or at its stop: Theta, the raw bound, k_final and dTheta there.
     """
     theta, has_prev, seen, raw, calm, last_k, last_d = state
     m = d0.shape[-1]
@@ -1056,8 +1056,8 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         else:
             count = rec.cumsum(axis=-1)
             latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
-            before = np.concatenate((raw, bounds.take(origin + latest)[
-                ..., :-1]), axis=-1)
+            held = bounds.take(origin + latest)
+            before = np.concatenate((raw, held[..., :-1]), axis=-1)
             latest = latest[..., -1:]
         # the non-increasing run after each recorded step: 1 at a step that
         # breaks it, and up from calm until one does
@@ -1067,8 +1067,7 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         stop = low & (run >= _MONOTONE_STEPS)
         # the first stop, else the latest recorded and usable steps
         stopped = stop.any(axis=-1, keepdims=True)
-        pos = np.where(stopped, stop.argmax(axis=-1, keepdims=True) + 1,
-                       latest)
+        pos = np.where(stopped, stop.argmax(-1, keepdims=True) + 1, latest)
         at = origin + pos
         # the latest position with a usable Theta, the state's one included
         usable = np.concatenate((seen, valid), axis=-1)
@@ -1146,7 +1145,7 @@ def _converged(theta, bound, k, dtheta, n, delta) -> ThetaResult:
 
 
 def _tau(k: int, dtheta, delta: complex, n: int) -> complex:
-    """tau estimate k**(delta+n+2) * dTheta, principal branch (k = 0: none)."""
+    """tau estimate k**(delta+n+2) * dTheta, principal branch; k = 0: NaN."""
     if not k:
         return complex("nan")
     return cmath.exp((delta + n + 2) * math.log(k)) * dtheta
@@ -1227,8 +1226,9 @@ def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
     """Theta_k and the mask of usable weight vectors, on arrays.
 
     The head's p_k, nu_k and Theta_k, operation for operation, broadcast
-    against the steps ``k`` (see `_read`).  ``accel`` is m + delta for the
-    orders m < n, of shape (n, 1) or (n, kernels, 1), and d~0 and d~1.
+    against the steps ``k`` (see `_read`).  ``accel`` holds m + delta for
+    the orders m < n, an array of shape (n, 1) or (n, kernels, 1), and the
+    sequences of their d~0 and d~1.
     """
     m_delta, t0s, t1s = accel
     (b10, b11), (p0, p1) = b1, b2
@@ -1260,11 +1260,11 @@ def _degenerate(norm, b1_norm, p0, p1):
 
 
 #: fewest kernels a `_lockstep` block runs.  A lockstep step is one `_step`
-#: and 1/16 of a block read (`_read`): 37-41 us for 16-32 one-pole kernels,
-#: plus about 0.25 us per kernel; a step of `_theta_loop` costs 2.0-2.9 us
+#: and 1/16 of a block read (`_read`): 33-41 us for 16-32 one-pole kernels,
+#: plus 0.15-0.25 us per kernel; a step of `_theta_loop` costs 2.0-2.9 us
 #: in its scalar head and 0.8-1.1 us in its float64 tail (2-core shared
 #: x86-64 VM, CPython 3.11), so the break-even lies between about 15 and
-#: 55 kernels, and 32 stays
+#: 65 kernels, and 32 stays
 _LOCKSTEP_MIN = 32
 
 
@@ -1296,7 +1296,8 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
         raise ValueError(_MIRROR_NOT_FINITE)
 
     # the main series; every per-kernel constant sits in one table, so that
-    # one index drops the kernels that stopped
+    # one index drops the kernels that stopped: after the side, b1, b2,
+    # ||b1||, delta, Re(delta) + n + 1, then m + delta, d~0, d~1 per order
     b1_norm = [math.hypot(abs(x), abs(y))
                for x, y in zip(b10.tolist(), b11.tolist())]
     consts = np.vstack([table[:m], b10, b11, b20, b21, b1_norm, delta,

@@ -714,7 +714,8 @@ def test_match_constant_measures_each_piece_on_its_own_scale():
     # at this wave row piece 0 reads 7e-10 to 1.5e-8 at the C0 candidates
     # and piece 1 reads 1.5e4 to 5.8e5: neither vanishes, so the pieces
     # match, and the eigenfunction builds and normalizes both ways.  The
-    # C2 match holds at a second common abscissa too
+    # C2 match holds at a second common abscissa too; the C0 one does not,
+    # as piece 0 cancels some 11 digits there
     gamma, c, lam, mu = ell.from_abramov(0.9, 1.0, 137.6824, 456.4856)
     prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
     pair = ell.solve_pair(lam, mu, prob, opts=SolverOptions(tol_residual=1e-8))

@@ -602,8 +602,9 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
     Raises
     ------
     MatchFailure
-        If no usable matching abscissa is found (both pieces ~ 0 at every
-        candidate).
+        If no two usable matching abscissas are found (both pieces ~ 0 at
+        the candidates), or a matching constant does not hold at the second
+        (`_match_constant`).
     ValueError
         If the residual precondition fails or the problem is not real.
     """
@@ -647,13 +648,22 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
     return replace(fn, C0=C0, C2=C2)
 
 
+#: relative miss of a matching constant allowed at its second abscissa: the
+#: eigenfunctions of the tests and the fingerprint miss by 1.6e-8 at most
+_MATCH_RTOL = 1e-3
+
+
 def _match_constant(ref_piece, new_piece, candidates) -> float:
-    """Constant C with C * new_piece = ref_piece at the first usable abscissa.
+    """Constant C with C * new_piece = ref_piece at the first usable abscissa,
+    confirmed to `_MATCH_RTOL` at the next usable one.
 
     Each piece is evaluated on all the candidates in one call.  An abscissa
     is usable where each piece exceeds 1e-8 times its own largest value at
     the candidates: the two pieces carry unrelated normalizations, so one
-    may be far below the other everywhere without vanishing anywhere."""
+    may be far below the other everywhere without vanishing anywhere.  A
+    piece whose sum cancels to rounding noise at the candidates gives a
+    constant that holds at its own abscissa only; the second one rejects
+    it."""
     if not candidates:
         raise MatchFailure("no matching abscissa inside both convergence disks")
     zs = np.array(candidates)
@@ -662,10 +672,21 @@ def _match_constant(ref_piece, new_piece, candidates) -> float:
     if max(ref_scale, new_scale) == 0:
         raise MatchFailure("eigenfunction pieces vanish at every matching "
                            "abscissa")
-    for r, w in zip(refs, news):
-        if abs(r) > 1e-8 * ref_scale and abs(w) > 1e-8 * new_scale:
-            return r / w
-    raise MatchFailure("pieces have no common nonvanishing matching abscissa")
+    usable = [(z, r, w) for z, r, w in zip(candidates, refs, news)
+              if abs(r) > 1e-8 * ref_scale and abs(w) > 1e-8 * new_scale]
+    if not usable:
+        raise MatchFailure("pieces have no common nonvanishing matching "
+                           "abscissa")
+    (z0, r0, w0), *rest = usable
+    for z, r, w in rest:
+        if z != z0:
+            miss = abs(r0 / w0 * w - r) / abs(r)
+            if miss <= _MATCH_RTOL:
+                return r0 / w0
+            raise MatchFailure(f"matching constant misses the pieces by "
+                               f"{miss:.1e} (relative) at a second abscissa")
+    raise MatchFailure("pieces have one common nonvanishing matching "
+                       "abscissa, and a match needs two")
 
 
 # --------------------------------------------------------------------------

@@ -702,7 +702,14 @@ def test_eigenfunction_series_are_computed_as_read(bits, seed):
      "eigenfunction pieces vanish at every matching abscissa"),
     ([0.5, 0.6], {0.5: 1.0, 0.6: 1e-9}, {0.5: 1e-9, 0.6: 1.0},
      "pieces have no common nonvanishing matching abscissa"),
-], ids=["no-abscissa", "both-vanish", "no-common"])
+    ([0.5, 0.5, 0.6], {0.5: 1.0, 0.6: 1.0}, {0.5: 2.0, 0.6: 1e-9},
+     "pieces have one common nonvanishing matching abscissa, and a match "
+     "needs two"),
+    ([0.5, 0.6], {0.5: 1.0, 0.6: 2.0}, {0.5: 1.0, 0.6: 1.0},
+     r"matching constant misses the pieces by 5\.0e-01 \(relative\) at a "
+     "second abscissa"),
+], ids=["no-abscissa", "both-vanish", "no-common", "one-common",
+        "unconfirmed"])
 def test_match_constant_failures(candidates, ref, new, message):
     # the pieces are evaluated on all the candidates at once
     with pytest.raises(MatchFailure, match=f"^{message}$"):
@@ -711,20 +718,39 @@ def test_match_constant_failures(candidates, ref, new, message):
 
 
 def test_match_constant_measures_each_piece_on_its_own_scale():
-    # at this wave row piece 0 reads 7e-10 to 1.5e-8 at the C0 candidates
-    # and piece 1 reads 1.5e4 to 5.8e5: neither vanishes, so the pieces
-    # match, and the eigenfunction builds and normalizes both ways.  The
-    # C2 match holds at a second common abscissa too; the C0 one does not,
-    # as piece 0 cancels some 11 digits there
-    gamma, c, lam, mu = ell.from_abramov(0.9, 1.0, 137.6824, 456.4856)
+    # piece 0 is 1e-9 of piece 1 everywhere, yet far from zero: the pieces
+    # match, and the constant holds at the second abscissa
+    ref = {0.5: 1e9, 0.6: 2e9, 0.7: 0.0}
+    new = {0.5: 1.0, 0.6: 2.0, 0.7: 3.0}
+    assert ell._match_constant(np.vectorize(ref.get, otypes=[float]),
+                               np.vectorize(new.get, otypes=[float]),
+                               [0.5, 0.6, 0.7]) == 1e9
+
+
+def test_eigenfunction_matches_hold_at_a_second_abscissa():
+    # at c = 1/0.9 the matching abscissas are 1 -+ r1/2, 1 -+ r1/3 and
+    # 1 -+ 2 r1/3, r1 = c - 1, and (1 + c)/2 = 1 + r1/2
+    gamma, c, lam, mu = ell.from_abramov(0.9, 1.0, 465.0515, 456.8093)
     prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
     pair = ell.solve_pair(lam, mu, prob, opts=SolverOptions(tol_residual=1e-8))
     fn = ell.eigenfunction(pair, prob)
-    assert 1e13 < fn.C0 < 1e15
-    z = 1 + fn.radius1 / 3          # after the first candidate, (1 + c) / 2
-    assert fn.C2 * fn.piece2(z) == pytest.approx(fn.piece1(z), rel=1e-8)
-    for mode in ("sup", "integral"):
-        assert math.isfinite(ell.normalize(fn, mode=mode).C1)
+    r1 = fn.radius1
+    for z in (1 - r1 / 2, 1 - r1 / 3):
+        assert fn.C0 * fn.piece0(z) == pytest.approx(fn.piece1(z), rel=1e-6)
+    for z in (1 + r1 / 2, 1 + r1 / 3):
+        assert fn.C2 * fn.piece2(z) == pytest.approx(fn.piece1(z), rel=1e-6)
+
+
+def test_eigenfunction_rejects_a_match_that_misses_at_a_second_abscissa():
+    # at this wave row piece 1 reads 1.5e4 to 5.8e5 at the C0 candidates,
+    # and piece 0 sums some 600 terms of up to 1e3 to 1e-8: rounding noise,
+    # which a constant of 1.55e14 matches at the first abscissa only
+    gamma, c, lam, mu = ell.from_abramov(0.9, 1.0, 137.6824, 456.4856)
+    prob = ell.EllipsoidalProblem(gamma=gamma, c=c, rho=1, sigma=0, tau=1)
+    pair = ell.solve_pair(lam, mu, prob, opts=SolverOptions(tol_residual=1e-8))
+    with pytest.raises(MatchFailure, match="^matching constant misses the "
+                       r"pieces by \S+ \(relative\) at a second abscissa$"):
+        ell.eigenfunction(pair, prob)
 
 
 def test_sup_normalize_rejects_the_zero_function(eigenfunction_325):

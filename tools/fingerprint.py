@@ -16,8 +16,8 @@ every record.  The records cover
 * eigenfunctions: `sph.eigenfunction` values and parities, real and at
   complex gamma2 and complex mu, and `ell.eigenfunction` series, matching
   constants, values (on about 200 points, with the floats where the choice
-  of piece ties) and both normalizations, on the table and on two wave
-  rows at c = 1/0.9;
+  of piece ties) and both normalizations, on the table and on a wave row
+  at c = 1/0.9, and the match that fails on a second;
 * eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and two
   wave-number rows (one stops at the floor of its Theta evaluations), and
   a `scan_grid`;
@@ -330,8 +330,8 @@ def _ell_eigenfunction_records():
         yield (f"ell.eigenfunction/{bits}/points",
                lambda fn=fn: fn(_points(fn.c)))
     # two wave rows at c = 1/0.9, where r1 = c - 1 is about 0.11 and the
-    # piece-0 series runs to some 600 terms; at the second, piece 0 is some
-    # 1e-13 of piece 1 at the matching abscissas
+    # piece-0 series runs to some 600 terms; at the second, piece 0 cancels
+    # to rounding noise at the C0 abscissas, and the match fails
     for row in ((0.9, 1.0, 465.0515, 456.8093),
                 (0.9, 1.0, 137.6824, 456.4856)):
         gamma, c, lam, mu = ell.from_abramov(*row)

@@ -1033,31 +1033,32 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
     m = d0.shape[-1]
     with np.errstate(all="ignore"):
         ks = np.arange(k + 1, k + m + 1, dtype=float)
-        theta_k, valid = _theta_k(ks, d0, d1, accel, b1, b2, b1_norm)
+        thetas, valid = _theta_k(ks, d0, d1, accel, b1, b2, b1_norm)
         # along the last axis, position 0 holds the state's value and
-        # position i + 1 that of step k + 1 + i; ``origin`` is the flat
-        # index of each series' position 0
-        thetas = np.concatenate((theta, theta_k), axis=-1)
+        # position i + 1 that of step k + 1 + i (the steps' values are
+        # views); ``origin`` is the flat index of each series' position 0
+        thetas = np.concatenate((theta, thetas), axis=-1)
         origin = np.arange(0, thetas.size, m + 1).reshape(theta.shape)
         # the steps that record a bound: usable, after a usable step
         rec = valid & np.concatenate((has_prev, valid[..., :-1]), axis=-1)
-        dtheta = theta_k - thetas[..., :-1]
-        bound = ks * np.abs(dtheta) / denom
+        dthetas = np.concatenate((last_d, np.diff(thetas)), axis=-1)
+        bounds = np.concatenate(
+            (raw, ks * np.abs(dthetas[..., 1:]) / denom), axis=-1)
+        bound = bounds[..., 1:]
         low = bound <= tol
         if rtol:
-            low |= (bound < np.inf) & (bound <= rtol * np.abs(theta_k))
+            low |= (bound < np.inf) & (bound <= rtol * np.abs(thetas[..., 1:]))
         low &= rec
         # the recorded steps up to each step, the latest recorded position
         # and the bound recorded before each step: plain positions when
         # every step records a bound, else a count and a forward fill
-        bounds = np.concatenate((raw, bound), axis=-1)
         if rec.all():
             count, latest, before = np.arange(1, m + 1), m, bounds[..., :-1]
         else:
             count = rec.cumsum(axis=-1)
             latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
-            held = bounds.take(origin + latest)
-            before = np.concatenate((raw, held[..., :-1]), axis=-1)
+            before = np.concatenate(
+                (raw, bounds.take(origin + latest[..., :-1])), axis=-1)
             latest = latest[..., -1:]
         # the non-increasing run after each recorded step: 1 at a step that
         # breaks it, and up from calm until one does
@@ -1076,8 +1077,7 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         return stopped, low.any(axis=-1), (
             np.where(seen, thetas.take(np.where(stopped, at, last)), theta),
             valid[..., -1:], seen, bounds.take(at), run[..., -1:],
-            np.where(pos > 0, k + pos, last_k),
-            np.concatenate((last_d, dtheta), axis=-1).take(at))
+            np.where(pos > 0, k + pos, last_k), dthetas.take(at))
 
 
 def _tail_len(k: int, raw_bound, limit, denom, floor=False) -> int:
@@ -1228,16 +1228,16 @@ def _theta_k(k, d0, d1, accel, b1, b2, b1_norm):
     The head's p_k, nu_k and Theta_k, operation for operation, broadcast
     against the steps ``k`` (see `_read`).  ``accel`` holds m + delta for
     the orders m < n, an array of shape (n, 1) or (n, kernels, 1), and the
-    sequences of their d~0 and d~1.
+    sequences of their d~0 and d~1.  Each order's ratio is formed in the
+    loop, so that no (n, kernels, steps) array is held.
     """
-    m_delta, t0s, t1s = accel
     (b10, b11), (p0, p1) = b1, b2
     prod = 1.0
-    for ratio, t0, t1 in zip(m_delta / (m_delta - k), t0s, t1s):
-        prod = prod * ratio
+    for m_delta, t0, t1 in zip(*accel):
+        prod = prod * (m_delta / (m_delta - k))
         p0 = p0 + prod * t0
         p1 = p1 + prod * t1
-    if not len(m_delta):        # p_k = b2 at every step
+    if not len(accel[0]):       # p_k = b2 at every step
         p0, p1 = np.full(d0.shape, p0), np.full(d0.shape, p1)
     norm = b10 * p1 - b11 * p0
     valid = ~_degenerate(norm, b1_norm, p0, p1)
@@ -1317,16 +1317,15 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
         # k_start - 1 are stepped, not read
         steps = min(_HEAD_EVERY, (k_start - 1 if k < k_start - 1 else k_max)
                     - k)
-        d0s, d1s, dets = [], [], []
-        for k in range(k + 1, k + steps + 1):
-            dets.append(_step(k, side, state))
-            d0s.append(state[2])
-            d1s.append(state[3])
-        singular = np.abs(np.array(dets)).T < _SINGULAR_STEP_TOL
+        d0s, d1s, dets = np.empty((3, steps, len(done)))
+        for i, k in enumerate(range(k + 1, k + steps + 1)):
+            dets[i] = _step(k, side, state)
+            d0s[i], d1s[i] = state[2], state[3]
+        singular = np.abs(dets).T < _SINGULAR_STEP_TOL
         if k >= k_start:
             stopped, _, loop = _read(
-                k - steps, np.array(d0s).T, np.array(d1s).T, accel, cols[0:2],
-                cols[2:4], cols[4], cols[6], tol, 0.0, loop)
+                k - steps, d0s.T, d1s.T, accel, cols[0:2], cols[2:4],
+                cols[4], cols[6], tol, 0.0, loop)
             theta, _, _, bound, _, last_k, last_d = loop
             # a stop before the kernel's first singular step stands
             first = np.where(singular.any(axis=1), singular.argmax(axis=1),

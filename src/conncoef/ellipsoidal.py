@@ -679,7 +679,7 @@ def _match_constant(ref_piece, new_piece, candidates) -> float:
                            "abscissa")
     (z0, r0, w0), *rest = usable
     for z, r, w in rest:
-        if z != z0:
+        if not math.isclose(z, z0):     # (1 + c)/2 is 1 + r1/2, up to rounding
             miss = abs(r0 / w0 * w - r) / abs(r)
             if miss <= _MATCH_RTOL:
                 return r0 / w0

@@ -1041,7 +1041,8 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
         origin = np.arange(0, thetas.size, m + 1).reshape(theta.shape)
         # the steps that record a bound: usable, after a usable step
         rec = valid & np.concatenate((has_prev, valid[..., :-1]), axis=-1)
-        dthetas = np.concatenate((last_d, np.diff(thetas)), axis=-1)
+        dthetas = np.concatenate(
+            (last_d, thetas[..., 1:] - thetas[..., :-1]), axis=-1)
         bounds = np.concatenate(
             (raw, ks * np.abs(dthetas[..., 1:]) / denom), axis=-1)
         bound = bounds[..., 1:]

@@ -1051,16 +1051,12 @@ def _read(k: int, d0, d1, accel, b1, b2, b1_norm, denom, tol, rtol, state):
             low |= (bound < np.inf) & (bound <= rtol * np.abs(thetas[..., 1:]))
         low &= rec
         # the recorded steps up to each step, the latest recorded position
-        # and the bound recorded before each step: plain positions when
-        # every step records a bound, else a count and a forward fill
-        if rec.all():
-            count, latest, before = np.arange(1, m + 1), m, bounds[..., :-1]
-        else:
-            count = rec.cumsum(axis=-1)
-            latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
-            before = np.concatenate(
-                (raw, bounds.take(origin + latest[..., :-1])), axis=-1)
-            latest = latest[..., -1:]
+        # and the bound recorded before each step, by a forward fill
+        count = rec.cumsum(axis=-1)
+        latest = np.maximum.accumulate(rec * np.arange(1, m + 1), axis=-1)
+        before = np.concatenate(
+            (raw, bounds.take(origin + latest[..., :-1])), axis=-1)
+        latest = latest[..., -1:]
         # the non-increasing run after each recorded step: 1 at a step that
         # breaks it, and up from calm until one does
         breaks = rec & ~(low | (bound <= before))

@@ -87,16 +87,20 @@ loop that sums one term after another.
 `frobenius_step` is one step of the kernel on a side, as a function of its
 state; the library's loops run the kernel directly.
 
-Only this module knows how a side is laid out.  One builder, `_kernel_of`,
-forms the description from the numbers of A, B, the tail and the frame:
-A - alpha0*I, A1 + I, the mirrored system with -C and poles 1 - c_j, and
-R_j / c_j.  `theta_kernel` (and so `theta_iterate` given a `TwoPointSystem`
-and a `SpectralFrame`) checks the frame against the system once, then runs
-it on the entries of their arrays.  `spheroidal.theta_t` and
-`ellipsoidal.theta` run it on the numbers their `build_system` and
-`spectral_frame` are made of, with no array and no frame check, since their
-frames are exact eigenvectors by construction; the same numbers through the
-same operations give the same bits.
+Only this module knows how a side is laid out.  One builder forms the
+description from the numbers of A, B, the tail and the frame: its
+arithmetic, `_kernel_rows`, forms A - alpha0*I, A1 + I, the mirrored
+system with -C and poles 1 - c_j, and R_j / c_j, on numbers or on numpy
+columns alike, as `_step` does; `_kernel_of` finishes numbers into a
+`ThetaKernel` and `_float_table` finishes float64 columns into a table for
+`_lockstep`, with its checks as masks.  `theta_kernel` (and so
+`theta_iterate` given a `TwoPointSystem` and a `SpectralFrame`) checks the
+frame against the system once, then runs it on the entries of their
+arrays.  `spheroidal.theta_t` and `ellipsoidal.theta` run it on the numbers
+their `build_system` and `spectral_frame` are made of, with no array and
+no frame check, since their frames are exact eigenvectors by construction;
+the same numbers through the same operations give the same bits.
+`ellipsoidal.scan_grid` runs it on the columns of all its nodes at once.
 
 `theta_many` runs many descriptions as one batch and returns, bit for bit,
 what `theta_iterate` returns for each: those whose scalars are all floats
@@ -105,6 +109,8 @@ advance in lockstep on numpy columns, stepped through `_step` and read by
 the arrays when its iteration stops, and the last few finish on the loop
 of `theta_iterate` (head and tail) from the state they reached.  A
 description holding a complex scalar runs `theta_iterate` on its own.
+A table of float kernels built as columns runs the same lockstep with no
+`ThetaKernel` in between (`_theta_table`).
 """
 
 from __future__ import annotations
@@ -357,25 +363,18 @@ def _side(values) -> tuple:
     return side
 
 
-def _kernel_of(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
-               b2) -> ThetaKernel:
-    """The `ThetaKernel` of a system and frame given as numbers, unchecked
-    against each other.
+def _kernel_rows(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
+                 b2) -> list:
+    """The scalars of the `ThetaKernel` of a system and frame, unchecked,
+    in `_float_row`'s order.
 
     ``A``, ``B``, ``const`` and each of ``residues`` are the entries of a
     2x2 matrix, row-major; ``a0``, ``b1`` and ``b2`` are pairs.  The main
     side holds A - alpha0*I, (B - (beta1+1)*I) + I and C, the mirrored side
     B - beta2*I, (A - alpha0*I) + I and -C with the poles 1 - c_j; each
-    R_j / c_j is formed as R_j * (1 / c_j).  Every number goes through
-    `_unpack`, so a real problem is described by floats.
-
-    Raises
-    ------
-    ValueError
-        If a number is not finite.
-    FrameMismatch
-        As `SpectralFrame`: delta = 0, Re(delta) <= -1, or b1 and b2
-        (numerically) linearly dependent.
+    R_j / c_j is formed as R_j * (1 / c_j).  Like `_step`, this runs on
+    numbers or on numpy columns, one entry per kernel; the poles are
+    numbers.  `_kernel_of` finishes numbers, `_float_table` columns.
     """
     a11, a12, a21, a22 = A
     b11, b12, b21, b22 = B
@@ -389,10 +388,57 @@ def _kernel_of(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
     for c, (r11, r12, r21, r22) in zip(poles, residues):
         for side, inv_c in ((main, 1 / c), (mirror, 1 / (1 - c))):
             side += (r11 * inv_c, r12 * inv_c, r21 * inv_c, r22 * inv_c, inv_c)
-    m = len(main)
-    s = _side([*main, *mirror, *a0, *b1, *b2, beta2 - beta1])
+    return [*main, *mirror, *a0, *b1, *b2, beta2 - beta1]
+
+
+def _kernel_of(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
+               b2) -> ThetaKernel:
+    """The `ThetaKernel` of a system and frame given as numbers, unchecked
+    against each other: `_kernel_rows`, each number through `_unpack`, so
+    a real problem is described by floats.
+
+    Raises
+    ------
+    ValueError
+        If a number is not finite.
+    FrameMismatch
+        As `SpectralFrame`: delta = 0, Re(delta) <= -1, or b1 and b2
+        (numerically) linearly dependent.
+    """
+    s = _side(_kernel_rows(A, B, const, poles, residues, alpha0, a0, beta1,
+                           beta2, b1, b2))
     _check_exponents(s[-1], s[-5:-3], s[-3:-1])
+    m = 12 + 5 * len(poles)
     return ThetaKernel(s[:m], s[m:-7], s[-7:-5], s[-5:-3], s[-3:-1], s[-1])
+
+
+def _float_table(rows, size: int) -> tuple:
+    """`_kernel_of` on columns: the float64 table of ``rows``, from
+    `_kernel_rows` on columns of ``size`` real kernels, where a number
+    stands for a column of its value, and the mask of the kernels for
+    which `_kernel_of` would not raise.
+
+    Each check of `_kernel_of` is a mask: every scalar finite (`_side`),
+    then `_check_exponents`.  np.hypot and math.hypot may differ in the last
+    bit, so the columns only pick the kernels whose exponents fail, or
+    come within a hair of failing, and `_check_exponents` decides each on
+    its scalars.
+    """
+    table = np.empty((len(rows), size))
+    for row, x in zip(table, rows):
+        row[...] = x
+    ok = np.isfinite(table).all(axis=0)
+    delta, (b10, b11), (b20, b21) = table[-1], table[-5:-3], table[-3:-1]
+    near = (delta == 0) | ~(delta > -1) | (
+        np.abs(b10 * b21 - b11 * b20)
+        <= np.hypot(b10, b11) * np.hypot(b20, b21) * (1e-14 * (1 + 1e-12)))
+    for j in np.flatnonzero(near & ok).tolist():
+        try:
+            _check_exponents(delta[j].item(), table[-5:-3, j].tolist(),
+                             table[-3:-1, j].tolist())
+        except FrameMismatch:
+            ok[j] = False
+    return table, ok
 
 
 def theta_kernel(system: TwoPointSystem, frame: SpectralFrame) -> ThetaKernel:
@@ -1183,31 +1229,51 @@ def theta_many(kernels, n: int = 5, tol: float = 1e-10,
     """
     _first_index(n, tol, k_max, None)      # before the batch is read
     out = []
-    groups = {}         # (k_start, side lengths) -> (positions, scalars)
+    groups = {}         # side lengths -> (positions, scalars)
     alone = []
-    k_starts = {}       # the gate, once per distinct delta
+    checked = set()     # the gate, once per distinct delta
     for i, kernel in enumerate(kernels):
         out.append(None)
-        if kernel.delta not in k_starts:
-            k_starts[kernel.delta] = _first_index(n, tol, k_max, kernel.delta)
+        if kernel.delta not in checked:
+            _first_index(n, tol, k_max, kernel.delta)
+            checked.add(kernel.delta)
         row = _float_row(kernel)
         if row is None:
             alone.append((i, kernel))
             continue
-        key = (k_starts[kernel.delta], len(kernel.main), len(kernel.mirror))
-        idx, scalars = groups.setdefault(key, ([], array("d")))
+        idx, scalars = groups.setdefault(
+            (len(kernel.main), len(kernel.mirror)), ([], array("d")))
         idx.append(i)
         scalars.extend(row)
+    for (m, _), (idx, scalars) in groups.items():
+        table = np.frombuffer(scalars).reshape(len(idx), -1).T
+        for i, res in zip(idx, _theta_table(table, m, n, tol, k_max)):
+            out[i] = res
+    for i, kernel in alone:
+        out[i] = _or_none(theta_iterate, kernel, None, n, tol, k_max)
+    return out
+
+
+def _theta_table(table, m: int, n: int, tol, k_max: int) -> list:
+    """`theta_many` of float kernels given as the columns of ``table``.
+
+    ``table`` has one row per scalar in `_float_row`'s order, with the main
+    side in its first ``m`` rows.  The columns run `_lockstep`, one run per
+    first usable index.  Raises ValueError as `theta_many` does, before
+    any series work.
+    """
+    deltas, at = np.unique(table[-1], return_inverse=True)
+    k_starts = np.array([_first_index(n, tol, k_max, d)
+                         for d in deltas.tolist()], dtype=int)[at]
+    out = [None] * len(k_starts)
     # no numpy warning escapes: where the scalar loop meets inf or NaN
     # without raising, so do the arrays
     with np.errstate(all="ignore"):
-        for (k_start, m, _), (idx, scalars) in groups.items():
-            table = np.frombuffer(scalars).reshape(len(idx), -1).T
-            for i, res in zip(idx, _lockstep(table, m, n, tol, k_max,
-                                             k_start)):
-                out[i] = res
-    for i, kernel in alone:
-        out[i] = _or_none(theta_iterate, kernel, None, n, tol, k_max)
+        for k_start in np.unique(k_starts).tolist():
+            idx = np.flatnonzero(k_starts == k_start)
+            for j, res in zip(idx.tolist(), _lockstep(
+                    table[:, idx], m, n, tol, k_max, k_start)):
+                out[j] = res
     return out
 
 

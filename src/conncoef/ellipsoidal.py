@@ -37,7 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
-                   _kernel_of, _power_sum, _Series, theta_iterate, theta_many)
+                   _first_index, _float_table, _kernel_of, _kernel_rows,
+                   _power_sum, _Series, _theta_table, theta_iterate,
+                   theta_many)
 from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
                      MatchFailure, NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
@@ -120,6 +122,7 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     if not (cmath.isfinite(complex(lam)) and cmath.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
     e = _entries(lam, mu, g, c)
+    e = SystemEntries(complex(lam), e.b12, e.r12)
     if not all(map(cmath.isfinite, (e.a12, e.b12, e.r12))):
         raise ValueError(f"system entries overflow at (lam, mu) = ({lam}, "
                          f"{mu}): a12 = {e.a12}, b12 = {e.b12}, "
@@ -133,10 +136,24 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
 
 
 def _entries(lam, mu, gamma, c) -> SystemEntries:
-    """The entry formulas of `entries`, unchecked and for any pole c."""
-    return SystemEntries(a12=complex(lam),
-                         b12=c * (lam + mu + gamma) / (1 - c),
+    """The entry formulas of `entries`, unchecked and for any pole c, on
+    numbers or on numpy columns alike; a12 is lam itself."""
+    return SystemEntries(a12=lam, b12=c * (lam + mu + gamma) / (1 - c),
                          r12=(lam + c * mu + c * c * gamma) / (c - 1))
+
+
+def _entry_columns(lam, mu, gamma, c) -> tuple:
+    """`entries` on float64 columns: the entries, with a12 the lam column,
+    and the mask of the nodes where `entries` would not raise.  The checks
+    are those of `entries`, on the same values: CPython's abs of a complex
+    with imaginary part 0 is the abs of its real part."""
+    e = _entries(lam, mu, gamma, c)
+    ok = (np.isfinite(lam) & np.isfinite(mu) & np.isfinite(e.b12)
+          & np.isfinite(e.r12))
+    scale = np.maximum(np.maximum(np.abs(lam), np.abs(e.b12)),
+                       np.maximum(np.abs(e.r12), 1.0))
+    ok &= np.abs(e.a12 + e.b12 + e.r12 - c * gamma) <= 1e-12 * scale
+    return e, ok
 
 
 def hat_entries(e: SystemEntries, c: float) -> tuple[SystemEntries, float]:
@@ -157,18 +174,24 @@ def hat_parameters(lam, mu, problem: EllipsoidalProblem):
     (rho, sigma, tau) -> (tau, sigma, rho): the Moebius map z -> (c-z)/(c-1)
     swaps the singular points 0 and c and fixes 1.
     """
-    e = entries(lam, mu, problem)
-    eh, ch = hat_entries(e, problem.c)
-    lam_h = eh.a12
-    # invert the entry map at (ch, gamma^): the identity a12+b12+r12 = c*gamma
-    # gives gamma directly, then b12 gives mu.
-    gam_h = (eh.a12 + eh.b12 + eh.r12) / ch
-    mu_h = eh.b12 * (1 - ch) / ch - lam_h - gam_h
+    lam_h, mu_h, gam_h, ch = _hat_of(entries(lam, mu, problem), problem.c)
     if problem.is_real and complex(lam).imag == 0 and complex(mu).imag == 0:
         lam_h, mu_h, gam_h = lam_h.real, mu_h.real, gam_h.real
     hat_prob = EllipsoidalProblem(gamma=gam_h, c=ch, rho=problem.tau,
                                   sigma=problem.sigma, tau=problem.rho)
     return lam_h, mu_h, hat_prob
+
+
+def _hat_of(e: SystemEntries, c) -> tuple:
+    """lam^, mu^, gamma^ and c^ of `hat_parameters` from the entries e at
+    pole c, on numbers or on numpy columns alike."""
+    eh, ch = hat_entries(e, c)
+    lam_h = eh.a12
+    # invert the entry map at (ch, gamma^): the identity a12+b12+r12 = c*gamma
+    # gives gamma directly, then b12 gives mu.
+    gam_h = (eh.a12 + eh.b12 + eh.r12) / ch
+    mu_h = eh.b12 * (1 - ch) / ch - lam_h - gam_h
+    return lam_h, mu_h, gam_h, ch
 
 
 def build_system(lam, mu, problem: EllipsoidalProblem) -> TwoPointSystem:
@@ -188,12 +211,12 @@ def spectral_frame(problem: EllipsoidalProblem, e: SystemEntries) -> SpectralFra
     beta2 = -sigma/2 with b2 = (2 b12 (1-sigma) + sigma/2, 1-sigma);
     delta = 1/2 - sigma.
     """
-    return SpectralFrame(*_frame_data(problem, e))
+    return SpectralFrame(*_frame_data(problem.rho, problem.sigma, e))
 
 
-def _frame_data(problem: EllipsoidalProblem, e: SystemEntries) -> tuple:
-    """The numbers (alpha0, a0, beta1, beta2, b1, b2) of `spectral_frame`."""
-    rho, sigma = problem.rho, problem.sigma
+def _frame_data(rho: int, sigma: int, e: SystemEntries) -> tuple:
+    """The numbers (alpha0, a0, beta1, beta2, b1, b2) of `spectral_frame`,
+    on numbers or on numpy columns alike."""
     return (-rho / 2, (2 * e.a12 * (1 - rho) + rho / 2, 1 - rho),
             (sigma - 1) / 2, -sigma / 2,
             (2 * e.b12 * sigma + (1 - sigma) / 2, sigma),
@@ -204,10 +227,16 @@ def _kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
     """The kernel of `build_system` and `spectral_frame`, from their numbers
     with no array; their frame is exact by construction, so it is not
     checked."""
-    e = entries(lam, mu, problem)
-    A, B, const, R = _heun_data(0.5, 0.5, 0.5, 0, problem.c, e)
-    return _kernel_of(A, B, const, (problem.c,), (R,),
-                      *_frame_data(problem, e))
+    return _kernel_of(*_kernel_data(entries(lam, mu, problem), problem.c,
+                                    problem.rho, problem.sigma))
+
+
+def _kernel_data(e: SystemEntries, c, rho: int, sigma: int) -> tuple:
+    """The arguments of `core._kernel_rows` for the kernel of
+    `build_system` and `spectral_frame` at entries e, pole c and bits
+    (rho, sigma), on numbers or on numpy columns alike."""
+    A, B, const, R = _heun_data(0.5, 0.5, 0.5, 0, c, e)
+    return (A, B, const, (c,), (R,), *_frame_data(rho, sigma, e))
 
 
 def theta(lam, mu, problem: EllipsoidalProblem, n: int = 5, tol: float = 1e-10,
@@ -359,21 +388,24 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
 
     resolution may be an integer (both axes) or a pair (n_lambda, n_mu),
     each an integer >= 2.  Every node's values are those of `theta` and
-    `theta_hat`, bit for bit, but the grid runs them as one `theta_many`
-    batch: Theta then Theta-hat at each node whose set-up ran, in node
-    order.  Node failures (`ConncoefError` or `ArithmeticError`, in a
-    node's set-up or its series, and the ValueError of a node whose system
-    entries overflow) are recorded in the grid status and the values set
-    to NaN; any other error propagates.  The modest k_max
-    default keeps nodes far from any eigencurve cheap; only sign changes
-    matter for seeding.
+    `theta_hat`, bit for bit, but the grid runs all of them as one batch.
+    For a gamma that is a float or an int, the two kernels of every node
+    are built at once as float64 columns, by the arithmetic of the scalar
+    builder (`_node_columns`), and run in lockstep (`core._theta_table`);
+    for a complex gamma, each node's kernels are built on their own and run
+    as one `theta_many` batch.  Node failures (`ConncoefError` or
+    `ArithmeticError`, in a node's set-up or its series, and the ValueError
+    of a node whose system entries overflow) are recorded in the grid
+    status and the values set to NaN; any other error propagates.  The
+    modest k_max default keeps nodes far from any eigencurve cheap; only
+    sign changes matter for seeding.
 
     Raises
     ------
     ValueError
-        If resolution is not an integer >= 2 on an axis or a range bound is
-        not finite, and for a bad n, tol or k_max (see `theta_iterate`),
-        each before any Theta work.
+        If resolution is not an integer >= 2 on an axis, a range is not a
+        pair of numbers or a range bound is not finite, and for a bad n,
+        tol or k_max (see `theta_iterate`), each before any Theta work.
     """
     res_l, res_m = (resolution,) * 2 if np.isscalar(resolution) else resolution
     if not all(isinstance(r, numbers.Integral) and r >= 2
@@ -383,33 +415,43 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     axes = []
     for name, bounds, res in (("lambda_range", lambda_range, res_l),
                               ("mu_range", mu_range, res_m)):
-        lo, hi = float(bounds[0]), float(bounds[1])
+        try:
+            lo, hi = map(float, bounds)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a pair (lo, hi) of numbers, "
+                             f"got {bounds!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} ({lo}, {hi}) is not finite")
         axes.append(np.linspace(lo, hi, res))
     lambdas, mus = axes
+    _first_index(n, tol, k_max, None)
     th = np.full((res_l, res_m), np.nan)
     thh = np.full((res_l, res_m), np.nan)
     status = np.full((res_l, res_m), "error", dtype=object)
 
-    ran = []
-
-    def kernels():
-        for i, j in itertools.product(range(res_l), range(res_m)):
+    if isinstance(problem.gamma, (int, float)):
+        table, ran = _node_columns(np.repeat(lambdas, res_m),
+                                   np.tile(mus, res_l), problem)
+        results = _theta_table(table, 17, n, tol, k_max)  # one-pole sides
+        pairs = zip(results[:len(results) // 2], results[len(results) // 2:])
+    else:
+        ran = np.zeros(res_l * res_m, dtype=bool)
+        kernels = []
+        for node, (i, j) in enumerate(itertools.product(range(res_l),
+                                                        range(res_m))):
             try:
-                pair = [make(lambdas[i], mus[j], problem)
-                        for make in (_kernel, _hat_kernel)]
+                kernels += [make(lambdas[i], mus[j], problem)
+                            for make in (_kernel, _hat_kernel)]
             except (ConncoefError, ArithmeticError, ValueError):
                 continue  # node failure stays local
-            ran.append((i, j))
-            yield from pair
-
-    results = theta_many(kernels(), n=n, tol=tol, k_max=k_max)
-    for node, r, rh in zip(ran, results[0::2], results[1::2]):
+            ran[node] = True
+        results = theta_many(kernels, n=n, tol=tol, k_max=k_max)
+        pairs = zip(results[0::2], results[1::2])
+    for node, (r, rh) in zip(np.flatnonzero(ran).tolist(), pairs):
         if r is not None and rh is not None:
-            th[node], thh[node] = r.theta.real, rh.theta.real
+            th.flat[node], thh.flat[node] = r.theta.real, rh.theta.real
             both = r.status == rh.status == "converged"
-            status[node] = "converged" if both else "k_max_reached"
+            status.flat[node] = "converged" if both else "k_max_reached"
     seeds = _seed_cells(lambdas, mus, th, thh)
     return ThetaGrid(lambdas=lambdas, mus=mus, theta=th, theta_hat=thh,
                      status=status, seeds=seeds)
@@ -418,6 +460,42 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
 def _hat_kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
     """The kernel `theta_hat` runs: `_kernel` of the hatted parameters."""
     return _kernel(*hat_parameters(lam, mu, problem))
+
+
+def _node_columns(lams, mus, problem: EllipsoidalProblem) -> tuple:
+    """The kernels of `theta` and `theta_hat` at the nodes (lams, mus) of a
+    problem with a real gamma, as float64 columns.
+
+    ``lams`` and ``mus`` are float64 arrays, one entry per node.  Returns
+    the table that `core._theta_table` reads, the columns of the nodes
+    whose set-up runs, Theta's kernels and then Theta-hat's, and the mask
+    of those nodes.  The arithmetic is that of `_kernel` and `_hat_kernel`,
+    run on the columns, so every scalar keeps its bits; each check of the
+    scalar build is a mask: `entries` for both kernels, the hatted
+    problem's finite gamma^ and its pole c^ > 1, and `core._float_table`.
+    """
+    c, sigma = problem.c, problem.sigma
+    with np.errstate(all="ignore"):
+        e, ran = _entry_columns(lams, mus, problem.gamma, c)
+        # `entries` gives a complex a12, so at a float64 node the hatted sum
+        # runs on a numpy complex, whose quotient multiplies by 1 / c^ where
+        # CPython's divides: the columns take that arithmetic, then the
+        # real parts, as `hat_parameters` does
+        lam_h, mu_h, gam_h, ch = _hat_of(
+            replace(e, a12=lams.astype(complex)), c)
+        lam_h, mu_h, gam_h = lam_h.real, mu_h.real, gam_h.real
+        e_h, ok = _entry_columns(lam_h, mu_h, gam_h, ch)
+        ran &= ok & np.isfinite(gam_h)
+        tables = []
+        for ents, pole, rho in ((e, c, problem.rho), (e_h, ch, problem.tau)):
+            if not pole > 1:    # c^ rounds to 1: no node has a hatted problem
+                ran[:] = False
+                break
+            table, ok = _float_table(
+                _kernel_rows(*_kernel_data(ents, pole, rho, sigma)), len(lams))
+            ran &= ok
+            tables.append(table)
+    return np.hstack([table[:, ran] for table in tables]), ran
 
 
 def _seed_cells(lambdas, mus, th, thh) -> list:

@@ -277,7 +277,7 @@ def test_eigen_ell_bad_resolution_exits_1_before_any_theta(
         raise AssertionError("no Theta may run for a bad --resolution")
 
     monkeypatch.setattr(ell, "theta", fail)
-    monkeypatch.setattr(ell, "theta_many", fail)
+    monkeypatch.setattr(ell, "_theta_table", fail)
     rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",
                "--resolution", resolution] + seed)
     assert rc == 1
@@ -297,7 +297,7 @@ def test_eigen_ell_non_finite_range_exits_1_before_any_theta(
     def fail(*args, **kwargs):
         raise AssertionError("no Theta may run for a non-finite range")
 
-    monkeypatch.setattr(ell, "theta_many", fail)
+    monkeypatch.setattr(ell, "_theta_table", fail)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["eigen-ell", "--gamma", "0", "--c", C_TABLE, "--tau", "1",

@@ -22,8 +22,9 @@ from scipy.integrate import quad
 from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef.core import ThetaResult, theta_iterate
-from conncoef.errors import (ConsistencyError, InvalidExponent, MatchFailure,
-                             NoConvergence, QuadratureNotConverged)
+from conncoef.errors import (ConncoefError, ConsistencyError, InvalidExponent,
+                             MatchFailure, NoConvergence,
+                             QuadratureNotConverged)
 from conncoef.rootfind import SolverOptions
 
 import _reference
@@ -299,58 +300,159 @@ def mixed_problem():
 
 
 def test_scan_grid_nodes_equal_theta_and_theta_hat_bit_for_bit(mixed_problem):
-    grid = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
-    mixes = set()
-    for i, lam in enumerate(grid.lambdas):
-        for j, mu in enumerate(grid.mus):
-            res = ell.theta(lam, mu, mixed_problem, tol=1e-8, k_max=60)
-            hat = ell.theta_hat(lam, mu, mixed_problem, tol=1e-8, k_max=60)
-            assert repr(float(grid.theta[i, j])) == repr(res.theta.real)
-            assert repr(float(grid.theta_hat[i, j])) == repr(hat.theta.real)
-            both = res.status == hat.status == "converged"
-            assert grid.status[i, j] == ("converged" if both
-                                         else "k_max_reached")
-            mixes.add((res.status, hat.status))
-    assert len(mixes) == 4
+    # the mixed grid; the benchmark's 17 x 17 grid (gamma = 0, c = 12/7,
+    # tau = 1) at the default k_max; and a complex gamma, whose nodes take
+    # the per-node path
+    for problem, scan, k_max in (
+            (mixed_problem, MIXED_SCAN, 60),
+            (ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, tau=1),
+             ((0.0, 4.0), (-4.0, 0.0), 17), 50_000),
+            (replace(mixed_problem, gamma=4.0 + 0.5j), MIXED_SCAN, 60)):
+        grid = ell.scan_grid(problem, *scan, k_max=k_max)
+        mixes = set()
+        for i, lam in enumerate(grid.lambdas):
+            for j, mu in enumerate(grid.mus):
+                res = ell.theta(lam, mu, problem, tol=1e-8, k_max=k_max)
+                hat = ell.theta_hat(lam, mu, problem, tol=1e-8, k_max=k_max)
+                assert repr(float(grid.theta[i, j])) == repr(res.theta.real)
+                assert repr(float(grid.theta_hat[i, j])) == repr(
+                    hat.theta.real)
+                both = res.status == hat.status == "converged"
+                assert grid.status[i, j] == ("converged" if both
+                                             else "k_max_reached")
+                mixes.add((res.status, hat.status))
+        if problem is mixed_problem:
+            assert len(mixes) == 4
+
+
+#: (problem, lambda_range, mu_range, resolution) of the grids on which the
+#: column build is checked against the scalar builder: the benchmark's
+#: grid, the fingerprint's two, the mixed grid, a grid whose entries
+#: overflow, bits (1, 1, 0) near c = 1, an int gamma and c with signed zero
+#: ends, and four that reach every check of the set-up: b1, b2 dependent
+#: about |b12| = 5e13 for sigma = 0 and 1, and entries, hatted parameters
+#: and kernel scalars that overflow
+BUILD_GRIDS = [
+    (ell.EllipsoidalProblem(0.0, C_TABLE, tau=1), (0.0, 4.0), (-4.0, 0.0),
+     (17, 17)),
+    (ell.EllipsoidalProblem(0.0, C_TABLE, tau=1), (0.0, 4.0), (-4.0, 0.0),
+     (9, 9)),
+    (ell.EllipsoidalProblem(4.0, 1.6, rho=1), (-2.0, 6.0), (-8.0, 2.0),
+     (5, 7)),
+    (ell.EllipsoidalProblem(4.0, 1.6, rho=1, tau=1), *MIXED_SCAN),
+    (ell.EllipsoidalProblem(0.0, 2.0), (0.0, 1e308), (0.0, 1e308), (2, 2)),
+    (ell.EllipsoidalProblem(-3.5, 1.05, rho=1, sigma=1), (-20.0, 20.0),
+     (-20.0, 20.0), (33, 33)),
+    (ell.EllipsoidalProblem(2, 3), (-0.0, 5.0), (0.0, -0.0), (5, 5)),
+    (ell.EllipsoidalProblem(0.0, 2.0), (2.5e13 - 0.05, 2.5e13 + 0.05),
+     (-0.0, 0.0), (33, 2)),
+    (ell.EllipsoidalProblem(0.0, 2.0, sigma=1),
+     (2.5e13 - 0.05, 2.5e13 + 0.05), (-0.0, 0.0), (33, 2)),
+    (ell.EllipsoidalProblem(0.0, 1.5), (0.0, 8e307), (-8e307, 8e307), (9, 9)),
+    (ell.EllipsoidalProblem(1e307, 1.5, sigma=1, tau=1), (-8e307, 8e307),
+     (-8e307, 8e307), (9, 9)),
+]
+
+
+@pytest.mark.parametrize("problem, lambda_range, mu_range, resolution",
+                         BUILD_GRIDS)
+def test_scan_grid_columns_equal_the_scalar_builder(problem, lambda_range,
+                                                    mu_range, resolution):
+    # every scalar of each node's two kernels, by repr, and the same
+    # failing nodes: those where `_kernel` or `_hat_kernel` raises
+    res_l, res_m = resolution
+    lams, mus = np.linspace(*lambda_range, res_l), np.linspace(*mu_range,
+                                                                res_m)
+    with np.errstate(all="raise"):      # the columns raise no warning
+        table, ran = ell._node_columns(np.repeat(lams, res_m),
+                                       np.tile(mus, res_l), problem)
+    thetas, hats, ok = [], [], []
+    with np.errstate(all="ignore"):
+        for lam, mu in itertools.product(lams, mus):
+            try:
+                pair = [make(lam, mu, problem)
+                        for make in (ell._kernel, ell._hat_kernel)]
+            except (ConncoefError, ArithmeticError, ValueError):
+                ok.append(False)
+                continue
+            ok.append(True)
+            thetas.append(pair[0])
+            hats.append(pair[1])
+    assert ran.tolist() == ok
+    assert [list(map(repr, column)) for column in table.T.tolist()] == [
+        list(map(repr, core._float_row(kernel))) for kernel in thetas + hats]
 
 
 def test_scan_grid_runs_one_batch_of_alternating_kernels(monkeypatch,
                                                          mixed_problem):
     # the node whose Theta-hat set-up fails drops out of the batch whole
     # and reads "error" with NaN in both grids; every other node keeps its
-    # values bit for bit
-    plain = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    # values bit for bit.  A complex gamma runs one `theta_many` batch of
+    # each node's two kernels in turn; a real gamma runs one table
+    # (`core._theta_table`) of the same kernels' scalars, the columns of
+    # every Theta first, then of every Theta-hat
     failed = (2, 1)
-    bad = (plain.lambdas[failed[0]], plain.mus[failed[1]])
-    hat_kernel, theta_many = ell._hat_kernel, ell.theta_many
-    calls = []
+    for problem in (replace(mixed_problem, gamma=4.0 + 0.5j), mixed_problem):
+        plain = ell.scan_grid(problem, *MIXED_SCAN, k_max=60)
+        bad = (plain.lambdas[failed[0]], plain.mus[failed[1]])
+        ran = [(lam, mu) for lam in plain.lambdas for mu in plain.mus
+               if (lam, mu) != bad]
+        thetas = [ell._kernel(lam, mu, problem) for lam, mu in ran]
+        hats = [ell._hat_kernel(lam, mu, problem) for lam, mu in ran]
+        calls = []
+        with monkeypatch.context() as mp:
+            if problem.is_real:
+                float_table, theta_table = ell._float_table, ell._theta_table
 
-    def hat_or_fail(lam, mu, problem):
-        if (lam, mu) == bad:
-            raise ConsistencyError("synthetic failed set-up")
-        return hat_kernel(lam, mu, problem)
+                built = []
 
-    def spy(kernels, **kwargs):
-        calls.append(list(kernels))
-        return theta_many(calls[-1], **kwargs)
+                def hat_table_fails(rows, size):
+                    # the set-up's second table is Theta-hat's
+                    table, ok = float_table(rows, size)
+                    built.append(table)
+                    if len(built) == 2:
+                        ok[failed[0] * len(plain.mus) + failed[1]] = False
+                    return table, ok
 
-    monkeypatch.setattr(ell, "_hat_kernel", hat_or_fail)
-    monkeypatch.setattr(ell, "theta_many", spy)
-    grid = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
-    ran = [(lam, mu) for lam in plain.lambdas for mu in plain.mus
-           if (lam, mu) != bad]
-    assert calls == [[kernel for lam, mu in ran
-                      for kernel in (ell._kernel(lam, mu, mixed_problem),
-                                     hat_kernel(lam, mu, mixed_problem))]]
-    assert grid.status[failed] == "error"
-    assert np.isnan(grid.theta[failed]) and np.isnan(grid.theta_hat[failed])
-    kept = np.ones(grid.status.shape, dtype=bool)
-    kept[failed] = False
-    assert (grid.status[kept] == plain.status[kept]).all()
-    assert "error" not in plain.status
-    for values, expected in ((grid.theta, plain.theta),
-                             (grid.theta_hat, plain.theta_hat)):
-        assert values[kept].tobytes() == expected[kept].tobytes()
+                def spy(table, *args):
+                    calls.append(table)
+                    return theta_table(table, *args)
+
+                mp.setattr(ell, "_float_table", hat_table_fails)
+                mp.setattr(ell, "_theta_table", spy)
+            else:
+                hat_kernel, theta_many = ell._hat_kernel, ell.theta_many
+
+                def hat_or_fail(lam, mu, problem):
+                    if (lam, mu) == bad:
+                        raise ConsistencyError("synthetic failed set-up")
+                    return hat_kernel(lam, mu, problem)
+
+                def spy(kernels, **kwargs):
+                    calls.append(list(kernels))
+                    return theta_many(calls[-1], **kwargs)
+
+                mp.setattr(ell, "_hat_kernel", hat_or_fail)
+                mp.setattr(ell, "theta_many", spy)
+            grid = ell.scan_grid(problem, *MIXED_SCAN, k_max=60)
+        if problem.is_real:
+            assert len(calls) == 1
+            expected = np.array([core._float_row(kernel)
+                                 for kernel in thetas + hats]).T
+            assert calls[0].shape == expected.shape
+            assert calls[0].tobytes() == expected.tobytes()
+        else:
+            assert calls == [[kernel for pair in zip(thetas, hats)
+                              for kernel in pair]]
+        assert grid.status[failed] == "error"
+        assert np.isnan(grid.theta[failed]) and np.isnan(grid.theta_hat[failed])
+        kept = np.ones(grid.status.shape, dtype=bool)
+        kept[failed] = False
+        assert (grid.status[kept] == plain.status[kept]).all()
+        assert "error" not in plain.status
+        for values, expected in ((grid.theta, plain.theta),
+                                 (grid.theta_hat, plain.theta_hat)):
+            assert values[kept].tobytes() == expected[kept].tobytes()
 
 
 def test_scan_grid_resolution_validation(table_problem):
@@ -395,27 +497,23 @@ def _edge_loop_seeds(lambdas, mus, th, thh):
 def _synthetic_scan(monkeypatch, problem, th, thh):
     """scan_grid over the integer nodes of th/thh, Theta stubbed from them.
 
-    The stubbed per-node set-up hands the node's value on as its kernel,
-    and the stubbed batch turns each into a result.  NaN entries come back
-    from the set-up as a ConsistencyError, so they enter the grid as failed
-    nodes.
+    The stubbed column set-up hands the nodes' values on as their kernels,
+    a table of one row, and the stubbed table run turns each into a
+    result.  A node with a NaN entry fails its set-up, so it enters the
+    grid as a failed node.
     """
-    def stub(values):
-        def fake(lam, mu, problem):
-            v = values[round(lam), round(mu)]
-            if np.isnan(v):
-                raise ConsistencyError("synthetic failed node")
-            return v
-        return fake
+    def columns(lams, mus, problem):
+        at = np.rint(lams).astype(int), np.rint(mus).astype(int)
+        ran = ~(np.isnan(th[at]) | np.isnan(thh[at]))
+        return np.concatenate((th[at][ran], thh[at][ran]))[None], ran
 
-    def batch(values, **kwargs):
+    def run(table, *args):
         return [ThetaResult(theta=complex(v), error_bound=0.0, k_final=1,
                             n=5, tau_estimate=0j, status="converged")
-                for v in values]
+                for v in table[0].tolist()]
 
-    monkeypatch.setattr(ell, "_kernel", stub(th))
-    monkeypatch.setattr(ell, "_hat_kernel", stub(thh))
-    monkeypatch.setattr(ell, "theta_many", batch)
+    monkeypatch.setattr(ell, "_node_columns", columns)
+    monkeypatch.setattr(ell, "_theta_table", run)
     L, M = th.shape
     return ell.scan_grid(problem, (0, L - 1), (0, M - 1), (L, M))
 
@@ -469,15 +567,25 @@ def test_scan_grid_seed_rule_on_nan_and_zero_nodes(monkeypatch,
     ((0.0, np.inf), (-4.0, 0.0)),
     ((0.0, np.nan), (-4.0, 0.0)),
     ((0.0, 4.0), (-np.inf, 0.0)),
+    ((0.0,), (-4.0, 0.0)),
+    ((0.0, 1.0, 2.0), (-4.0, 0.0)),
+    (5.0, (-4.0, 0.0)),
+    ((0.0, 4.0), None),
 ])
 def test_scan_grid_rejects_non_finite_ranges(table_problem, monkeypatch,
                                              lambda_range, mu_range):
-    # these once warned from linspace, then failed inside the first node
+    # the non-finite ones once warned from linspace, then failed inside the
+    # first node; of the others, one bound raised IndexError, three were
+    # cut to two and a number raised TypeError
     def fail(*args, **kwargs):
-        raise AssertionError("no Theta may run for a non-finite range")
+        raise AssertionError("no Theta may run for a bad range")
 
-    monkeypatch.setattr(ell, "theta_many", fail)
-    with pytest.raises(ValueError, match=r"_range \(.*\) is not finite"):
+    monkeypatch.setattr(ell, "_node_columns", fail)
+    monkeypatch.setattr(ell, "_theta_table", fail)
+    pairs = all(np.shape(r) == (2,) for r in (lambda_range, mu_range))
+    with pytest.raises(ValueError, match=(
+            r"_range \(.*\) is not finite" if pairs
+            else r"_range must be a pair \(lo, hi\) of numbers, got ")):
         ell.scan_grid(table_problem, lambda_range, mu_range, 3)
 
 

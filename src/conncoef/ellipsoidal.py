@@ -121,8 +121,7 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     g = problem.gamma
     if not (cmath.isfinite(complex(lam)) and cmath.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
-    e = _entries(lam, mu, g, c)
-    e = SystemEntries(complex(lam), e.b12, e.r12)
+    e = _entries(complex(lam), lam, mu, g, c)
     if not all(map(cmath.isfinite, (e.a12, e.b12, e.r12))):
         raise ValueError(f"system entries overflow at (lam, mu) = ({lam}, "
                          f"{mu}): a12 = {e.a12}, b12 = {e.b12}, "
@@ -135,10 +134,11 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     return e
 
 
-def _entries(lam, mu, gamma, c) -> SystemEntries:
+def _entries(a12, lam, mu, gamma, c) -> SystemEntries:
     """The entry formulas of `entries`, unchecked and for any pole c, on
-    numbers or on numpy columns alike; a12 is lam itself."""
-    return SystemEntries(a12=lam, b12=c * (lam + mu + gamma) / (1 - c),
+    numbers or on numpy columns alike; a12 is lam as a complex number, or
+    the lam column itself."""
+    return SystemEntries(a12=a12, b12=c * (lam + mu + gamma) / (1 - c),
                          r12=(lam + c * mu + c * c * gamma) / (c - 1))
 
 
@@ -147,7 +147,7 @@ def _entry_columns(lam, mu, gamma, c) -> tuple:
     and the mask of the nodes where `entries` would not raise.  The checks
     are those of `entries`, on the same values: CPython's abs of a complex
     with imaginary part 0 is the abs of its real part."""
-    e = _entries(lam, mu, gamma, c)
+    e = _entries(lam, lam, mu, gamma, c)
     ok = (np.isfinite(lam) & np.isfinite(mu) & np.isfinite(e.b12)
           & np.isfinite(e.r12))
     scale = np.maximum(np.maximum(np.abs(lam), np.abs(e.b12)),
@@ -905,7 +905,7 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
             raise InvalidExponent(
                 f"{name} = {nu} outside the supported region (nu != 1, Re(nu) > 0)")
     A, B, const, R = _heun_data(nu0, nu1, nu2, kappa, c,
-                                _entries(lam, mu, gamma, c))
+                                _entries(complex(lam), lam, mu, gamma, c))
     return TwoPointSystem.from_rational(A, B, const=const, poles=(c,),
                                         residues=(R,))
 

@@ -403,7 +403,6 @@ def test_scan_grid_runs_one_batch_of_alternating_kernels(monkeypatch,
         with monkeypatch.context() as mp:
             if problem.is_real:
                 float_table, theta_table = ell._float_table, ell._theta_table
-
                 built = []
 
                 def hat_table_fails(rows, size):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -38,10 +37,9 @@ import numpy as np
 
 from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
                    _first_index, _float_table, _kernel_of, _kernel_rows,
-                   _power_sum, _Series, _theta_table, theta_iterate,
-                   theta_many)
-from .errors import (ConncoefError, ConsistencyError, InvalidExponent,
-                     MatchFailure, NoConvergence, QuadratureNotConverged)
+                   _power_sum, _Series, _theta_table, theta_iterate)
+from .errors import (ConsistencyError, InvalidExponent, MatchFailure,
+                     NoConvergence, QuadratureNotConverged)
 from .rootfind import SolverOptions, broyden2
 
 __all__ = [
@@ -73,26 +71,36 @@ class EllipsoidalProblem:
 
     rho, sigma, tau in {0, 1} pick one of the eight spectral problems: bit 1
     selects the square-root branch of w at z = 0, 1, c respectively.
+
+    A finite gamma of any numeric type is stored by its value: as a float
+    where its imaginary part is 0, else as a complex.  c must be finite and
+    > 1 with c/(c-1) > 1 in floats, which fails from about 2**53 on, so
+    that the hatted problem of `hat_parameters` exists.  Bad data raises
+    ValueError.
     """
 
-    gamma: complex
+    gamma: float | complex
     c: float
     rho: int = 0
     sigma: int = 0
     tau: int = 0
 
     def __post_init__(self):
-        if not (self.c > 1 and math.isfinite(self.c)):
-            raise ValueError("c must be a finite real number > 1")
-        if not cmath.isfinite(complex(self.gamma)):
+        if not (self.c > 1 and self.c / (self.c - 1) > 1):
+            raise ValueError(f"c must be a finite real number > 1 whose "
+                             f"c/(c-1) rounds above 1, got c = {self.c!r}")
+        gamma = complex(self.gamma)
+        if not cmath.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+        object.__setattr__(self, "gamma",
+                           gamma.real if gamma.imag == 0 else gamma)
         for name in ("rho", "sigma", "tau"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
 
     @property
     def is_real(self) -> bool:
-        return complex(self.gamma).imag == 0
+        return isinstance(self.gamma, float)
 
 
 @dataclass(frozen=True)
@@ -330,12 +338,15 @@ def solve_pair(seed_lambda: float, seed_mu: float, problem: EllipsoidalProblem,
     Raises
     ------
     ValueError, SingularJacobian
-        At the seed, as `broyden2`; a bad n or k_max raises from the first
-        Theta evaluation (see `theta_iterate`).
+        At the seed, as `broyden2`, and before it for a problem that is not
+        real (the solver sees only Re Theta and Re Theta-hat); a bad n or
+        k_max raises from the first Theta evaluation (see `theta_iterate`).
     NoConvergence
         After opts.max_iter Broyden iterations; the best iterate and its
         residuals ride on the exception (`best`, `residual`, `trace`).
     """
+    if not problem.is_real:
+        raise ValueError("eigenpairs are solved for real problems only")
     opts = opts or SolverOptions()
     eval_tol = max(opts.tol_residual / 10.0, 1e-13)
     n_evals = 0
@@ -386,32 +397,38 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
               k_max: int = 50_000) -> ThetaGrid:
     """Evaluate Theta and Theta-hat on a rectangular (lam, mu) grid.
 
-    resolution may be an integer (both axes) or a pair (n_lambda, n_mu),
-    each an integer >= 2.  Every node's values are those of `theta` and
-    `theta_hat`, bit for bit, but the grid runs all of them as one batch.
-    For a gamma that is a float or an int, the two kernels of every node
-    are built at once as float64 columns, by the arithmetic of the scalar
-    builder (`_node_columns`), and run in lockstep (`core._theta_table`);
-    for a complex gamma, each node's kernels are built on their own and run
-    as one `theta_many` batch.  Node failures (`ConncoefError` or
-    `ArithmeticError`, in a node's set-up or its series, and the ValueError
-    of a node whose system entries overflow) are recorded in the grid
-    status and the values set to NaN; any other error propagates.  The
-    modest k_max default keeps nodes far from any eigencurve cheap; only
-    sign changes matter for seeding.
+    The problem must be real: seeds are cells where the real Theta and
+    Theta-hat both change sign.  resolution may be an integer (both axes)
+    or a pair (n_lambda, n_mu), each an integer >= 2.  Every node's values
+    are those of `theta` and `theta_hat`, bit for bit, but the grid runs
+    all of them as one batch: the two kernels of every node are built at
+    once as float64 columns, by the arithmetic of the scalar builder
+    (`_node_columns`), and run in lockstep (`core._theta_table`).  Node
+    failures (`ConncoefError` or `ArithmeticError`, in a node's set-up or
+    its series, and the ValueError of a node whose system entries
+    overflow) are recorded in the grid status and the values set to NaN;
+    any other error propagates.  The modest k_max default keeps nodes far
+    from any eigencurve cheap; only sign changes matter for seeding.
 
     Raises
     ------
     ValueError
-        If resolution is not an integer >= 2 on an axis, a range is not a
-        pair of numbers or a range bound is not finite, and for a bad n,
-        tol or k_max (see `theta_iterate`), each before any Theta work.
+        If the problem is not real, resolution is not an integer >= 2 or a
+        pair of them, a range is not a pair of numbers or a range bound is
+        not finite, and for a bad n, tol or k_max (see `theta_iterate`),
+        each before any Theta work.
     """
-    res_l, res_m = (resolution,) * 2 if np.isscalar(resolution) else resolution
+    if not problem.is_real:
+        raise ValueError("grids are scanned for real problems only")
+    sizes = (resolution,) * 2 if np.isscalar(resolution) else resolution
+    try:
+        res_l, res_m = sizes
+    except (TypeError, ValueError):     # not a pair
+        res_l = res_m = None
     if not all(isinstance(r, numbers.Integral) and r >= 2
                for r in (res_l, res_m)):
-        raise ValueError(f"resolution must be an integer >= 2 per axis, got "
-                         f"{resolution!r}")
+        raise ValueError(f"resolution must be an integer >= 2 or a pair of "
+                         f"them, got {resolution!r}")
     axes = []
     for name, bounds, res in (("lambda_range", lambda_range, res_l),
                               ("mu_range", mu_range, res_m)):
@@ -429,24 +446,10 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     thh = np.full((res_l, res_m), np.nan)
     status = np.full((res_l, res_m), "error", dtype=object)
 
-    if isinstance(problem.gamma, (int, float)):
-        table, ran = _node_columns(np.repeat(lambdas, res_m),
-                                   np.tile(mus, res_l), problem)
-        results = _theta_table(table, 17, n, tol, k_max)  # one-pole sides
-        pairs = zip(results[:len(results) // 2], results[len(results) // 2:])
-    else:
-        ran = np.zeros(res_l * res_m, dtype=bool)
-        kernels = []
-        for node, (i, j) in enumerate(itertools.product(range(res_l),
-                                                        range(res_m))):
-            try:
-                kernels += [make(lambdas[i], mus[j], problem)
-                            for make in (_kernel, _hat_kernel)]
-            except (ConncoefError, ArithmeticError, ValueError):
-                continue  # node failure stays local
-            ran[node] = True
-        results = theta_many(kernels, n=n, tol=tol, k_max=k_max)
-        pairs = zip(results[0::2], results[1::2])
+    table, ran = _node_columns(np.repeat(lambdas, res_m), np.tile(mus, res_l),
+                               problem)
+    results = _theta_table(table, 17, n, tol, k_max)    # one-pole sides
+    pairs = zip(results[:len(results) // 2], results[len(results) // 2:])
     for node, (r, rh) in zip(np.flatnonzero(ran).tolist(), pairs):
         if r is not None and rh is not None:
             th.flat[node], thh.flat[node] = r.theta.real, rh.theta.real
@@ -464,7 +467,7 @@ def _hat_kernel(lam, mu, problem: EllipsoidalProblem) -> ThetaKernel:
 
 def _node_columns(lams, mus, problem: EllipsoidalProblem) -> tuple:
     """The kernels of `theta` and `theta_hat` at the nodes (lams, mus) of a
-    problem with a real gamma, as float64 columns.
+    real problem, as float64 columns.
 
     ``lams`` and ``mus`` are float64 arrays, one entry per node.  Returns
     the table that `core._theta_table` reads, the columns of the nodes
@@ -472,7 +475,8 @@ def _node_columns(lams, mus, problem: EllipsoidalProblem) -> tuple:
     of those nodes.  The arithmetic is that of `_kernel` and `_hat_kernel`,
     run on the columns, so every scalar keeps its bits; each check of the
     scalar build is a mask: `entries` for both kernels, the hatted
-    problem's finite gamma^ and its pole c^ > 1, and `core._float_table`.
+    problem's finite gamma^, and `core._float_table`.  The hatted pole c^
+    rounds above 1, as `EllipsoidalProblem` checks.
     """
     c, sigma = problem.c, problem.sigma
     with np.errstate(all="ignore"):
@@ -488,9 +492,6 @@ def _node_columns(lams, mus, problem: EllipsoidalProblem) -> tuple:
         ran &= ok & np.isfinite(gam_h)
         tables = []
         for ents, pole, rho in ((e, c, problem.rho), (e_h, ch, problem.tau)):
-            if not pole > 1:    # c^ rounds to 1: no node has a hatted problem
-                ran[:] = False
-                break
             table, ok = _float_table(
                 _kernel_rows(*_kernel_data(ents, pole, rho, sigma)), len(lams))
             ran &= ok
@@ -707,9 +708,7 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
         coef1=_Series(kernel.mirror, kernel.b2, _real_parts),
         coef2=_Series(hat.main, hat.a0, _real_parts), C0=1.0, C1=1.0, C2=1.0,
         rho=problem.rho, sigma=problem.sigma, tau=problem.tau, c=problem.c,
-        lam=lam, mu=mu, gamma=float(problem.gamma.real
-                                    if isinstance(problem.gamma, complex)
-                                    else problem.gamma))
+        lam=lam, mu=mu, gamma=problem.gamma)
 
     r1 = fn.radius1
     c = problem.c

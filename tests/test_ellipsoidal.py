@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,8 @@ from scipy.integrate import quad
 from conncoef import core
 from conncoef import ellipsoidal as ell
 from conncoef.core import ThetaResult, theta_iterate
-from conncoef.errors import (ConncoefError, ConsistencyError, InvalidExponent,
-                             MatchFailure, NoConvergence,
-                             QuadratureNotConverged)
+from conncoef.errors import (ConncoefError, InvalidExponent, MatchFailure,
+                             NoConvergence, QuadratureNotConverged)
 from conncoef.rootfind import SolverOptions
 
 import _reference
@@ -111,6 +111,36 @@ def test_problem_validation():
             ell.EllipsoidalProblem(gamma=gamma, c=2.0)
     with pytest.raises(ValueError, match="rho"):
         ell.EllipsoidalProblem(gamma=1.0, c=2.0, rho=2)
+
+
+def test_problem_rejects_a_c_whose_hatted_pole_rounds_to_one():
+    # at c = 1e17, c/(c-1) rounds to 1: no hatted problem exists, so the
+    # problem is refused where it is made, not node by node later
+    with pytest.raises(ValueError, match=r"^c must .* got c = 1e\+17$"):
+        ell.EllipsoidalProblem(0.0, 1e17)
+    # the least c above 1 has the largest hatted pole, 2**52 + 1, and the
+    # hatted problem's own hatted pole is c again
+    prob = ell.EllipsoidalProblem(0.0, 1 + 2.0 ** -52)
+    _, _, hat = ell.hat_parameters(0.25, -0.5, prob)
+    assert hat.c == 2.0 ** 52 + 1
+    assert ell.hat_parameters(0.25, -0.5, hat)[2].c == prob.c
+
+
+@pytest.mark.parametrize("gamma", [
+    4, np.int64(4), np.float32(4.0), Fraction(4), complex(4.0, 0.0),
+    complex(4.0, -0.0)], ids=["int", "int64", "float32", "Fraction",
+                              "complex+0", "complex-0"])
+def test_a_real_gamma_is_stored_as_a_float_whatever_its_type(mixed_problem,
+                                                             gamma):
+    # one value, one arithmetic: the grid equals the float-gamma grid by
+    # bytes, whatever type the real gamma came in
+    prob = replace(mixed_problem, gamma=gamma)
+    assert type(prob.gamma) is float and prob.gamma == 4.0 and prob.is_real
+    grid = ell.scan_grid(prob, *MIXED_SCAN, k_max=60)
+    want = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    assert grid.theta.tobytes() == want.theta.tobytes()
+    assert grid.theta_hat.tobytes() == want.theta_hat.tobytes()
+    assert grid.status.tolist() == want.status.tolist()
 
 
 def test_theta_raises_where_the_entry_sum_overflows():
@@ -300,14 +330,12 @@ def mixed_problem():
 
 
 def test_scan_grid_nodes_equal_theta_and_theta_hat_bit_for_bit(mixed_problem):
-    # the mixed grid; the benchmark's 17 x 17 grid (gamma = 0, c = 12/7,
-    # tau = 1) at the default k_max; and a complex gamma, whose nodes take
-    # the per-node path
+    # the mixed grid; and the benchmark's 17 x 17 grid (gamma = 0,
+    # c = 12/7, tau = 1) at the default k_max
     for problem, scan, k_max in (
             (mixed_problem, MIXED_SCAN, 60),
             (ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, tau=1),
-             ((0.0, 4.0), (-4.0, 0.0), 17), 50_000),
-            (replace(mixed_problem, gamma=4.0 + 0.5j), MIXED_SCAN, 60)):
+             ((0.0, 4.0), (-4.0, 0.0), 17), 50_000)):
         grid = ell.scan_grid(problem, *scan, k_max=k_max)
         mixes = set()
         for i, lam in enumerate(grid.lambdas):
@@ -387,71 +415,67 @@ def test_scan_grid_runs_one_batch_of_alternating_kernels(monkeypatch,
                                                          mixed_problem):
     # the node whose Theta-hat set-up fails drops out of the batch whole
     # and reads "error" with NaN in both grids; every other node keeps its
-    # values bit for bit.  A complex gamma runs one `theta_many` batch of
-    # each node's two kernels in turn; a real gamma runs one table
-    # (`core._theta_table`) of the same kernels' scalars, the columns of
-    # every Theta first, then of every Theta-hat
+    # values bit for bit.  The grid runs one table (`core._theta_table`)
+    # of the scalars of each node's two kernels, the columns of every
+    # Theta first, then of every Theta-hat
     failed = (2, 1)
-    for problem in (replace(mixed_problem, gamma=4.0 + 0.5j), mixed_problem):
-        plain = ell.scan_grid(problem, *MIXED_SCAN, k_max=60)
-        bad = (plain.lambdas[failed[0]], plain.mus[failed[1]])
-        ran = [(lam, mu) for lam in plain.lambdas for mu in plain.mus
-               if (lam, mu) != bad]
-        thetas = [ell._kernel(lam, mu, problem) for lam, mu in ran]
-        hats = [ell._hat_kernel(lam, mu, problem) for lam, mu in ran]
-        calls = []
-        with monkeypatch.context() as mp:
-            if problem.is_real:
-                float_table, theta_table = ell._float_table, ell._theta_table
-                built = []
+    plain = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    bad = (plain.lambdas[failed[0]], plain.mus[failed[1]])
+    ran = [(lam, mu) for lam in plain.lambdas for mu in plain.mus
+           if (lam, mu) != bad]
+    thetas = [ell._kernel(lam, mu, mixed_problem) for lam, mu in ran]
+    hats = [ell._hat_kernel(lam, mu, mixed_problem) for lam, mu in ran]
+    calls = []
+    with monkeypatch.context() as mp:
+        float_table, theta_table = ell._float_table, ell._theta_table
+        built = []
 
-                def hat_table_fails(rows, size):
-                    # the set-up's second table is Theta-hat's
-                    table, ok = float_table(rows, size)
-                    built.append(table)
-                    if len(built) == 2:
-                        ok[failed[0] * len(plain.mus) + failed[1]] = False
-                    return table, ok
+        def hat_table_fails(rows, size):
+            # the set-up's second table is Theta-hat's
+            table, ok = float_table(rows, size)
+            built.append(table)
+            if len(built) == 2:
+                ok[failed[0] * len(plain.mus) + failed[1]] = False
+            return table, ok
 
-                def spy(table, *args):
-                    calls.append(table)
-                    return theta_table(table, *args)
+        def spy(table, *args):
+            calls.append(table)
+            return theta_table(table, *args)
 
-                mp.setattr(ell, "_float_table", hat_table_fails)
-                mp.setattr(ell, "_theta_table", spy)
-            else:
-                hat_kernel, theta_many = ell._hat_kernel, ell.theta_many
+        mp.setattr(ell, "_float_table", hat_table_fails)
+        mp.setattr(ell, "_theta_table", spy)
+        grid = ell.scan_grid(mixed_problem, *MIXED_SCAN, k_max=60)
+    assert len(calls) == 1
+    expected = np.array([core._float_row(kernel)
+                         for kernel in thetas + hats]).T
+    assert calls[0].shape == expected.shape
+    assert calls[0].tobytes() == expected.tobytes()
+    assert grid.status[failed] == "error"
+    assert np.isnan(grid.theta[failed]) and np.isnan(grid.theta_hat[failed])
+    kept = np.ones(grid.status.shape, dtype=bool)
+    kept[failed] = False
+    assert (grid.status[kept] == plain.status[kept]).all()
+    assert "error" not in plain.status
+    for values, expected in ((grid.theta, plain.theta),
+                             (grid.theta_hat, plain.theta_hat)):
+        assert values[kept].tobytes() == expected[kept].tobytes()
 
-                def hat_or_fail(lam, mu, problem):
-                    if (lam, mu) == bad:
-                        raise ConsistencyError("synthetic failed set-up")
-                    return hat_kernel(lam, mu, problem)
 
-                def spy(kernels, **kwargs):
-                    calls.append(list(kernels))
-                    return theta_many(calls[-1], **kwargs)
+def test_eigen_solvers_reject_a_complex_gamma_before_any_theta(monkeypatch):
+    # Theta and Theta-hat of a complex gamma have no common real zero to
+    # seed or polish: the solvers, which see only the real parts, found
+    # points where |Theta| = 0.97 and |Theta-hat| = 46.8 on this problem
+    def no_theta(*args, **kwargs):
+        raise AssertionError("Theta work for a problem that is not real")
 
-                mp.setattr(ell, "_hat_kernel", hat_or_fail)
-                mp.setattr(ell, "theta_many", spy)
-            grid = ell.scan_grid(problem, *MIXED_SCAN, k_max=60)
-        if problem.is_real:
-            assert len(calls) == 1
-            expected = np.array([core._float_row(kernel)
-                                 for kernel in thetas + hats]).T
-            assert calls[0].shape == expected.shape
-            assert calls[0].tobytes() == expected.tobytes()
-        else:
-            assert calls == [[kernel for pair in zip(thetas, hats)
-                              for kernel in pair]]
-        assert grid.status[failed] == "error"
-        assert np.isnan(grid.theta[failed]) and np.isnan(grid.theta_hat[failed])
-        kept = np.ones(grid.status.shape, dtype=bool)
-        kept[failed] = False
-        assert (grid.status[kept] == plain.status[kept]).all()
-        assert "error" not in plain.status
-        for values, expected in ((grid.theta, plain.theta),
-                                 (grid.theta_hat, plain.theta_hat)):
-            assert values[kept].tobytes() == expected[kept].tobytes()
+    monkeypatch.setattr(ell, "_theta_table", no_theta)
+    monkeypatch.setattr(ell, "theta", no_theta)
+    prob = ell.EllipsoidalProblem(4.0 + 0.5j, 1.6, rho=1)
+    assert type(prob.gamma) is complex and not prob.is_real
+    with pytest.raises(ValueError, match="real problems only"):
+        ell.scan_grid(prob, (-2.0, 6.0), (-8.0, 2.0), 9)
+    with pytest.raises(ValueError, match="real problems only"):
+        ell.solve_pair(-1.5, -2.375, prob)
 
 
 def test_scan_grid_resolution_validation(table_problem):
@@ -462,6 +486,11 @@ def test_scan_grid_resolution_validation(table_problem):
     # a fractional resolution is an error, not a grid of its integer part
     for resolution in (2.9, (3, 2.5), (3.0, 3)):
         with pytest.raises(ValueError, match="resolution"):
+            ell.scan_grid(table_problem, (0, 4), (-4, 0), resolution)
+    # anything but an integer or a pair of integers is named as the
+    # argument, not an unpacking error
+    for resolution in (None, (5,), (5, 5, 5), "55"):
+        with pytest.raises(ValueError, match="^resolution must be"):
             ell.scan_grid(table_problem, (0, 4), (-4, 0), resolution)
 
 

@@ -72,11 +72,10 @@ class EllipsoidalProblem:
     rho, sigma, tau in {0, 1} pick one of the eight spectral problems: bit 1
     selects the square-root branch of w at z = 0, 1, c respectively.
 
-    A finite gamma of any numeric type is stored by its value: as a float
-    where its imaginary part is 0, else as a complex.  c must be finite and
-    > 1 with c/(c-1) > 1 in floats, which fails from about 2**53 on, so
-    that the hatted problem of `hat_parameters` exists.  Bad data raises
-    ValueError.
+    A gamma of any numeric type is stored by its value: a float where its
+    imaginary part is 0, else a complex.  c must be finite with c/(c-1) > 1
+    in floats (so 1 < c < about 2**53), so that `hat_parameters` can form
+    the hatted problem.  Bad data raises ValueError.
     """
 
     gamma: float | complex
@@ -89,9 +88,11 @@ class EllipsoidalProblem:
         if not (self.c > 1 and self.c / (self.c - 1) > 1):
             raise ValueError(f"c must be a finite real number > 1 whose "
                              f"c/(c-1) rounds above 1, got c = {self.c!r}")
-        gamma = complex(self.gamma)
-        if not cmath.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+        # complex() would also parse a string
+        if not (isinstance(self.gamma, numbers.Number)
+                and cmath.isfinite(gamma := complex(self.gamma))):
+            raise ValueError(f"gamma must be a finite number, got "
+                             f"{self.gamma!r}")
         object.__setattr__(self, "gamma",
                            gamma.real if gamma.imag == 0 else gamma)
         for name in ("rho", "sigma", "tau"):
@@ -413,10 +414,9 @@ def scan_grid(problem: EllipsoidalProblem, lambda_range, mu_range,
     Raises
     ------
     ValueError
-        If the problem is not real, resolution is not an integer >= 2 or a
-        pair of them, a range is not a pair of numbers or a range bound is
-        not finite, and for a bad n, tol or k_max (see `theta_iterate`),
-        each before any Theta work.
+        Before any Theta work: for a problem that is not real, a resolution
+        that is not an integer >= 2 or a pair of them, a range that is not
+        a pair of finite numbers, or a bad n, tol or k_max (`theta_iterate`).
     """
     if not problem.is_real:
         raise ValueError("grids are scanned for real problems only")

@@ -106,7 +106,8 @@ def test_problem_validation():
     for c in (math.inf, math.nan):
         with pytest.raises(ValueError, match="c must be a finite"):
             ell.EllipsoidalProblem(gamma=1.0, c=c)
-    for gamma in (math.nan, math.inf, complex(1.0, math.nan)):
+    # so is a gamma that is a string, which complex() would parse
+    for gamma in (math.nan, math.inf, complex(1.0, math.nan), "4"):
         with pytest.raises(ValueError, match="gamma"):
             ell.EllipsoidalProblem(gamma=gamma, c=2.0)
     with pytest.raises(ValueError, match="rho"):

@@ -76,14 +76,16 @@ arithmetic, so the bits agree; steps past the stop are computed and
 dropped.  A series with a complex scalar stays in the head, since numpy's
 complex division is not CPython's.
 
-Eigenfunctions of both families sum series of terms of the prefix sums' second
+Eigenfunctions are built for real problems only, so their series are
+real.  Both families sum series of terms of the prefix sums' second
 components, at most `_SERIES_TERMS` of them, in one class, `_Series`: it
-steps a kernel side only as far as a sum reads, `_CHUNK` steps at a time
-(`_advance`), keeps the terms, and resumes from the recurrence state it
-left.  Only the map from d_k to a term is the family's own.  One summer,
-`_power_sum`, sums such a series at all the points of an array at once,
-`_CHUNK` terms at a time, and gives at each point the bits of the scalar
-loop that sums one term after another.
+steps a kernel side of floats only as far as a sum reads, `_CHUNK` steps
+at a time (`_advance`), keeps the terms as float64, and resumes from the
+recurrence state it left.  Only the map from d_k to a term is the
+family's own.  One summer, `_power_sum`, sums such a series at all the
+points of an array at once, `_CHUNK` terms at a time, in float64, and
+gives at each point the bits of the scalar loop that sums one term after
+another.
 `frobenius_step` is one step of the kernel on a side, as a function of its
 state; the library's loops run the kernel directly.
 
@@ -156,10 +158,6 @@ _SERIES_TERMS = 2000
 #: terms a `_Series` computes at a time, when a read passes the known ones,
 #: and `_power_sum` sums at a time
 _CHUNK = 32
-
-#: (im, re) times this are the terms, -(im*0.0) and re*0.0, that the
-#: product of a complex and a float x adds to re*x and im*x (`_power_sum`)
-_NEG_ZERO = np.array([-0.0, 0.0])
 
 
 def _finite(x, shape) -> np.ndarray:
@@ -623,9 +621,9 @@ def frobenius_step(state: tuple, side: tuple) -> tuple:
 def _power_sum(coefs, x):
     """sum_k coefs[k] * x**k at each point of x, truncated adaptively.
 
-    ``x`` is a float or a float64 array, and the sums come in its shape:
-    float for real coefficients, complex for complex ones.  At each point
-    the sum is, bit for bit, the sequential loop
+    ``coefs`` are real and ``x`` is a float or a float64 array; the sums
+    are floats in the shape of x.  At each point the sum is, bit for bit,
+    the sequential loop
 
         total, xk = 0, 1.0
         for ck in coefs:
@@ -638,13 +636,7 @@ def _power_sum(coefs, x):
     (np.multiply.accumulate, sequential products) and of the totals
     (np.add.accumulate, sequential sums, where np.sum sums pairwise).  A
     point leaves the arrays at its stop, so a call holds points x `_CHUNK`
-    values however long its series.  A complex term is formed on its real
-    and imaginary planes by the formula of the scalar product of a complex
-    and a float, since numpy's complex array product may fuse operations.
-    Where an imaginary part is not zero, |term| and |total| come from
-    np.hypot, and a comparison within a hair of the threshold is decided on
-    numpy complex scalars, as numpy's abs of a complex array may differ
-    from the scalar abs in the last bit.
+    values however long its series.
 
     Raises NoConvergence if the sum at some point is not finite: an
     argument outside the disk of convergence, or a NaN one, which reads
@@ -653,90 +645,71 @@ def _power_sum(coefs, x):
     xs = np.asarray(x, dtype=float)
     at = xs.ravel()                     # x of the points still summing
     live = np.arange(at.size)           # and their places
+    out = np.zeros(at.size)
     xk, total, tail = 1.0, 0.0, False   # x**k, sum and the last two small
-    planes = 0                          # 1 for real terms, 2 for complex
     terms = iter(coefs)
     with np.errstate(over="ignore", invalid="ignore"):
         while len(live) and (chunk := list(itertools.islice(terms, _CHUNK))):
-            if not planes:
-                planes = 1 + isinstance(chunk[0], (complex, np.complexfloating))
-                out = np.empty((at.size, planes))
-            chunk = np.array(chunk, dtype=(float, complex)[planes - 1])
             m = len(chunk)
             power = np.empty((len(live), m + 1))
             power[:, 0] = xk
             power[:, 1:] = at[:, None]
             np.multiply.accumulate(power, axis=1, out=power)
             xk = power[:, m]
-            # per plane, the running total and the terms, then the totals
-            acc = np.empty((2, planes, len(live), m + 1))
-            acc[0, :, :, 0] = total
-            parts = chunk.view(float).reshape(m, planes)
-            np.multiply(parts.T[:, None], power[:, :m], out=acc[0, :, :, 1:])
-            if planes == 2:
-                # re*x - im*0.0 and re*0.0 + im*x
-                acc[0, :, :, 1:] += (parts[:, ::-1] * _NEG_ZERO).T[:, None]
-            np.add.accumulate(acc[0], axis=2, out=acc[1])
-            body = acc[..., 1:]
-            cplx = planes == 2 and acc[:, 1].any()
-            size, scale = (np.hypot(body[:, 0], body[:, 1]) if cplx
-                           else np.abs(body[:, 0]))
-            limit = 1e-12 * np.maximum(scale, 1e-300)
-            small = size <= limit
-            if cplx:
-                hair = np.abs(size - limit) <= 1e-14 * limit + 1e-320
-                for i, j in zip(*np.nonzero(hair)) if hair.any() else ():
-                    t, s = (np.complex128(complex(*v[:, i, j])) for v in body)
-                    small[i, j] = abs(t) <= 1e-12 * max(abs(s), 1e-300)
+            # the running total and the terms, then the totals
+            acc = np.empty((2, len(live), m + 1))
+            acc[0, :, 0] = total
+            np.multiply(np.array(chunk, dtype=float), power[:, :m],
+                        out=acc[0, :, 1:])
+            np.add.accumulate(acc[0], axis=1, out=acc[1])
+            size = np.abs(acc[:, :, 1:])
+            small = size[0] <= 1e-12 * np.maximum(size[1], 1e-300)
             seq = np.empty((len(live), m + 2), bool)
             seq[:, :2] = tail
             seq[:, 2:] = small
             three = seq[:, :-2] & seq[:, 1:-1] & seq[:, 2:]
-            total, tail = acc[1, :, :, m], seq[:, -2:]
+            total, tail = acc[1, :, m], seq[:, -2:]
             stops = three.any(axis=1)
             if stops.any():
                 first = three.argmax(axis=1)[stops] + 1
-                out[live[stops]] = acc[1][:, stops, first].T
+                out[live[stops]] = acc[1, stops, first]
                 if stops.all():
                     break
                 keep = ~stops
                 live, at, xk = live[keep], at[keep], xk[keep]
-                total, tail = total[:, keep], tail[keep]
+                total, tail = total[keep], tail[keep]
         else:                           # the points left read every term
-            if not planes:              # no term, or no point
-                return np.zeros(xs.shape)[()]
-            out[live] = total.T
-    value = out[:, 0] if planes == 1 else out.view(complex)[:, 0]
-    if not np.isfinite(value).all():
-        i = np.flatnonzero(~np.isfinite(value))[0]
+            out[live] = total
+    if not np.isfinite(out).all():
+        i = np.flatnonzero(~np.isfinite(out))[0]
         raise NoConvergence(f"power series at x = {xs.flat[i].item()} sums "
-                            f"to {value[i].item()}")
-    return value.reshape(xs.shape)[()]
+                            f"to {out[i].item()}")
+    return out.reshape(xs.shape)[()]
 
 
 class _Series:
-    """The terms k < `_SERIES_TERMS` of an eigenfunction series, computed as
-    they are read.
+    """The terms k < `_SERIES_TERMS` of a real eigenfunction series, computed
+    as they are read.
 
-    The series on a side of a `ThetaKernel` from u_0 = d_0 = ``start`` has
-    the terms ``term(d1, k)``: ``term`` maps the second components d1 of
-    the prefix sums d_k, d_{k+1}, ... (a complex128 array) to their terms
-    (a float64 or complex128 array).  A read past the known terms computes
+    The series on a side of a `ThetaKernel` of floats from u_0 = d_0 =
+    ``start`` has as terms the second components d1 of the prefix sums
+    d_k, or ``term(d1, k)`` if a map is given: it maps the float64 array of
+    d_k, d_{k+1}, ... to their terms.  A read past the known terms computes
     the next `_CHUNK` of them, resuming the recurrence from the state it
     left: k, u_k, d_k and the per-pole sums, plain scalars as in
     `frobenius_step`, so a series pickles and copies.  The terms are kept
-    in one array, and the state is dropped once all are known.
+    in one float64 array, and the state is dropped once all are known.
 
-    Iteration yields the terms in order, as Python floats or complex
-    numbers, the same at every pass; ``len`` is `_SERIES_TERMS`, an integer
-    index reads one term, and ``np.asarray`` gives a copy of all of them.
+    Iteration yields the terms in order, as Python floats, the same at
+    every pass; ``len`` is `_SERIES_TERMS`, an integer index reads one
+    term, and ``np.asarray`` gives a copy of all of them.
     """
 
-    def __init__(self, side: tuple, start: Sequence, term):
+    def __init__(self, side: tuple, start: Sequence, term=None):
         self._side = side
         self._term = term
         self._state = _origin(side, start)
-        self._terms = None
+        self._terms = np.zeros(_SERIES_TERMS)
         self._known = 0
 
     def _compute(self, stop: int) -> None:
@@ -748,10 +721,9 @@ class _Series:
             d1 = [] if known else [self._state[2][1]]
             state = _advance(self._side, self._state, end - known - len(d1),
                              [], d1)
-            terms = self._term(np.array(d1, dtype=complex), known)
-            if self._terms is None:
-                self._terms = np.zeros(_SERIES_TERMS, terms.dtype)
-            self._terms[known:end] = terms
+            terms = np.array(d1, dtype=float)
+            self._terms[known:end] = (self._term(terms, known) if self._term
+                                      else terms)
             self._known = end
             self._state = None if end == _SERIES_TERMS else state
 

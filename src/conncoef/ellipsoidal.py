@@ -73,9 +73,10 @@ class EllipsoidalProblem:
     selects the square-root branch of w at z = 0, 1, c respectively.
 
     A gamma of any numeric type is stored by its value: a float where its
-    imaginary part is 0, else a complex.  c must be finite with c/(c-1) > 1
-    in floats (so 1 < c < about 2**53), so that `hat_parameters` can form
-    the hatted problem.  Bad data raises ValueError.
+    imaginary part is 0, else a complex.  c must be a real number, stored
+    as a float, with c/(c-1) > 1 in floats (so 1 < c < about 2**53), so
+    that `hat_parameters` can form the hatted problem.  Bad data raises
+    ValueError.
     """
 
     gamma: float | complex
@@ -85,9 +86,7 @@ class EllipsoidalProblem:
     tau: int = 0
 
     def __post_init__(self):
-        if not (self.c > 1 and self.c / (self.c - 1) > 1):
-            raise ValueError(f"c must be a finite real number > 1 whose "
-                             f"c/(c-1) rounds above 1, got c = {self.c!r}")
+        object.__setattr__(self, "c", _pole(self.c))
         # complex() would also parse a string
         if not (isinstance(self.gamma, numbers.Number)
                 and cmath.isfinite(gamma := complex(self.gamma))):
@@ -104,13 +103,30 @@ class EllipsoidalProblem:
         return isinstance(self.gamma, float)
 
 
+def _pole(c) -> float:
+    """c as a float, if c is a real number with c/(c-1) > 1 in floats: a
+    pole whose hatted pole exists.  Raises ValueError otherwise."""
+    try:
+        x = float(c) if isinstance(c, numbers.Real) else math.nan
+    except OverflowError:               # an int beyond the floats
+        x = math.inf
+    if not (x > 1 and x / (x - 1) > 1):
+        raise ValueError(f"c must be a finite real number > 1 whose "
+                         f"c/(c-1) rounds above 1, got c = {c!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class SystemEntries:
-    """Top-right entries of A, B and the residue matrix at c."""
+    """Top-right entries of A, B and the residue matrix at c.
 
-    a12: complex
-    b12: complex
-    r12: complex
+    Each is a number as its formula gives it: a12 is lam as given, so the
+    entries of real parameters are real.
+    """
+
+    a12: float | complex
+    b12: float | complex
+    r12: float | complex
 
 
 def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
@@ -130,7 +146,7 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     g = problem.gamma
     if not (cmath.isfinite(complex(lam)) and cmath.isfinite(complex(mu))):
         raise ValueError(f"non-finite spectral parameters ({lam}, {mu})")
-    e = _entries(complex(lam), lam, mu, g, c)
+    e = _entries(lam, mu, g, c)
     if not all(map(cmath.isfinite, (e.a12, e.b12, e.r12))):
         raise ValueError(f"system entries overflow at (lam, mu) = ({lam}, "
                          f"{mu}): a12 = {e.a12}, b12 = {e.b12}, "
@@ -143,23 +159,21 @@ def entries(lam, mu, problem: EllipsoidalProblem) -> SystemEntries:
     return e
 
 
-def _entries(a12, lam, mu, gamma, c) -> SystemEntries:
+def _entries(lam, mu, gamma, c) -> SystemEntries:
     """The entry formulas of `entries`, unchecked and for any pole c, on
-    numbers or on numpy columns alike; a12 is lam as a complex number, or
-    the lam column itself."""
-    return SystemEntries(a12=a12, b12=c * (lam + mu + gamma) / (1 - c),
+    numbers or on numpy columns alike."""
+    return SystemEntries(a12=lam, b12=c * (lam + mu + gamma) / (1 - c),
                          r12=(lam + c * mu + c * c * gamma) / (c - 1))
 
 
 def _entry_columns(lam, mu, gamma, c) -> tuple:
-    """`entries` on float64 columns: the entries, with a12 the lam column,
-    and the mask of the nodes where `entries` would not raise.  The checks
-    are those of `entries`, on the same values: CPython's abs of a complex
-    with imaginary part 0 is the abs of its real part."""
-    e = _entries(lam, lam, mu, gamma, c)
+    """`entries` on float64 columns: the entries and the mask of the nodes
+    where `entries` would not raise, by the checks of `entries` on the same
+    values."""
+    e = _entries(lam, mu, gamma, c)
     ok = (np.isfinite(lam) & np.isfinite(mu) & np.isfinite(e.b12)
           & np.isfinite(e.r12))
-    scale = np.maximum(np.maximum(np.abs(lam), np.abs(e.b12)),
+    scale = np.maximum(np.maximum(np.abs(e.a12), np.abs(e.b12)),
                        np.maximum(np.abs(e.r12), 1.0))
     ok &= np.abs(e.a12 + e.b12 + e.r12 - c * gamma) <= 1e-12 * scale
     return e, ok
@@ -169,9 +183,13 @@ def hat_entries(e: SystemEntries, c: float) -> tuple[SystemEntries, float]:
     """Entries and pole of the transformed system: an involution.
 
     (a12, b12, r12; c) -> (-r12, -b12, -a12; c/(c-1)).
+
+    Raises ValueError unless c > 1 and c/(c-1) > 1, as `EllipsoidalProblem`
+    checks: past about 2**53, c/(c-1) rounds to the pole 1.
     """
     if not c > 1:
         raise ValueError("c must be > 1")
+    _pole(c)
     return SystemEntries(a12=-e.r12, b12=-e.b12, r12=-e.a12), c / (c - 1)
 
 
@@ -181,11 +199,11 @@ def hat_parameters(lam, mu, problem: EllipsoidalProblem):
     Returns (lam^, mu^, problem^) such that the transformed system's entries
     equal hat_entries of the original.  The exponent bits transform as
     (rho, sigma, tau) -> (tau, sigma, rho): the Moebius map z -> (c-z)/(c-1)
-    swaps the singular points 0 and c and fixes 1.
+    swaps the singular points 0 and c and fixes 1.  The hatted parameters
+    are formed from the entries of `entries` as they are, so real (lam, mu)
+    of a real problem give floats, whatever their type.
     """
     lam_h, mu_h, gam_h, ch = _hat_of(entries(lam, mu, problem), problem.c)
-    if problem.is_real and complex(lam).imag == 0 and complex(mu).imag == 0:
-        lam_h, mu_h, gam_h = lam_h.real, mu_h.real, gam_h.real
     hat_prob = EllipsoidalProblem(gamma=gam_h, c=ch, rho=problem.tau,
                                   sigma=problem.sigma, tau=problem.rho)
     return lam_h, mu_h, hat_prob
@@ -481,13 +499,7 @@ def _node_columns(lams, mus, problem: EllipsoidalProblem) -> tuple:
     c, sigma = problem.c, problem.sigma
     with np.errstate(all="ignore"):
         e, ran = _entry_columns(lams, mus, problem.gamma, c)
-        # `entries` gives a complex a12, so at a float64 node the hatted sum
-        # runs on a numpy complex, whose quotient multiplies by 1 / c^ where
-        # CPython's divides: the columns take that arithmetic, then the
-        # real parts, as `hat_parameters` does
-        lam_h, mu_h, gam_h, ch = _hat_of(
-            replace(e, a12=lams.astype(complex)), c)
-        lam_h, mu_h, gam_h = lam_h.real, mu_h.real, gam_h.real
+        lam_h, mu_h, gam_h, ch = _hat_of(e, c)
         e_h, ok = _entry_columns(lam_h, mu_h, gam_h, ch)
         ran &= ok & np.isfinite(gam_h)
         tables = []
@@ -545,8 +557,8 @@ class EllipsoidalEigenfunction:
     Attributes
     ----------
     coef0, coef1, coef2 : core._Series
-        Series coefficients of S0, S1, S2 (real parts of the prefix sums
-        of the second recurrence component), 2000 each.  A sequence of
+        Series coefficients of S0, S1, S2 (the second components of the
+        recurrence's prefix sums), 2000 each.  A sequence of
         floats: the terms are computed as they are read and kept, so an
         evaluation steps the recurrence only as far as its sum reads.
         ``np.asarray(fn.coef0)`` gives all 2000 as a float ndarray.
@@ -662,11 +674,6 @@ def _on_points(f, z):
     return out.reshape(zs.shape) if zs.ndim else out.item()
 
 
-def _real_parts(d1: np.ndarray, k: int) -> np.ndarray:
-    """The series terms Re <d_k, e2> from d1 = <d_k, e2>, <d_{k+1}, e2>, ..."""
-    return d1.real
-
-
 def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction:
     """Build the matched piecewise eigenfunction for an eigenpair.
 
@@ -704,9 +711,9 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
             f"{worst:.2e} > 1e-6")
 
     fn = EllipsoidalEigenfunction(
-        coef0=_Series(kernel.main, kernel.a0, _real_parts),
-        coef1=_Series(kernel.mirror, kernel.b2, _real_parts),
-        coef2=_Series(hat.main, hat.a0, _real_parts), C0=1.0, C1=1.0, C2=1.0,
+        coef0=_Series(kernel.main, kernel.a0),
+        coef1=_Series(kernel.mirror, kernel.b2),
+        coef2=_Series(hat.main, hat.a0), C0=1.0, C1=1.0, C2=1.0,
         rho=problem.rho, sigma=problem.sigma, tau=problem.tau, c=problem.c,
         lam=lam, mu=mu, gamma=problem.gamma)
 
@@ -904,7 +911,7 @@ def build_heun_system(nu0, nu1, nu2, kappa, c, gamma, lam, mu) -> TwoPointSystem
             raise InvalidExponent(
                 f"{name} = {nu} outside the supported region (nu != 1, Re(nu) > 0)")
     A, B, const, R = _heun_data(nu0, nu1, nu2, kappa, c,
-                                _entries(complex(lam), lam, mu, gamma, c))
+                                _entries(lam, mu, gamma, c))
     return TwoPointSystem.from_rational(A, B, const=const, poles=(c,),
                                         residues=(R,))
 

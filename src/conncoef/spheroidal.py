@@ -55,23 +55,30 @@ __all__ = [
 class SpheroidalProblem:
     """Order mu and coupling gamma2 = gamma^2 (prolate > 0, oblate < 0).
 
-    Requires both finite, and mu = 0 or Re(mu) > 0.
+    Numbers of any numeric type are stored by their values: a float where
+    the imaginary part is 0, else a complex.  Both must be finite, and mu = 0
+    or Re(mu) > 0; bad data raises ValueError.
     """
 
-    mu: complex
-    gamma2: complex
+    mu: float | complex
+    gamma2: float | complex
 
     def __post_init__(self):
-        mu = complex(self.mu)
-        if not (cmath.isfinite(mu) and cmath.isfinite(complex(self.gamma2))):
-            raise ValueError(f"mu and gamma2 must be finite, got mu = "
-                             f"{self.mu!r}, gamma2 = {self.gamma2!r}")
-        if mu != 0 and not mu.real > 0:
+        for name in ("mu", "gamma2"):
+            v = getattr(self, name)
+            # complex() would also parse a string
+            if not (isinstance(v, numbers.Number)
+                    and cmath.isfinite(z := complex(v))):
+                raise ValueError(f"mu and gamma2 must be finite numbers, got "
+                                 f"mu = {self.mu!r}, gamma2 = "
+                                 f"{self.gamma2!r}")
+            object.__setattr__(self, name, z.real if z.imag == 0 else z)
+        if self.mu != 0 and not self.mu.real > 0:
             raise ValueError("mu must be 0 or have Re(mu) > 0")
 
     @property
     def is_real(self) -> bool:
-        return complex(self.mu).imag == 0 and complex(self.gamma2).imag == 0
+        return isinstance(self.mu, float) and isinstance(self.gamma2, float)
 
 
 def _data(t, problem: SpheroidalProblem) -> tuple:
@@ -189,7 +196,7 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
         return theta_t(t, problem, n=n, tol=scan_tol, k_max=k_max).theta.real
 
     if t_scan_range is None:
-        lo = -max(complex(problem.gamma2).real, 0.0) - 2.0
+        lo = -max(problem.gamma2, 0.0) - 2.0
         hi = lo + max(8.0, 2.0 * count)
         extensions = 64
     else:
@@ -227,12 +234,12 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
             f"brackets collapsed to {len(roots)} distinct roots, need {count}")
     roots.sort()
 
-    mu = complex(problem.mu)
+    mu = problem.mu
     out = []
     for i, r in enumerate(roots):
         parity, _ = _parity_probe(_coefficients(r, problem), mu)
         res = abs(evaluated[r].theta)
-        lam = (r + mu * (mu + 1)).real
+        lam = r + mu * (mu + 1)
         out.append(SpheroidalEigenvalue(index=i, t_root=r, lam=lam,
                                         parity=parity, residual=res))
     return out
@@ -244,7 +251,8 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
 
 @dataclass(frozen=True)
 class SpheroidalEigenfunction:
-    """Sampled eigenfunction values with the detected parity.
+    """Sampled eigenfunction values, float64 like x, with the detected
+    parity.
 
     parity_deviation is the relative mismatch of w(x0) against
     parity * w(-x0) at the probe abscissa.
@@ -257,11 +265,7 @@ class SpheroidalEigenfunction:
 
 
 def _halved(d1: np.ndarray, k: int) -> np.ndarray:
-    """The series terms e2^T d_k / 2^k from d1 = e2^T d_k, d_{k+1}, ...
-
-    A complex128 array product, as in an array of all the terms: a scalar
-    product can differ from it in the sign of a zero that underflows.
-    """
+    """The series terms e2^T d_k / 2^k from d1 = e2^T d_k, d_{k+1}, ..."""
     return d1 * np.ldexp(1.0, -np.arange(k, k + len(d1)))
 
 
@@ -272,17 +276,16 @@ def _coefficients(t, problem: SpheroidalProblem) -> _Series:
     return _Series(kernel.main, kernel.a0, _halved)
 
 
-def _w_direct(coefs: _Series, mu: complex, x: np.ndarray) -> list:
+def _w_direct(coefs: _Series, mu: float, x: np.ndarray) -> list:
     """w at each point of the float array x by the direct series, summed in
-    one call of `_power_sum`; the prefactors and their products with the
-    sums are taken on scalars, as numpy's complex array product may fuse
-    operations."""
+    one call of `_power_sum`; the prefactors are taken with float pow on
+    scalars, as numpy's power is not known to round as libm's does."""
     sums = _power_sum(coefs, 1.0 + x)
     return [((1 + v) / (1 - v)) ** (mu / 2) * s
             for v, s in zip(x.tolist(), sums)]
 
 
-def _parity_probe(coefs: _Series, mu: complex) -> tuple[int, float]:
+def _parity_probe(coefs: _Series, mu: float) -> tuple[int, float]:
     """Parity Omega and relative deviation, probing x0 = 0.3 then 0.55; the
     pair +-x0 is summed in one call."""
     for x0 in (0.3, 0.55):
@@ -309,10 +312,13 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     1-x stays below 1, so it converges geometrically where the direct form
     would crawl).
 
-    Requires eig.residual <= 1e-8.  Raises ParityAmbiguous if the parity
-    probe fails at both x0 = 0.3 and x0 = 0.55.  Values are float for a
-    real problem, complex otherwise.
+    Requires a real problem, a real eig.t_root and eig.residual <= 1e-8,
+    and raises ValueError before any series work otherwise.  Raises
+    ParityAmbiguous if the parity probe fails at both x0 = 0.3 and
+    x0 = 0.55.  Values are floats.
     """
+    if not (problem.is_real and isinstance(eig.t_root, numbers.Real)):
+        raise ValueError("eigenfunctions are built for real problems only")
     if not eig.residual <= 1e-8:
         raise ValueError(
             f"residual {eig.residual:.2e} > 1e-8; refine the eigenvalue first")
@@ -320,15 +326,11 @@ def eigenfunction(eig: SpheroidalEigenvalue, problem: SpheroidalProblem,
     if not np.all((-1 < x) & (x < 1)):
         raise ValueError("all samples must lie strictly inside (-1, 1)")
 
-    mu = complex(problem.mu)
     coefs = _coefficients(eig.t_root, problem)
-    parity, deviation = _parity_probe(coefs, mu)
+    parity, deviation = _parity_probe(coefs, problem.mu)
 
     direct = x <= 0
-    w = _w_direct(coefs, mu, np.where(direct, x, -x))
-    vals = np.array([wi if d else parity * wi
-                     for d, wi in zip(direct.tolist(), w)], dtype=complex)
-    if problem.is_real:
-        vals = vals.real
-    return SpheroidalEigenfunction(x=x, values=vals, parity=parity,
+    w = np.array(_w_direct(coefs, problem.mu, np.where(direct, x, -x)))
+    return SpheroidalEigenfunction(x=x, values=np.where(direct, w, parity * w),
+                                   parity=parity,
                                    parity_deviation=float(deviation))

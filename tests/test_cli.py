@@ -579,7 +579,7 @@ def test_theta_ell_with_overflowing_entries_exits_1(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == ("error: system entries overflow at (lam, mu) = "
-                            "(1e+308, 1e+308): a12 = (1e+308+0j), b12 = -inf, "
+                            "(1e+308, 1e+308): a12 = 1e+308, b12 = -inf, "
                             "r12 = inf\n")
     assert captured.out == ""
 

@@ -103,9 +103,15 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="c"):
         ell.EllipsoidalProblem(gamma=1.0, c=0.5)
     # a non-finite gamma or c is a usage error, not a Theta that fails later
-    for c in (math.inf, math.nan):
+    # and so is a c that is not a real number
+    for c in (math.inf, math.nan, "2", complex(2.0, 0.0), None, 10 ** 400):
         with pytest.raises(ValueError, match="c must be a finite"):
             ell.EllipsoidalProblem(gamma=1.0, c=c)
+    # a real c of any type is stored as a float, and its hatted c too
+    for c in (Fraction(8, 5), np.float64(1.6), np.float32(1.5), 2):
+        prob = ell.EllipsoidalProblem(gamma=1.0, c=c)
+        assert type(prob.c) is float and prob.c == float(c)
+        assert type(ell.hat_parameters(0.5, -1.0, prob)[2].c) is float
     # so is a gamma that is a string, which complex() would parse
     for gamma in (math.nan, math.inf, complex(1.0, math.nan), "4"):
         with pytest.raises(ValueError, match="gamma"):
@@ -150,7 +156,7 @@ def test_theta_raises_where_the_entry_sum_overflows():
     prob = ell.EllipsoidalProblem(gamma=0.0, c=2.0)
     with pytest.raises(ValueError, match=re.escape(
             "system entries overflow at (lam, mu) = (1e+308, 1e+308): "
-            "a12 = (1e+308+0j), b12 = -inf, r12 = inf")):
+            "a12 = 1e+308, b12 = -inf, r12 = inf")):
         ell.theta(1e308, 1e308, prob)
 
 
@@ -171,6 +177,14 @@ def test_hat_entries_rejects_c_at_most_one():
     e = ell.entries(3.2, -5.0, ell.EllipsoidalProblem(gamma=4.0, c=1.6))
     with pytest.raises(ValueError, match="^c must be > 1$"):
         ell.hat_entries(e, 1.0)
+
+
+def test_hat_entries_rejects_a_c_whose_hatted_pole_rounds_to_one():
+    # c/(c-1) rounds to the pole 1 at c = 1e17, as `EllipsoidalProblem`
+    # refuses it
+    e = ell.entries(3.2, -5.0, ell.EllipsoidalProblem(gamma=4.0, c=1.6))
+    with pytest.raises(ValueError, match=r"^c must .* got c = 1e\+17$"):
+        ell.hat_entries(e, 1e17)
 
 
 def test_hat_entries_involution():
@@ -330,13 +344,20 @@ def mixed_problem():
     return ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1, sigma=0, tau=1)
 
 
+#: the fingerprint's 5 x 7 grid, at gamma = 4, c = 1.6, bits (1, 0, 0)
+FINGERPRINT_SCAN = ((-2.0, 6.0), (-8.0, 2.0), (5, 7))
+
+
 def test_scan_grid_nodes_equal_theta_and_theta_hat_bit_for_bit(mixed_problem):
-    # the mixed grid; and the benchmark's 17 x 17 grid (gamma = 0,
-    # c = 12/7, tau = 1) at the default k_max
+    # the mixed grid; the benchmark's 17 x 17 grid (gamma = 0, c = 12/7,
+    # tau = 1) at the default k_max; and the fingerprint's 5 x 7 grid, at
+    # the float64 nodes and at Python floats alike
     for problem, scan, k_max in (
             (mixed_problem, MIXED_SCAN, 60),
             (ell.EllipsoidalProblem(gamma=0.0, c=C_TABLE, tau=1),
-             ((0.0, 4.0), (-4.0, 0.0), 17), 50_000)):
+             ((0.0, 4.0), (-4.0, 0.0), 17), 50_000),
+            (ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1),
+             FINGERPRINT_SCAN, 50_000)):
         grid = ell.scan_grid(problem, *scan, k_max=k_max)
         mixes = set()
         for i, lam in enumerate(grid.lambdas):
@@ -346,12 +367,39 @@ def test_scan_grid_nodes_equal_theta_and_theta_hat_bit_for_bit(mixed_problem):
                 assert repr(float(grid.theta[i, j])) == repr(res.theta.real)
                 assert repr(float(grid.theta_hat[i, j])) == repr(
                     hat.theta.real)
+                if scan is FINGERPRINT_SCAN:
+                    at_floats = [fn(float(lam), float(mu), problem, tol=1e-8,
+                                    k_max=k_max)
+                                 for fn in (ell.theta, ell.theta_hat)]
+                    assert list(map(repr, at_floats)) == [repr(res),
+                                                          repr(hat)]
                 both = res.status == hat.status == "converged"
                 assert grid.status[i, j] == ("converged" if both
                                              else "k_max_reached")
                 mixes.add((res.status, hat.status))
         if problem is mixed_problem:
             assert len(mixes) == 4
+
+
+def test_theta_hat_is_a_function_of_the_values_of_lam_mu_and_c():
+    # on the fingerprint's 5 x 7 grid, Theta-hat at the float64 nodes, at
+    # Python floats and with c given as a np.float64 agree by repr, and the
+    # grid equals them: the hatted parameters are formed on the values,
+    # whatever their types
+    problem = ell.EllipsoidalProblem(gamma=4.0, c=1.6, rho=1)
+    c64 = ell.EllipsoidalProblem(gamma=4.0, c=np.float64(1.6), rho=1)
+    grid = ell.scan_grid(problem, *FINGERPRINT_SCAN)
+    for i, lam in enumerate(grid.lambdas):
+        for j, mu in enumerate(grid.mus):
+            got = {repr(ell.theta_hat(*args, tol=1e-8, k_max=50_000))
+                   for args in ((lam, mu, problem),
+                                (float(lam), float(mu), problem),
+                                (float(lam), float(mu), c64),
+                                (lam, mu, c64))}
+            assert len(got) == 1
+            assert repr(float(grid.theta_hat[i, j])) == repr(
+                ell.theta_hat(float(lam), float(mu), problem, tol=1e-8,
+                              k_max=50_000).theta.real)
 
 
 #: (problem, lambda_range, mu_range, resolution) of the grids on which the

@@ -13,11 +13,13 @@ every record.  The records cover
 * spectra: `sph.eigenvalues` for prolate, oblate and mu > 0 problems, with
   the default and with explicit scan ranges, and with gamma2 off the
   scan's grid;
-* eigenfunctions: `sph.eigenfunction` values and parities, real and at
-  complex gamma2 and complex mu, and `ell.eigenfunction` series, matching
-  constants, values (on about 200 points, with the floats where the choice
-  of piece ties) and both normalizations, on the table and on a wave row
-  at c = 1/0.9, and the match that fails on a second;
+* eigenfunctions: `sph.eigenfunction` values and parities, and its
+  ValueError at a root of Theta off the real axis, at complex gamma2 and
+  at complex mu (eigenfunctions are built for real problems only), and
+  `ell.eigenfunction` series, matching constants, values (on about 200
+  points, with the floats where the choice of piece ties) and both
+  normalizations, on the table and on a wave row at c = 1/0.9, and the
+  match that fails on a second;
 * eigenpairs: `ell.solve_pair` on the gamma = 0, c = 12/7 table and two
   wave-number rows (one stops at the floor of its Theta evaluations), and
   a `scan_grid`;
@@ -265,8 +267,9 @@ def _sph_eigenfunction_records():
         for eig in eigs:
             yield (f"sph.eigenfunction/{mu}/{gamma2}/{eig.index}",
                    lambda p=p, eig=eig: sph.eigenfunction(eig, p, xs))
-    # complex terms: a root of Theta off the real axis, found by a secant in
-    # the complex plane
+    # complex problems: a root of Theta off the real axis, found by a secant
+    # in the complex plane, which the record pins with the ValueError that
+    # refuses its eigenfunction
     for mu, gamma2, t0 in ((0, 4 + 1j, -1 + 0j), (0.5 + 0.5j, 4.0, -1 + 0j)):
         p = sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
         t = _complex_root(lambda t, p=p: sph.theta_t(t, p).theta, t0,

@@ -102,8 +102,8 @@ def test_problem_validation():
         ell.EllipsoidalProblem(gamma=1.0, c=1.0)
     with pytest.raises(ValueError, match="c"):
         ell.EllipsoidalProblem(gamma=1.0, c=0.5)
-    # a non-finite gamma or c is a usage error, not a Theta that fails later
-    # and so is a c that is not a real number
+    # a non-finite gamma or c is a usage error, not a Theta that fails
+    # later, and so is a c that is not a real number
     for c in (math.inf, math.nan, "2", complex(2.0, 0.0), None, 10 ** 400):
         with pytest.raises(ValueError, match="c must be a finite"):
             ell.EllipsoidalProblem(gamma=1.0, c=c)

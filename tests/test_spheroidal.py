@@ -52,9 +52,9 @@ def prolate():
 def test_problem_validation():
     with pytest.raises(ValueError, match="mu"):
         sph.SpheroidalProblem(mu=-1, gamma2=1.0)
-    # a non-finite mu or gamma2 is a usage error, not a Theta that fails later
-    # so is a value that is not a number, such as a string complex() would
-    # parse or bytes
+    # a non-finite mu or gamma2 is a usage error, not a Theta that fails
+    # later, and so is a value that is not a number: a string, which
+    # complex() would parse, or bytes
     for mu, gamma2 in ((math.inf, 4.0), (math.nan, 4.0), (0, math.nan),
                        (0, -math.inf), (0, complex(4.0, math.inf)),
                        ("1", "4"), (0, "4"), ("1", 4.0), (b"1", 4.0),
@@ -63,6 +63,8 @@ def test_problem_validation():
             sph.SpheroidalProblem(mu=mu, gamma2=gamma2)
     assert sph.SpheroidalProblem(mu=0, gamma2=-4.0).is_real
     assert not sph.SpheroidalProblem(mu=1, gamma2=1j).is_real
+    problem = sph.SpheroidalProblem(mu=1 + 0.5j, gamma2=4)
+    assert (type(problem.mu), type(problem.gamma2)) == (complex, float)
 
 
 @pytest.mark.parametrize("mu, gamma2", [
@@ -77,9 +79,6 @@ def test_a_real_value_is_stored_as_a_float_whatever_its_type(mu, gamma2):
     assert type(problem.mu) is type(problem.gamma2) is float
     assert problem == want and problem.is_real
     assert repr(sph.theta_t(2.5, problem)) == repr(sph.theta_t(2.5, want))
-    problem = sph.SpheroidalProblem(mu=1 + 0.5j, gamma2=4)
-    assert (type(problem.mu), type(problem.gamma2)) == (complex, float)
-    assert not problem.is_real
 
 
 def test_build_system_entries():

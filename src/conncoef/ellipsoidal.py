@@ -184,10 +184,11 @@ def hat_entries(e: SystemEntries, c: float) -> tuple[SystemEntries, float]:
 
     (a12, b12, r12; c) -> (-r12, -b12, -a12; c/(c-1)).
 
-    Raises ValueError unless c > 1 and c/(c-1) > 1, as `EllipsoidalProblem`
-    checks: past about 2**53, c/(c-1) rounds to the pole 1.
+    Raises ValueError unless c is a real number > 1 with c/(c-1) > 1, as
+    `EllipsoidalProblem` checks: past about 2**53, c/(c-1) rounds to the
+    pole 1.
     """
-    if not c > 1:
+    if not (isinstance(c, numbers.Real) and c > 1):
         raise ValueError("c must be > 1")
     _pole(c)
     return SystemEntries(a12=-e.r12, b12=-e.b12, r12=-e.a12), c / (c - 1)

@@ -175,8 +175,10 @@ def test_scan_grid_records_nodes_whose_entries_overflow_as_errors():
 
 def test_hat_entries_rejects_c_at_most_one():
     e = ell.entries(3.2, -5.0, ell.EllipsoidalProblem(gamma=4.0, c=1.6))
-    with pytest.raises(ValueError, match="^c must be > 1$"):
-        ell.hat_entries(e, 1.0)
+    # c = 1, and a c that is not a real number, which `>` cannot compare
+    for c in (1.0, "2", None, complex(2.0, 0.0)):
+        with pytest.raises(ValueError, match="^c must be > 1$"):
+            ell.hat_entries(e, c)
 
 
 def test_hat_entries_rejects_a_c_whose_hatted_pole_rounds_to_one():

@@ -692,11 +692,11 @@ class _Series:
     as they are read.
 
     The series on a side of a `ThetaKernel` of floats from u_0 = d_0 =
-    ``start`` has as terms the second components d1 of the prefix sums
-    d_k, or ``term(d1, k)`` if a map is given: it maps the float64 array of
-    d_k, d_{k+1}, ... to their terms.  A read past the known terms computes
-    the next `_CHUNK` of them, resuming the recurrence from the state it
-    left: k, u_k, d_k and the per-pole sums, plain scalars as in
+    ``start`` has as terms the second components d1 of its prefix sums
+    d_k, or ``term(d1, k)`` if a map is given, which maps the float64 array
+    d1 of d_k, d_{k+1}, ... to their terms.  A read past the known terms
+    computes the next `_CHUNK` of them, resuming the recurrence from the
+    state it left: k, u_k, d_k and the per-pole sums, plain scalars as in
     `frobenius_step`, so a series pickles and copies.  The terms are kept
     in one float64 array, and the state is dropped once all are known.
 

@@ -238,15 +238,14 @@ def cmd_scan(args) -> int:
             raise ValueError("spheroidal scan needs --t-range")
         if args.resolution < 2:
             raise ValueError("spheroidal scan needs --resolution >= 2")
-        ts = np.linspace(args.t_range[0], args.t_range[1], args.resolution)
-
-        def row(t):
-            r = sph.theta_t(float(t), problem, n=args.n, tol=args.tol,
-                            k_max=args.k_max)
-            return [_fmt(t), _fmt(r.theta.real)]
+        ts = np.linspace(args.t_range[0], args.t_range[1],
+                         args.resolution).tolist()
+        # every sample is read: one batch, as the spectrum's scan runs it
+        value = sph._scan_values(ts, problem, args.n, args.tol, args.k_max)
         # every row before the output opens, so that a bad tol or k_max
         # leaves no header behind
-        _write_csv(args.output, ["t", "theta"], [row(t) for t in ts])
+        _write_csv(args.output, ["t", "theta"],
+                   [[_fmt(t), _fmt(value(t))] for t in ts])
         n_seeds = None
     wall = time.perf_counter() - t0
     if args.output != "-":

@@ -102,7 +102,8 @@ arrays.  `spheroidal.theta_t` and `ellipsoidal.theta` run it on the numbers
 their `build_system` and `spectral_frame` are made of, with no array and
 no frame check, since their frames are exact eigenvectors by construction;
 the same numbers through the same operations give the same bits.
-`ellipsoidal.scan_grid` runs it on the columns of all its nodes at once.
+`ellipsoidal.scan_grid` runs it on the columns of all its nodes at once,
+and `spheroidal._theta_batch` on a column of t.
 
 `theta_many` runs many descriptions as one batch and returns, bit for bit,
 what `theta_iterate` returns for each: those whose scalars are all floats
@@ -112,7 +113,10 @@ the arrays when its iteration stops, and the last few finish on the loop
 of `theta_iterate` (head and tail) from the state they reached.  A
 description holding a complex scalar runs `theta_iterate` on its own.
 A table of float kernels built as columns runs the same lockstep with no
-`ThetaKernel` in between (`_theta_table`).
+`ThetaKernel` in between (`_theta_table`): `ellipsoidal.scan_grid` runs
+the Theta and Theta-hat kernels of all its nodes so, and
+`spheroidal.eigenvalues` and the command line's spheroidal scan run so
+the scan samples they are sure to read (`spheroidal._theta_batch`).
 """
 
 from __future__ import annotations
@@ -406,7 +410,12 @@ def _kernel_of(A, B, const, poles, residues, alpha0, a0, beta1, beta2, b1,
     s = _side(_kernel_rows(A, B, const, poles, residues, alpha0, a0, beta1,
                            beta2, b1, b2))
     _check_exponents(s[-1], s[-5:-3], s[-3:-1])
-    m = 12 + 5 * len(poles)
+    return _split(s, 12 + 5 * len(poles))
+
+
+def _split(s: tuple, m: int) -> ThetaKernel:
+    """The `ThetaKernel` of the scalars ``s`` in `_float_row`'s order, with
+    the main side in the first ``m``."""
     return ThetaKernel(s[:m], s[m:-7], s[-7:-5], s[-5:-3], s[-3:-1], s[-1])
 
 
@@ -1313,8 +1322,13 @@ def _lockstep(table, m: int, n: int, tol, k_max: int, k_start: int) -> list:
     reads them `_HEAD_EVERY` steps at a time.  As in `_theta_loop`, a
     singular step at or before a kernel's stop fails it, and one after it
     is dropped.  Returns a `ThetaResult`, or None for a raised
-    `ConncoefError` or `ArithmeticError`, per column.
+    `ConncoefError` or `ArithmeticError`, per column.  A table of fewer
+    than `_LOCKSTEP_MIN` columns takes no numpy step: each column runs
+    `theta_iterate` on its scalars, as the last few columns finish.
     """
+    if table.shape[1] < _LOCKSTEP_MIN:
+        return [_or_none(theta_iterate, _split(tuple(col), m), None, n, tol,
+                         k_max) for col in table.T.tolist()]
     results = [None] * table.shape[1]
     mirror = table[m:-7]
     a00, a01, b10, b11, b20, b21, delta = table[-7:]

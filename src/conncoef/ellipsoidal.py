@@ -693,14 +693,21 @@ def eigenfunction(pair, problem: EllipsoidalProblem) -> EllipsoidalEigenfunction
         the candidates), or a matching constant does not hold at the second
         (`_match_constant`).
     ValueError
-        If the residual precondition fails or the problem is not real.
+        Before any series work, if the problem is not real or lam or mu is
+        not a real number (`numbers.Real`); and if the residual
+        precondition fails.
     """
     if not problem.is_real:
         raise ValueError("eigenfunctions are built for real problems only")
     if isinstance(pair, EigenPair):
         lam, mu = pair.lam, pair.mu
     else:
-        lam, mu = float(pair[0]), float(pair[1])
+        lam, mu = pair[0], pair[1]
+    # float() would also parse a string
+    if not all(isinstance(v, numbers.Real) for v in (lam, mu)):
+        raise ValueError(f"(lam, mu) must be real numbers, got ({lam!r}, "
+                         f"{mu!r})")
+    lam, mu = float(lam), float(mu)
 
     kernel = _kernel(lam, mu, problem)
     hat = _hat_kernel(lam, mu, problem)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SpectralFrame, ThetaKernel, ThetaResult, TwoPointSystem,
-                   _kernel_of, _power_sum, _Series, _unpack, theta_iterate)
+                   _float_table, _kernel_of, _kernel_rows, _power_sum,
+                   _Series, _theta_table, _unpack, theta_iterate)
 # re-exported: perfbench/test_perfbench.py reads sph.frobenius_step to check
 # that the tracer restores what it patched
 from .core import frobenius_step  # noqa: F401
@@ -88,7 +89,12 @@ def _data(t, problem: SpheroidalProblem) -> tuple:
     mu, t and gamma2 enter as kernel scalars (`_unpack`), so a real
     problem's arithmetic here and in the kernel builder runs on floats.
     """
-    mu, t, gamma2 = _unpack((problem.mu, t, problem.gamma2))
+    return _system_data(*_unpack((problem.mu, t, problem.gamma2)))
+
+
+def _system_data(mu, t, gamma2) -> tuple:
+    """The arithmetic of `_data`, on numbers or on a float64 column of t
+    (one entry per kernel) alike."""
     alpha0, beta1 = mu / 2, -mu / 2 - 1
     return ((beta1, -t, 0.0, alpha0), (beta1, t, 0.0, alpha0),
             (0.0, -4 * gamma2, 1.0, 0.0),
@@ -126,6 +132,66 @@ def theta_t(t, problem: SpheroidalProblem, n: int = 5, tol: float = 1e-10,
     return theta_iterate(_kernel(t, problem), None, n=n, tol=tol, k_max=k_max)
 
 
+def _theta_batch(ts, problem: SpheroidalProblem, n: int, tol,
+                 k_max: int) -> list:
+    """`theta_t` at each float of the list ``ts`` for a real problem, bit
+    for bit, as one batch.
+
+    The kernels are built at once as float64 columns, by the arithmetic of
+    `_kernel` (`_system_data`, `core._kernel_rows`), and run in lockstep
+    (`core._theta_table`), which hands a small batch to the scalar loop.
+    Returns one entry per t: the `ThetaResult` of `theta_t`, or None where
+    the kernel fails a check of the scalar build (`core._float_table`),
+    where its series raises a `ConncoefError` or an `ArithmeticError`, and
+    at every t where the batch raises ValueError (a bad n, tol or k_max,
+    or mirrored sums that are not finite).  `theta_t` raises each error on
+    its own, so a caller re-runs it where it reads None.
+    """
+    out = [None] * len(ts)
+    with np.errstate(all="ignore"):
+        A, B, G, frame = _system_data(problem.mu, np.array(ts, dtype=float),
+                                      problem.gamma2)
+        table, ok = _float_table(_kernel_rows(A, B, G, (), (), *frame),
+                                 len(ts))
+    try:
+        results = _theta_table(table[:, ok], 12, n, tol, k_max)  # no pole
+    except ValueError:
+        return out
+    for j, result in zip(np.flatnonzero(ok).tolist(), results):
+        out[j] = result
+    return out
+
+
+#: most samples of one `_theta_batch` of a scan: a lockstep column holds
+#: about 3.3 kB at its peak, so a batch holds some 14 MB at most however
+#: many samples the scan reads (the benchmark's spectra batch 65 to 117)
+_BATCH_MAX = 4096
+
+
+def _scan_values(ts, problem: SpheroidalProblem, n: int, tol, k_max: int):
+    """The sampler of a sign scan: a function that gives Re Theta(t) of
+    `theta_t` at the t it is called with, bit for bit.
+
+    The sampler is called with the floats of the list ``ts`` first, in
+    order: the samples that the scan is sure to read.  They run as batches
+    of `_BATCH_MAX` (`_theta_batch`), each once the scan reads its first
+    sample.  Every later t runs `theta_t` on its own, and so does a t of
+    ``ts`` whose batch entry is None, so that an error is raised where
+    `theta_t` raises it.
+    """
+    batch = itertools.chain.from_iterable(
+        _theta_batch(ts[i:i + _BATCH_MAX], problem, n, tol, k_max)
+        for i in range(0, len(ts), _BATCH_MAX))
+
+    def value(t: float) -> float:
+        result = next(batch, None)
+        if result is None:
+            result = theta_t(t, problem, n=n, tol=tol, k_max=k_max)
+        return result.theta.real
+
+    return value
+
+
 # --------------------------------------------------------------------------
 # eigenvalues
 # --------------------------------------------------------------------------
@@ -144,6 +210,31 @@ class SpheroidalEigenvalue:
 _SCAN_STEP = 0.5
 
 
+def _walk(lo: float, hi: float, extensions: int, more):
+    """The scan's points, increasing: the grid of [lo, hi] by t += 0.5,
+    then, each while ``more()`` holds, up to ``extensions`` segments from
+    the last end to end + (end - lo), doubling the span; each end is
+    sampled once."""
+    yield from _grid(lo, hi, _SCAN_STEP)
+    for _ in range(extensions):
+        if not more():
+            return
+        start, hi = hi, hi + (hi - lo)
+        yield from itertools.islice(_grid(start, hi, _SCAN_STEP), 1, None)
+
+
+def _root_floor(problem: SpheroidalProblem, count: int) -> float:
+    """A lower bound on the count-th root t_{count-1} of a real problem.
+
+    By the min-max principle (Meixner & Schafke 1954), lam_N(gamma2) >=
+    lam_N(0) - max(gamma2, 0) with lam_N(0) = (N+mu)(N+mu+1), and t =
+    lam - mu(mu+1).
+    """
+    mu = problem.mu
+    return ((count - 1 + mu) * (count + mu) - mu * (mu + 1)
+            - max(problem.gamma2, 0.0))
+
+
 def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
                 n: int = 5, tol: float = 1e-9,
                 k_max: int = 10 ** 6) -> list[SpheroidalEigenvalue]:
@@ -159,6 +250,22 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     secant solver run at min(tol, 1e-9)/100 so evaluation noise stays below
     the target.  NaN scan samples are skipped; one RuntimeWarning says how
     many were evaluated.
+
+    The scan is sure to read every sample at or below
+
+        t_low = (count-1+mu)(count+mu) - mu(mu+1) - max(gamma2, 0),
+
+    a lower bound on the count-th root: by the min-max principle (Meixner
+    & Schafke 1954), lam_N(gamma2) >= lam_N(0) - max(gamma2, 0) with
+    lam_N(0) = (N+mu)(N+mu+1).  The sample that closes the count-th sign
+    change lies at or above that root, as long as each sign change is a
+    zero of Theta.  So those samples run as one batch on numpy columns,
+    with the bits of `theta_t` (`_scan_values`), and each sample past
+    t_low runs `theta_t` on its own.  No sample past the closing one is
+    evaluated; where ScanExhausted is raised there is no closing sample,
+    and the scan reads every batched sample.  Only an error that ends the
+    scan before t_low leaves batched samples unread.  A batched sample that
+    fails raises the error of `theta_t` when the scan reads it.
 
     t_scan_range defaults to [lo, hi] = [-max(gamma2, 0) - 2, lo + max(8,
     2*count)]: by the Rayleigh quotient, lam >= mu(mu+1) - max(gamma2, 0),
@@ -192,9 +299,6 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
                                         k_max=k_max)
         return result.theta.real
 
-    def f_scan(t: float) -> float:
-        return theta_t(t, problem, n=n, tol=scan_tol, k_max=k_max).theta.real
-
     if t_scan_range is None:
         lo = -max(problem.gamma2, 0.0) - 2.0
         hi = lo + max(8.0, 2.0 * count)
@@ -206,17 +310,14 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     found = 0
     skipped: list[float] = []
 
-    def walk():
-        # the doubled segments, each end sampled once
-        nonlocal hi
-        yield from _grid(lo, hi, _SCAN_STEP)
-        for _ in range(extensions):
-            if found >= count:
-                return
-            start, hi = hi, hi + (hi - lo)
-            yield from itertools.islice(_grid(start, hi, _SCAN_STEP), 1, None)
-
-    for a, b in _scan_brackets(f_scan, walk(), skipped):
+    # the scan reads every sample up to the bound on the count-th root:
+    # they run as one batch
+    t_low = _root_floor(problem, count)
+    sure = list(itertools.takewhile(lambda t: t <= t_low,
+                                    _walk(lo, hi, extensions, lambda: True)))
+    f_scan = _scan_values(sure, problem, n, scan_tol, k_max)
+    for a, b in _scan_brackets(f_scan, _walk(lo, hi, extensions,
+                                             lambda: found < count), skipped):
         found += 1
         r = secant(f, a, b, opts)
         if not any(abs(r - r0) <= 1e-8 * (1 + abs(r)) for r0 in roots):
@@ -227,6 +328,8 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
         warnings.warn(f"eigenvalues: skipped {len(skipped)} NaN scan samples",
                       RuntimeWarning, stacklevel=2)
     if found < count:
+        for _ in range(extensions):     # found < count: each one ran
+            hi += hi - lo
         raise ScanExhausted(f"found {found} sign changes up to t = {hi}, "
                             f"need {count}")
     if len(roots) < count:

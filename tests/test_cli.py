@@ -178,6 +178,16 @@ def test_non_finite_sph_problem_exits_1(capsys, argv):
     assert captured.out == ""
 
 
+def test_scan_sph_with_a_kernel_that_is_not_finite_exits_1(capsys):
+    # -4 * gamma2 overflows: the batch drops the kernel, and theta_t raises
+    # its error at the first row, before the output opens
+    rc = main(["scan", "--problem", "sph", "--gamma2", "1e308",
+               "--t-range", "0", "1", "--resolution", "3", "--output", "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err and captured.out == ""
+
+
 def test_k_max_below_first_usable_index_exits_1(tmp_path, capsys):
     rc = main(["theta-ell", "--lambda", "3.2", "--mu", "-5", "--gamma", "4",
                "--c", "1.6", "--k-max", "3"])
@@ -236,6 +246,7 @@ def test_infinite_tolerance_exits_1_before_any_solve(argv, monkeypatch,
         raise AssertionError("no solve may run for an infinite --tol")
 
     monkeypatch.setattr(sph, "theta_t", fail)
+    monkeypatch.setattr(sph, "_scan_values", fail)
     monkeypatch.setattr(ell, "solve_pair", fail)
     monkeypatch.setattr(ell, "scan_grid", fail)
     assert main(argv + ["--tol", "inf", "--json"]) == 1
@@ -260,7 +271,7 @@ def test_too_few_samples_exit_1_before_any_solve(argv, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("no solve may run for a bad sample count")
 
-    for name in ("eigenvalues", "theta_t"):
+    for name in ("eigenvalues", "theta_t", "_scan_values"):
         monkeypatch.setattr(sph, name, fail)
     monkeypatch.setattr(ell, "solve_pair", fail)
     assert main(argv + ["--output", "-"]) == 1

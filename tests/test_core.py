@@ -1033,10 +1033,10 @@ def test_theta_many_equals_the_scalar_loop(family, x, lo, span, c, bits, n,
     k_max = core._first_index(n, 0.0, 10 ** 9, kernels[0].delta) + budget
     kw = dict(n=n, tol=10.0 ** log_tol, k_max=k_max)
     # 1: every kernel stays in the arrays to the end, and those left at
-    # k_max finish with no step to go; 64: the arrays hand every kernel to
-    # the scalar loop at step k_start - 1, before their first read; the
-    # others hand off part of the way, at the end of a block.  A kernel
-    # handed off past the head goes on in the float64 tail
+    # k_max finish with no step to go; 64: a batch of fewer kernels takes
+    # no numpy step, and each kernel runs theta_iterate; the others hand
+    # off part of the way, at the end of a block.  A kernel handed off
+    # past the head goes on in the float64 tail
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_LOCKSTEP_MIN", lockstep_min)
         mp.setattr(core, "_HEAD", head)
@@ -1065,12 +1065,27 @@ def test_theta_many_hands_off_to_the_scalar_loop_at_every_point(k_max):
         assert [_bits(r) for r in many] == expected
 
 
+def test_a_batch_below_the_lockstep_minimum_takes_no_numpy_step(
+        monkeypatch):
+    # the fixed cost of numpy steps on a few columns is more than their own
+    # scalar loops cost: each kernel runs theta_iterate on its scalars
+    problem = sph.SpheroidalProblem(mu=1, gamma2=4.0)
+    kernels = [sph._kernel(float(t), problem)
+               for t in np.linspace(-3, 9, core._LOCKSTEP_MIN - 1)]
+    expected = [_bits(_scalar(k)) for k in kernels]
+
+    def fail(*args):
+        raise AssertionError("a numpy step ran")
+
+    monkeypatch.setattr(core, "_step", fail)
+    assert [_bits(r) for r in core.theta_many(kernels)] == expected
+
+
 @pytest.mark.parametrize("gamma2", [4.0, 4 + 1.5j])
 def test_theta_many_gives_none_for_a_kernel_that_raises(gamma2):
-    # kernel 5 meets a singular step at k = 10 (A0 - 10 I): a float kernel
-    # after the arrays hand it off at k_start - 1 = 5, a complex one on the
-    # scalar loop; either way its entry is None and the others keep their
-    # bits
+    # kernel 5 meets a singular step at k = 10 (A0 - 10 I) on the scalar
+    # loop: a batch this small takes no numpy step.  Its entry is None and
+    # the others keep their bits
     problem = sph.SpheroidalProblem(mu=0, gamma2=gamma2)
     kernels = [sph._kernel(float(t), problem) for t in np.linspace(-3, 9, 8)]
     kernels[5] = kernels[5]._replace(main=(10.0, *kernels[5].main[1:]))

@@ -789,6 +789,33 @@ def test_eigenfunction_preconditions(table_problem, eigenfunction_325):
         fn(math.nan)
 
 
+@pytest.mark.parametrize("pair", [
+    ("0.25", "-0.5"), (0.25 + 1j, -0.5), (0.25, complex(-0.5, 0.0)),
+    (0.25, None), ell.EigenPair("0.25", -0.5, 0.0, 0.0, 0)],
+    ids=["strings", "complex", "complex with imag 0", "None", "EigenPair"])
+def test_eigenfunction_rejects_a_pair_that_is_not_real_before_any_series(
+        monkeypatch, table_problem, pair):
+    # float() once parsed the strings into an eigenfunction, and a complex
+    # lam raised TypeError
+    def fail(*args, **kwargs):
+        raise AssertionError("no series may be built")
+
+    monkeypatch.setattr(ell, "_kernel", fail)
+    with pytest.raises(ValueError, match="real numbers"):
+        ell.eigenfunction(pair, table_problem)
+
+
+def test_eigenfunction_of_real_numbers_of_any_type_is_that_of_floats(
+        table_problem):
+    want = ell.eigenfunction((0.25, -0.5), table_problem)
+    for pair in ((Fraction(1, 4), np.float64(-0.5)), (np.float32(0.25), -0.5),
+                 (0.25, np.int64(0) - 0.5)):
+        got = ell.eigenfunction(pair, table_problem)
+        assert (got.lam, got.mu) == (0.25, -0.5)
+        assert type(got.lam) is type(got.mu) is float
+        assert repr((got.C0, got.C2)) == repr((want.C0, want.C2))
+
+
 def test_eigenfunction_pickles_and_copies(table_problem):
     # copies made while the series are partly read (after matching) and
     # once they are read in full evaluate as the original, bit for bit

@@ -4,6 +4,7 @@ Reference eigenvalues for (mu, gamma^2) = (0, 4) were frozen from a run
 cross-checked against the integration oracle; Legendre limits are exact.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -214,6 +215,7 @@ def test_bad_tolerance_raises_before_any_theta_evaluation(monkeypatch, tol):
 
     theta_t = sph.theta_t
     monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    monkeypatch.setattr(sph, "_theta_batch", counting_theta_t)
     with pytest.raises(ValueError, match="tol"):
         sph.eigenvalues(sph.SpheroidalProblem(mu=0, gamma2=100.0), 4, tol=tol)
     assert calls == []
@@ -526,7 +528,8 @@ def test_eigenvalues_reject_a_complex_problem(monkeypatch, mu, gamma2):
     # the scan and the secant see only Re Theta(t) over real t, so a complex
     # problem would return roots whose |Theta| is far above tol
     calls = []
-    monkeypatch.setattr(sph, "theta_t", lambda *a, **kw: calls.append(a))
+    for name in ("theta_t", "_theta_batch"):
+        monkeypatch.setattr(sph, name, lambda *a, **kw: calls.append(a))
     with pytest.raises(ValueError, match="real problems"):
         sph.eigenvalues(sph.SpheroidalProblem(mu=mu, gamma2=gamma2), 3)
     assert calls == []
@@ -634,15 +637,7 @@ def test_scan_stops_at_the_sample_closing_the_last_bracket(
     problem = sph.SpheroidalProblem(*args)
     every = []
     _, closing = _eager_eigenvalues(problem, count, t_range, every)
-    scanned = []
-    theta_t = sph.theta_t
-
-    def counting_theta_t(t, problem, **kw):
-        if kw["tol"] == 1e-6:
-            scanned.append(t)
-        return theta_t(t, problem, **kw)
-
-    monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    scanned, _ = _count_scan(monkeypatch)
     sph.eigenvalues(problem, count, t_scan_range=t_range)
     # the same grid with each segment end once, walked up to the closing
     # sample and no further
@@ -652,18 +647,142 @@ def test_scan_stops_at_the_sample_closing_the_last_bracket(
     assert len(scanned) < len(every)
 
 
+def _count_scan(monkeypatch):
+    """Count the scan's samples through its sampler, `sph._scan_values`.
+
+    Returns two lists, filled as the scan runs: the t evaluated, the batch
+    in its order and then each `theta_t` call at the scan's tol 1e-6, and
+    the t read."""
+    evaluated, read = [], []
+    theta_t, scan_values = sph.theta_t, sph._scan_values
+
+    def counting_scan_values(ts, *args):
+        evaluated.extend(ts)
+        value = scan_values(ts, *args)
+
+        def reading(t):
+            read.append(t)
+            return value(t)
+        return reading
+
+    def counting_theta_t(t, problem, **kw):
+        if kw["tol"] == 1e-6:
+            evaluated.append(t)
+        return theta_t(t, problem, **kw)
+
+    monkeypatch.setattr(sph, "_scan_values", counting_scan_values)
+    monkeypatch.setattr(sph, "theta_t", counting_theta_t)
+    return evaluated, read
+
+
+@pytest.mark.parametrize("args, count, t_range", _SPECTRA)
+def test_the_batch_equals_theta_t_on_every_scan_sample(args, count, t_range):
+    problem = sph.SpheroidalProblem(*args)
+    every = []
+    with contextlib.suppress(ScanExhausted):
+        _eager_eigenvalues(problem, count, t_range, every)
+    ts = sorted(set(every))
+    batch = sph._theta_batch(ts, problem, 5, 1e-6, 10 ** 6)
+    assert ([repr(dataclasses.astuple(r)) for r in batch]
+            == [repr(dataclasses.astuple(sph.theta_t(t, problem, tol=1e-6)))
+                for t in ts])
+
+
+@pytest.mark.parametrize("args, count, t_range", _SPECTRA)
+def test_the_scan_evaluates_only_the_samples_it_reads(monkeypatch, args,
+                                                      count, t_range):
+    problem = sph.SpheroidalProblem(*args)
+    evaluated, read = _count_scan(monkeypatch)
+    try:
+        eigs = sph.eigenvalues(problem, count, t_scan_range=t_range)
+    except ScanExhausted:
+        eigs = None
+    # nothing past the closing sample is evaluated
+    assert evaluated == read
+    if eigs is not None:
+        assert sph._root_floor(problem, count) <= eigs[-1].t_root
+
+
+def test_a_none_batch_entry_raises_the_error_of_theta_t_when_read(
+        monkeypatch):
+    ts = [-6.0, -5.5, -5.0]
+    # a column masked by a check of the scalar build, and the ValueError
+    # of the whole batch: theta_t raises each at the first sample
+    for problem, k_max, match in (
+            (sph.SpheroidalProblem(0, 1e308), 10 ** 6, "non-finite"),
+            (sph.SpheroidalProblem(0, 4.0), 0, "first usable index")):
+        assert sph._theta_batch(ts, problem, 5, 1e-6, k_max) == [None] * 3
+        value = sph._scan_values(ts, problem, 5, 1e-6, k_max)
+        with pytest.raises(ValueError, match=match):
+            value(ts[0])
+    # a kernel whose series raised: the samples before it are the batch's,
+    # and its error is theta_t's, raised where the scan reads it
+    problem = sph.SpheroidalProblem(0, 4.0)
+    theta_table, theta_t = sph._theta_table, sph.theta_t
+    calls = []
+
+    def dropping(table, *args):
+        results = theta_table(table, *args)
+        results[1] = None
+        return results
+
+    def failing(t, problem, **kw):
+        calls.append(t)
+        if t == ts[1]:
+            raise NoConvergence("a series that fails", best=t, residual=1.0)
+        return theta_t(t, problem, **kw)
+
+    monkeypatch.setattr(sph, "_theta_table", dropping)
+    monkeypatch.setattr(sph, "theta_t", failing)
+    value = sph._scan_values(ts, problem, 5, 1e-6, 10 ** 6)
+    assert value(ts[0]) == theta_t(ts[0], problem, tol=1e-6).theta.real
+    assert calls == []
+    with pytest.raises(NoConvergence, match="a series that fails"):
+        value(ts[1])
+    assert calls == [ts[1]]
+    # the spectrum's scan reads its samples from the start of the batch
+    with pytest.raises(NoConvergence, match="a series that fails"):
+        sph.eigenvalues(problem, 8, t_scan_range=(-6.0, 30.0))
+
+
+def test_the_batch_runs_as_the_sampler_reads_it(monkeypatch):
+    # _BATCH_MAX samples at a time, each batch once its first t is read
+    problem = sph.SpheroidalProblem(1, 9.3)
+    ts = [-11.3 + 0.5 * i for i in range(7)]
+    batches = []
+    theta_batch = sph._theta_batch
+
+    def spy(ts, *args):
+        batches.append(ts)
+        return theta_batch(ts, *args)
+
+    monkeypatch.setattr(sph, "_theta_batch", spy)
+    monkeypatch.setattr(sph, "_BATCH_MAX", 3)
+    value = sph._scan_values(ts, problem, 5, 1e-6, 10 ** 6)
+    got = []
+    for i, t in enumerate(ts + [-7.5]):
+        got.append(repr(value(t)))
+        assert batches == [ts[j:j + 3] for j in range(0, i + 1, 3)]
+    assert got == [repr(sph.theta_t(t, problem, tol=1e-6).theta.real)
+                   for t in ts + [-7.5]]
+
+
 def _stubbed_scan(monkeypatch, scan_value, root=0.25):
-    """Replace `sph.theta_t`: scan samples read ``scan_value(t)``, the
-    secant's evaluations t - root, so every bracket polishes to ``root``.
-    Returns the list of scanned t."""
+    """Replace the scan's sampler (`sph._scan_values`) and `sph.theta_t`:
+    scan samples read ``scan_value(t)``, the secant's evaluations t - root,
+    so every bracket polishes to ``root``.  Returns the list of scanned
+    t."""
     scanned = []
 
+    def sample(t):
+        scanned.append(t)
+        return complex(scan_value(t)).real
+
     def stub(t, problem, **kw):
-        if kw["tol"] == 1e-6:
-            scanned.append(t)
-            return types.SimpleNamespace(theta=complex(scan_value(t)))
+        assert kw["tol"] != 1e-6, "a scan sample left the sampler"
         return types.SimpleNamespace(theta=complex(t - root))
 
+    monkeypatch.setattr(sph, "_scan_values", lambda *args: sample)
     monkeypatch.setattr(sph, "theta_t", stub)
     return scanned
 
@@ -717,14 +836,18 @@ def test_zero_at_a_segment_end_is_one_root(monkeypatch):
         segments.append((lo, hi))
         return grid(lo, hi, step)
 
+    _, read = _count_scan(monkeypatch)
     monkeypatch.setattr(sph, "_grid", spy)
     eigs = sph.eigenvalues(sph.SpheroidalProblem(0, 0.0), 11)
     roots = [n * (n + 1.0) for n in range(11)]
     assert [e.t_root for e in eigs] == roots
-    assert segments == [(-2.0, 20.0), (20.0, 42.0), (42.0, 86.0),
-                        (86.0, 174.0)]
+    # the same segments twice: first the walk to the bound t = 110 on the
+    # 11th root, whose samples run as one batch, then the scan's walk
+    assert segments == 2 * [(-2.0, 20.0), (20.0, 42.0), (42.0, 86.0),
+                            (86.0, 174.0)]
     ends = {t for segment in segments for t in segment}
     assert sorted(ends.intersection(roots)) == [20.0, 42.0]
+    assert read.count(20.0) == read.count(42.0) == 1
 
 
 def test_nan_at_a_segment_end_keeps_the_sign_change(monkeypatch):

@@ -259,9 +259,9 @@ def eigenvalues(problem: SpheroidalProblem, count: int, t_scan_range=None,
     & Schafke 1954), lam_N(gamma2) >= lam_N(0) - max(gamma2, 0) with
     lam_N(0) = (N+mu)(N+mu+1).  The sample that closes the count-th sign
     change lies at or above that root, as long as each sign change is a
-    zero of Theta.  So those samples run as one batch on numpy columns,
-    with the bits of `theta_t` (`_scan_values`), and each sample past
-    t_low runs `theta_t` on its own.  No sample past the closing one is
+    zero of Theta.  So those samples run as one batch on numpy columns
+    (4096 at most at a time), with the bits of `theta_t` (`_scan_values`),
+    and each sample past t_low runs `theta_t` on its own.  No sample past the closing one is
     evaluated; where ScanExhausted is raised there is no closing sample,
     and the scan reads every batched sample.  Only an error that ends the
     scan before t_low leaves batched samples unread.  A batched sample that
